@@ -1,9 +1,10 @@
 """The adaptive sampling machinery: sum tree, score normalization, and
 importance weights.
 
-Shows that tree draws follow the leaf weights, that updates are cheap and
-keep the internal sums exact, and that the importance weights make the
-weighted estimator unbiased regardless of how skewed the sampling is.
+Shows that tree draws follow the leaf weights, that a single-leaf update
+costs O(log n) and a full refresh (set_all) one O(n) rebuild, both keeping
+the internal sums exact, and that the importance weights make the weighted
+estimator unbiased regardless of how skewed the sampling is.
 """
 
 import numpy as np
@@ -29,6 +30,12 @@ print("after update(0, 10): total =", tree.total)
 draws = tree.sample_many(rng, 200_000)
 print("index 0 now drawn %.1f%% of the time (10/19 = %.1f%%)"
       % (100 * np.mean(draws == 0), 100 * 10 / 19))
+
+# --- a full refresh replaces every leaf in one O(n) rebuild ------------------
+tree.set_all([4.0, 3.0, 2.0, 1.0])
+draws = tree.sample_many(rng, 200_000)
+print("after set_all([4, 3, 2, 1]): observed frequency",
+      np.round(np.bincount(draws, minlength=4) / len(draws), 4))
 
 # --- epsilon smoothing keeps every example alive -----------------------------
 scores = np.array([0.0, 0.0, 5.0, 1.0])

@@ -66,6 +66,7 @@ from .datasets import (
 )
 from .harness import (
     ExperimentConfig,
+    ExperimentResults,
     ProblemSpec,
     convex_preset,
     load_config,

@@ -65,8 +65,15 @@ def main(argv=None):
             parser.error("config file not found: %s" % args.config)
         except ValueError as exc:
             parser.error("bad config: %s" % exc)
-        _harness.run_experiment(config)
+        results = _harness.run_experiment(config)
         print("experiment written to %s" % config.output_dir)
+        if results.failures:
+            print("%d run(s) failed, see failures.csv: %s"
+                  % (len(results.failures),
+                     ", ".join("%s/%d" % (name, seed)
+                               for name, seed, _, _ in results.failures)),
+                  file=sys.stderr)
+            return 1
         return 0
 
     if args.command == "sweep-variance":

@@ -260,10 +260,20 @@ def _write_aggregate_csv(path, steps, named_aggregates):
             fh.write(",".join(fields) + "\n")
 
 
+class ExperimentResults(dict):
+    """Run results keyed (name, seed). A diverged run has no entry;
+    ``failures`` lists it as (name, seed, step, message), as written to
+    failures.csv."""
+
+    def __init__(self):
+        super().__init__()
+        self.failures = []
+
+
 def run_experiment(config):
     """Execute every (optimizer, seed) run, then write per-seed traces, one
     aggregate CSV per optimizer, a dasgrad-vs-baseline comparison CSV, and a
-    metadata file. Returns the in-memory results keyed (name, seed)."""
+    metadata file. Returns the in-memory ExperimentResults of this call."""
     dataset, problem = config.problem.build()
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
@@ -275,8 +285,8 @@ def run_experiment(config):
             problem, tol=config.reference_tol,
             max_iters=config.reference_max_iters)
 
-    results = {}
-    failures = []
+    results = ExperimentResults()
+    failures = results.failures
     for name, opt in sorted(config.optimizers.items()):
         for seed in config.seeds:
             try:
@@ -565,6 +575,13 @@ def self_check(verbose=True):
     sums_ok = _tree_sums_consistent(tree)
     checks.append(("tree sum invariant after updates", sums_ok))
 
+    refreshed = 0.1 + upd_rng.random(1000)
+    tree.set_all(refreshed)
+    bulk_ok = (_tree_sums_consistent(tree)
+               and np.array_equal(tree.nodes,
+                                  _sampling.SamplingTree(refreshed).nodes))
+    checks.append(("tree sum invariant after set_all", bulk_ok))
+
     id_rng = np.random.default_rng(9)
     ident_ok = True
     for _ in range(50):
@@ -596,13 +613,11 @@ def self_check(verbose=True):
     return all_ok
 
 
-def _tree_sums_consistent(tree, rel=1e-9):
-    nodes = tree.nodes
-    for idx in range(1, tree.capacity):
-        child_sum = nodes[2 * idx] + nodes[2 * idx + 1]
-        if abs(nodes[idx] - child_sum) > rel * max(1e-300, abs(child_sum)):
-            return False
-    return True
+def _tree_sums_consistent(tree):
+    """Every internal node equals the float sum of its two children."""
+    nodes, cap = tree.nodes, tree.capacity
+    return np.array_equal(nodes[1:cap],
+                          nodes[2:2 * cap:2] + nodes[3:2 * cap:2])
 
 
 def _random_instance(kind, rng):

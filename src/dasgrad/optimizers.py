@@ -272,8 +272,8 @@ def step_general(problem, theta, state, probs, tree, rng, config, t):
 
 
 def refresh_probabilities(problem, theta, state, config, tree):
-    """Recompute the sampling distribution from the current scores and push
-    it into every tree leaf. Returns the new distribution."""
+    """Recompute the sampling distribution from the current scores and load
+    it into the tree in one O(n) rebuild. Returns the new distribution."""
     if config.method == "ap_sgd":
         scores = _sampling.scores_apsgd(problem, theta)
     elif config.method == "dasgrad":
@@ -287,8 +287,7 @@ def refresh_probabilities(problem, theta, state, config, tree):
         raise ValueError("method %r does not adapt probabilities"
                          % (config.method,))
     probs = _sampling.normalize_scores(scores, config.epsilon_prob)
-    for i, p in enumerate(probs):
-        tree.update(i, p)
+    tree.set_all(probs)
     return probs
 
 
@@ -336,6 +335,10 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
     tree = _sampling.SamplingTree(probs)
 
     classification = problem.kind != _problems.CENTROID
+    if classification:
+        X_eval, y_eval = _metrics.pack_eval_set(
+            problem, problem.examples if eval_examples is None
+            else eval_examples)
     records = []
     all_indices = np.empty((T, config.batch_size), dtype=np.int64)
     ticks, losses, accs, gvars = [], [], [], []
@@ -353,9 +356,8 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
             losses.append(loss_here)
             gvars.append(_metrics.gradient_norm_variance(problem, theta))
             if classification:
-                where = eval_examples if eval_examples is not None \
-                    else problem.examples
-                accs.append(_metrics.accuracy(problem, theta, where))
+                accs.append(_metrics.packed_accuracy(problem, theta,
+                                                     X_eval, y_eval))
         records.append(StepRecord(t, indices, loss_here))
 
     return RunResult(records=records, indices=all_indices,

@@ -1,7 +1,7 @@
 """Adaptive categorical sampling over training indices.
 
-A flat-array sum tree gives O(log n) draws and O(log n) weight updates, so
-the sampling distribution can be reshaped cheaply between full refreshes.
+A flat-array sum tree gives O(log n) draws. A full refresh of the sampling
+distribution is one O(n) ``set_all``; a single-leaf ``update`` is O(log n).
 Score functions turn the current model state into per-example sampling
 scores; normalization smooths them with a small epsilon so every example
 keeps strictly positive probability.
@@ -20,33 +20,20 @@ class SamplingTree:
     Layout: ``nodes`` has 2 * capacity entries, capacity a power of two.
     nodes[1] is the root, leaf i lives at nodes[capacity + i], and every
     internal node holds the exact float sum of its two children (parents are
-    recomputed from children on update, never adjusted incrementally, so the
-    sum invariant holds to the last bit).
+    recomputed from children by ``update`` and ``set_all``, never adjusted
+    incrementally, so the sum invariant holds to the last bit).
     """
 
     def __init__(self, weights):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if not np.any(weights > 0):
-            raise ValueError("at least one weight must be positive")
         self.n = int(weights.size)
         self.capacity = 1
         while self.capacity < self.n:
             self.capacity *= 2
         self.nodes = np.zeros(2 * self.capacity)
-        self.nodes[self.capacity:self.capacity + self.n] = weights
-        # level-by-level O(n) build
-        lo = self.capacity
-        while lo > 1:
-            half = lo // 2
-            level = self.nodes[lo:2 * lo]
-            self.nodes[half:lo] = level[0::2] + level[1::2]
-            lo = half
+        self.set_all(weights)
 
     @property
     def total(self) -> float:
@@ -59,6 +46,30 @@ class SamplingTree:
 
     def leaves(self) -> np.ndarray:
         return np.array(self.nodes[self.capacity:self.capacity + self.n])
+
+    def set_all(self, weights) -> None:
+        """Replace all n leaf weights and rebuild the parents level by
+        level, O(n). Validates first, so a rejected call changes nothing.
+        Each parent is the same child sum that n per-leaf ``update`` calls
+        leave, so the nodes match theirs bit for bit."""
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (self.n,):
+            raise ValueError("weights must be a 1-d sequence of length %d"
+                             % self.n)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        if np.any(weights < 0):
+            raise ValueError("weights must be nonnegative")
+        if not np.any(weights > 0):
+            raise ValueError("at least one weight must be positive")
+        nodes = self.nodes
+        nodes[self.capacity:self.capacity + self.n] = weights
+        lo = self.capacity
+        while lo > 1:
+            half = lo // 2
+            level = nodes[lo:2 * lo]
+            nodes[half:lo] = level[0::2] + level[1::2]
+            lo = half
 
     def update(self, i: int, w: float) -> None:
         """Set leaf i to w and refresh its ancestors."""
@@ -107,12 +118,16 @@ class SamplingTree:
         u = rng.random(size) * root
         idx = np.ones(size, dtype=np.int64)
         nodes = self.nodes
-        while idx[0] < self.capacity:
-            left = 2 * idx
-            left_sum = nodes[left]
-            go_left = u < left_sum
-            u = np.where(go_left, u, u - left_sum)
-            idx = np.where(go_left, left, left + 1)
+        # Ties go right, as in index_of_prefix. Where a draw goes left it
+        # subtracts 0.0, which leaves u unchanged, so draws match the
+        # scalar descent bit for bit.
+        for _ in range(self.capacity.bit_length() - 1):
+            idx <<= 1
+            left_sum = nodes[idx]
+            right = u >= left_sum
+            left_sum *= right
+            u -= left_sum
+            idx += right
         return np.minimum(idx - self.capacity, self.n - 1)
 
 

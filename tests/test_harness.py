@@ -36,6 +36,27 @@ alpha = 0.05
 batch_size = 4
 """
 
+# the "wild" optimizer diverges on every seed, "tame" never does
+DIVERGING_CONFIG = """
+kind = centroid
+n = 6
+d = 2
+sigma = 1
+T = 20
+seeds = 0,1
+metric_tick = 5
+output_dir = {out}
+[optimizer.wild]
+method = sgd
+alpha = 1e200
+batch_size = 1
+box = -inf,inf
+[optimizer.tame]
+method = sgd
+alpha = 0.1
+batch_size = 1
+"""
+
 
 class TestConfigParsing:
     def test_full_config(self, tmp_path):
@@ -180,27 +201,11 @@ batch_size = 2
 
     def test_divergence_recorded_not_fatal(self, tmp_path):
         out = tmp_path / "div"
-        text = """
-kind = centroid
-n = 6
-d = 2
-sigma = 1
-T = 20
-seeds = 0,1
-metric_tick = 5
-output_dir = {out}
-[optimizer.wild]
-method = sgd
-alpha = 1e200
-batch_size = 1
-box = -inf,inf
-[optimizer.tame]
-method = sgd
-alpha = 0.1
-batch_size = 1
-""".format(out=out)
-        cfg = H.parse_config_text(text)
-        H.run_experiment(cfg)
+        cfg = H.parse_config_text(DIVERGING_CONFIG.format(out=out))
+        results = H.run_experiment(cfg)
+        assert set(results) == {("tame", 0), ("tame", 1)}
+        assert [run[:2] for run in results.failures] == [("wild", 0),
+                                                         ("wild", 1)]
         assert (out / "failures.csv").exists()
         assert (out / "trace_tame_0.csv").exists()
         assert not (out / "trace_wild_0.csv").exists()
@@ -254,6 +259,18 @@ class TestSelfCheckAndCli:
         with pytest.raises(SystemExit) as err:
             C.main(["run", "--config", "/nonexistent/path.cfg"])
         assert err.value.code == 2
+
+    def test_cli_run_exit_code_follows_this_calls_failures(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "cli_div"
+        cfg_path = tmp_path / "div.cfg"
+        cfg_path.write_text(DIVERGING_CONFIG.format(out=out))
+        assert C.main(["run", "--config", str(cfg_path)]) == 1
+        assert "wild/0" in capsys.readouterr().err
+        # a failures.csv left by an earlier run does not fail a clean one
+        cfg_path.write_text(TINY_CONFIG.format(out=out))
+        assert (out / "failures.csv").exists()
+        assert C.main(["run", "--config", str(cfg_path)]) == 0
 
     def test_cli_run_and_sweep(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -263,6 +263,19 @@ class TestRefresh:
         bound = 4 * np.sqrt(probs * (1 - probs) / 100_000)
         assert np.all(np.abs(freq - probs) <= bound)
 
+    def test_tree_nodes_match_fresh_build(self):
+        rng = np.random.default_rng(14)
+        prob = multiclass_problem(rng, n=37)
+        cfg = O.OptimizerConfig(method="dasgrad", batch_size=4)
+        tree = S.SamplingTree(np.full(prob.n, 1.0 / prob.n))
+        state = O.MomentState.zeros(prob.param_dim)
+        state.m = rng.standard_normal(prob.param_dim)
+        state.v_hat = rng.random(prob.param_dim)
+        state.t = 7
+        probs = O.refresh_probabilities(
+            prob, rng.standard_normal(prob.param_dim), state, cfg, tree)
+        assert np.array_equal(tree.nodes, S.SamplingTree(probs).nodes)
+
     def test_schedule(self):
         rng = np.random.default_rng(9)
         prob = centroid_problem(rng.standard_normal((10, 2)))
@@ -304,6 +317,16 @@ class TestRun:
         assert np.array_equal(r1.indices, r2.indices)
         assert np.array_equal(r1.theta, r2.theta)
         assert np.array_equal(r1.loss, r2.loss)
+
+    def test_accuracy_on_eval_examples(self):
+        rng = np.random.default_rng(15)
+        prob = multiclass_problem(rng, n=20)
+        held_out = multiclass_problem(rng, n=9).examples
+        cfg = O.OptimizerConfig(method="dasgrad", batch_size=4,
+                                refresh_period=3)
+        result = O.run(prob, cfg, T=20, seed=3, metric_tick=10,
+                       eval_examples=held_out)
+        assert result.accuracy[-1] == M.accuracy(prob, result.theta, held_out)
 
     def test_centroid_sgd_converges(self):
         rng = np.random.default_rng(12)

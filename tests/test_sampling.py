@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dasgrad import problems as P
 from dasgrad import sampling as S
@@ -69,6 +71,59 @@ class TestTreeUpdate:
             tree.update(0, -1.0)
 
 
+class TestTreeSetAll:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 37, 1000])
+    def test_matches_fresh_build_and_per_leaf_updates(self, n):
+        rng = np.random.default_rng(n)
+        weights = rng.random(n) + 0.01
+        bulk = S.SamplingTree(rng.random(n) + 0.01)
+        per_leaf = S.SamplingTree(np.array(bulk.leaves()))
+        bulk.set_all(weights)
+        for i, w in enumerate(weights):
+            per_leaf.update(i, w)
+        assert np.array_equal(bulk.nodes, S.SamplingTree(weights).nodes)
+        assert np.array_equal(bulk.nodes, per_leaf.nodes)
+
+    @pytest.mark.parametrize("bad", [
+        [1.0, 2.0],
+        [1.0, 2.0, 3.0, 4.0],
+        [[1.0, 2.0, 3.0]],
+        [1.0, -0.5, 2.0],
+        [1.0, np.nan, 2.0],
+        [1.0, np.inf, 2.0],
+        [0.0, 0.0, 0.0],
+    ])
+    def test_rejects_bad_input_and_leaves_tree_unchanged(self, bad):
+        tree = S.SamplingTree([1.0, 2.0, 3.0])
+        before = np.array(tree.nodes)
+        with pytest.raises(ValueError):
+            tree.set_all(bad)
+        assert np.array_equal(tree.nodes, before)
+
+
+_weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                    allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mixed_set_all_and_update_keep_sums_exact(data):
+    n = data.draw(st.integers(min_value=1, max_value=40), label="n")
+    positive = st.lists(_weight, min_size=n, max_size=n).filter(
+        lambda ws: any(w > 0 for w in ws))
+    tree = S.SamplingTree(data.draw(positive, label="initial"))
+    ops = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("set_all"), positive),
+        st.tuples(st.just("update"), st.integers(0, n - 1), _weight)),
+        max_size=20), label="ops")
+    for op in ops:
+        if op[0] == "set_all":
+            tree.set_all(op[1])
+        else:
+            tree.update(op[1], op[2])
+        assert np.array_equal(tree.nodes, recompute_tree_reference(tree))
+
+
 class TestTreeSample:
     def test_prefix_descent_hand_case(self):
         # cumulative sums 1, 3, 6, 10: u = 5.5 lies in [3, 6) -> index 2
@@ -99,16 +154,34 @@ class TestTreeSample:
         np.testing.assert_allclose(freq, [0.1, 0.2, 0.3, 0.4], atol=0.01)
 
     def test_sample_and_sample_many_agree(self):
+        # non-dyadic weights: the tree sums and u - left_sum round
         weights = np.array([0.3, 1.7, 0.0, 2.4, 0.6])
         tree = S.SamplingTree(weights)
         many = tree.sample_many(np.random.default_rng(9), 200)
         singles = [tree.sample(np.random.default_rng(9)) for _ in range(1)]
         assert many[0] == singles[0]
-        u_grid = np.linspace(0.0, tree.total * (1 - 1e-12), 97)
-        scalar = np.array([tree.index_of_prefix(float(u)) for u in u_grid])
-        rng_like = _FixedUniforms(u_grid / tree.total)
-        vector = tree.sample_many(rng_like, len(u_grid))
-        assert np.array_equal(scalar, vector)
+        _scalar_and_vector_descents_agree(tree, weights)
+        # with many random weights the tree's sums differ from a running
+        # sum in the last bits, so the edges probe the rounded descent
+        weights = np.random.default_rng(2).random(37)
+        _scalar_and_vector_descents_agree(S.SamplingTree(weights), weights)
+
+    def test_sample_many_ties_go_right_at_exact_edges(self):
+        # dyadic weights with a power-of-two total keep every prefix sum,
+        # and u = fraction * total, exact in floating point
+        weights = np.array([0.375, 1.625, 0.0, 2.5, 3.5])
+        tree = S.SamplingTree(weights)
+        u, vector = _scalar_and_vector_descents_agree(tree, weights)
+        # ties at an edge go right, past the empty leaf 2
+        edges = np.cumsum(weights)
+        expected = np.minimum(np.searchsorted(edges, u, side="right"),
+                              len(weights) - 1)
+        assert np.array_equal(vector, expected)
+
+    def test_sample_many_of_size_zero(self):
+        tree = S.SamplingTree([1.0, 2.0, 3.0])
+        draws = tree.sample_many(np.random.default_rng(0), 0)
+        assert draws.shape == (0,)
 
     def test_zero_tree_rejected_at_sample(self):
         tree = S.SamplingTree([1.0])
@@ -129,6 +202,25 @@ class _FixedUniforms:
             return float(v)
         v, self.values = self.values[:size], self.values[size:]
         return np.array(v)
+
+
+def _scalar_and_vector_descents_agree(tree, weights):
+    """Feed index_of_prefix and sample_many the same u-grid: a linspace,
+    seeded uniforms, the prefix-sum edges and the floats either side of
+    them, and u = total (the spill into the padding leaves). Returns the
+    grid and the vector draws."""
+    edges = np.cumsum(weights)
+    fractions = np.concatenate([
+        np.linspace(0.0, 1 - 1e-12, 97),
+        np.random.default_rng(5).random(1000),
+        edges / tree.total, np.nextafter(edges, 0.0) / tree.total,
+        np.nextafter(edges, np.inf) / tree.total, [1.0],
+    ])
+    u = fractions * tree.total  # as sample_many scales its uniforms
+    scalar = np.array([tree.index_of_prefix(float(x)) for x in u])
+    vector = tree.sample_many(_FixedUniforms(fractions), len(fractions))
+    assert np.array_equal(scalar, vector)
+    return u, vector
 
 
 class TestNormalizeScores:

@@ -17,7 +17,7 @@ Config files are flat ``key = value`` lines with ``#`` comments; each
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,11 +99,51 @@ def convex_preset(method, **overrides):
 # ---------------------------------------------------------------------------
 # config file parsing
 
+def _parse_bool(text):
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError("expected a boolean, got %r" % text)
+
+
+def _parse_box(text):
+    lo, hi = (float(v) for v in text.split(","))
+    return lo, hi
+
+
+def _parse_ints(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+# config key -> value parser; these are the only keys a config may use
+_GLOBAL_KEYS = {
+    "kind": str, "path": str, "sparse": _parse_bool, "n": int, "d": int,
+    "classes": int, "sigma": float, "margin": float, "sparsity": float,
+    "data_seed": int, "lambda": float, "T": int, "seeds": _parse_ints,
+    "metric_tick": int, "output_dir": str, "reference_tol": float,
+    "reference_max_iters": int,
+}
+_OPTIMIZER_KEYS = {
+    "method": str, "alpha": float, "beta1": float, "beta2": float,
+    "epsilon_div": float, "epsilon_prob": float, "beta1_decay": float,
+    "refresh_period": int, "batch_size": int, "weight_mode": str,
+    "score_mode": str, "freeze_probabilities": _parse_bool,
+    "box": _parse_box,
+}
+# config keys whose dataclass field has another name
+_FIELD_OF_KEY = {"classes": "num_classes", "lambda": "l2_lambda",
+                 "box": "projection"}
+_PROBLEM_FIELDS = {f.name for f in fields(ProblemSpec)}
+
+
 def parse_config_text(text, base_dir="."):
-    """Parse the flat key = value format into an ExperimentConfig."""
+    """Parse the flat key = value format into an ExperimentConfig. An
+    unknown key or an unparsable value raises ValueError naming its line."""
     globals_kv = {}
     optimizer_kv = {}
-    current = None
+    current = globals_kv
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -116,88 +156,38 @@ def parse_config_text(text, base_dir="."):
             if not name or name in optimizer_kv:
                 raise ValueError("line %d: bad or duplicate optimizer name"
                                  % line_no)
-            optimizer_kv[name] = {}
-            current = name
+            current = optimizer_kv[name] = {"method": "sgd"}
             continue
         if "=" not in line:
             raise ValueError("line %d: expected key = value" % line_no)
         key, value = (part.strip() for part in line.split("=", 1))
-        if current is None:
-            globals_kv[key] = value
-        else:
-            optimizer_kv[current][key] = value
+        parsers = _GLOBAL_KEYS if current is globals_kv else _OPTIMIZER_KEYS
+        if key not in parsers:
+            raise ValueError("line %d: unknown key %r" % (line_no, key))
+        try:
+            current[_FIELD_OF_KEY.get(key, key)] = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (line_no, exc)) from None
 
     if not optimizer_kv:
         raise ValueError("config defines no [optimizer.*] section")
 
-    kind = globals_kv.get("kind", _problems.CENTROID)
-    path = globals_kv.get("path")
+    spec_kv = {"kind": _problems.CENTROID}
+    for key in _PROBLEM_FIELDS & set(globals_kv):
+        spec_kv[key] = globals_kv.pop(key)
+    path = spec_kv.get("path")
     if path is not None and not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    spec = ProblemSpec(
-        kind=kind,
-        path=path,
-        sparse=_parse_bool(globals_kv.get("sparse", "false")),
-        n=int(globals_kv.get("n", 200)),
-        d=int(globals_kv.get("d", 10)),
-        num_classes=int(globals_kv.get("classes", 2)),
-        sigma=float(globals_kv.get("sigma", 1.0)),
-        margin=float(globals_kv.get("margin", 4.0)),
-        sparsity=float(globals_kv.get("sparsity", 0.0)),
-        data_seed=int(globals_kv.get("data_seed", 0)),
-        l2_lambda=float(globals_kv.get("lambda", 0.0)),
-    )
-    seeds = tuple(int(s) for s in globals_kv.get("seeds", "0,1").split(","))
-    opts = {}
-    for name, kv in optimizer_kv.items():
-        opts[name] = _optimizer_from_kv(kv)
+        spec_kv["path"] = os.path.join(base_dir, path)
     return ExperimentConfig(
-        problem=spec, optimizers=opts,
-        T=int(globals_kv.get("T", 500)),
-        seeds=seeds,
-        metric_tick=int(globals_kv.get("metric_tick", 10)),
-        output_dir=globals_kv.get("output_dir", "out"),
-        reference_tol=float(globals_kv.get("reference_tol", 1e-6)),
-        reference_max_iters=int(globals_kv.get("reference_max_iters", 2000)),
-    )
+        problem=ProblemSpec(**spec_kv),
+        optimizers={name: _optimizers.OptimizerConfig(**kv)
+                    for name, kv in optimizer_kv.items()},
+        **globals_kv)
 
 
 def load_config(path):
     with open(path) as fh:
         return parse_config_text(fh.read(), base_dir=os.path.dirname(path) or ".")
-
-
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError("expected a boolean, got %r" % text)
-
-
-def _optimizer_from_kv(kv):
-    kwargs = dict(method=kv.get("method", "sgd"))
-    float_keys = {"alpha": "alpha", "beta1": "beta1", "beta2": "beta2",
-                  "epsilon_div": "epsilon_div", "epsilon_prob": "epsilon_prob",
-                  "beta1_decay": "beta1_decay"}
-    int_keys = {"refresh_period": "refresh_period", "batch_size": "batch_size"}
-    for key, attr in float_keys.items():
-        if key in kv:
-            kwargs[attr] = float(kv[key])
-    for key, attr in int_keys.items():
-        if key in kv:
-            kwargs[attr] = int(kv[key])
-    if "weight_mode" in kv:
-        kwargs["weight_mode"] = kv["weight_mode"]
-    if "score_mode" in kv:
-        kwargs["score_mode"] = kv["score_mode"]
-    if "freeze_probabilities" in kv:
-        kwargs["freeze_probabilities"] = _parse_bool(kv["freeze_probabilities"])
-    if "box" in kv:
-        lo, hi = (float(v) for v in kv["box"].split(","))
-        kwargs["projection"] = (lo, hi)
-    return _optimizers.OptimizerConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +267,10 @@ def run_experiment(config):
     dataset, problem = config.problem.build()
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
+    # failures.csv describes this call only
+    failures_path = os.path.join(out, "failures.csv")
+    if os.path.exists(failures_path):
+        os.remove(failures_path)
 
     if problem.kind == _problems.CENTROID:
         reference = _metrics.solve_reference(problem)
@@ -324,7 +318,7 @@ def run_experiment(config):
         _write_comparison_csv(os.path.join(out, "comparison.csv"), per_opt)
 
     if failures:
-        with open(os.path.join(out, "failures.csv"), "w") as fh:
+        with open(failures_path, "w") as fh:
             fh.write("optimizer,seed,step,message\n")
             for name, seed, step, message in failures:
                 fh.write("%s,%d,%d,%s\n" % (name, seed, step, message))
@@ -336,10 +330,13 @@ def run_experiment(config):
 
 def _write_comparison_csv(path, per_opt):
     """Per-tick improvement of dasgrad over each baseline. Loss improvement
-    is baseline_mean - dasgrad_mean; accuracy improvement is
-    dasgrad_mean - baseline_mean. Paired columns use per-seed differences,
-    unpaired columns treat the seed samples as independent."""
-    steps, das_loss, das_acc, _, das_runs = per_opt["dasgrad"]
+    is baseline - dasgrad; accuracy improvement is dasgrad - baseline.
+    Paired columns (the gain mean among them) use per-seed differences over
+    the seeds both arms completed; a baseline sharing fewer than two such
+    seeds with dasgrad gets no rows. Unpaired columns treat every completed
+    run of each arm as an independent sample."""
+    steps, _, das_acc, _, das_runs = per_opt["dasgrad"]
+    das_seeds = {r.seed for r in das_runs}
     baselines = [n for n in sorted(per_opt) if n != "dasgrad"]
     header = ["step", "baseline",
               "loss_gain_mean", "loss_gain_paired_lo", "loss_gain_paired_hi",
@@ -349,30 +346,35 @@ def _write_comparison_csv(path, per_opt):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for base in baselines:
-            _, base_loss, base_acc, _, base_runs = per_opt[base]
-            das_loss_stack = np.vstack([r.loss for r in das_runs])
-            base_loss_stack = np.vstack([r.loss for r in base_runs])
+            _, _, base_acc, _, base_runs = per_opt[base]
+            common = das_seeds & {r.seed for r in base_runs}
+            if len(common) < 2:
+                continue
             has_acc = das_acc is not None and base_acc is not None
+            gains = [_gain_stacks(base_runs, das_runs, "loss", common)]
             if has_acc:
-                das_acc_stack = np.vstack([r.accuracy for r in das_runs])
-                base_acc_stack = np.vstack([r.accuracy for r in base_runs])
+                gains.append(_gain_stacks(das_runs, base_runs, "accuracy",
+                                          common))
             for row, step in enumerate(steps):
-                lg, lg_lo, lg_hi = _metrics.paired_ci(base_loss_stack[:, row],
-                                                      das_loss_stack[:, row])
-                _, lgu_lo, lgu_hi = _metrics.unpaired_ci(
-                    base_loss_stack[:, row], das_loss_stack[:, row])
-                fields = [str(int(step)), base, _fmt(lg), _fmt(lg_lo),
-                          _fmt(lg_hi), _fmt(lgu_lo), _fmt(lgu_hi)]
-                if has_acc:
-                    ag, ag_lo, ag_hi = _metrics.paired_ci(
-                        das_acc_stack[:, row], base_acc_stack[:, row])
-                    _, agu_lo, agu_hi = _metrics.unpaired_ci(
-                        das_acc_stack[:, row], base_acc_stack[:, row])
-                    fields += [_fmt(ag), _fmt(ag_lo), _fmt(ag_hi),
-                               _fmt(agu_lo), _fmt(agu_hi)]
-                else:
-                    fields += ["", "", "", "", ""]
-                fh.write(",".join(fields) + "\n")
+                cells = [str(int(step)), base]
+                for a, b, a_paired, b_paired in gains:
+                    gain, lo, hi = _metrics.paired_ci(a_paired[:, row],
+                                                      b_paired[:, row])
+                    _, ulo, uhi = _metrics.unpaired_ci(a[:, row], b[:, row])
+                    cells += [_fmt(v) for v in (gain, lo, hi, ulo, uhi)]
+                if not has_acc:
+                    cells += ["", "", "", "", ""]
+                fh.write(",".join(cells) + "\n")
+
+
+def _gain_stacks(runs_a, runs_b, attr, common):
+    """Per-seed rows of ``attr`` for the gain a - b: every run of each arm,
+    then the runs of the common seeds only, both in run order."""
+    def stack(runs, seeds=None):
+        return np.vstack([getattr(r, attr) for r in runs
+                          if seeds is None or r.seed in seeds])
+    return (stack(runs_a), stack(runs_b), stack(runs_a, common),
+            stack(runs_b, common))
 
 
 def _write_metadata(path, config, dataset, problem, reference):

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import metrics as _metrics
 from . import problems as _problems
@@ -121,16 +120,6 @@ class OptimizerConfig:
         return self.method in ("amsgrad", "dasgrad")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """What happened at one step: which indices were drawn and, on metric
-    ticks, the full objective there."""
-
-    t: int
-    sampled_indices: np.ndarray
-    loss_full: float | None = None
-
-
 def step_size(alpha, t):
     """Decaying schedule alpha / sqrt(t)."""
     if t < 1:
@@ -170,38 +159,6 @@ def project_box(theta, lo, hi):
     return np.clip(theta, lo, hi)
 
 
-def _batch_gradients(problem, indices, theta):
-    """Per-example gradients for the sampled indices, stacked (B, param_dim)."""
-    lam = problem.l2_lambda
-    if problem.kind == _problems.CENTROID:
-        if problem.is_sparse:
-            rows = np.asarray(problem.X[indices].todense())
-        else:
-            rows = problem.X[indices]
-        return theta[None, :] - rows
-
-    if problem.is_sparse:
-        rows = np.asarray(problem.X[indices].todense())
-    else:
-        rows = problem.X[indices]
-
-    if problem.kind == _problems.BINARY_LOGISTIC:
-        s = 2.0 * problem.y[indices] - 1.0
-        z = rows @ theta
-        c = -s * expit(-s * z)
-        return c[:, None] * rows + lam * theta[None, :]
-
-    W = problem.weights_view(theta)
-    Z = rows @ W.T
-    Z = Z - Z.max(axis=1, keepdims=True)
-    P = np.exp(Z)
-    P /= P.sum(axis=1, keepdims=True)
-    Q = P
-    Q[np.arange(len(indices)), problem.y[indices]] -= 1.0
-    G = Q[:, :, None] * rows[:, None, :] + lam * W[None, :, :]
-    return G.reshape(len(indices), -1)
-
-
 def _weights_for(problem, indices, probs, config):
     """Importance weights for the sampled indices.
 
@@ -227,7 +184,7 @@ def step_general(problem, theta, state, probs, tree, rng, config, t):
     state, average the importance-weighted per-index directions, and
     project. Returns (new_theta, sampled_indices)."""
     indices = tree.sample_many(rng, config.batch_size)
-    G = _batch_gradients(problem, indices, theta)
+    G = _problems.gradients(problem, theta, indices)
     w = _weights_for(problem, indices, probs, config)
 
     g_weighted = (w[:, None] * G).mean(axis=0)
@@ -306,7 +263,6 @@ class RunResult:
     """Trace of one run: sampled indices per step and metrics on the tick
     grid. ``accuracy`` is None for centroid problems."""
 
-    records: list
     indices: np.ndarray
     ticks: np.ndarray
     loss: np.ndarray
@@ -314,7 +270,6 @@ class RunResult:
     grad_norm_var: np.ndarray
     theta: np.ndarray
     seed: int
-    vhat_final: np.ndarray | None = None
 
 
 def run(problem, config, T, seed, metric_tick=10, theta0=None,
@@ -339,7 +294,6 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
         X_eval, y_eval = _metrics.pack_eval_set(
             problem, problem.examples if eval_examples is None
             else eval_examples)
-    records = []
     all_indices = np.empty((T, config.batch_size), dtype=np.int64)
     ticks, losses, accs, gvars = [], [], [], []
 
@@ -349,20 +303,16 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
         theta, indices = step_general(problem, theta, state, probs, tree,
                                       rng, config, t)
         all_indices[t - 1] = indices
-        loss_here = None
         if t % metric_tick == 0:
-            loss_here = _problems.full_objective(problem, theta)
             ticks.append(t)
-            losses.append(loss_here)
+            losses.append(_problems.full_objective(problem, theta))
             gvars.append(_metrics.gradient_norm_variance(problem, theta))
             if classification:
                 accs.append(_metrics.packed_accuracy(problem, theta,
                                                      X_eval, y_eval))
-        records.append(StepRecord(t, indices, loss_here))
 
-    return RunResult(records=records, indices=all_indices,
+    return RunResult(indices=all_indices,
                      ticks=np.array(ticks, dtype=np.int64),
                      loss=np.array(losses),
                      accuracy=np.array(accs) if classification else None,
-                     grad_norm_var=np.array(gvars), theta=theta, seed=seed,
-                     vhat_final=state.v_hat.copy())
+                     grad_norm_var=np.array(gvars), theta=theta, seed=seed)

@@ -1,6 +1,11 @@
 """Convex objectives used by the benchmark: per-example losses, analytic
 gradients, full-batch oracles, and a finite-difference gradient checker.
 
+``residuals`` and ``gradients`` are the one gradient oracle: the batch
+gradients of a step, the per-example and full gradients and the sampling
+scores all come from them. ``losses`` is computed separately and serves as
+the reference the gradients are checked against.
+
 Three problem kinds are supported:
 
 * ``centroid`` -- squared-distance learning of a center point,
@@ -153,12 +158,6 @@ class Problem:
                 self._x_mean = self.X.mean(axis=0)
         return self._x_mean
 
-    def feature_row(self, i: int) -> np.ndarray:
-        """Dense copy of example i's feature vector."""
-        if self.is_sparse:
-            return np.asarray(self.X[i].todense()).ravel()
-        return np.array(self.X[i])
-
     def weights_view(self, theta: np.ndarray) -> np.ndarray:
         """Multiclass parameter reshaped to (K, d); identity otherwise."""
         if self.kind == MULTICLASS_LOGISTIC:
@@ -213,128 +212,114 @@ def _check_theta(problem, theta):
     return theta
 
 
-def _signed_labels(problem):
-    # {0, 1} -> {-1, +1}
-    return 2.0 * problem.y - 1.0
+def _dense(X):
+    return X.toarray() if sparse.issparse(X) else X
 
 
-def margins(problem, theta):
-    """Linear scores: <theta, x_i> for binary, rows of X W^T for multiclass."""
-    theta = _check_theta(problem, theta)
-    if problem.kind == MULTICLASS_LOGISTIC:
-        W = problem.weights_view(theta)
-        Z = problem.X @ W.T
-        return np.asarray(Z)
-    return np.asarray(problem.X @ theta).ravel()
+def _gather(problem, rows):
+    """Features and labels of the given rows (all rows when None). Gathered
+    CSR rows are densified; the full matrix keeps its format."""
+    if rows is None:
+        return problem.X, problem.y
+    return _dense(problem.X[rows]), problem.y[rows]
 
 
-def _log_softmax_rows(Z):
+def _residuals(problem, theta, X, y):
+    if problem.kind == BINARY_LOGISTIC:
+        s = 2.0 * y - 1.0
+        z = np.asarray(X @ theta).ravel()
+        return -s * expit(-s * z)
+    Z = np.asarray(X @ problem.weights_view(theta).T)
     # max-shift keeps exp() in range for any magnitude of scores
-    m = Z.max(axis=1, keepdims=True)
-    shifted = Z - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - lse
+    P = np.exp(Z - Z.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    P[np.arange(len(y)), y] -= 1.0
+    return P
+
+
+def residuals(problem, theta, rows=None):
+    """Residuals r_i with grad f_i = r_i x_i + lambda theta (binary,
+    r_i = -s_i sigmoid(-s_i <theta, x_i>) with s_i in {-1, +1}) or
+    r_i (x) x_i + lambda W (multiclass, r_i = softmax(W x_i) - e_{y_i}).
+    Returns a vector (binary) or a (B, K) array (multiclass) for the index
+    array ``rows``, or for every example when rows is None."""
+    if problem.kind == CENTROID:
+        raise ValueError("residuals are defined for the logistic kinds")
+    theta = _check_theta(problem, theta)
+    return _residuals(problem, theta, *_gather(problem, rows))
+
+
+def gradients(problem, theta, rows):
+    """Per-example gradients of the index array ``rows``, stacked
+    (len(rows), param_dim) and dense."""
+    theta = _check_theta(problem, theta)
+    X, y = _gather(problem, rows)
+    if problem.kind == CENTROID:
+        return theta[None, :] - X
+    r = _residuals(problem, theta, X, y)
+    lam = problem.l2_lambda
+    if problem.kind == BINARY_LOGISTIC:
+        return r[:, None] * X + lam * theta[None, :]
+    W = problem.weights_view(theta)
+    G = r[:, :, None] * X[:, None, :] + lam * W[None, :, :]
+    return G.reshape(len(y), -1)
+
+
+def losses(problem, theta, rows=None):
+    """Data part of f_i (regularizer excluded) for the index array ``rows``,
+    or for every example when rows is None."""
+    theta = _check_theta(problem, theta)
+    X, y = _gather(problem, rows)
+    if problem.kind == CENTROID:
+        diff = theta[None, :] - _dense(X)
+        return 0.5 * (diff * diff).sum(axis=1)
+    if problem.kind == BINARY_LOGISTIC:
+        s = 2.0 * y - 1.0
+        return np.logaddexp(0.0, -s * np.asarray(X @ theta).ravel())
+    Z = np.asarray(X @ problem.weights_view(theta).T)
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    return lse - shifted[np.arange(len(y)), y]
 
 
 def example_loss(problem, i, theta):
     """Per-example loss f_i(theta)."""
     _check_index(problem, i)
     theta = _check_theta(problem, theta)
-    lam = problem.l2_lambda
+    loss = float(losses(problem, theta, [i])[0])
     if problem.kind == CENTROID:
-        x = problem.feature_row(i)
-        diff = theta - x
-        return 0.5 * float(diff @ diff)
-    if problem.kind == BINARY_LOGISTIC:
-        x = problem.feature_row(i)
-        s = 2.0 * problem.y[i] - 1.0
-        z = float(theta @ x)
-        return float(np.logaddexp(0.0, -s * z)) + 0.5 * lam * float(theta @ theta)
-    W = problem.weights_view(theta)
-    x = problem.feature_row(i)
-    z = W @ x
-    z = z - z.max()
-    lse = np.log(np.exp(z).sum())
-    return float(lse - z[problem.y[i]]) + 0.5 * lam * float(theta @ theta)
+        return loss
+    return loss + 0.5 * problem.l2_lambda * float(theta @ theta)
 
 
 def example_gradient(problem, i, theta):
     """Analytic gradient of f_i at theta, always returned dense."""
     _check_index(problem, i)
     theta = _check_theta(problem, theta)
-    lam = problem.l2_lambda
-    if problem.kind == CENTROID:
-        return theta - problem.feature_row(i)
-    if problem.kind == BINARY_LOGISTIC:
-        x = problem.feature_row(i)
-        s = 2.0 * problem.y[i] - 1.0
-        z = float(theta @ x)
-        c = -s * float(expit(-s * z))
-        return c * x + lam * theta
-    W = problem.weights_view(theta)
-    x = problem.feature_row(i)
-    z = W @ x
-    z = z - z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    q = p.copy()
-    q[problem.y[i]] -= 1.0
-    return (np.outer(q, x) + lam * W).ravel()
-
-
-def softmax_residual(problem, theta):
-    """(softmax(Z) - onehot(y)) rows for every example; multiclass only."""
-    Z = margins(problem, theta)
-    m = Z.max(axis=1, keepdims=True)
-    P = np.exp(Z - m)
-    P /= P.sum(axis=1, keepdims=True)
-    Q = P.copy()
-    Q[np.arange(problem.n), problem.y] -= 1.0
-    return Q
-
-
-def logistic_residual(problem, theta):
-    """Per-example scalar c_i with grad f_i = c_i x_i + lambda theta."""
-    s = _signed_labels(problem)
-    z = margins(problem, theta)
-    return -s * expit(-s * z)
+    return gradients(problem, theta, [i])[0]
 
 
 def full_objective(problem, theta):
     """Mean loss (1/n) sum_i f_i(theta), regularizer included."""
     theta = _check_theta(problem, theta)
-    lam = problem.l2_lambda
     if problem.kind == CENTROID:
-        if problem.is_sparse:
-            diff = theta[None, :] - np.asarray(problem.X.todense())
-        else:
-            diff = theta[None, :] - problem.X
+        diff = theta[None, :] - _dense(problem.X)
         return 0.5 * float((diff * diff).sum()) / problem.n
-    if problem.kind == BINARY_LOGISTIC:
-        s = _signed_labels(problem)
-        z = margins(problem, theta)
-        data = np.logaddexp(0.0, -s * z).mean()
-        return float(data) + 0.5 * lam * float(theta @ theta)
-    Z = margins(problem, theta)
-    logp = _log_softmax_rows(Z)
-    data = -logp[np.arange(problem.n), problem.y].mean()
-    return float(data) + 0.5 * lam * float(theta @ theta)
+    data = losses(problem, theta).mean()
+    return float(data) + 0.5 * problem.l2_lambda * float(theta @ theta)
 
 
 def full_gradient(problem, theta):
     """Gradient of the mean loss, (1/n) sum_i grad f_i(theta)."""
     theta = _check_theta(problem, theta)
-    lam = problem.l2_lambda
     if problem.kind == CENTROID:
         return theta - problem.feature_mean()
+    R = residuals(problem, theta)
+    lam = problem.l2_lambda
     if problem.kind == BINARY_LOGISTIC:
-        c = logistic_residual(problem, theta)
-        g = np.asarray(problem.X.T @ c).ravel() / problem.n
-        return g + lam * theta
-    Q = softmax_residual(problem, theta)
-    W = problem.weights_view(theta)
-    G = np.asarray(Q.T @ problem.X) / problem.n + lam * W
-    return np.asarray(G).ravel()
+        return np.asarray(problem.X.T @ R).ravel() / problem.n + lam * theta
+    G = np.asarray(R.T @ problem.X) / problem.n
+    return (G + lam * problem.weights_view(theta)).ravel()
 
 
 def finite_difference_check(problem, theta, h=1e-6):

@@ -32,7 +32,6 @@ class SamplingTree:
         self.capacity = 1
         while self.capacity < self.n:
             self.capacity *= 2
-        self.nodes = np.zeros(2 * self.capacity)
         self.set_all(weights)
 
     @property
@@ -49,9 +48,10 @@ class SamplingTree:
 
     def set_all(self, weights) -> None:
         """Replace all n leaf weights and rebuild the parents level by
-        level, O(n). Validates first, so a rejected call changes nothing.
-        Each parent is the same child sum that n per-leaf ``update`` calls
-        leave, so the nodes match theirs bit for bit."""
+        level, O(n). The tree is built in a new array and kept only when
+        the input is valid and its total is finite, so a rejected call
+        changes nothing. Each parent is the same child sum that n per-leaf
+        ``update`` calls leave, so the nodes match theirs bit for bit."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (self.n,):
             raise ValueError("weights must be a 1-d sequence of length %d"
@@ -62,27 +62,37 @@ class SamplingTree:
             raise ValueError("weights must be nonnegative")
         if not np.any(weights > 0):
             raise ValueError("at least one weight must be positive")
-        nodes = self.nodes
+        nodes = np.zeros(2 * self.capacity)
         nodes[self.capacity:self.capacity + self.n] = weights
         lo = self.capacity
-        while lo > 1:
-            half = lo // 2
-            level = nodes[lo:2 * lo]
-            nodes[half:lo] = level[0::2] + level[1::2]
-            lo = half
+        with np.errstate(over="ignore"):
+            while lo > 1:
+                half = lo // 2
+                level = nodes[lo:2 * lo]
+                nodes[half:lo] = level[0::2] + level[1::2]
+                lo = half
+        if not np.isfinite(nodes[1]):
+            raise ValueError("the weights' total overflows")
+        self.nodes = nodes
 
     def update(self, i: int, w: float) -> None:
-        """Set leaf i to w and refresh its ancestors."""
+        """Set leaf i to w and refresh its ancestors. A weight that makes
+        the total overflow is rejected and the old leaf restored."""
         if not 0 <= i < self.n:
             raise IndexError("leaf index out of range")
         if not np.isfinite(w) or w < 0:
             raise ValueError("weight must be finite and nonnegative")
         idx = self.capacity + i
+        old = self.nodes[idx]
         self.nodes[idx] = w
         idx >>= 1
-        while idx >= 1:
-            self.nodes[idx] = self.nodes[2 * idx] + self.nodes[2 * idx + 1]
-            idx >>= 1
+        with np.errstate(over="ignore"):
+            while idx >= 1:
+                self.nodes[idx] = self.nodes[2 * idx] + self.nodes[2 * idx + 1]
+                idx >>= 1
+        if not np.isfinite(self.nodes[1]):
+            self.update(i, old)
+            raise ValueError("the weights' total overflows")
 
     def index_of_prefix(self, u: float) -> int:
         """Leaf whose cumulative-weight interval contains u in [0, total).
@@ -242,15 +252,11 @@ def scores_dasgrad(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
     if problem.kind == _problems.CENTROID:
         shared = {"const": beta1_t * m_prev + keep * theta, "coef": -keep}
         return _direction_norms(problem, shared, root)
-    if problem.kind == _problems.BINARY_LOGISTIC:
-        c = keep * _problems.logistic_residual(problem, theta)
-        shared = {"const": beta1_t * m_prev + keep * (lam * theta),
-                  "per_example": c}
-        return _direction_norms(problem, shared, root)
+    # weights_view is the identity for binary problems
     W = problem.weights_view(theta)
     M = problem.weights_view(m_prev)
-    Q = keep * _problems.softmax_residual(problem, theta)
-    shared = {"const": beta1_t * M + keep * (lam * W), "per_example": Q}
+    shared = {"const": beta1_t * M + keep * (lam * W),
+              "per_example": keep * _problems.residuals(problem, theta)}
     return _direction_norms(problem, shared, root)
 
 

@@ -57,6 +57,28 @@ alpha = 0.1
 batch_size = 1
 """
 
+# "[optimizer.dasgrad]" (plain sgd at a huge step) diverges on every seed
+# except 2 and 5, so its runs pair with only two of tame's eight
+PARTIAL_DIVERGENCE_CONFIG = """
+kind = centroid
+n = 6
+d = 2
+sigma = 1
+T = 20
+seeds = 0,1,2,3,4,5,6,7
+metric_tick = 5
+output_dir = {out}
+[optimizer.dasgrad]
+method = sgd
+alpha = 7943282347242821.0
+batch_size = 1
+box = -inf,inf
+[optimizer.tame]
+method = sgd
+alpha = 0.1
+batch_size = 1
+"""
+
 
 class TestConfigParsing:
     def test_full_config(self, tmp_path):
@@ -84,6 +106,55 @@ class TestConfigParsing:
     def test_bad_line(self):
         with pytest.raises(ValueError):
             H.parse_config_text("just words\n[optimizer.a]\nmethod = sgd\n")
+
+    def test_unknown_global_key_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 2: unknown key 'seed'$"):
+            H.parse_config_text("T = 5\nseed = 3\n[optimizer.a]\n"
+                                "method = sgd\n")
+
+    def test_unknown_optimizer_key_names_its_line(self):
+        text = "T = 5\n\n[optimizer.a]\nmethod = sgd\nalpah = 5\n"
+        with pytest.raises(ValueError, match="^line 5: unknown key 'alpah'$"):
+            H.parse_config_text(text)
+
+    def test_bad_value_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 3: "):
+            H.parse_config_text("[optimizer.a]\nmethod = sgd\n"
+                                "batch_size = four\n")
+        with pytest.raises(ValueError, match="^line 2: "):
+            H.parse_config_text("[optimizer.a]\nbox = 1\n")
+
+    def test_every_key_reaches_its_field(self):
+        cfg = H.parse_config_text(
+            "kind = binary-logistic\npath = data.csv\nsparse = true\n"
+            "n = 7\nd = 3\nclasses = 2\nsigma = 0.5\nmargin = 2\n"
+            "sparsity = 0.25\ndata_seed = 4\nlambda = 0.125\nT = 9\n"
+            "seeds = 3,1\nmetric_tick = 3\noutput_dir = o\n"
+            "reference_tol = 1e-4\nreference_max_iters = 50\n"
+            "[optimizer.a]\nmethod = adam\nalpha = 0.5\nbeta1 = 0.5\n"
+            "beta2 = 0.75\nepsilon_div = 1e-6\nepsilon_prob = 1e-4\n"
+            "beta1_decay = 0.99\nrefresh_period = 3\nbatch_size = 2\n"
+            "weight_mode = training\nscore_mode = gradient\n"
+            "freeze_probabilities = yes\nbox = -2,2\n", base_dir="b")
+        assert cfg.problem == H.ProblemSpec(
+            kind=P.BINARY_LOGISTIC, path=os.path.join("b", "data.csv"),
+            sparse=True, n=7, d=3, num_classes=2, sigma=0.5, margin=2.0,
+            sparsity=0.25, data_seed=4, l2_lambda=0.125)
+        assert (cfg.T, cfg.seeds, cfg.metric_tick, cfg.output_dir,
+                cfg.reference_tol, cfg.reference_max_iters) == (
+            9, (3, 1), 3, "o", 1e-4, 50)
+        assert cfg.optimizers["a"] == O.OptimizerConfig(
+            method="adam", alpha=0.5, beta1=0.5, beta2=0.75,
+            epsilon_div=1e-6, epsilon_prob=1e-4, beta1_decay=0.99,
+            refresh_period=3, batch_size=2, weight_mode="training",
+            score_mode="gradient", freeze_probabilities=True,
+            projection=(-2.0, 2.0))
+
+    def test_repo_configs_use_only_known_keys(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+        for name in sorted(os.listdir(root)):
+            if name.endswith(".cfg"):
+                H.load_config(os.path.join(root, name))
 
 
 class TestPresets:
@@ -210,6 +281,73 @@ batch_size = 2
         assert (out / "trace_tame_0.csv").exists()
         assert not (out / "trace_wild_0.csv").exists()
 
+    def test_partial_divergence_recorded_not_fatal(self, tmp_path):
+        out = tmp_path / "partial"
+        cfg = H.parse_config_text(PARTIAL_DIVERGENCE_CONFIG.format(out=out))
+        results = H.run_experiment(cfg)
+        assert sorted(s for name, s in results if name == "dasgrad") == [2, 5]
+        assert [f[:2] for f in results.failures] == [
+            ("dasgrad", s) for s in (0, 1, 3, 4, 6, 7)]
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [
+            [str(t), "tame"] for t in (5, 10, 15, 20)]
+
+    def test_comparison_pairs_runs_by_seed(self, tmp_path, monkeypatch):
+        diverge_on(monkeypatch, {("dasgrad", 0)})
+        out = tmp_path / "paired"
+        H.run_experiment(H.parse_config_text(TINY_CONFIG.format(out=out)))
+        trace = {(name, s): H.read_trace_csv(
+            out / ("trace_%s_%d.csv" % (name, s)))
+            for name in ("dasgrad", "amsgrad") for s in (0, 1, 2)
+            if name == "amsgrad" or s > 0}
+        with open(out / "comparison.csv") as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh]
+        col = {name: np.array([float(r[i]) for r in rows])
+               for i, name in enumerate(header) if i >= 2}
+        for metric, sign in (("loss", -1.0), ("acc", 1.0)):
+            key = "loss" if metric == "loss" else "accuracy"
+            # dasgrad minus amsgrad for accuracy, the reverse for loss
+            diffs = sign * np.array([trace["dasgrad", s][key]
+                                     - trace["amsgrad", s][key]
+                                     for s in (1, 2)])
+            mean = diffs.mean(axis=0)
+            half = M.Z_95 * diffs.std(axis=0, ddof=1) / np.sqrt(2)
+            np.testing.assert_allclose(col[metric + "_gain_mean"], mean,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(col[metric + "_gain_paired_lo"],
+                                       mean - half, rtol=1e-12, atol=1e-15)
+            das = np.array([trace["dasgrad", s][key] for s in (1, 2)])
+            ams = np.array([trace["amsgrad", s][key] for s in (0, 1, 2)])
+            a, b = (ams, das) if metric == "loss" else (das, ams)
+            unpaired_lo = [M.unpaired_ci(a[:, j], b[:, j])[1]
+                           for j in range(len(rows))]
+            np.testing.assert_allclose(col[metric + "_gain_unpaired_lo"],
+                                       unpaired_lo, rtol=1e-12, atol=1e-15)
+
+    def test_comparison_skips_baseline_without_two_shared_seeds(
+            self, tmp_path, monkeypatch):
+        diverge_on(monkeypatch, {("dasgrad", 0), ("dasgrad", 1),
+                                 ("amsgrad", 2), ("amsgrad", 3)})
+        out = tmp_path / "disjoint"
+        text = TINY_CONFIG.replace("seeds = 0,1,2", "seeds = 0,1,2,3")
+        results = H.run_experiment(H.parse_config_text(text.format(out=out)))
+        assert len(results) == 4
+        assert (out / "aggregate_dasgrad.csv").exists()
+        assert (out / "aggregate_amsgrad.csv").exists()
+        assert len((out / "comparison.csv").read_text().splitlines()) == 1
+
+
+def diverge_on(monkeypatch, failing):
+    """Make the (method, seed) runs in ``failing`` diverge at step 1."""
+    real_run = O.run
+
+    def run(problem, config, T, seed, **kwargs):
+        if (config.method, seed) in failing:
+            raise O.DivergenceError(1)
+        return real_run(problem, config, T, seed, **kwargs)
+    monkeypatch.setattr(O, "run", run)
+
 
 class TestSweepAndMatching:
     def test_sweep_emits_manifest(self, tmp_path):
@@ -271,6 +409,8 @@ class TestSelfCheckAndCli:
         cfg_path.write_text(TINY_CONFIG.format(out=out))
         assert (out / "failures.csv").exists()
         assert C.main(["run", "--config", str(cfg_path)]) == 0
+        # and failures.csv describes only the latest call
+        assert not (out / "failures.csv").exists()
 
     def test_cli_run_and_sweep(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

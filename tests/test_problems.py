@@ -25,6 +25,18 @@ def random_problem(kind, rng, n=None, d=None, lam=0.1):
     return P.Problem(ex, kind, l2_lambda=lam, num_classes=k)
 
 
+def as_csr(prob):
+    """The same problem with every example stored sparse (packed as CSR)."""
+    examples = [P.Example(P.SparseVector(np.flatnonzero(x), x[x != 0]),
+                          ex.label)
+                for x, ex in zip(prob.X, prob.examples)]
+    return P.Problem(examples, prob.kind, l2_lambda=prob.l2_lambda,
+                     num_classes=prob.num_classes, d=prob.d)
+
+
+STORAGES = {"dense": lambda prob: prob, "csr": as_csr}
+
+
 class TestExampleLoss:
     def test_centroid_zero_at_example(self):
         prob = centroid_problem([[3.0, 4.0], [1.0, 1.0]])
@@ -72,9 +84,12 @@ class TestExampleGradient:
         g = P.example_gradient(prob, 0, np.zeros(2))
         np.testing.assert_allclose(g, [-0.5, 0.0], atol=1e-15)
 
-    def test_multiclass_matches_finite_differences(self):
+    @pytest.mark.parametrize("storage", sorted(STORAGES))
+    @pytest.mark.parametrize("kind", P.KINDS)
+    def test_matches_finite_differences(self, kind, storage):
         rng = np.random.default_rng(3)
-        prob = random_problem(P.MULTICLASS_LOGISTIC, rng, n=6, d=4)
+        prob = STORAGES[storage](random_problem(kind, rng, n=6, d=4))
+        assert prob.is_sparse == (storage == "csr")
         theta = rng.standard_normal(prob.param_dim)
         h = 1e-6
         for i in range(prob.n):
@@ -85,6 +100,19 @@ class TestExampleGradient:
                 num = (P.example_loss(prob, i, theta + step)
                        - P.example_loss(prob, i, theta - step)) / (2 * h)
                 assert abs(num - g[j]) / max(1.0, abs(num), abs(g[j])) < 1e-5
+
+    @pytest.mark.parametrize("storage", sorted(STORAGES))
+    @pytest.mark.parametrize("kind", P.KINDS)
+    def test_batch_gradients_stack_example_gradients(self, kind, storage):
+        rng = np.random.default_rng(12)
+        prob = STORAGES[storage](random_problem(kind, rng, n=7, d=5))
+        theta = rng.standard_normal(prob.param_dim)
+        rows = np.array([3, 0, 3, 6, 6, 6, 1])
+        G = P.gradients(prob, theta, rows)
+        expected = np.vstack([P.example_gradient(prob, int(i), theta)
+                              for i in rows])
+        assert G.shape == (rows.size, prob.param_dim)
+        np.testing.assert_allclose(G, expected, rtol=0, atol=1e-12)
 
 
 class TestFullOracles:

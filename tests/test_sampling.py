@@ -70,6 +70,13 @@ class TestTreeUpdate:
         with pytest.raises(ValueError):
             tree.update(0, -1.0)
 
+    def test_update_that_overflows_the_total_is_rejected(self):
+        tree = S.SamplingTree([1e308, 1.0, 3.0])
+        before = np.array(tree.nodes)
+        with pytest.raises(ValueError):
+            tree.update(1, 1e308)
+        assert np.array_equal(tree.nodes, before)
+
 
 class TestTreeSetAll:
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 37, 1000])
@@ -92,6 +99,7 @@ class TestTreeSetAll:
         [1.0, np.nan, 2.0],
         [1.0, np.inf, 2.0],
         [0.0, 0.0, 0.0],
+        [1e308, 1e308, 1.0],
     ])
     def test_rejects_bad_input_and_leaves_tree_unchanged(self, bad):
         tree = S.SamplingTree([1.0, 2.0, 3.0])

@@ -8,7 +8,7 @@ import numpy as np
 
 from dasgrad import (
     BINARY_LOGISTIC, CENTROID, MULTICLASS_LOGISTIC,
-    Example, Problem,
+    Problem,
     example_gradient, example_loss, finite_difference_check,
     full_gradient, full_objective,
 )
@@ -17,7 +17,7 @@ rng = np.random.default_rng(0)
 
 # --- centroid: f_i(theta) = 0.5 ||theta - x_i||^2 --------------------------
 points = rng.standard_normal((6, 3)) * 2.0
-centroid = Problem([Example(x, 0) for x in points], CENTROID)
+centroid = Problem(points, np.zeros(6, dtype=np.int64), CENTROID)
 theta = np.zeros(3)
 print("centroid")
 print("  F(0)           =", full_objective(centroid, theta))
@@ -26,9 +26,10 @@ print("  grad f_0(0)    =", example_gradient(centroid, 0, theta))
 print("  grad F at mean =", full_gradient(centroid, points.mean(axis=0)))
 
 # --- binary logistic with L2 ------------------------------------------------
-examples = [Example(rng.standard_normal(4), int(rng.integers(0, 2)))
-            for _ in range(30)]
-binary = Problem(examples, BINARY_LOGISTIC, l2_lambda=0.1)
+# one feature row, then its label, per example
+rows = [(rng.standard_normal(4), int(rng.integers(0, 2))) for _ in range(30)]
+X, y = np.array([x for x, _ in rows]), np.array([label for _, label in rows])
+binary = Problem(X, y, BINARY_LOGISTIC, l2_lambda=0.1)
 theta = rng.standard_normal(4)
 print("binary logistic")
 print("  F(theta) =", full_objective(binary, theta))
@@ -36,9 +37,9 @@ print("  loss at theta=0 is log 2:", full_objective(binary, np.zeros(4)))
 
 # --- multiclass logistic: parameter is the flattened (K, d) matrix ----------
 k = 4
-examples = [Example(rng.standard_normal(5), int(rng.integers(0, k)))
-            for _ in range(40)]
-multi = Problem(examples, MULTICLASS_LOGISTIC, l2_lambda=0.01, num_classes=k)
+rows = [(rng.standard_normal(5), int(rng.integers(0, k))) for _ in range(40)]
+X, y = np.array([x for x, _ in rows]), np.array([label for _, label in rows])
+multi = Problem(X, y, MULTICLASS_LOGISTIC, l2_lambda=0.01, num_classes=k)
 theta = rng.standard_normal(multi.param_dim)
 print("multiclass logistic")
 print("  parameter dimension:", multi.param_dim, "(K x d =", k, "x", multi.d,

@@ -8,16 +8,17 @@ method onto its uniform-sampling ancestor.
 import numpy as np
 
 from dasgrad import (
-    METHODS, MULTICLASS_LOGISTIC, Example, OptimizerConfig, Problem,
+    METHODS, MULTICLASS_LOGISTIC, OptimizerConfig, Problem,
     convex_preset, run, solve_reference,
 )
 
 rng = np.random.default_rng(2)
-examples = [Example(rng.standard_normal(6) + 3.0 * (rng.integers(0, 3) == 0),
-                    int(rng.integers(0, 3)))
-            for _ in range(120)]
-problem = Problem(examples, MULTICLASS_LOGISTIC, l2_lambda=1e-3,
-                  num_classes=3)
+rows = [(rng.standard_normal(6) + 3.0 * (rng.integers(0, 3) == 0),
+         int(rng.integers(0, 3)))
+        for _ in range(120)]
+problem = Problem(np.array([x for x, _ in rows]),
+                  np.array([label for _, label in rows]), MULTICLASS_LOGISTIC,
+                  l2_lambda=1e-3, num_classes=3)
 reference = solve_reference(problem, tol=1e-8, max_iters=2000)
 print("reference optimum f* = %.4f (converged: %s)"
       % (reference.f_star, reference.converged))

@@ -15,8 +15,8 @@ from dasgrad import (
 )
 
 total = synth_classification(2800, 40, 4, margin=3.0, seed=23)
-train = Dataset(total.examples[:2000], total.d, 4, "train")
-evald = Dataset(total.examples[2000:], total.d, 4, "eval")
+train = Dataset(total.X[:2000], total.y[:2000], 4, "train")
+evald = Dataset(total.X[2000:], total.y[2000:], 4, "eval")
 train = unbalance(train, {1, 3}, keep_fraction=0.1, seed=23)
 problem = make_problem(train, MULTICLASS_LOGISTIC, l2_lambda=1e-3)
 
@@ -34,7 +34,7 @@ arms = {
 }
 for name, cfg in arms.items():
     accs = [accuracy(problem, run(problem, cfg, T=2000, seed=s,
-                                  metric_tick=2000).theta, evald.examples)
+                                  metric_tick=2000).theta, evald.X, evald.y)
             for s in range(5)]
     print("%-26s balanced-test accuracy %.4f +- %.4f"
           % (name, np.mean(accs), np.std(accs)))

@@ -9,11 +9,9 @@ instrumentation, and a reproducible desk-scale experiment harness.
 from .problems import (
     BINARY_LOGISTIC,
     CENTROID,
-    Example,
     KINDS,
     MULTICLASS_LOGISTIC,
     Problem,
-    SparseVector,
     example_gradient,
     example_loss,
     finite_difference_check,
@@ -55,6 +53,8 @@ from .metrics import (
 )
 from .datasets import (
     Dataset,
+    Example,
+    SparseVector,
     box_muller,
     load_dense_csv,
     load_sparse,

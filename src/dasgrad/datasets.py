@@ -7,44 +7,109 @@ File formats:
 * Sparse -- a header line ``#d=<dim> #k=<classes>`` followed by rows
   ``label idx:val idx:val ...`` with 0-based strictly increasing indices.
 
+Both loaders reject a malformed row, a nonfinite value included, with its
+line number, and return the rows packed: a dense array or a CSR matrix.
+
 Synthetic generators draw their Gaussians by Box-Muller from the seeded
 uniform stream so the whole pipeline shares one generator family.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .problems import Example, Problem, SparseVector
+from .problems import Problem
+
+
+@dataclass(frozen=True)
+class SparseVector:
+    """Sparse feature vector: strictly increasing 0-based indices and the
+    matching nonzero values. The dimension lives with the owning dataset."""
+
+    indices: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        idx = np.asarray(self.indices, dtype=np.int64)
+        val = np.asarray(self.values, dtype=np.float64)
+        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
+            raise ValueError("indices and values must be 1-d and equal length")
+        if idx.size and np.any(np.diff(idx) <= 0):
+            raise ValueError("indices must be strictly increasing")
+        if idx.size and idx[0] < 0:
+            raise ValueError("indices must be nonnegative")
+        if not np.all(np.isfinite(val)):
+            raise ValueError("values must be finite")
+        if np.any(val == 0.0):
+            raise ValueError("zero values must not be stored")
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "values", val)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
+    def densify(self, d: int) -> np.ndarray:
+        if self.indices.size and self.indices[-1] >= d:
+            raise ValueError("index %d out of range for dimension %d"
+                             % (self.indices[-1], d))
+        out = np.zeros(d)
+        out[self.indices] = self.values
+        return out
+
+
+@dataclass(frozen=True)
+class Example:
+    """One row of a Dataset: features (dense array or SparseVector) and an
+    integer class label in [0, K)."""
+
+    features: np.ndarray | SparseVector
+    label: int = 0
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Examples plus enough metadata to rebuild them: dimension, class
-    count, and a provenance string (file path or synthesis recipe)."""
+    """Feature matrix X (dense float64 ndarray or CSR, one row per example),
+    int64 labels y, the class count, and a provenance string (file path or
+    synthesis recipe)."""
 
-    examples: list
-    d: int
+    X: np.ndarray | sparse.csr_matrix
+    y: np.ndarray
     num_classes: int
     provenance: str
 
     @property
-    def n(self):
-        return len(self.examples)
+    def n(self) -> int:
+        return self.X.shape[0]
 
-    def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.int64)
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
+
+    @property
+    def examples(self) -> list:
+        """The rows as Example objects, built on each access for callers
+        that read rows one at a time; a sparse row is a SparseVector over
+        its slice of the CSR arrays, so X is never densified."""
+        if not sparse.issparse(self.X):
+            return [Example(row, int(label))
+                    for row, label in zip(self.X, self.y)]
+        X = self.X
+        return [Example(SparseVector(X.indices[a:b], X.data[a:b]), int(label))
+                for a, b, label in zip(X.indptr[:-1], X.indptr[1:], self.y)]
 
     def label_counts(self) -> np.ndarray:
-        return np.bincount(self.labels(), minlength=self.num_classes)
+        return np.bincount(self.y, minlength=self.num_classes)
 
 
 def make_problem(dataset, kind, l2_lambda=0.0):
-    return Problem(dataset.examples, kind, l2_lambda=l2_lambda,
-                   num_classes=dataset.num_classes, d=dataset.d)
+    return Problem(dataset.X, dataset.y, kind, l2_lambda=l2_lambda,
+                   num_classes=dataset.num_classes)
 
 
 class DatasetFormatError(ValueError):
@@ -58,9 +123,8 @@ class DatasetFormatError(ValueError):
 def load_dense_csv(path):
     """Parse a dense CSV dataset; aborts with the line number on the first
     malformed row."""
-    examples = []
+    values, labels = [], []
     d = None
-    max_label = 0
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -78,18 +142,21 @@ def load_dense_csv(path):
                     % (d, len(fields) - 1))
             try:
                 label = int(fields[0])
-                values = np.array([float(v) for v in fields[1:]])
+                row = [float(v) for v in fields[1:]]
             except ValueError as exc:
                 raise DatasetFormatError(path, line_no,
                                          "non-numeric field (%s)" % exc) from None
             if label < 0:
                 raise DatasetFormatError(path, line_no, "negative label")
-            max_label = max(max_label, label)
-            examples.append(Example(features=values, label=label))
-    if not examples:
+            if not all(map(math.isfinite, row)):
+                raise DatasetFormatError(path, line_no, "nonfinite value")
+            labels.append(label)
+            values.extend(row)
+    if not labels:
         raise DatasetFormatError(path, 0, "empty dataset file")
-    return Dataset(examples=examples, d=d, num_classes=max_label + 1,
-                   provenance=str(path))
+    y = np.array(labels, dtype=np.int64)
+    return Dataset(X=np.array(values).reshape(len(labels), d), y=y,
+                   num_classes=int(y.max()) + 1, provenance=str(path))
 
 
 _SPARSE_HEADER = re.compile(r"^#d=(\d+)\s+#k=(\d+)\s*$")
@@ -97,7 +164,7 @@ _SPARSE_HEADER = re.compile(r"^#d=(\d+)\s+#k=(\d+)\s*$")
 
 def load_sparse(path):
     """Parse a sparse dataset (header ``#d=<dim> #k=<classes>``)."""
-    examples = []
+    labels, indices, values, indptr = [], [], [], [0]
     with open(path) as fh:
         header = fh.readline()
         m = _SPARSE_HEADER.match(header.strip())
@@ -117,7 +184,7 @@ def load_sparse(path):
                                          "non-numeric label") from None
             if not 0 <= label < k:
                 raise DatasetFormatError(path, line_no, "label out of range")
-            indices, values = [], []
+            last = -1
             for tok in fields[1:]:
                 try:
                     idx_s, val_s = tok.split(":")
@@ -126,32 +193,40 @@ def load_sparse(path):
                     raise DatasetFormatError(path, line_no,
                                              "malformed idx:val token %r"
                                              % tok) from None
-                if indices and idx <= indices[-1]:
-                    raise DatasetFormatError(
-                        path, line_no, "indices must be strictly increasing")
                 if idx < 0 or idx >= d:
                     raise DatasetFormatError(path, line_no,
                                              "index %d out of range" % idx)
+                if idx <= last:
+                    raise DatasetFormatError(
+                        path, line_no, "indices must be strictly increasing")
+                if not math.isfinite(val):
+                    raise DatasetFormatError(path, line_no,
+                                             "nonfinite value in token %r"
+                                             % tok)
+                last = idx
                 if val != 0.0:
                     indices.append(idx)
                     values.append(val)
-            examples.append(Example(
-                features=SparseVector(np.array(indices, dtype=np.int64),
-                                      np.array(values)),
-                label=label))
-    if not examples:
+            labels.append(label)
+            indptr.append(len(indices))
+    if not labels:
         raise DatasetFormatError(path, 1, "empty dataset file")
-    return Dataset(examples=examples, d=d, num_classes=k,
+    X = sparse.csr_matrix((np.array(values, dtype=np.float64),
+                           np.array(indices, dtype=np.int64),
+                           np.array(indptr, dtype=np.int64)),
+                          shape=(len(labels), d))
+    return Dataset(X=X, y=np.array(labels, dtype=np.int64), num_classes=k,
                    provenance=str(path))
 
 
 def write_dense_csv(dataset, path):
-    """Inverse of load_dense_csv, with round-trip exact float formatting."""
+    """Inverse of load_dense_csv, with round-trip exact float formatting;
+    sparse rows are written densified."""
+    X = dataset.X.toarray() if sparse.issparse(dataset.X) else dataset.X
     with open(path, "w") as fh:
-        for ex in dataset.examples:
-            feats = np.asarray(ex.features)
-            fh.write("%d,%s\n" % (ex.label,
-                                  ",".join(format(v, ".17g") for v in feats)))
+        for row, label in zip(X, dataset.y):
+            fh.write("%d,%s\n" % (label,
+                                  ",".join(format(v, ".17g") for v in row)))
 
 
 def box_muller(rng, size):
@@ -173,8 +248,7 @@ def synth_centroid(n, d, sigma, seed):
         raise ValueError("sigma must be nonnegative")
     rng = np.random.default_rng(seed)
     X = sigma * box_muller(rng, n * d).reshape(n, d)
-    examples = [Example(features=X[i], label=0) for i in range(n)]
-    return Dataset(examples=examples, d=d, num_classes=1,
+    return Dataset(X=X, y=np.zeros(n, dtype=np.int64), num_classes=1,
                    provenance="synth_centroid(n=%d,d=%d,sigma=%g,seed=%d)"
                               % (n, d, sigma, seed))
 
@@ -200,23 +274,14 @@ def synth_classification(n, d, num_classes, margin=4.0, sparsity=0.0, seed=0):
         # margin then controls class overlap in both directions
         centers = centers * (margin / closest)
 
-    labels = np.arange(n) % num_classes
+    y = np.arange(n, dtype=np.int64) % num_classes
     noise = box_muller(rng, n * d).reshape(n, d)
-    X = centers[labels] + noise
+    X = centers[y] + noise
     if sparsity > 0.0:
         keep = rng.random((n, d)) >= sparsity
-        X = X * keep
-
-    examples = []
-    for i in range(n):
-        if sparsity > 0.0:
-            nz = np.flatnonzero(X[i])
-            examples.append(Example(
-                features=SparseVector(nz, X[i][nz]), label=int(labels[i])))
-        else:
-            examples.append(Example(features=X[i], label=int(labels[i])))
+        X = sparse.csr_matrix(X * keep)
     return Dataset(
-        examples=examples, d=d, num_classes=num_classes,
+        X=X, y=y, num_classes=num_classes,
         provenance="synth_classification(n=%d,d=%d,K=%d,margin=%g,"
                    "sparsity=%g,seed=%d)" % (n, d, num_classes, margin,
                                              sparsity, seed))
@@ -229,15 +294,15 @@ def unbalance(dataset, drop_labels, keep_fraction, seed):
         raise ValueError("keep_fraction must lie in (0, 1]")
     drop_labels = set(int(l) for l in drop_labels)
     rng = np.random.default_rng(seed)
-    survivors = []
-    for ex in dataset.examples:
-        if ex.label in drop_labels and rng.random() >= keep_fraction:
-            continue
-        survivors.append(ex)
-    if not survivors:
+    keep = ~np.isin(dataset.y, sorted(drop_labels))
+    dropped = ~keep
+    # one uniform per dropped-label row, in row order
+    keep[dropped] = rng.random(int(dropped.sum())) < keep_fraction
+    if not keep.any():
         raise ValueError("unbalancing removed every example")
+    rows = np.flatnonzero(keep)
     return Dataset(
-        examples=survivors, d=dataset.d, num_classes=dataset.num_classes,
+        X=dataset.X[rows], y=dataset.y[rows], num_classes=dataset.num_classes,
         provenance="%s|unbalance(drop=%s,keep=%g,seed=%d)"
                    % (dataset.provenance, sorted(drop_labels), keep_fraction,
                       seed))

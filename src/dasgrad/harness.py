@@ -493,12 +493,11 @@ def matching_experiment(seeds, output_dir, **overrides):
     total = _datasets.synth_classification(
         p["n_train"] + p["n_eval"], p["d"], p["num_classes"],
         margin=p["margin"], seed=p["data_seed"])
-    train = _datasets.Dataset(examples=total.examples[:p["n_train"]],
-                              d=total.d, num_classes=total.num_classes,
-                              provenance=total.provenance + "|train")
-    eval_ds = _datasets.Dataset(examples=total.examples[p["n_train"]:],
-                                d=total.d, num_classes=total.num_classes,
-                                provenance=total.provenance + "|eval")
+    split = p["n_train"]
+    train = _datasets.Dataset(total.X[:split], total.y[:split],
+                              total.num_classes, total.provenance + "|train")
+    eval_ds = _datasets.Dataset(total.X[split:], total.y[split:],
+                                total.num_classes, total.provenance + "|eval")
     train = _datasets.unbalance(train, p["drop_labels"], p["keep_fraction"],
                                 p["data_seed"])
     problem = _datasets.make_problem(train, _problems.MULTICLASS_LOGISTIC,
@@ -520,7 +519,7 @@ def matching_experiment(seeds, output_dir, **overrides):
         for seed in seeds:
             result = _optimizers.run(problem, cfg, p["T"], seed,
                                      metric_tick=p["metric_tick"],
-                                     eval_examples=eval_ds.examples)
+                                     eval_set=(eval_ds.X, eval_ds.y))
             results[name].append(result)
             write_trace_csv(os.path.join(
                 output_dir, "matching_trace_%s_%d.csv" % (name, seed)),
@@ -622,24 +621,26 @@ def _tree_sums_consistent(tree):
                           nodes[2:2 * cap:2] + nodes[3:2 * cap:2])
 
 
+def _gaussian_rows(rng, n, d, k):
+    """n standard-normal rows of length d, each followed by a label drawn
+    from [0, k) (no draw when k == 1), as an (X, y) pair."""
+    pairs = [(rng.standard_normal(d), int(rng.integers(0, k)) if k > 1 else 0)
+             for _ in range(n)]
+    return (np.array([x for x, _ in pairs]),
+            np.array([label for _, label in pairs], dtype=np.int64))
+
+
 def _random_instance(kind, rng):
     n = int(rng.integers(3, 10))
     d = int(rng.integers(2, 6))
     if kind == _problems.CENTROID:
-        examples = [_problems.Example(rng.standard_normal(d), 0)
-                    for _ in range(n)]
-        problem = _problems.Problem(examples, kind)
+        problem = _problems.Problem(*_gaussian_rows(rng, n, d, 1), kind)
     elif kind == _problems.BINARY_LOGISTIC:
-        examples = [_problems.Example(rng.standard_normal(d),
-                                      int(rng.integers(0, 2)))
-                    for _ in range(n)]
-        problem = _problems.Problem(examples, kind, l2_lambda=0.1)
+        problem = _problems.Problem(*_gaussian_rows(rng, n, d, 2), kind,
+                                    l2_lambda=0.1)
     else:
         k = int(rng.integers(3, 5))
-        examples = [_problems.Example(rng.standard_normal(d),
-                                      int(rng.integers(0, k)))
-                    for _ in range(n)]
-        problem = _problems.Problem(examples, kind, l2_lambda=0.1,
-                                    num_classes=k)
+        problem = _problems.Problem(*_gaussian_rows(rng, n, d, k), kind,
+                                    l2_lambda=0.1, num_classes=k)
     theta = rng.standard_normal(problem.param_dim)
     return problem, theta

@@ -117,22 +117,14 @@ def gradient_norm_variance(problem, theta):
     return float(np.var(norms))
 
 
-def pack_eval_set(problem, eval_set):
-    """Features and labels of eval_set as (X, y) arrays; the problem's own
-    examples reuse its packed arrays."""
-    if eval_set is problem.examples:
-        return problem.X, problem.y
-    eval_set = list(eval_set)
-    X = _problems._pack_features(eval_set, problem.d)
-    y = np.array([ex.label for ex in eval_set], dtype=np.int64)
-    return X, y
-
-
-def packed_accuracy(problem, theta, X, y):
-    """Fraction of the rows of X whose predicted class equals y; ties go to
-    the lowest class index. Unsupported for centroid problems."""
+def accuracy(problem, theta, X, y):
+    """Fraction of the rows of X (dense or CSR) whose predicted class
+    equals the label in y; ties go to the lowest class index. Unsupported
+    for centroid problems."""
     if problem.kind == _problems.CENTROID:
         raise ValueError("accuracy is undefined for centroid problems")
+    if np.shape(y) != (X.shape[0],):
+        raise ValueError("y must hold one label per row of X")
     theta = np.asarray(theta, dtype=np.float64)
     if problem.kind == _problems.BINARY_LOGISTIC:
         z = np.asarray(X @ theta).ravel()
@@ -142,12 +134,6 @@ def packed_accuracy(problem, theta, X, y):
         Z = np.asarray(X @ W.T)
         pred = Z.argmax(axis=1)
     return float(np.mean(pred == y))
-
-
-def accuracy(problem, theta, eval_set):
-    """Fraction of eval_set classified correctly; ties go to the lowest
-    class index. Unsupported for centroid problems."""
-    return packed_accuracy(problem, theta, *pack_eval_set(problem, eval_set))
 
 
 def aggregate_runs(traces, steps=None):

@@ -24,6 +24,7 @@ unweighted methods bit for bit either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,8 @@ DEFAULT_BOX = (-1e6, 1e6)
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an update produces a nonfinite parameter vector."""
+    """Raised when an update produces a nonfinite parameter vector, or a
+    metric tick a nonfinite loss or gradient-norm variance."""
 
     def __init__(self, step, message="nonfinite update"):
         super().__init__("%s at step %d" % (message, step))
@@ -273,11 +275,11 @@ class RunResult:
 
 
 def run(problem, config, T, seed, metric_tick=10, theta0=None,
-        eval_examples=None):
+        eval_set=None):
     """Run T steps from theta0 (zeros by default). Deterministic given
     (config, seed). Metrics are recorded whenever t % metric_tick == 0;
-    accuracy is computed on eval_examples when given, else on the training
-    examples."""
+    accuracy is computed on the (X, y) pair eval_set when given, else on
+    the problem's own rows."""
     if T < 1:
         raise ValueError("T must be at least 1")
     rng = np.random.default_rng(seed)
@@ -290,10 +292,7 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
     tree = _sampling.SamplingTree(probs)
 
     classification = problem.kind != _problems.CENTROID
-    if classification:
-        X_eval, y_eval = _metrics.pack_eval_set(
-            problem, problem.examples if eval_examples is None
-            else eval_examples)
+    X_eval, y_eval = (problem.X, problem.y) if eval_set is None else eval_set
     all_indices = np.empty((T, config.batch_size), dtype=np.int64)
     ticks, losses, accs, gvars = [], [], [], []
 
@@ -304,12 +303,15 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
                                       rng, config, t)
         all_indices[t - 1] = indices
         if t % metric_tick == 0:
+            loss = _problems.full_objective(problem, theta)
+            gvar = _metrics.gradient_norm_variance(problem, theta)
+            if not (math.isfinite(loss) and math.isfinite(gvar)):
+                raise DivergenceError(t, "nonfinite loss")
             ticks.append(t)
-            losses.append(_problems.full_objective(problem, theta))
-            gvars.append(_metrics.gradient_norm_variance(problem, theta))
+            losses.append(loss)
+            gvars.append(gvar)
             if classification:
-                accs.append(_metrics.packed_accuracy(problem, theta,
-                                                     X_eval, y_eval))
+                accs.append(_metrics.accuracy(problem, theta, X_eval, y_eval))
 
     return RunResult(indices=all_indices,
                      ticks=np.array(ticks, dtype=np.int64),

@@ -23,8 +23,6 @@ if an intercept is wanted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 from scipy.special import expit
@@ -35,105 +33,49 @@ MULTICLASS_LOGISTIC = "multiclass-logistic"
 KINDS = (CENTROID, BINARY_LOGISTIC, MULTICLASS_LOGISTIC)
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sparse feature vector: strictly increasing 0-based indices and the
-    matching nonzero values. The dimension lives with the owning dataset."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be 1-d and equal length")
-        if idx.size and np.any(np.diff(idx) <= 0):
-            raise ValueError("indices must be strictly increasing")
-        if idx.size and idx[0] < 0:
-            raise ValueError("indices must be nonnegative")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("values must be finite")
-        if np.any(val == 0.0):
-            raise ValueError("zero values must not be stored")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def densify(self, d: int) -> np.ndarray:
-        if self.indices.size and self.indices[-1] >= d:
-            raise ValueError("index %d out of range for dimension %d"
-                             % (self.indices[-1], d))
-        out = np.zeros(d)
-        out[self.indices] = self.values
-        return out
-
-
-@dataclass(frozen=True)
-class Example:
-    """One training point: features (dense array or SparseVector) and an
-    integer class label in [0, K)."""
-
-    features: np.ndarray | SparseVector
-    label: int = 0
-
-    def dimension(self) -> int | None:
-        """Feature dimension, or None when sparse (dimension is extrinsic)."""
-        if isinstance(self.features, SparseVector):
-            return None
-        return int(np.asarray(self.features).shape[0])
-
-
 class Problem:
-    """Immutable objective over a fixed set of examples.
-
-    The examples are packed into a feature matrix at construction (dense
-    ndarray, or CSR when any example is sparse) so full-dataset passes are
-    vectorized. All operations below are pure reads and safe to call
-    concurrently.
+    """Immutable objective over a feature matrix X (dense float64 ndarray
+    or CSR, one row per example) and int64 labels y. The arrays are held as
+    given, not copied, and must not be modified afterwards. All operations
+    below are pure reads and safe to call concurrently.
     """
 
-    def __init__(self, examples, kind, l2_lambda=0.0, num_classes=None, d=None):
+    def __init__(self, X, y, kind, l2_lambda=0.0, num_classes=None):
         if kind not in KINDS:
             raise ValueError("unknown problem kind: %r" % (kind,))
-        examples = list(examples)
-        if not examples:
-            raise ValueError("a problem needs at least one example")
         if l2_lambda < 0:
             raise ValueError("l2_lambda must be nonnegative")
+        if sparse.issparse(X):
+            X = X.tocsr().astype(np.float64, copy=False)
+            values = X.data
+        else:
+            X = values = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError("X must be 2-d, got shape %s" % (X.shape,))
+        if X.shape[0] == 0:
+            raise ValueError("a problem needs at least one example")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("features must be finite")
+        y = np.asarray(y)
+        if y.shape != (X.shape[0],) or y.dtype.kind not in "iu":
+            raise ValueError("y must hold one integer label per row of X")
 
         self.kind = kind
-        self.examples = examples
         self.l2_lambda = float(l2_lambda)
-        self.n = len(examples)
-
-        dims = {ex.dimension() for ex in examples} - {None}
-        if len(dims) > 1:
-            raise ValueError("examples disagree on feature dimension: %s" % dims)
-        if d is None:
-            if not dims:
-                raise ValueError("all-sparse examples need an explicit d")
-            d = dims.pop()
-        elif dims and dims != {d}:
-            raise ValueError("explicit d=%d contradicts example dimension" % d)
-        self.d = int(d)
-
-        self.y = np.array([ex.label for ex in examples], dtype=np.int64)
+        self.X = X
+        self.y = y.astype(np.int64, copy=False)
+        self.n, self.d = X.shape
         if kind == CENTROID:
             self.num_classes = 1
         elif kind == BINARY_LOGISTIC:
             self.num_classes = 2
         else:
-            inferred = int(self.y.max()) + 1 if self.n else 0
+            inferred = int(self.y.max()) + 1
             self.num_classes = int(num_classes) if num_classes else max(inferred, 2)
-        if np.any(self.y < 0) or np.any(self.y >= max(self.num_classes, 1)):
+        if np.any(self.y < 0) or np.any(self.y >= self.num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
         self.class_counts = np.bincount(self.y, minlength=self.num_classes)
 
-        self.X = _pack_features(examples, self.d)
         self.is_sparse = sparse.issparse(self.X)
         # ||x_i||^2 per row, reused by the closed-form score computations.
         if self.is_sparse:
@@ -167,36 +109,6 @@ class Problem:
     def __repr__(self):
         return "Problem(kind=%s, n=%d, d=%d, K=%d, l2=%.3g)" % (
             self.kind, self.n, self.d, self.num_classes, self.l2_lambda)
-
-
-def _pack_features(examples, d):
-    if any(isinstance(ex.features, SparseVector) for ex in examples):
-        indptr = [0]
-        indices = []
-        data = []
-        for ex in examples:
-            f = ex.features
-            if isinstance(f, SparseVector):
-                if f.nnz and f.indices[-1] >= d:
-                    raise ValueError("sparse index out of range")
-                indices.append(f.indices)
-                data.append(f.values)
-            else:
-                f = np.asarray(f, dtype=np.float64)
-                nz = np.flatnonzero(f)
-                indices.append(nz)
-                data.append(f[nz])
-            indptr.append(indptr[-1] + len(indices[-1]))
-        mat = sparse.csr_matrix(
-            (np.concatenate(data) if data else np.zeros(0),
-             np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64),
-             np.array(indptr)),
-            shape=(len(examples), d))
-        return mat
-    X = np.array([np.asarray(ex.features, dtype=np.float64) for ex in examples])
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
-    return X
 
 
 def _check_index(problem, i):

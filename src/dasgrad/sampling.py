@@ -152,7 +152,10 @@ def normalize_scores(scores, epsilon):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     shifted = scores + epsilon
-    return shifted / shifted.sum()
+    total = shifted.sum()
+    if not np.isfinite(total):
+        raise ValueError("the total of the scores overflows")
+    return shifted / total
 
 
 def importance_weight(p_i, n):

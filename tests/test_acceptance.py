@@ -23,17 +23,13 @@ def _random_instance(kind, rng):
     n = int(rng.integers(3, 12))
     d = int(rng.integers(2, 6))
     if kind == P.CENTROID:
-        ex = [P.Example(rng.standard_normal(d), 0) for _ in range(n)]
-        return P.Problem(ex, kind)
+        return P.Problem(*H._gaussian_rows(rng, n, d, 1), kind)
     if kind == P.BINARY_LOGISTIC:
-        ex = [P.Example(rng.standard_normal(d), int(rng.integers(0, 2)))
-              for _ in range(n)]
-        return P.Problem(ex, kind, l2_lambda=float(rng.choice([0.0, 0.1])))
+        return P.Problem(*H._gaussian_rows(rng, n, d, 2), kind,
+                         l2_lambda=float(rng.choice([0.0, 0.1])))
     k = int(rng.integers(3, 6))
-    ex = [P.Example(rng.standard_normal(d), int(rng.integers(0, k)))
-          for _ in range(n)]
-    return P.Problem(ex, kind, l2_lambda=float(rng.choice([0.0, 0.1])),
-                     num_classes=k)
+    return P.Problem(*H._gaussian_rows(rng, n, d, k), kind,
+                     l2_lambda=float(rng.choice([0.0, 0.1])), num_classes=k)
 
 
 def test_criterion_1_gradient_correctness():
@@ -160,9 +156,8 @@ def _lockstep(problem, cfg_a, cfg_b, T, seed):
 def test_criterion_5_collapse_equivalences():
     start = time.time()
     rng = np.random.default_rng(105)
-    ex = [P.Example(rng.standard_normal(5), int(rng.integers(0, 3)))
-          for _ in range(40)]
-    prob = P.Problem(ex, P.MULTICLASS_LOGISTIC, l2_lambda=0.01, num_classes=3)
+    prob = P.Problem(*H._gaussian_rows(rng, 40, 5, 3), P.MULTICLASS_LOGISTIC,
+                     l2_lambda=0.01, num_classes=3)
     kw = dict(alpha=0.05, beta1=0.9, beta2=0.99, batch_size=4)
     gap_moment = _lockstep(
         prob, O.OptimizerConfig(method="dasgrad", freeze_probabilities=True,
@@ -302,10 +297,11 @@ def test_criterion_10_distribution_matching():
     total = D.synth_classification(p["n_train"] + p["n_eval"], p["d"],
                                    p["num_classes"], margin=p["margin"],
                                    seed=p["data_seed"])
-    train = D.Dataset(total.examples[:p["n_train"]], total.d,
-                      p["num_classes"], "train")
-    evald = D.Dataset(total.examples[p["n_train"]:], total.d,
-                      p["num_classes"], "eval")
+    split = p["n_train"]
+    train = D.Dataset(total.X[:split], total.y[:split], p["num_classes"],
+                      "train")
+    evald = D.Dataset(total.X[split:], total.y[split:], p["num_classes"],
+                      "eval")
     train = D.unbalance(train, p["drop_labels"], p["keep_fraction"],
                         p["data_seed"])
     prob = D.make_problem(train, P.MULTICLASS_LOGISTIC, p["l2_lambda"])
@@ -324,7 +320,7 @@ def test_criterion_10_distribution_matching():
         acc[name] = np.array([
             M.accuracy(prob, O.run(prob, cfg, p["T"], s,
                                    metric_tick=p["T"]).theta,
-                       evald.examples)
+                       evald.X, evald.y)
             for s in range(20)])
     assert acc["target"].mean() >= acc["uniform"].mean()
     gap, lo, hi = M.paired_ci(acc["target"], acc["uniform"])

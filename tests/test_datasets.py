@@ -12,8 +12,11 @@ class TestDenseCsv:
         path.write_text("1,0.5,2.0\n0,1.0,0.0\n")
         ds = D.load_dense_csv(path)
         assert ds.n == 2 and ds.d == 2 and ds.num_classes == 2
-        np.testing.assert_allclose(ds.examples[0].features, [0.5, 2.0])
-        assert ds.examples[0].label == 1
+        np.testing.assert_allclose(ds.X, [[0.5, 2.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(ds.y, [1, 0])
+        ex = ds.examples[0]
+        np.testing.assert_allclose(ex.features, [0.5, 2.0])
+        assert ex.label == 1
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -22,16 +25,16 @@ class TestDenseCsv:
             D.load_dense_csv(path)
 
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        ds = D.synth_classification(12, 5, 3, margin=2.0, seed=4)
-        path = tmp_path / "rt.csv"
-        D.write_dense_csv(ds, path)
-        back = D.load_dense_csv(path)
-        assert back.n == ds.n and back.d == ds.d
-        for a, b in zip(ds.examples, back.examples):
-            assert a.label == b.label
-            np.testing.assert_array_equal(np.asarray(a.features),
-                                          np.asarray(b.features))
+        for sparsity in (0.0, 0.5):  # a sparse dataset is written densified
+            ds = D.synth_classification(12, 5, 3, margin=2.0,
+                                        sparsity=sparsity, seed=4)
+            path = tmp_path / ("rt_%g.csv" % sparsity)
+            D.write_dense_csv(ds, path)
+            back = D.load_dense_csv(path)
+            assert back.n == ds.n and back.d == ds.d
+            np.testing.assert_array_equal(back.y, ds.y)
+            dense = ds.X.toarray() if sparsity else ds.X
+            np.testing.assert_array_equal(back.X, dense)
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -52,6 +55,14 @@ class TestDenseCsv:
         with pytest.raises(D.DatasetFormatError):
             D.load_dense_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_nonfinite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("0,1.0,2.0\n\n1,%s,3.0\n" % value)
+        with pytest.raises(D.DatasetFormatError) as err:
+            D.load_dense_csv(path)
+        assert err.value.line_no == 3
+
 
 class TestSparseFile:
     def test_single_row_parse(self, tmp_path):
@@ -59,9 +70,19 @@ class TestSparseFile:
         path.write_text("#d=4 #k=2\n1 0:1.5 3:2.0\n")
         ds = D.load_sparse(path)
         assert ds.n == 1 and ds.d == 4 and ds.num_classes == 2
+        np.testing.assert_allclose(ds.X.toarray(), [[1.5, 0.0, 0.0, 2.0]])
+        np.testing.assert_array_equal(ds.y, [1])
         sv = ds.examples[0].features
         assert sv.nnz == 2
         np.testing.assert_allclose(sv.densify(4), [1.5, 0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_nonfinite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.sparse"
+        path.write_text("#d=4 #k=2\n0 1:1.0\n1 0:2.0 2:%s\n" % value)
+        with pytest.raises(D.DatasetFormatError) as err:
+            D.load_sparse(path)
+        assert err.value.line_no == 3
 
     def test_duplicate_index_rejected(self, tmp_path):
         path = tmp_path / "dup.sparse"
@@ -88,6 +109,8 @@ class TestSparseFile:
         dense_path.write_text("1,1.5,0,-2.0\n0,0,0.25,0\n")
         ds_sparse = D.load_sparse(sparse_path)
         ds_dense = D.load_dense_csv(dense_path)
+        np.testing.assert_array_equal(ds_sparse.X.toarray(), ds_dense.X)
+        np.testing.assert_array_equal(ds_sparse.y, ds_dense.y)
         for a, b in zip(ds_sparse.examples, ds_dense.examples):
             np.testing.assert_array_equal(a.features.densify(3),
                                           np.asarray(b.features))
@@ -104,14 +127,13 @@ class TestSynthCentroid:
 
     def test_empirical_variance(self):
         ds = D.synth_centroid(100_000, 1, 1.0, seed=2)
-        values = np.array([ex.features[0] for ex in ds.examples])
+        values = ds.X[:, 0]
         assert 0.98 <= values.var() <= 1.02
 
     def test_deterministic(self):
         a = D.synth_centroid(50, 4, 2.0, seed=3)
         b = D.synth_centroid(50, 4, 2.0, seed=3)
-        for ea, eb in zip(a.examples, b.examples):
-            assert np.array_equal(ea.features, eb.features)
+        assert np.array_equal(a.X, b.X)
 
     def test_box_muller_moments(self):
         rng = np.random.default_rng(4)
@@ -125,7 +147,7 @@ class TestSynthClassification:
         ds = D.synth_classification(60, 6, 3, margin=40.0, seed=5)
         prob = D.make_problem(ds, P.MULTICLASS_LOGISTIC, l2_lambda=1e-5)
         ref = M.solve_reference(prob, tol=1e-5, max_iters=400)
-        assert M.accuracy(prob, ref.theta_star, prob.examples) >= 0.99
+        assert M.accuracy(prob, ref.theta_star, ds.X, ds.y) >= 0.99
 
     def test_full_sparsity_collapses_to_majority_rate(self):
         ds = D.synth_classification(30, 5, 3, margin=2.0, sparsity=1.0,
@@ -133,13 +155,13 @@ class TestSynthClassification:
         prob = D.make_problem(ds, P.MULTICLASS_LOGISTIC)
         theta = np.random.default_rng(0).standard_normal(prob.param_dim)
         majority = np.mean(prob.y == 0)  # ties predict class 0
-        assert M.accuracy(prob, theta, prob.examples) == pytest.approx(majority)
+        assert M.accuracy(prob, theta, ds.X, ds.y) == pytest.approx(majority)
 
     def test_sparsity_rate(self):
         n, d, rate = 50, 10_000, 0.9
         ds = D.synth_classification(n, d, 2, margin=1.0, sparsity=rate,
                                     seed=7)
-        nnz = np.mean([ex.features.nnz for ex in ds.examples])
+        nnz = np.mean(ds.X.getnnz(axis=1))
         sigma = np.sqrt(d * (1 - rate) * rate / n)
         assert abs(nnz - d * (1 - rate)) <= 4 * sigma
 
@@ -158,13 +180,14 @@ class TestUnbalance:
         ds = D.synth_classification(40, 3, 4, margin=2.0, seed=9)
         out = D.unbalance(ds, {1}, 1.0, seed=0)
         assert out.n == ds.n
-        assert [e.label for e in out.examples] == [e.label for e in ds.examples]
+        np.testing.assert_array_equal(out.y, ds.y)
+        np.testing.assert_array_equal(out.X, ds.X)
 
     def test_survivor_count_binomial(self):
         ds = D.synth_classification(2000, 3, 2, margin=2.0, seed=10)
         # 1000 examples of each label; drop label 1 at keep 0.1
         out = D.unbalance(ds, {1}, 0.1, seed=11)
-        survivors = int(np.sum(out.labels() == 1))
+        survivors = int(np.sum(out.y == 1))
         sigma = np.sqrt(1000 * 0.1 * 0.9)
         assert abs(survivors - 100) <= 4 * sigma
 
@@ -178,10 +201,23 @@ class TestUnbalance:
 
     def test_order_preserved(self):
         ds = D.synth_classification(100, 3, 2, margin=2.0, seed=14)
-        out = D.unbalance(ds, {0}, 0.5, seed=15)
-        kept = [id(e) for e in out.examples]
-        original = [id(e) for e in ds.examples if id(e) in set(kept)]
-        assert kept == original
+        # row i carries the tag i in a column of its own
+        tagged = D.Dataset(np.column_stack([ds.X, np.arange(ds.n)]), ds.y,
+                           ds.num_classes, ds.provenance)
+        out = D.unbalance(tagged, {0}, 0.5, seed=15)
+        kept = out.X[:, -1]
+        assert 0 < kept.size < ds.n
+        assert np.all(np.diff(kept) > 0)
+        np.testing.assert_array_equal(out.X, tagged.X[kept.astype(int)])
+        np.testing.assert_array_equal(out.y, ds.y[kept.astype(int)])
+
+    def test_same_survivors_as_one_draw_per_dropped_row(self):
+        ds = D.synth_classification(90, 2, 3, margin=2.0, seed=18)
+        out = D.unbalance(ds, {0, 2}, 0.4, seed=19)
+        rng = np.random.default_rng(19)
+        expected = [i for i, label in enumerate(ds.y)
+                    if label == 1 or rng.random() < 0.4]
+        np.testing.assert_array_equal(out.X, ds.X[expected])
 
     def test_rejects_empty_result(self):
         ds = D.synth_classification(4, 2, 2, margin=2.0, seed=16)

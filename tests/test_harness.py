@@ -57,20 +57,23 @@ alpha = 0.1
 batch_size = 1
 """
 
-# "[optimizer.dasgrad]" (plain sgd at a huge step) diverges on every seed
-# except 2 and 5, so its runs pair with only two of tame's eight
+# a dense CSV of 23 one-dimensional rows at 0 and one at 1
+PARTIAL_DIVERGENCE_DATA = "0,0\n" * 23 + "0,1\n"
+
+# "[optimizer.dasgrad]" (plain sgd at a huge step) keeps theta = 0 on a
+# seed that never draws the one nonzero row of PARTIAL_DIVERGENCE_DATA, and
+# diverges on every seed that does; seeds 0, 1 and 3 never draw it, so its
+# runs pair with only three of tame's eight
 PARTIAL_DIVERGENCE_CONFIG = """
 kind = centroid
-n = 6
-d = 2
-sigma = 1
+path = {data}
 T = 20
 seeds = 0,1,2,3,4,5,6,7
 metric_tick = 5
 output_dir = {out}
 [optimizer.dasgrad]
 method = sgd
-alpha = 7943282347242821.0
+alpha = 1e200
 batch_size = 1
 box = -inf,inf
 [optimizer.tame]
@@ -283,14 +286,24 @@ batch_size = 2
 
     def test_partial_divergence_recorded_not_fatal(self, tmp_path):
         out = tmp_path / "partial"
-        cfg = H.parse_config_text(PARTIAL_DIVERGENCE_CONFIG.format(out=out))
+        data = tmp_path / "partial.csv"
+        data.write_text(PARTIAL_DIVERGENCE_DATA)
+        cfg = H.parse_config_text(PARTIAL_DIVERGENCE_CONFIG.format(
+            out=out, data=data))
         results = H.run_experiment(cfg)
-        assert sorted(s for name, s in results if name == "dasgrad") == [2, 5]
+        assert sorted(s for name, s in results if name == "dasgrad") == [
+            0, 1, 3]
         assert [f[:2] for f in results.failures] == [
-            ("dasgrad", s) for s in (0, 1, 3, 4, 6, 7)]
+            ("dasgrad", s) for s in (2, 4, 5, 6, 7)]
+        for seed in (0, 1, 3):
+            trace = H.read_trace_csv(out / ("trace_dasgrad_%d.csv" % seed))
+            assert np.all(np.isfinite(trace["loss"]))
+            assert np.all(np.isfinite(trace["grad_norm_var"]))
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:2] for r in rows] == [
             [str(t), "tame"] for t in (5, 10, 15, 20)]
+        assert all(np.isfinite(float(v)) for r in rows
+                   for v in r.split(",")[2:] if v)
 
     def test_comparison_pairs_runs_by_seed(self, tmp_path, monkeypatch):
         diverge_on(monkeypatch, {("dasgrad", 0)})

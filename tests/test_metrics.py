@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
+from dasgrad import harness as H
 from dasgrad import metrics as M
 from dasgrad import problems as P
 from dasgrad import sampling as S
 
 
 def centroid_problem(points):
-    return P.Problem([P.Example(np.asarray(x, dtype=float), 0)
-                      for x in points], P.CENTROID)
+    X = np.asarray(points, dtype=float)
+    return P.Problem(X, np.zeros(len(X), dtype=np.int64), P.CENTROID)
 
 
 def logistic_problem(rng, n=40, d=5, lam=0.1):
-    ex = [P.Example(rng.standard_normal(d), int(rng.integers(0, 2)))
-          for _ in range(n)]
-    return P.Problem(ex, P.BINARY_LOGISTIC, l2_lambda=lam)
+    return P.Problem(*H._gaussian_rows(rng, n, d, 2), P.BINARY_LOGISTIC,
+                     l2_lambda=lam)
 
 
 class TestSolveReference:
@@ -128,34 +128,34 @@ class TestGradientNormVariance:
 class TestAccuracy:
     def test_zero_theta_binary_tie_rule(self):
         rng = np.random.default_rng(7)
-        ex = [P.Example(rng.standard_normal(3), int(rng.integers(0, 2)))
-              for _ in range(20)]
-        prob = P.Problem(ex, P.BINARY_LOGISTIC)
-        frac_zero = np.mean([e.label == 0 for e in ex])
-        assert M.accuracy(prob, np.zeros(3), prob.examples) == \
-            pytest.approx(frac_zero)
+        X, y = H._gaussian_rows(rng, 20, 3, 2)
+        prob = P.Problem(X, y, P.BINARY_LOGISTIC)
+        frac_zero = np.mean(y == 0)
+        assert M.accuracy(prob, np.zeros(3), X, y) == pytest.approx(frac_zero)
 
     def test_separable_problem_reaches_one(self):
         rng = np.random.default_rng(8)
         centers = np.array([[8.0, 0.0], [-8.0, 0.0], [0.0, 8.0]])
-        ex = []
-        for i in range(60):
-            k = i % 3
-            ex.append(P.Example(centers[k] + 0.1 * rng.standard_normal(2), k))
-        prob = P.Problem(ex, P.MULTICLASS_LOGISTIC, l2_lambda=1e-4,
+        y = np.arange(60) % 3
+        X = np.array([centers[k] + 0.1 * rng.standard_normal(2) for k in y])
+        prob = P.Problem(X, y, P.MULTICLASS_LOGISTIC, l2_lambda=1e-4,
                          num_classes=3)
         ref = M.solve_reference(prob, tol=1e-6, max_iters=500)
-        assert M.accuracy(prob, ref.theta_star, prob.examples) == 1.0
+        assert M.accuracy(prob, ref.theta_star, X, y) == 1.0
 
     def test_singleton(self):
-        ex = [P.Example(np.array([1.0]), 1)]
-        prob = P.Problem(ex, P.BINARY_LOGISTIC)
-        assert M.accuracy(prob, np.array([2.0]), prob.examples) == 1.0
+        prob = P.Problem([[1.0]], [1], P.BINARY_LOGISTIC)
+        assert M.accuracy(prob, np.array([2.0]), prob.X, prob.y) == 1.0
+
+    def test_one_label_per_row(self):
+        prob = P.Problem(np.eye(3), [0, 1, 1], P.BINARY_LOGISTIC)
+        with pytest.raises(ValueError):
+            M.accuracy(prob, np.ones(3), prob.X, prob.y[:1])
 
     def test_centroid_unsupported(self):
         prob = centroid_problem([[0.0]])
         with pytest.raises(ValueError):
-            M.accuracy(prob, np.zeros(1), prob.examples)
+            M.accuracy(prob, np.zeros(1), prob.X, prob.y)
 
 
 class TestAggregateRuns:

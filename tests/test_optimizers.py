@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dasgrad import harness as H
 from dasgrad import metrics as M
 from dasgrad import optimizers as O
 from dasgrad import problems as P
@@ -8,14 +9,13 @@ from dasgrad import sampling as S
 
 
 def centroid_problem(points):
-    return P.Problem([P.Example(np.asarray(x, dtype=float), 0)
-                      for x in points], P.CENTROID)
+    X = np.asarray(points, dtype=float)
+    return P.Problem(X, np.zeros(len(X), dtype=np.int64), P.CENTROID)
 
 
 def multiclass_problem(rng, n=30, d=4, k=3, lam=0.01):
-    ex = [P.Example(rng.standard_normal(d), int(rng.integers(0, k)))
-          for _ in range(n)]
-    return P.Problem(ex, P.MULTICLASS_LOGISTIC, l2_lambda=lam, num_classes=k)
+    return P.Problem(*H._gaussian_rows(rng, n, d, k), P.MULTICLASS_LOGISTIC,
+                     l2_lambda=lam, num_classes=k)
 
 
 class TestStepSize:
@@ -151,6 +151,15 @@ class TestStepGeneral:
         with pytest.raises(O.DivergenceError) as err:
             O.run(prob, cfg, T=10, seed=0, metric_tick=100)
         assert err.value.step >= 1
+
+    def test_nonfinite_loss_diverges(self):
+        # theta stays in [-1e200, 1e200], but the loss 0.5 (theta - x)^2
+        # overflows at the first tick
+        prob = centroid_problem([[1e200], [-1e200]])
+        cfg = O.OptimizerConfig(method="sgd", alpha=0.1, batch_size=1)
+        with pytest.raises(O.DivergenceError, match="nonfinite loss") as err:
+            O.run(prob, cfg, T=10, seed=0, metric_tick=5)
+        assert err.value.step == 5
 
 
 class TestConfigValidation:
@@ -321,12 +330,13 @@ class TestRun:
     def test_accuracy_on_eval_examples(self):
         rng = np.random.default_rng(15)
         prob = multiclass_problem(rng, n=20)
-        held_out = multiclass_problem(rng, n=9).examples
+        held_out = multiclass_problem(rng, n=9)
         cfg = O.OptimizerConfig(method="dasgrad", batch_size=4,
                                 refresh_period=3)
         result = O.run(prob, cfg, T=20, seed=3, metric_tick=10,
-                       eval_examples=held_out)
-        assert result.accuracy[-1] == M.accuracy(prob, result.theta, held_out)
+                       eval_set=(held_out.X, held_out.y))
+        assert result.accuracy[-1] == M.accuracy(prob, result.theta,
+                                                 held_out.X, held_out.y)
 
     def test_centroid_sgd_converges(self):
         rng = np.random.default_rng(12)

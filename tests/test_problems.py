@@ -1,37 +1,33 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from dasgrad import datasets as D
+from dasgrad import harness as H
 from dasgrad import problems as P
 
 
 def centroid_problem(points):
-    examples = [P.Example(np.asarray(x, dtype=float), 0) for x in points]
-    return P.Problem(examples, P.CENTROID)
+    X = np.asarray(points, dtype=float)
+    return P.Problem(X, np.zeros(len(X), dtype=np.int64), P.CENTROID)
 
 
 def random_problem(kind, rng, n=None, d=None, lam=0.1):
     n = n or int(rng.integers(3, 12))
     d = d or int(rng.integers(2, 6))
     if kind == P.CENTROID:
-        ex = [P.Example(rng.standard_normal(d), 0) for _ in range(n)]
-        return P.Problem(ex, kind)
+        return centroid_problem([rng.standard_normal(d) for _ in range(n)])
     if kind == P.BINARY_LOGISTIC:
-        ex = [P.Example(rng.standard_normal(d), int(rng.integers(0, 2)))
-              for _ in range(n)]
-        return P.Problem(ex, kind, l2_lambda=lam)
+        return P.Problem(*H._gaussian_rows(rng, n, d, 2), kind, l2_lambda=lam)
     k = int(rng.integers(3, 5))
-    ex = [P.Example(rng.standard_normal(d), int(rng.integers(0, k)))
-          for _ in range(n)]
-    return P.Problem(ex, kind, l2_lambda=lam, num_classes=k)
+    return P.Problem(*H._gaussian_rows(rng, n, d, k), kind, l2_lambda=lam,
+                     num_classes=k)
 
 
 def as_csr(prob):
-    """The same problem with every example stored sparse (packed as CSR)."""
-    examples = [P.Example(P.SparseVector(np.flatnonzero(x), x[x != 0]),
-                          ex.label)
-                for x, ex in zip(prob.X, prob.examples)]
-    return P.Problem(examples, prob.kind, l2_lambda=prob.l2_lambda,
-                     num_classes=prob.num_classes, d=prob.d)
+    """The same problem with its features stored as CSR."""
+    return P.Problem(sparse.csr_matrix(prob.X), prob.y, prob.kind,
+                     l2_lambda=prob.l2_lambda, num_classes=prob.num_classes)
 
 
 STORAGES = {"dense": lambda prob: prob, "csr": as_csr}
@@ -47,8 +43,7 @@ class TestExampleLoss:
         assert P.example_loss(prob, 0, np.zeros(2)) == pytest.approx(12.5)
 
     def test_binary_at_zero_is_log_two(self):
-        ex = [P.Example(np.array([2.0, -1.0]), 1)]
-        prob = P.Problem(ex, P.BINARY_LOGISTIC, l2_lambda=0.0)
+        prob = P.Problem([[2.0, -1.0]], [1], P.BINARY_LOGISTIC, l2_lambda=0.0)
         assert P.example_loss(prob, 0, np.zeros(2)) == pytest.approx(np.log(2.0))
 
     def test_losses_nonnegative(self):
@@ -79,8 +74,7 @@ class TestExampleGradient:
         assert np.array_equal(g, np.array([-2.0, -3.0]))
 
     def test_binary_at_zero(self):
-        ex = [P.Example(np.array([1.0, 0.0]), 1)]
-        prob = P.Problem(ex, P.BINARY_LOGISTIC, l2_lambda=0.0)
+        prob = P.Problem([[1.0, 0.0]], [1], P.BINARY_LOGISTIC, l2_lambda=0.0)
         g = P.example_gradient(prob, 0, np.zeros(2))
         np.testing.assert_allclose(g, [-0.5, 0.0], atol=1e-15)
 
@@ -196,30 +190,25 @@ class TestConvexity:
 class TestSparse:
     def test_sparse_vector_validation(self):
         with pytest.raises(ValueError):
-            P.SparseVector(np.array([2, 1]), np.array([1.0, 1.0]))
+            D.SparseVector(np.array([2, 1]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
-            P.SparseVector(np.array([0, 0]), np.array([1.0, 1.0]))
+            D.SparseVector(np.array([0, 0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
-            P.SparseVector(np.array([0]), np.array([0.0]))
-        sv = P.SparseVector(np.array([1, 3]), np.array([2.0, -1.0]))
+            D.SparseVector(np.array([0]), np.array([0.0]))
+        sv = D.SparseVector(np.array([1, 3]), np.array([2.0, -1.0]))
         np.testing.assert_allclose(sv.densify(5), [0.0, 2.0, 0.0, -1.0, 0.0])
 
     def test_sparse_problem_matches_dense(self):
         rng = np.random.default_rng(11)
         d = 6
-        dense_rows, examples = [], []
+        dense_rows, labels = [], []
         for i in range(8):
-            row = rng.standard_normal(d) * (rng.random(d) < 0.5)
-            dense_rows.append(row)
-            nz = np.flatnonzero(row)
-            examples.append(P.Example(P.SparseVector(nz, row[nz]),
-                                      int(rng.integers(0, 2))))
-        labels = [ex.label for ex in examples]
-        sparse_prob = P.Problem(examples, P.BINARY_LOGISTIC, l2_lambda=0.05,
-                                d=d)
-        dense_prob = P.Problem(
-            [P.Example(np.array(r), l) for r, l in zip(dense_rows, labels)],
-            P.BINARY_LOGISTIC, l2_lambda=0.05)
+            dense_rows.append(rng.standard_normal(d) * (rng.random(d) < 0.5))
+            labels.append(int(rng.integers(0, 2)))
+        sparse_prob = P.Problem(sparse.csr_matrix(np.array(dense_rows)),
+                                labels, P.BINARY_LOGISTIC, l2_lambda=0.05)
+        dense_prob = P.Problem(np.array(dense_rows), labels,
+                               P.BINARY_LOGISTIC, l2_lambda=0.05)
         theta = rng.standard_normal(d)
         assert sparse_prob.is_sparse and not dense_prob.is_sparse
         assert P.full_objective(sparse_prob, theta) == pytest.approx(
@@ -235,18 +224,29 @@ class TestSparse:
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            P.Problem([P.Example(np.zeros(1), 0)], "ridge")
+            P.Problem(np.zeros((1, 1)), [0], "ridge")
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            P.Problem([P.Example(np.zeros(2), 7)], P.MULTICLASS_LOGISTIC,
+            P.Problem(np.zeros((1, 2)), [7], P.MULTICLASS_LOGISTIC,
                       num_classes=3)
 
     def test_mixed_dimensions(self):
         with pytest.raises(ValueError):
-            P.Problem([P.Example(np.zeros(2), 0), P.Example(np.zeros(3), 0)],
-                      P.CENTROID)
+            P.Problem([np.zeros(2), np.zeros(3)], [0, 0], P.CENTROID)
+
+    @pytest.mark.parametrize("X,y", [
+        (np.zeros(3), [0, 0, 0]),                           # X not 2-d
+        (np.zeros((3, 2)), [0, 0]),                         # y too short
+        (np.zeros((2, 2)), [0.0, 1.0]),                     # float labels
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), [0, 1]),    # nonfinite
+        (sparse.csr_matrix([[1.0, 0.0], [0.0, np.inf]]), [0, 1]),
+    ])
+    def test_malformed_arrays(self, X, y):
+        with pytest.raises(ValueError):
+            P.Problem(X, y, P.BINARY_LOGISTIC)
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            P.Problem([], P.CENTROID)
+            P.Problem(np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
+                      P.CENTROID)

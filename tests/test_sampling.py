@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from dasgrad import harness as H
+from dasgrad import optimizers as O
 from dasgrad import problems as P
 from dasgrad import sampling as S
 
@@ -259,6 +262,64 @@ class TestNormalizeScores:
         with pytest.raises(ValueError):
             S.normalize_scores([1.0], 0.0)
 
+    def test_overflowing_total_rejected(self):
+        with pytest.raises(ValueError):
+            S.normalize_scores([1.7e308, 1.7e308], 1e-8)
+
+
+_epsilon = st.floats(min_value=1e-12, max_value=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=1, max_value=50), eps=_epsilon)
+def test_all_zero_scores_give_uniform_probabilities(n, eps):
+    probs = S.normalize_scores(np.zeros(n), eps)
+    assert np.all(probs == probs[0])
+    assert probs.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponents=st.lists(st.floats(min_value=-150.0, max_value=150.0),
+                          min_size=2, max_size=50),
+       eps=_epsilon)
+def test_dynamic_range_1e300_keeps_probabilities_positive(exponents, eps):
+    # the smallest and largest scores lie 1e300 apart
+    scores = 10.0 ** np.array([-150.0, 150.0] + exponents)
+    probs = S.normalize_scores(scores, eps)
+    assert np.all(probs > 0)
+    assert probs.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_target_weights_are_unbiased_for_the_class_reweighted_mean(data):
+    """sum_i p_i w_i g_i = sum_k (c_k / m) mean_{i: y_i = k} g_i for the
+    weights a target-mode step applies, under any positive p."""
+    k = data.draw(st.integers(min_value=2, max_value=4), label="k")
+    y = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=k,
+                                    max_size=30).filter(
+        lambda ys: len(set(ys)) == k), label="labels"))
+    counts = np.array(data.draw(st.lists(st.integers(0, 20), min_size=k,
+                                         max_size=k).filter(any),
+                                label="target counts"))
+    m = int(counts.sum())
+    n = y.size
+    scores = np.array(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e3), min_size=n, max_size=n),
+        label="scores"))
+    probs = S.normalize_scores(scores, data.draw(_epsilon, label="eps"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    g = rng.standard_normal((n, 3))
+    prob = P.Problem(np.zeros((n, 1)), y, P.MULTICLASS_LOGISTIC,
+                     num_classes=k)
+    cfg = O.OptimizerConfig(method="dasgrad", weight_mode="target",
+                            target_label_counts=counts, target_m=m)
+    w = O._weights_for(prob, np.arange(n), probs, cfg)
+    lhs = (probs[:, None] * w[:, None] * g).sum(axis=0)
+    rhs = sum(counts[c] / m * g[y == c].mean(axis=0) for c in range(k))
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
+
 
 class TestWeights:
     def test_uniform_is_unweighted(self):
@@ -305,8 +366,8 @@ class TestWeights:
 
 
 def small_centroid(points):
-    return P.Problem([P.Example(np.asarray(x, dtype=float), 0)
-                      for x in points], P.CENTROID)
+    X = np.asarray(points, dtype=float)
+    return P.Problem(X, np.zeros(len(X), dtype=np.int64), P.CENTROID)
 
 
 class TestScores:
@@ -324,10 +385,9 @@ class TestScores:
         rng = np.random.default_rng(7)
         for kind in (P.BINARY_LOGISTIC, P.MULTICLASS_LOGISTIC):
             k = 4
-            ex = [P.Example(rng.standard_normal(5),
-                            int(rng.integers(0, 2 if kind == P.BINARY_LOGISTIC else k)))
-                  for _ in range(12)]
-            prob = P.Problem(ex, kind, l2_lambda=0.07,
+            X, y = H._gaussian_rows(rng, 12, 5,
+                                 2 if kind == P.BINARY_LOGISTIC else k)
+            prob = P.Problem(X, y, kind, l2_lambda=0.07,
                              num_classes=None if kind == P.BINARY_LOGISTIC else k)
             theta = rng.standard_normal(prob.param_dim)
             scores = S.scores_apsgd(prob, theta)
@@ -360,9 +420,8 @@ class TestScores:
     def test_dasgrad_matches_direct_recomputation(self):
         rng = np.random.default_rng(10)
         k = 3
-        ex = [P.Example(rng.standard_normal(4), int(rng.integers(0, k)))
-              for _ in range(9)]
-        prob = P.Problem(ex, P.MULTICLASS_LOGISTIC, l2_lambda=0.05,
+        prob = P.Problem(*H._gaussian_rows(rng, 9, 4, k), P.MULTICLASS_LOGISTIC,
+                         l2_lambda=0.05,
                          num_classes=k)
         theta = rng.standard_normal(prob.param_dim)
         m_prev = rng.standard_normal(prob.param_dim)
@@ -382,16 +441,16 @@ class TestScores:
     def test_dasgrad_sparse_matches_direct_recomputation(self):
         rng = np.random.default_rng(11)
         d = 15
-        ex = []
+        rows, labels = [], []
         for _ in range(10):
             row = rng.standard_normal(d) * (rng.random(d) < 0.4)
-            nz = np.flatnonzero(row)
-            if nz.size == 0:
+            if not row.any():
                 row[0] = 1.0
-                nz = np.array([0])
-            ex.append(P.Example(P.SparseVector(nz, row[nz]),
-                                int(rng.integers(0, 2))))
-        prob = P.Problem(ex, P.BINARY_LOGISTIC, l2_lambda=0.03, d=d)
+            rows.append(row)
+            labels.append(int(rng.integers(0, 2)))
+        prob = P.Problem(sparse.csr_matrix(np.array(rows)), labels,
+                         P.BINARY_LOGISTIC, l2_lambda=0.03)
+        assert prob.is_sparse
         theta = rng.standard_normal(d)
         m_prev = rng.standard_normal(d)
         v_hat = rng.random(d)

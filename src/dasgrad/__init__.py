@@ -17,6 +17,7 @@ from .problems import (
     finite_difference_check,
     full_gradient,
     full_objective,
+    objective_and_gradient,
 )
 from .sampling import (
     SamplingTree,

@@ -67,6 +67,9 @@ def main(argv=None):
             parser.error("bad config: %s" % exc)
         results = _harness.run_experiment(config)
         print("experiment written to %s" % config.output_dir)
+        if results.skipped:
+            print("fewer than two completed seeds, not written: %s"
+                  % ", ".join(results.skipped), file=sys.stderr)
         if results.failures:
             print("%d run(s) failed, see failures.csv: %s"
                   % (len(results.failures),
@@ -83,10 +86,13 @@ def main(argv=None):
             parser.error("--sigmas expects comma-separated numbers")
         if not sigmas:
             parser.error("--sigmas expects at least one value")
-        _harness.sweep_variance(
-            sigmas, seeds=range(args.seeds), output_dir=args.out,
-            n=args.n, d=args.d, T=args.T, alpha=args.alpha,
-            batch_size=args.batch_size)
+        try:
+            _harness.sweep_variance(
+                sigmas, seeds=range(args.seeds), output_dir=args.out,
+                n=args.n, d=args.d, T=args.T, alpha=args.alpha,
+                batch_size=args.batch_size)
+        except ValueError as exc:
+            parser.error(str(exc))
         print("sweep written to %s" % args.out)
         return 0
 
@@ -96,8 +102,11 @@ def main(argv=None):
             overrides["T"] = args.T
         if args.keep_fraction is not None:
             overrides["keep_fraction"] = args.keep_fraction
-        _, (gap, gap_lo, gap_hi) = _harness.matching_experiment(
-            seeds=range(args.seeds), output_dir=args.out, **overrides)
+        try:
+            _, (gap, gap_lo, gap_hi) = _harness.matching_experiment(
+                seeds=range(args.seeds), output_dir=args.out, **overrides)
+        except ValueError as exc:
+            parser.error(str(exc))
         print("balanced-accuracy gap %.4f (95%% CI [%.4f, %.4f])"
               % (gap, gap_lo, gap_hi))
         print("matching results written to %s" % args.out)

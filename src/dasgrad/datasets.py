@@ -72,11 +72,13 @@ class Example:
     label: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix X (dense float64 ndarray or CSR, one row per example),
     int64 labels y, the class count, and a provenance string (file path or
-    synthesis recipe)."""
+    synthesis recipe). Equality is identity and the hash is the object's
+    id, as array fields have no single truth value; compare X and y to test
+    two datasets for equal contents."""
 
     X: np.ndarray | sparse.csr_matrix
     y: np.ndarray

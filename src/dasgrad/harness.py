@@ -253,11 +253,13 @@ def _write_aggregate_csv(path, steps, named_aggregates):
 class ExperimentResults(dict):
     """Run results keyed (name, seed). A diverged run has no entry;
     ``failures`` lists it as (name, seed, step, message), as written to
-    failures.csv."""
+    failures.csv. ``skipped`` names the aggregate and comparison files not
+    written because fewer than two seeds completed."""
 
     def __init__(self):
         super().__init__()
         self.failures = []
+        self.skipped = []
 
 
 def run_experiment(config):
@@ -298,6 +300,7 @@ def run_experiment(config):
         seed_results = [results[(name, s)] for s in config.seeds
                         if (name, s) in results]
         if len(seed_results) < 2:
+            results.skipped.append("aggregate_%s.csv" % name)
             continue
         steps = seed_results[0].ticks
         loss_agg = _metrics.aggregate_runs([r.loss for r in seed_results], steps)
@@ -316,6 +319,8 @@ def run_experiment(config):
 
     if "dasgrad" in per_opt and len(per_opt) > 1:
         _write_comparison_csv(os.path.join(out, "comparison.csv"), per_opt)
+    elif "dasgrad" in config.optimizers and len(config.optimizers) > 1:
+        results.skipped.append("comparison.csv")
 
     if failures:
         with open(failures_path, "w") as fh:
@@ -415,7 +420,9 @@ def sweep_variance(sigmas, seeds, output_dir, n=None, d=None, T=None,
     """Centroid variance sweep: for each sigma, run the listed methods over
     the given seeds, write one aggregate CSV of cumulative regret per sigma
     plus a summary CSV of final-regret gaps (first method minus dasgrad,
-    paired CI). Returns {sigma: {method: [RunResult per seed]}}."""
+    paired CI). Raises ValueError before any run when given fewer than two
+    seeds. Returns {sigma: {method: [RunResult per seed]}}."""
+    seeds = _at_least_two_seeds(seeds)
     p = dict(SWEEP_DEFAULTS)
     for key, val in dict(n=n, d=d, T=T, alpha=alpha, batch_size=batch_size,
                          metric_tick=metric_tick, data_seed=data_seed).items():
@@ -469,6 +476,14 @@ def sweep_variance(sigmas, seeds, output_dir, n=None, d=None, T=None,
     return all_results
 
 
+def _at_least_two_seeds(seeds):
+    """The seeds as a tuple; the protocols' paired CIs need two of them."""
+    seeds = tuple(seeds)
+    if len(seeds) < 2:
+        raise ValueError("need at least two seeds, got %d" % len(seeds))
+    return seeds
+
+
 def _sigma_tag(sigma):
     return ("%g" % sigma).replace(".", "p")
 
@@ -485,7 +500,9 @@ def matching_experiment(seeds, output_dir, **overrides):
     multiclass problem, train DASGrad with target-distribution importance
     weights against a uniform-sampling AMSGrad baseline, and compare
     balanced-test accuracy. Writes per-seed traces and a summary CSV with
-    the paired CI of the final accuracy gap."""
+    the paired CI of the final accuracy gap. Raises ValueError before any
+    run when given fewer than two seeds."""
+    seeds = _at_least_two_seeds(seeds)
     p = dict(MATCHING_DEFAULTS)
     p.update(overrides)
     os.makedirs(output_dir, exist_ok=True)

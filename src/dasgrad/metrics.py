@@ -46,16 +46,17 @@ class AggregateTrace:
 
 def backtracking_gradient_descent(problem, tol, max_iters, theta0=None):
     """Full-batch gradient descent with halving line search (Armijo
-    constant 1e-4) until ||grad||_2 <= tol or the iteration cap. Returns
-    (best_theta, best_f, iterations, converged)."""
+    constant 1e-4) until ||grad||_2 <= tol or the iteration cap. Each trial
+    point costs one ``problems.objective_and_gradient`` call, one pass over
+    X; the accepted trial's objective and gradient carry into the next
+    iteration. Returns (best_theta, best_f, iterations, converged)."""
     theta = np.zeros(problem.param_dim) if theta0 is None \
         else np.array(theta0, dtype=np.float64)
-    f = _problems.full_objective(problem, theta)
+    f, g = _problems.objective_and_gradient(problem, theta)
     best_theta, best_f = theta, f
     iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):
-        g = _problems.full_gradient(problem, theta)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             converged = True
@@ -66,12 +67,16 @@ def backtracking_gradient_descent(problem, tol, max_iters, theta0=None):
         step = 1.0
         gsq = gnorm * gnorm
         while step > 1e-20:
-            f_cand = _problems.full_objective(problem, theta - step * g)
-            if f_cand <= f - 1e-4 * step * gsq:
+            trial = theta - step * g
+            f_trial, g_trial = _problems.objective_and_gradient(problem, trial)
+            if f_trial <= f - 1e-4 * step * gsq:
                 break
             step *= 0.5
-        theta = theta - step * g
-        f = _problems.full_objective(problem, theta)
+        else:
+            # the step underflowed without an acceptance: this point is new
+            trial = theta - step * g
+            f_trial, g_trial = _problems.objective_and_gradient(problem, trial)
+        theta, f, g = trial, f_trial, g_trial
         if f < best_f:
             best_theta, best_f = theta, f
     return best_theta, best_f, iterations, converged
@@ -85,9 +90,8 @@ def solve_reference(problem, tol=1e-8, max_iters=5000):
         raise ValueError("tol must be positive")
     if problem.kind == _problems.CENTROID:
         theta = problem.feature_mean()
-        g = _problems.full_gradient(problem, theta)
-        return ReferenceSolution(theta_star=theta,
-                                 f_star=_problems.full_objective(problem, theta),
+        f, g = _problems.objective_and_gradient(problem, theta)
+        return ReferenceSolution(theta_star=theta, f_star=f,
                                  grad_norm_at_star=float(np.linalg.norm(g)),
                                  solver_iterations=0, converged=True)
     theta, f, iterations, converged = backtracking_gradient_descent(

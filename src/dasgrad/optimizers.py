@@ -303,8 +303,11 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
                                       rng, config, t)
         all_indices[t - 1] = indices
         if t % metric_tick == 0:
-            loss = _problems.full_objective(problem, theta)
-            gvar = _metrics.gradient_norm_variance(problem, theta)
+            # a diverging run is reported by DivergenceError, not warnings;
+            # only the tick, as ufuncs run slower under a non-default errstate
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = _problems.full_objective(problem, theta)
+                gvar = _metrics.gradient_norm_variance(problem, theta)
             if not (math.isfinite(loss) and math.isfinite(gvar)):
                 raise DivergenceError(t, "nonfinite loss")
             ticks.append(t)

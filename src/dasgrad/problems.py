@@ -4,7 +4,10 @@ gradients, full-batch oracles, and a finite-difference gradient checker.
 ``residuals`` and ``gradients`` are the one gradient oracle: the batch
 gradients of a step, the per-example and full gradients and the sampling
 scores all come from them. ``losses`` is computed separately and serves as
-the reference the gradients are checked against.
+the reference the gradients are checked against. ``objective_and_gradient``
+returns the full objective and the full gradient together from one pass
+over X (one margin product, and for softmax one exp pass, shared by both);
+the reference solve calls it once per line-search trial.
 
 Three problem kinds are supported:
 
@@ -136,17 +139,33 @@ def _gather(problem, rows):
     return _dense(problem.X[rows]), problem.y[rows]
 
 
-def _residuals(problem, theta, X, y):
+def _logistic_terms(problem, theta, X, y, want_loss=False,
+                    want_residuals=False):
+    """(L, R): per-example data losses and residuals of the logistic kinds
+    from one margin product (and, for softmax, one exp pass); each is None
+    unless asked for. The sigmoid and softmax loss and residual formulas are
+    written only here."""
+    L = R = None
     if problem.kind == BINARY_LOGISTIC:
         s = 2.0 * y - 1.0
-        z = np.asarray(X @ theta).ravel()
-        return -s * expit(-s * z)
+        m = -s * np.asarray(X @ theta).ravel()
+        if want_loss:
+            L = np.logaddexp(0.0, m)
+        if want_residuals:
+            R = -s * expit(m)
+        return L, R
     Z = np.asarray(X @ problem.weights_view(theta).T)
     # max-shift keeps exp() in range for any magnitude of scores
-    P = np.exp(Z - Z.max(axis=1, keepdims=True))
-    P /= P.sum(axis=1, keepdims=True)
-    P[np.arange(len(y)), y] -= 1.0
-    return P
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    E = np.exp(shifted)
+    row_sums = E.sum(axis=1)
+    if want_loss:
+        L = np.log(row_sums) - shifted[np.arange(len(y)), y]
+    if want_residuals:
+        R = E
+        R /= row_sums[:, None]
+        R[np.arange(len(y)), y] -= 1.0
+    return L, R
 
 
 def residuals(problem, theta, rows=None):
@@ -158,7 +177,8 @@ def residuals(problem, theta, rows=None):
     if problem.kind == CENTROID:
         raise ValueError("residuals are defined for the logistic kinds")
     theta = _check_theta(problem, theta)
-    return _residuals(problem, theta, *_gather(problem, rows))
+    return _logistic_terms(problem, theta, *_gather(problem, rows),
+                           want_residuals=True)[1]
 
 
 def gradients(problem, theta, rows):
@@ -168,7 +188,7 @@ def gradients(problem, theta, rows):
     X, y = _gather(problem, rows)
     if problem.kind == CENTROID:
         return theta[None, :] - X
-    r = _residuals(problem, theta, X, y)
+    r = _logistic_terms(problem, theta, X, y, want_residuals=True)[1]
     lam = problem.l2_lambda
     if problem.kind == BINARY_LOGISTIC:
         return r[:, None] * X + lam * theta[None, :]
@@ -185,13 +205,7 @@ def losses(problem, theta, rows=None):
     if problem.kind == CENTROID:
         diff = theta[None, :] - _dense(X)
         return 0.5 * (diff * diff).sum(axis=1)
-    if problem.kind == BINARY_LOGISTIC:
-        s = 2.0 * y - 1.0
-        return np.logaddexp(0.0, -s * np.asarray(X @ theta).ravel())
-    Z = np.asarray(X @ problem.weights_view(theta).T)
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    return lse - shifted[np.arange(len(y)), y]
+    return _logistic_terms(problem, theta, X, y, want_loss=True)[0]
 
 
 def example_loss(problem, i, theta):
@@ -217,21 +231,36 @@ def full_objective(problem, theta):
     if problem.kind == CENTROID:
         diff = theta[None, :] - _dense(problem.X)
         return 0.5 * float((diff * diff).sum()) / problem.n
-    data = losses(problem, theta).mean()
-    return float(data) + 0.5 * problem.l2_lambda * float(theta @ theta)
+    return _mean_objective(problem, theta, losses(problem, theta))
 
 
 def full_gradient(problem, theta):
-    """Gradient of the mean loss, (1/n) sum_i grad f_i(theta)."""
+    """Gradient of the mean loss, (1/n) sum_i grad f_i(theta): the gradient
+    half of ``objective_and_gradient``."""
+    return objective_and_gradient(problem, theta)[1]
+
+
+def objective_and_gradient(problem, theta):
+    """(full_objective, full_gradient) at theta from one pass over X: the
+    logistic kinds form the margins (and the softmax exponentials) once for
+    both, and the objective is bit-identical to ``full_objective``."""
     theta = _check_theta(problem, theta)
     if problem.kind == CENTROID:
-        return theta - problem.feature_mean()
-    R = residuals(problem, theta)
+        return full_objective(problem, theta), theta - problem.feature_mean()
+    L, R = _logistic_terms(problem, theta, problem.X, problem.y,
+                           want_loss=True, want_residuals=True)
     lam = problem.l2_lambda
     if problem.kind == BINARY_LOGISTIC:
-        return np.asarray(problem.X.T @ R).ravel() / problem.n + lam * theta
-    G = np.asarray(R.T @ problem.X) / problem.n
-    return (G + lam * problem.weights_view(theta)).ravel()
+        g = np.asarray(problem.X.T @ R).ravel() / problem.n + lam * theta
+    else:
+        G = np.asarray(R.T @ problem.X) / problem.n
+        g = (G + lam * problem.weights_view(theta)).ravel()
+    return _mean_objective(problem, theta, L), g
+
+
+def _mean_objective(problem, theta, L):
+    """Mean of the per-example data losses L plus the regularizer."""
+    return float(L.mean()) + 0.5 * problem.l2_lambda * float(theta @ theta)
 
 
 def finite_difference_check(problem, theta, h=1e-6):

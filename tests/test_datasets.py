@@ -135,6 +135,13 @@ class TestSynthCentroid:
         b = D.synth_centroid(50, 4, 2.0, seed=3)
         assert np.array_equal(a.X, b.X)
 
+    def test_equality_is_identity(self):
+        a = D.synth_centroid(3, 2, 1.0, 0)
+        b = D.synth_centroid(3, 2, 1.0, 0)
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
+
     def test_box_muller_moments(self):
         rng = np.random.default_rng(4)
         z = D.box_muller(rng, 200_000)

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,26 @@ batch_size = 2
         assert all(np.isfinite(float(v)) for r in rows
                    for v in r.split(",")[2:] if v)
 
+    def test_diverging_runs_raise_no_numpy_warnings(self, tmp_path):
+        data = tmp_path / "partial.csv"
+        data.write_text(PARTIAL_DIVERGENCE_DATA)
+        cfg = H.parse_config_text(PARTIAL_DIVERGENCE_CONFIG.format(
+            out=tmp_path / "partial", data=data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = H.run_experiment(cfg)
+        assert len(results.failures) == 5
+
+    def test_one_seed_skips_aggregates_and_comparison(self, tmp_path):
+        out = tmp_path / "one"
+        cfg = H.parse_config_text(TINY_CONFIG.format(out=out).replace(
+            "seeds = 0,1,2", "seeds = 4"))
+        results = H.run_experiment(cfg)
+        assert results.skipped == ["aggregate_amsgrad.csv",
+                                   "aggregate_dasgrad.csv", "comparison.csv"]
+        assert sorted(os.listdir(out)) == [
+            "metadata.txt", "trace_amsgrad_4.csv", "trace_dasgrad_4.csv"]
+
     def test_comparison_pairs_runs_by_seed(self, tmp_path, monkeypatch):
         diverge_on(monkeypatch, {("dasgrad", 0)})
         out = tmp_path / "paired"
@@ -387,6 +408,25 @@ class TestSweepAndMatching:
         assert (out / "matching_trace_dasgrad_target_0.csv").exists()
 
 
+    def test_sweep_rejects_one_seed_before_any_run(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="two seeds"):
+            H.sweep_variance([1.0], seeds=range(1), output_dir=str(out),
+                             n=10, d=2, T=5)
+        assert not out.exists()
+
+    def test_matching_rejects_one_seed_before_any_run(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "match"
+        with pytest.raises(ValueError, match="two seeds"):
+            H.matching_experiment(seeds=[3], output_dir=str(out),
+                                  n_train=60, n_eval=40, d=5, T=5)
+        assert not out.exists()
+
+
 class TestSelfCheckAndCli:
     def test_self_check_passes(self, capsys):
         assert H.self_check(verbose=True)
@@ -424,6 +464,30 @@ class TestSelfCheckAndCli:
         assert C.main(["run", "--config", str(cfg_path)]) == 0
         # and failures.csv describes only the latest call
         assert not (out / "failures.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sweep-variance", "--sigmas", "1", "--n", "10", "--d", "2"],
+        ["matching"]])
+    def test_cli_protocol_with_one_seed_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "one"
+        with pytest.raises(SystemExit) as err:
+            C.main(command + ["--seeds", "1", "--T", "5", "--out", str(out)])
+        assert err.value.code == 2
+        assert "two seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_run_one_seed_names_skipped_files(self, tmp_path, capsys):
+        cfg_path = tmp_path / "one.cfg"
+        cfg_path.write_text(TINY_CONFIG.format(out=tmp_path / "one").replace(
+            "seeds = 0,1,2", "seeds = 0"))
+        assert C.main(["run", "--config", str(cfg_path)]) == 0
+        err = capsys.readouterr().err
+        for name in ("aggregate_amsgrad.csv", "aggregate_dasgrad.csv",
+                     "comparison.csv"):
+            assert name in err
+        assert (tmp_path / "one" / "trace_dasgrad_0.csv").exists()
 
     def test_cli_run_and_sweep(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

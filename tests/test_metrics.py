@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from dasgrad import harness as H
 from dasgrad import metrics as M
@@ -51,6 +52,137 @@ class TestSolveReference:
         ref = M.solve_reference(prob, tol=1e-14, max_iters=3)
         assert not ref.converged
         assert ref.solver_iterations == 3
+
+
+def three_pass_descent(problem, tol, max_iters):
+    """The solver as it was before ``objective_and_gradient``: one
+    full_gradient pass and two full_objective passes (the trial, then the
+    accepted point again) per iteration. Oracle for the rewrite."""
+    theta = np.zeros(problem.param_dim)
+    f = P.full_objective(problem, theta)
+    best_theta, best_f = theta, f
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        g = P.full_gradient(problem, theta)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= tol:
+            converged = True
+            iterations -= 1
+            best_theta, best_f = theta, f
+            break
+        step = 1.0
+        gsq = gnorm * gnorm
+        while step > 1e-20:
+            f_cand = P.full_objective(problem, theta - step * g)
+            if f_cand <= f - 1e-4 * step * gsq:
+                break
+            step *= 0.5
+        theta = theta - step * g
+        f = P.full_objective(problem, theta)
+        if f < best_f:
+            best_theta, best_f = theta, f
+    return best_theta, best_f, iterations, converged
+
+
+def solver_problem(kind, storage, scale=1.0, seed=20):
+    """A 60-row problem of the given kind with features scaled by
+    ``scale``, stored dense or CSR (rows kept about half zeros)."""
+    rng = np.random.default_rng(seed)
+    k = {P.CENTROID: 1, P.BINARY_LOGISTIC: 2}.get(kind, 3)
+    X, y = H._gaussian_rows(rng, 60, 5, k)
+    X = scale * X * (rng.random(X.shape) < 0.5)
+    if storage == "csr":
+        X = sparse.csr_matrix(X)
+    return P.Problem(X, y, kind, l2_lambda=0.0 if kind == P.CENTROID else 0.05)
+
+
+def log_oracle_calls(monkeypatch):
+    """Patch the full-batch oracles of ``problems`` to log, in order, the
+    name of each call not made from inside another of them."""
+    log = []
+    depth = [0]
+    for name in ("full_objective", "full_gradient", "objective_and_gradient"):
+        def logged(*args, _fn=getattr(P, name), _name=name):
+            if depth[0] == 0:
+                log.append(_name)
+            depth[0] += 1
+            try:
+                return _fn(*args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(P, name, logged)
+    return log
+
+
+# (kind, storage, feature scale, tol, max_iters, branch): converging runs of
+# every kind and storage; two that hit the iteration cap, one of them with
+# tol = 0, stalled at rounding level where trials are accepted and rejected
+# by rounding noise; two whose scaled features reject step 1.0 so the search
+# halves; and features of size 1e160, whose squared gradient norm overflows
+# to inf, so that no trial passes the Armijo test and every search underflows
+# past step 1e-20 (the overflow warnings of that case are silenced)
+SOLVER_CASES = [(kind, storage, 1.0, 1e-8, 500, "converge")
+                for kind in P.KINDS for storage in ("dense", "csr")] + [
+    (P.MULTICLASS_LOGISTIC, "dense", 1.0, 1e-14, 5, "cap"),
+    (P.BINARY_LOGISTIC, "csr", 1.0, 0.0, 200, "cap"),
+    (P.BINARY_LOGISTIC, "dense", 30.0, 1e-8, 300, "halve"),
+    (P.MULTICLASS_LOGISTIC, "csr", 30.0, 1e-8, 300, "halve"),
+    (P.BINARY_LOGISTIC, "csr", 1e160, 1e-8, 3, "underflow"),
+    (P.MULTICLASS_LOGISTIC, "dense", 1e160, 1e-8, 3, "underflow"),
+]
+
+
+class TestBacktrackingSolver:
+    @pytest.mark.parametrize("kind,storage,scale,tol,max_iters,branch",
+                             SOLVER_CASES)
+    def test_bit_identical_to_three_pass_descent(self, kind, storage, scale,
+                                                 tol, max_iters, branch):
+        with np.errstate(over="ignore", invalid="ignore"):
+            prob = solver_problem(kind, storage, scale)
+            theta, f, iterations, converged = M.backtracking_gradient_descent(
+                prob, tol, max_iters)
+            theta_0, f_0, iterations_0, converged_0 = three_pass_descent(
+                prob, tol, max_iters)
+        assert np.array_equal(theta, theta_0)
+        assert f == f_0
+        assert iterations == iterations_0
+        assert converged == converged_0
+
+    @pytest.mark.parametrize("kind,storage,scale,tol,max_iters,branch",
+                             SOLVER_CASES)
+    def test_one_oracle_call_per_line_search_trial(self, kind, storage, scale,
+                                                   tol, max_iters, branch,
+                                                   monkeypatch):
+        log = log_oracle_calls(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            prob = solver_problem(kind, storage, scale)
+            _, _, iterations, converged = three_pass_descent(prob, tol,
+                                                             max_iters)
+        # after the first F, each iteration of the three-pass solver is one
+        # gradient pass, an F pass per trial point, and one more F pass at
+        # the point it accepted
+        passes = []
+        for name in log[1:]:
+            if name == "full_gradient":
+                passes.append(0)
+            else:
+                passes[-1] += 1
+        trials = [count - 1 for count in passes[:iterations]]
+        assert len(log) == (1 + iterations + converged + sum(trials)
+                            + iterations)
+        # a search that underflows tries steps 1 .. 2**-66 (67 trials) and
+        # ends at step 2**-67, a point it never tried
+        underflows = trials.count(67)
+        assert {"converge": converged, "cap": iterations == max_iters,
+                "halve": sum(trials) > iterations,
+                "underflow": underflows > 0}[branch]
+
+        log.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            M.backtracking_gradient_descent(prob, tol, max_iters)
+        assert log == ["objective_and_gradient"] * (1 + sum(trials)
+                                                    + underflows)
 
 
 class TestRegret:

@@ -152,6 +152,43 @@ class TestFullOracles:
                                        mean_grad, atol=1e-12)
 
 
+class TestObjectiveAndGradient:
+    @pytest.mark.parametrize("storage", sorted(STORAGES))
+    @pytest.mark.parametrize("kind", P.KINDS)
+    def test_objective_bit_identical_and_gradient_the_mean(self, kind,
+                                                           storage):
+        rng = np.random.default_rng(13)
+        prob = STORAGES[storage](random_problem(kind, rng, n=30, d=6))
+        for scale in (0.0, 1.0, 50.0):
+            theta = scale * rng.standard_normal(prob.param_dim)
+            f, g = P.objective_and_gradient(prob, theta)
+            assert f == P.full_objective(prob, theta)
+            np.testing.assert_allclose(
+                g, P.gradients(prob, theta, np.arange(prob.n)).mean(axis=0),
+                rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("storage", sorted(STORAGES))
+    @pytest.mark.parametrize("kind", P.KINDS)
+    def test_gradient_matches_central_differences(self, kind, storage):
+        rng = np.random.default_rng(14)
+        prob = STORAGES[storage](random_problem(kind, rng, n=8, d=4))
+        theta = rng.standard_normal(prob.param_dim)
+        _, g = P.objective_and_gradient(prob, theta)
+        h = 1e-6
+        for j in range(theta.size):
+            step = np.zeros_like(theta)
+            step[j] = h
+            num = (P.full_objective(prob, theta + step)
+                   - P.full_objective(prob, theta - step)) / (2 * h)
+            assert abs(num - g[j]) / max(1.0, abs(num), abs(g[j])) < 1e-5
+        assert P.finite_difference_check(prob, theta, h) < 1e-5
+
+    def test_rejects_wrong_theta_shape(self):
+        prob = centroid_problem([[0.0, 1.0]])
+        with pytest.raises(ValueError):
+            P.objective_and_gradient(prob, np.zeros(3))
+
+
 class TestFiniteDifferenceCheck:
     def test_centroid_exact(self):
         rng = np.random.default_rng(8)

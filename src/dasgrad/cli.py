@@ -18,6 +18,11 @@ import sys
 from . import harness as _harness
 
 
+def numbers(text):
+    """A comma-separated list of floats (the name shows in usage errors)."""
+    return [float(v) for v in text.split(",")]
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dasgrad",
@@ -28,27 +33,26 @@ def _build_parser():
     p_run.add_argument("--config", required=True,
                        help="path to a key = value experiment config")
 
+    # a protocol flag left unset keeps the protocol's default
     p_sweep = sub.add_parser(
-        "sweep-variance",
+        "sweep-variance", argument_default=argparse.SUPPRESS,
         help="centroid variance sweep across feature sigmas")
-    p_sweep.add_argument("--sigmas", default="0.1,1,10",
+    p_sweep.add_argument("--sigmas", type=numbers, default="0.1,1,10",
                          help="comma-separated feature sigmas")
     p_sweep.add_argument("--seeds", type=int, default=100,
                          help="number of trajectory seeds")
     p_sweep.add_argument("--out", default="sweep_out")
-    p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--d", type=int, default=None)
-    p_sweep.add_argument("--T", type=int, default=None)
-    p_sweep.add_argument("--alpha", type=float, default=None)
-    p_sweep.add_argument("--batch-size", type=int, default=None)
+    for flag, kind in (("--n", int), ("--d", int), ("--T", int),
+                       ("--alpha", float), ("--batch-size", int)):
+        p_sweep.add_argument(flag, type=kind)
 
     p_match = sub.add_parser(
-        "matching",
+        "matching", argument_default=argparse.SUPPRESS,
         help="distribution-matching run on an unbalanced synthetic problem")
     p_match.add_argument("--seeds", type=int, default=20)
     p_match.add_argument("--out", default="matching_out")
-    p_match.add_argument("--T", type=int, default=None)
-    p_match.add_argument("--keep-fraction", type=float, default=None)
+    p_match.add_argument("--T", type=int)
+    p_match.add_argument("--keep-fraction", type=float)
 
     sub.add_parser("check", help="run the built-in self-verification suite")
     return parser
@@ -58,6 +62,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
 
+    if args.command == "check":
+        return 0 if _harness.self_check(verbose=True) else 1
+
     if args.command == "run":
         try:
             config = _harness.load_config(args.config)
@@ -65,58 +72,33 @@ def main(argv=None):
             parser.error("config file not found: %s" % args.config)
         except ValueError as exc:
             parser.error("bad config: %s" % exc)
-        results = _harness.run_experiment(config)
-        print("experiment written to %s" % config.output_dir)
-        if results.skipped:
-            print("fewer than two completed seeds, not written: %s"
-                  % ", ".join(results.skipped), file=sys.stderr)
-        if results.failures:
-            print("%d run(s) failed, see failures.csv: %s"
-                  % (len(results.failures),
-                     ", ".join("%s/%d" % (name, seed)
-                               for name, seed, _, _ in results.failures)),
-                  file=sys.stderr)
-            return 1
-        return 0
-
-    if args.command == "sweep-variance":
+        results, out = _harness.run_experiment(config), config.output_dir
+    else:
+        settings = vars(args)
+        command, seeds, out = (settings.pop(key)
+                               for key in ("command", "seeds", "out"))
         try:
-            sigmas = [float(s) for s in args.sigmas.split(",") if s]
-        except ValueError:
-            parser.error("--sigmas expects comma-separated numbers")
-        if not sigmas:
-            parser.error("--sigmas expects at least one value")
-        try:
-            _harness.sweep_variance(
-                sigmas, seeds=range(args.seeds), output_dir=args.out,
-                n=args.n, d=args.d, T=args.T, alpha=args.alpha,
-                batch_size=args.batch_size)
+            if command == "sweep-variance":
+                results = _harness.sweep_variance(
+                    settings.pop("sigmas"), range(seeds), out, **settings)
+            else:
+                results, gap = _harness.matching_experiment(
+                    range(seeds), out, **settings)
+                if gap is not None:
+                    print("balanced-accuracy gap %.4f (95%% CI [%.4f, %.4f])"
+                          % gap)
         except ValueError as exc:
             parser.error(str(exc))
-        print("sweep written to %s" % args.out)
-        return 0
-
-    if args.command == "matching":
-        overrides = {}
-        if args.T is not None:
-            overrides["T"] = args.T
-        if args.keep_fraction is not None:
-            overrides["keep_fraction"] = args.keep_fraction
-        try:
-            _, (gap, gap_lo, gap_hi) = _harness.matching_experiment(
-                seeds=range(args.seeds), output_dir=args.out, **overrides)
-        except ValueError as exc:
-            parser.error(str(exc))
-        print("balanced-accuracy gap %.4f (95%% CI [%.4f, %.4f])"
-              % (gap, gap_lo, gap_hi))
-        print("matching results written to %s" % args.out)
-        return 0
-
-    if args.command == "check":
-        return 0 if _harness.self_check(verbose=True) else 1
-
-    parser.error("unknown command")
-    return 2
+    print("results written to %s" % out)
+    if results.skipped:
+        print("fewer than two completed or paired seeds, not written: %s"
+              % ", ".join(results.skipped), file=sys.stderr)
+    failed = ["%s/%d" % failure[:2] for failure in results.failures]
+    if failed:
+        print("%d run(s) failed, see failures.csv: %s"
+              % (len(failed), ", ".join(failed)), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -81,10 +81,32 @@ class ExperimentConfig:
     reference_max_iters: int = 2000
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        _check_run_settings(self.T, self.metric_tick, self.seeds, 1)
         if not self.optimizers:
             raise ValueError("need at least one optimizer")
+        if not self.reference_tol > 0:
+            raise ValueError("reference_tol must be positive")
+        if self.reference_max_iters < 1:
+            raise ValueError("reference_max_iters must be at least 1")
+
+
+def _check_run_settings(T, metric_tick, seeds, min_seeds):
+    """The seeds as a tuple. Rejects too few seeds, a repeated one (it would
+    count one run twice) and a tick outside [1, T] (no trace rows)."""
+    seeds = tuple(seeds)
+    if len(seeds) < min_seeds:
+        raise ValueError("need at least %s, got %d"
+                         % (("one seed", "two seeds")[min_seeds - 1],
+                            len(seeds)))
+    if len(set(seeds)) < len(seeds):
+        raise ValueError("seeds must not repeat, got %s"
+                         % ",".join(str(s) for s in seeds))
+    if T < 1:
+        raise ValueError("T must be at least 1, got %d" % T)
+    if not 1 <= metric_tick <= T:
+        raise ValueError("metric_tick must lie in [1, T=%d], got %d"
+                         % (T, metric_tick))
+    return seeds
 
 
 def convex_preset(method, **overrides):
@@ -231,35 +253,75 @@ def read_trace_csv(path):
 
 def _write_aggregate_csv(path, steps, named_aggregates):
     """named_aggregates: list of (metric_name, AggregateTrace or None)."""
-    header = ["step"]
-    for name, agg in named_aggregates:
-        header += ["%s_mean" % name, "%s_ci_low" % name, "%s_ci_high" % name]
+    header = ["step"] + ["%s_%s" % (name, col) for name, _ in named_aggregates
+                         for col in ("mean", "ci_low", "ci_high")]
     header.append("n_seeds")
     n_seeds = next(agg.n_seeds for _, agg in named_aggregates if agg is not None)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row, step in enumerate(steps):
             fields = [str(int(step))]
-            for name, agg in named_aggregates:
-                if agg is None:
-                    fields += ["", "", ""]
-                else:
-                    fields += [_fmt(agg.mean[row]), _fmt(agg.ci_low[row]),
-                               _fmt(agg.ci_high[row])]
+            for _, agg in named_aggregates:
+                fields += ["", "", ""] if agg is None else [
+                    _fmt(agg.mean[row]), _fmt(agg.ci_low[row]),
+                    _fmt(agg.ci_high[row])]
             fields.append(str(n_seeds))
             fh.write(",".join(fields) + "\n")
 
 
 class ExperimentResults(dict):
-    """Run results keyed (name, seed). A diverged run has no entry;
-    ``failures`` lists it as (name, seed, step, message), as written to
-    failures.csv. ``skipped`` names the aggregate and comparison files not
-    written because fewer than two seeds completed."""
+    """Results of one protocol call; the runner keys completed runs (arm,
+    seed). A diverged run has no entry: ``failures`` lists it as (arm, seed,
+    step, message), as in failures.csv. ``skipped`` names the outputs left
+    out because fewer than two seeds completed or paired."""
 
-    def __init__(self):
-        super().__init__()
-        self.failures = []
+    def __init__(self, items=(), failures=()):
+        super().__init__(items)
+        self.failures = list(failures)
         self.skipped = []
+
+    def runs(self, name):
+        """The completed runs of arm ``name``, in seed order."""
+        return [run for (arm, _), run in self.items() if arm == name]
+
+    def paired(self, *names, value=lambda run: run):
+        """One list per arm in ``names`` of ``value(run)`` over the seeds
+        every one of those arms completed, in seed order."""
+        seeds = [run.seed for run in self.runs(names[0])
+                 if all((name, run.seed) in self for name in names)]
+        return [[value(self[name, seed]) for seed in seeds]
+                for name in names]
+
+
+def _run_arms(arms, seeds, T, metric_tick, out, eval_set=None):
+    """Run every (arm, seed) of ``arms``, name -> (problem, OptimizerConfig),
+    in order. A diverged run is recorded in ``failures``, never raised;
+    out/failures.csv lists this call's failures and exists only if any."""
+    failures_path = os.path.join(out, "failures.csv")
+    if os.path.exists(failures_path):
+        os.remove(failures_path)
+    results = ExperimentResults()
+    for name, (problem, config) in arms.items():
+        for seed in seeds:
+            try:
+                results[name, seed] = _optimizers.run(
+                    problem, config, T, seed, metric_tick=metric_tick,
+                    eval_set=eval_set)
+            except _optimizers.DivergenceError as exc:
+                results.failures.append((name, seed, exc.step, str(exc)))
+    if results.failures:
+        with open(failures_path, "w") as fh:
+            fh.write("optimizer,seed,step,message\n")
+            for name, seed, step, message in results.failures:
+                fh.write("%s,%d,%d,%s\n" % (name, seed, step, message))
+    return results
+
+
+def _cum_regret(runs, f_star):
+    """Per-run cumulative regret and its across-seed aggregate."""
+    cums = [_metrics.regret_ledger(r.ticks, r.loss, f_star).cumulative
+            for r in runs]
+    return cums, _metrics.aggregate_runs(cums, runs[0].ticks)
 
 
 def run_experiment(config):
@@ -269,117 +331,77 @@ def run_experiment(config):
     dataset, problem = config.problem.build()
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    # failures.csv describes this call only
-    failures_path = os.path.join(out, "failures.csv")
-    if os.path.exists(failures_path):
-        os.remove(failures_path)
+    # the centroid solve is closed-form and ignores tol and max_iters
+    reference = _metrics.solve_reference(problem, config.reference_tol,
+                                         config.reference_max_iters)
+    names = sorted(config.optimizers)
+    results = _run_arms({n: (problem, config.optimizers[n]) for n in names},
+                        config.seeds, config.T, config.metric_tick, out)
+    for key, run in results.items():
+        write_trace_csv(os.path.join(out, "trace_%s_%d.csv" % key), run,
+                        reference.f_star)
 
-    if problem.kind == _problems.CENTROID:
-        reference = _metrics.solve_reference(problem)
-    else:
-        reference = _metrics.solve_reference(
-            problem, tol=config.reference_tol,
-            max_iters=config.reference_max_iters)
-
-    results = ExperimentResults()
-    failures = results.failures
-    for name, opt in sorted(config.optimizers.items()):
-        for seed in config.seeds:
-            try:
-                result = _optimizers.run(problem, opt, config.T, seed,
-                                         metric_tick=config.metric_tick)
-            except _optimizers.DivergenceError as exc:
-                failures.append((name, seed, exc.step, str(exc)))
-                continue
-            results[(name, seed)] = result
-            write_trace_csv(os.path.join(out, "trace_%s_%d.csv" % (name, seed)),
-                            result, reference.f_star)
-
-    per_opt = {}
-    for name in sorted(config.optimizers):
-        seed_results = [results[(name, s)] for s in config.seeds
-                        if (name, s) in results]
-        if len(seed_results) < 2:
+    aggregated = []
+    for name in names:
+        runs = results.runs(name)
+        if len(runs) < 2:
             results.skipped.append("aggregate_%s.csv" % name)
             continue
-        steps = seed_results[0].ticks
-        loss_agg = _metrics.aggregate_runs([r.loss for r in seed_results], steps)
-        cum_agg = _metrics.aggregate_runs(
-            [_metrics.regret_ledger(r.ticks, r.loss, reference.f_star).cumulative
-             for r in seed_results], steps)
-        acc_agg = None
-        if seed_results[0].accuracy is not None:
-            acc_agg = _metrics.aggregate_runs(
-                [r.accuracy for r in seed_results], steps)
-        per_opt[name] = (steps, loss_agg, acc_agg, cum_agg, seed_results)
+        aggregated.append(name)
+        steps = runs[0].ticks
+        acc_agg = None if runs[0].accuracy is None else \
+            _metrics.aggregate_runs([r.accuracy for r in runs], steps)
         _write_aggregate_csv(
             os.path.join(out, "aggregate_%s.csv" % name), steps,
-            [("loss", loss_agg), ("accuracy", acc_agg),
-             ("cum_regret", cum_agg)])
+            [("loss", _metrics.aggregate_runs([r.loss for r in runs], steps)),
+             ("accuracy", acc_agg),
+             ("cum_regret", _cum_regret(runs, reference.f_star)[1])])
 
-    if "dasgrad" in per_opt and len(per_opt) > 1:
-        _write_comparison_csv(os.path.join(out, "comparison.csv"), per_opt)
-    elif "dasgrad" in config.optimizers and len(config.optimizers) > 1:
+    if "dasgrad" in aggregated and len(aggregated) > 1:
+        _write_comparison_csv(os.path.join(out, "comparison.csv"), results,
+                              [n for n in aggregated if n != "dasgrad"])
+    elif "dasgrad" in names and len(names) > 1:
         results.skipped.append("comparison.csv")
-
-    if failures:
-        with open(failures_path, "w") as fh:
-            fh.write("optimizer,seed,step,message\n")
-            for name, seed, step, message in failures:
-                fh.write("%s,%d,%d,%s\n" % (name, seed, step, message))
 
     _write_metadata(os.path.join(out, "metadata.txt"), config, dataset,
                     problem, reference)
     return results
 
 
-def _write_comparison_csv(path, per_opt):
+def _write_comparison_csv(path, results, baselines):
     """Per-tick improvement of dasgrad over each baseline. Loss improvement
     is baseline - dasgrad; accuracy improvement is dasgrad - baseline.
     Paired columns (the gain mean among them) use per-seed differences over
     the seeds both arms completed; a baseline sharing fewer than two such
     seeds with dasgrad gets no rows. Unpaired columns treat every completed
     run of each arm as an independent sample."""
-    steps, _, das_acc, _, das_runs = per_opt["dasgrad"]
-    das_seeds = {r.seed for r in das_runs}
-    baselines = [n for n in sorted(per_opt) if n != "dasgrad"]
-    header = ["step", "baseline",
-              "loss_gain_mean", "loss_gain_paired_lo", "loss_gain_paired_hi",
-              "loss_gain_unpaired_lo", "loss_gain_unpaired_hi",
-              "acc_gain_mean", "acc_gain_paired_lo", "acc_gain_paired_hi",
-              "acc_gain_unpaired_lo", "acc_gain_unpaired_hi"]
+    das = results.runs("dasgrad")
+    header = ["step", "baseline"] + [
+        "%s_gain_%s" % (metric, col) for metric in ("loss", "acc")
+        for col in ("mean", "paired_lo", "paired_hi", "unpaired_lo",
+                    "unpaired_hi")]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for base in baselines:
-            _, _, base_acc, _, base_runs = per_opt[base]
-            common = das_seeds & {r.seed for r in base_runs}
-            if len(common) < 2:
+            if len(results.paired(base, "dasgrad")[0]) < 2:
                 continue
-            has_acc = das_acc is not None and base_acc is not None
-            gains = [_gain_stacks(base_runs, das_runs, "loss", common)]
-            if has_acc:
-                gains.append(_gain_stacks(das_runs, base_runs, "accuracy",
-                                          common))
-            for row, step in enumerate(steps):
+            gains = [("loss", base, "dasgrad")]
+            if das[0].accuracy is not None:
+                gains.append(("accuracy", "dasgrad", base))
+            # per gain a - b: rows of every run of a and of b, then the
+            # rows of the seeds both completed
+            stacks = [[np.array([getattr(r, attr) for r in rows])
+                       for rows in [results.runs(a), results.runs(b)]
+                       + results.paired(a, b)] for attr, a, b in gains]
+            for row, step in enumerate(das[0].ticks):
                 cells = [str(int(step)), base]
-                for a, b, a_paired, b_paired in gains:
+                for a, b, a_paired, b_paired in stacks:
                     gain, lo, hi = _metrics.paired_ci(a_paired[:, row],
                                                       b_paired[:, row])
                     _, ulo, uhi = _metrics.unpaired_ci(a[:, row], b[:, row])
                     cells += [_fmt(v) for v in (gain, lo, hi, ulo, uhi)]
-                if not has_acc:
-                    cells += ["", "", "", "", ""]
+                cells += [""] * (len(header) - len(cells))
                 fh.write(",".join(cells) + "\n")
-
-
-def _gain_stacks(runs_a, runs_b, attr, common):
-    """Per-seed rows of ``attr`` for the gain a - b: every run of each arm,
-    then the runs of the common seeds only, both in run order."""
-    def stack(runs, seeds=None):
-        return np.vstack([getattr(r, attr) for r in runs
-                          if seeds is None or r.seed in seeds])
-    return (stack(runs_a), stack(runs_b), stack(runs_a, common),
-            stack(runs_b, common))
 
 
 def _write_metadata(path, config, dataset, problem, reference):
@@ -414,78 +436,73 @@ SWEEP_DEFAULTS = dict(n=200, d=10, T=500, batch_size=8, alpha=0.01,
                       metric_tick=1, data_seed=11)
 
 
-def sweep_variance(sigmas, seeds, output_dir, n=None, d=None, T=None,
-                   alpha=None, batch_size=None, metric_tick=None,
-                   data_seed=None, methods=("amsgrad", "dasgrad")):
-    """Centroid variance sweep: for each sigma, run the listed methods over
-    the given seeds, write one aggregate CSV of cumulative regret per sigma
-    plus a summary CSV of final-regret gaps (first method minus dasgrad,
-    paired CI). Raises ValueError before any run when given fewer than two
-    seeds. Returns {sigma: {method: [RunResult per seed]}}."""
-    seeds = _at_least_two_seeds(seeds)
-    p = dict(SWEEP_DEFAULTS)
-    for key, val in dict(n=n, d=d, T=T, alpha=alpha, batch_size=batch_size,
-                         metric_tick=metric_tick, data_seed=data_seed).items():
-        if val is not None:
-            p[key] = val
+def _protocol_settings(defaults, overrides, seeds):
+    """(``defaults`` updated by ``overrides``, seeds as a tuple). Raises
+    ValueError on an unknown setting and on what _check_run_settings
+    rejects, with two seeds at least: the paired CIs need them."""
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ValueError("unknown setting(s): %s" % ", ".join(unknown))
+    p = {**defaults, **overrides}
+    return p, _check_run_settings(p["T"], p["metric_tick"], seeds, 2)
+
+
+def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
+                   **overrides):
+    """Centroid variance sweep over ``sigmas``; ``overrides`` replace
+    SWEEP_DEFAULTS. Per sigma, over the seeds every method completed: an
+    aggregate CSV of cumulative regret, and a sweep_summary.csv row with
+    the paired CI of the final-regret gap (first baseline minus dasgrad).
+    failures.csv names a diverged run <method>_sigma<tag>; a sigma left with
+    fewer than two seeds gets neither and is named in ``skipped``. Raises
+    ValueError before any run on a bad setting (see _protocol_settings).
+    Returns ExperimentResults {sigma: {method: [completed RunResult]}}."""
+    p, seeds = _protocol_settings(SWEEP_DEFAULTS, overrides, seeds)
     if "dasgrad" not in methods or len(methods) < 2:
         raise ValueError("the sweep compares dasgrad against a baseline")
-    os.makedirs(output_dir, exist_ok=True)
     baseline = next(m for m in methods if m != "dasgrad")
 
-    all_results = {}
-    summary_rows = []
+    arms, per_sigma = {}, []
     for sigma in sigmas:
-        dataset = _datasets.synth_centroid(p["n"], p["d"], sigma,
-                                           p["data_seed"])
-        problem = _datasets.make_problem(dataset, _problems.CENTROID)
-        reference = _metrics.solve_reference(problem)
-        sigma_results = {}
-        for method in methods:
-            cfg = convex_preset(method, alpha=p["alpha"],
-                                batch_size=p["batch_size"])
-            sigma_results[method] = [
-                _optimizers.run(problem, cfg, p["T"], seed,
-                                metric_tick=p["metric_tick"])
-                for seed in seeds]
-        all_results[sigma] = sigma_results
+        tag = ("%g" % sigma).replace(".", "p")
+        problem = _datasets.make_problem(_datasets.synth_centroid(
+            p["n"], p["d"], sigma, p["data_seed"]), _problems.CENTROID)
+        names = ["%s_sigma%s" % (m, tag) for m in methods]
+        for name, method in zip(names, methods):
+            arms[name] = (problem, convex_preset(
+                method, alpha=p["alpha"], batch_size=p["batch_size"]))
+        per_sigma.append((sigma, tag, names,
+                          _metrics.solve_reference(problem).f_star))
+    if len(arms) < len(sigmas) * len(methods):
+        raise ValueError("methods and sigma tags (6 significant digits) "
+                         "must not repeat")
+    os.makedirs(output_dir, exist_ok=True)
+    runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir)
 
-        steps = sigma_results[methods[0]][0].ticks
-        named = []
-        finals = {}
-        for method in methods:
-            cums = [_metrics.regret_ledger(r.ticks, r.loss,
-                                           reference.f_star).cumulative
-                    for r in sigma_results[method]]
-            named.append((method, _metrics.aggregate_runs(cums, steps)))
-            finals[method] = np.array([c[-1] for c in cums])
-        _write_aggregate_csv(
-            os.path.join(output_dir, "sweep_aggregate_sigma%s.csv"
-                         % _sigma_tag(sigma)), steps, named)
-        gap, gap_lo, gap_hi = _metrics.paired_ci(finals[baseline],
-                                                 finals["dasgrad"])
-        summary_rows.append((sigma, finals["dasgrad"].mean(),
-                             finals[baseline].mean(), gap, gap_lo, gap_hi))
+    results = ExperimentResults(failures=runs.failures)
+    summary_rows = []
+    for sigma, tag, names, f_star in per_sigma:
+        results[sigma] = {m: runs.runs(n) for m, n in zip(methods, names)}
+        paired = dict(zip(methods, runs.paired(*names)))
+        aggregate = "sweep_aggregate_sigma%s.csv" % tag
+        if len(paired["dasgrad"]) < 2:
+            results.skipped.append(aggregate)
+            continue
+        cums = {m: _cum_regret(paired[m], f_star) for m in methods}
+        _write_aggregate_csv(os.path.join(output_dir, aggregate),
+                             paired["dasgrad"][0].ticks,
+                             [(m, cums[m][1]) for m in methods])
+        finals = {m: np.array([c[-1] for c in cums[m][0]]) for m in methods}
+        summary_rows.append(
+            (sigma, finals["dasgrad"].mean(), finals[baseline].mean())
+            + _metrics.paired_ci(finals[baseline], finals["dasgrad"]))
 
     with open(os.path.join(output_dir, "sweep_summary.csv"), "w") as fh:
         fh.write("sigma,dasgrad_final_mean,%s_final_mean,gap_mean,"
                  "gap_paired_lo,gap_paired_hi\n" % baseline)
         for row in summary_rows:
-            fh.write(",".join([_fmt(row[0])] + [_fmt(v) for v in row[1:]])
-                     + "\n")
-    return all_results
-
-
-def _at_least_two_seeds(seeds):
-    """The seeds as a tuple; the protocols' paired CIs need two of them."""
-    seeds = tuple(seeds)
-    if len(seeds) < 2:
-        raise ValueError("need at least two seeds, got %d" % len(seeds))
-    return seeds
-
-
-def _sigma_tag(sigma):
-    return ("%g" % sigma).replace(".", "p")
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return results
 
 
 # calibrated desk-scale defaults for the distribution-matching experiment
@@ -499,12 +516,14 @@ def matching_experiment(seeds, output_dir, **overrides):
     """Distribution-matching protocol: unbalance two classes of a synthetic
     multiclass problem, train DASGrad with target-distribution importance
     weights against a uniform-sampling AMSGrad baseline, and compare
-    balanced-test accuracy. Writes per-seed traces and a summary CSV with
-    the paired CI of the final accuracy gap. Raises ValueError before any
-    run when given fewer than two seeds."""
-    seeds = _at_least_two_seeds(seeds)
-    p = dict(MATCHING_DEFAULTS)
-    p.update(overrides)
+    balanced-test accuracy; ``overrides`` replace MATCHING_DEFAULTS. Writes
+    a trace per completed run and a summary CSV: each arm's mean final
+    accuracy, and the paired CI of the final accuracy gap over the seeds
+    both arms completed. With fewer than two such seeds the gap lines are
+    left out and named in ``skipped``. Raises ValueError before any run on
+    a bad setting (see _protocol_settings). Returns (ExperimentResults
+    {arm: [completed RunResult]}, (gap, lo, hi) or None)."""
+    p, seeds = _protocol_settings(MATCHING_DEFAULTS, overrides, seeds)
     os.makedirs(output_dir, exist_ok=True)
 
     total = _datasets.synth_classification(
@@ -519,41 +538,39 @@ def matching_experiment(seeds, output_dir, **overrides):
                                 p["data_seed"])
     problem = _datasets.make_problem(train, _problems.MULTICLASS_LOGISTIC,
                                      p["l2_lambda"])
-    eval_counts = eval_ds.label_counts()
-
     arms = {
-        "dasgrad_target": convex_preset(
+        "dasgrad_target": (problem, convex_preset(
             "dasgrad", alpha=p["alpha"], batch_size=p["batch_size"],
-            weight_mode="target", target_label_counts=eval_counts,
-            target_m=eval_ds.n),
-        "amsgrad_uniform": convex_preset(
-            "amsgrad", alpha=p["alpha"], batch_size=p["batch_size"]),
+            weight_mode="target", target_label_counts=eval_ds.label_counts(),
+            target_m=eval_ds.n)),
+        "amsgrad_uniform": (problem, convex_preset(
+            "amsgrad", alpha=p["alpha"], batch_size=p["batch_size"])),
     }
 
     reference = _metrics.solve_reference(problem, tol=1e-6, max_iters=2000)
-    results = {name: [] for name in arms}
-    for name, cfg in arms.items():
-        for seed in seeds:
-            result = _optimizers.run(problem, cfg, p["T"], seed,
-                                     metric_tick=p["metric_tick"],
-                                     eval_set=(eval_ds.X, eval_ds.y))
-            results[name].append(result)
-            write_trace_csv(os.path.join(
-                output_dir, "matching_trace_%s_%d.csv" % (name, seed)),
-                result, reference.f_star)
+    runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
+                     eval_set=(eval_ds.X, eval_ds.y))
+    for key, run in runs.items():
+        write_trace_csv(os.path.join(output_dir, "matching_trace_%s_%d.csv"
+                                     % key), run, reference.f_star)
 
-    final_acc = {name: np.array([r.accuracy[-1] for r in results[name]])
-                 for name in arms}
-    gap, gap_lo, gap_hi = _metrics.paired_ci(final_acc["dasgrad_target"],
-                                             final_acc["amsgrad_uniform"])
+    results = ExperimentResults({name: runs.runs(name) for name in arms},
+                                runs.failures)
+    paired = runs.paired("dasgrad_target", "amsgrad_uniform",
+                         value=lambda r: r.accuracy[-1])
+    gap = _metrics.paired_ci(*paired) if len(paired[0]) >= 2 else None
     with open(os.path.join(output_dir, "matching_summary.csv"), "w") as fh:
         fh.write("arm,final_balanced_accuracy_mean\n")
         for name in sorted(arms):
-            fh.write("%s,%s\n" % (name, _fmt(final_acc[name].mean())))
-        fh.write("accuracy_gap_mean,%s\n" % _fmt(gap))
-        fh.write("accuracy_gap_paired_lo,%s\n" % _fmt(gap_lo))
-        fh.write("accuracy_gap_paired_hi,%s\n" % _fmt(gap_hi))
-    return results, (gap, gap_lo, gap_hi)
+            if results[name]:
+                fh.write("%s,%s\n" % (name, _fmt(np.mean(
+                    [r.accuracy[-1] for r in results[name]]))))
+        for label, value in zip(("mean", "paired_lo", "paired_hi"),
+                                gap or ()):
+            fh.write("accuracy_gap_%s,%s\n" % (label, _fmt(value)))
+    if gap is None:
+        results.skipped.append("matching_summary.csv accuracy_gap rows")
+    return results, gap
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,8 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
     (config, seed). Metrics are recorded whenever t % metric_tick == 0;
     accuracy is computed on the (X, y) pair eval_set when given, else on
     the problem's own rows."""
-    if T < 1:
-        raise ValueError("T must be at least 1")
+    if T < 1 or metric_tick < 1:
+        raise ValueError("T and metric_tick must be at least 1")
     rng = np.random.default_rng(seed)
     dim = problem.param_dim
     theta = np.zeros(dim) if theta0 is None else np.array(theta0, dtype=np.float64)

@@ -1,11 +1,13 @@
 import filecmp
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dasgrad import cli as C
+from dasgrad import datasets as D
 from dasgrad import harness as H
 from dasgrad import metrics as M
 from dasgrad import optimizers as O
@@ -372,6 +374,98 @@ batch_size = 2
         assert len((out / "comparison.csv").read_text().splitlines()) == 1
 
 
+class TestRunSettingsRejected:
+    @pytest.mark.parametrize("old, new, message", [
+        ("metric_tick = 5", "metric_tick = 0", "metric_tick"),
+        ("metric_tick = 5", "metric_tick = -5", "metric_tick"),
+        ("metric_tick = 5", "metric_tick = 31", "metric_tick"),
+        ("seeds = 0,1,2", "seeds = 1,1", "seeds must not repeat"),
+        ("T = 30", "T = 0", "T must be at least 1"),
+        ("T = 30", "T = 30\nreference_tol = 0", "reference_tol"),
+        ("T = 30", "T = 30\nreference_max_iters = 0", "reference_max_iters"),
+    ])
+    def test_cli_run_exits_two_before_the_reference_solve(
+            self, tmp_path, capsys, monkeypatch, old, new, message):
+        monkeypatch.setattr(M, "solve_reference", None)
+        out = tmp_path / "bad"
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(TINY_CONFIG.format(out=out).replace(old, new))
+        with pytest.raises(SystemExit) as err:
+            C.main(["run", "--config", str(cfg_path)])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(seeds=[1, 1]), "seeds must not repeat"),
+        (dict(T=5, metric_tick=6), "metric_tick"),
+        (dict(metric_tick=0), "metric_tick"),
+    ])
+    @pytest.mark.parametrize("protocol", ["sweep", "matching"])
+    def test_protocols_reject_bad_settings_before_any_run(
+            self, tmp_path, monkeypatch, protocol, settings, message):
+        monkeypatch.setattr(O, "run", None)
+        monkeypatch.setattr(M, "solve_reference", None)
+        out = str(tmp_path / "out")
+        settings = dict(settings)
+        seeds = settings.pop("seeds", range(2))
+        with pytest.raises(ValueError, match=message):
+            if protocol == "sweep":
+                H.sweep_variance([1.0], seeds, out, **settings)
+            else:
+                H.matching_experiment(seeds, out, **settings)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("sigmas, methods", [
+        ([0.1, 0.1000001], ("amsgrad", "dasgrad")),
+        ([1.0], ("amsgrad", "dasgrad", "amsgrad"))])
+    def test_sweep_rejects_arms_that_share_a_name(self, tmp_path, monkeypatch,
+                                                  sigmas, methods):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="must not repeat"):
+            H.sweep_variance(sigmas, range(2), str(out), methods=methods)
+        assert not out.exists()
+
+    def test_unknown_protocol_setting_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "typo"
+        with pytest.raises(ValueError, match="keep_fracton"):
+            H.matching_experiment(range(2), str(out), keep_fracton=0.9)
+        with pytest.raises(ValueError, match="batchsize"):
+            H.sweep_variance([1.0], range(2), str(out), batchsize=4)
+        assert not out.exists()
+
+    def test_cli_passes_only_the_given_protocol_flags(self, tmp_path,
+                                                      monkeypatch):
+        seen = []
+
+        def protocol(*args, **kwargs):
+            seen.append(kwargs)
+            raise ValueError("stop")
+        monkeypatch.setattr(H, "sweep_variance", protocol)
+        monkeypatch.setattr(H, "matching_experiment", protocol)
+        for command, flag in (("sweep-variance", "--T"),
+                              ("matching", "--keep-fraction")):
+            with pytest.raises(SystemExit) as err:
+                C.main([command, flag, "5", "--out", str(tmp_path / "o")])
+            assert err.value.code == 2
+        assert seen == [{"T": 5}, {"keep_fraction": 5.0}]
+
+
+class TestResultsReaders:
+    def test_runs_and_paired_follow_seed_ids(self):
+        results = H.ExperimentResults()
+        for name, seeds in (("a", (3, 1, 2)), ("b", (2, 4, 3))):
+            for seed in seeds:
+                results[name, seed] = SimpleNamespace(seed=seed)
+        assert [r.seed for r in results.runs("a")] == [3, 1, 2]
+        assert results.paired("a", "b", value=lambda r: r.seed) == [
+            [3, 2], [3, 2]]
+        assert results.paired("b", "a", value=lambda r: r.seed) == [
+            [2, 3], [2, 3]]
+
+
 def diverge_on(monkeypatch, failing):
     """Make the (method, seed) runs in ``failing`` diverge at step 1."""
     real_run = O.run
@@ -381,6 +475,15 @@ def diverge_on(monkeypatch, failing):
             raise O.DivergenceError(1)
         return real_run(problem, config, T, seed, **kwargs)
     monkeypatch.setattr(O, "run", run)
+
+
+SMALL_SWEEP = dict(n=20, d=3, T=30)
+SMALL_MATCHING = dict(n_train=60, n_eval=40, d=5, T=40, metric_tick=10)
+
+
+def read_rows(path):
+    """Rows after the header of a CSV, each split into its cells."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
 class TestSweepAndMatching:
@@ -407,6 +510,78 @@ class TestSweepAndMatching:
         assert (out / "matching_summary.csv").exists()
         assert (out / "matching_trace_dasgrad_target_0.csv").exists()
 
+
+    def test_sweep_survives_a_diverging_seed(self, tmp_path, monkeypatch):
+        diverge_on(monkeypatch, {("dasgrad", 1)})
+        out = tmp_path / "sweep"
+        sigmas = (0.5, 2.0)
+        results = H.sweep_variance(sigmas, range(3), str(out), **SMALL_SWEEP)
+        failed = [("dasgrad_sigma0p5", 1), ("dasgrad_sigma2", 1)]
+        assert [f[:2] for f in results.failures] == failed
+        assert [(name, int(seed)) for name, seed, _, _ in
+                read_rows(out / "failures.csv")] == failed
+        assert results.skipped == []
+        summary = read_rows(out / "sweep_summary.csv")
+        for sigma, tag, row in zip(sigmas, ("0p5", "2"), summary):
+            assert [r.seed for r in results[sigma]["amsgrad"]] == [0, 1, 2]
+            assert [r.seed for r in results[sigma]["dasgrad"]] == [0, 2]
+            problem = D.make_problem(D.synth_centroid(
+                20, 3, sigma, H.SWEEP_DEFAULTS["data_seed"]), P.CENTROID)
+            f_star = M.solve_reference(problem).f_star
+            final = {m: [M.regret_ledger(r.ticks, r.loss, f_star).cumulative[-1]
+                         for r in results[sigma][m] if r.seed in (0, 2)]
+                     for m in ("amsgrad", "dasgrad")}
+            gap = M.paired_ci(final["amsgrad"], final["dasgrad"])
+            assert [float(v) for v in row[3:]] == list(gap)
+            aggregate = read_rows(out / ("sweep_aggregate_sigma%s.csv" % tag))
+            assert {r[-1] for r in aggregate} == {"2"}
+        # a clean rerun into the same directory leaves no failures.csv
+        monkeypatch.undo()
+        assert not H.sweep_variance(sigmas, range(3), str(out),
+                                    **SMALL_SWEEP).failures
+        assert not (out / "failures.csv").exists()
+
+    def test_sweep_skips_a_sigma_with_one_paired_seed(self, tmp_path,
+                                                      monkeypatch):
+        diverge_on(monkeypatch, {("dasgrad", 0), ("dasgrad", 1)})
+        out = tmp_path / "sweep"
+        results = H.sweep_variance([1.0], range(3), str(out), **SMALL_SWEEP)
+        assert results.skipped == ["sweep_aggregate_sigma1.csv"]
+        assert not (out / "sweep_aggregate_sigma1.csv").exists()
+        assert read_rows(out / "sweep_summary.csv") == []
+        assert len(results[1.0]["amsgrad"]) == 3
+
+    def test_matching_survives_a_diverging_seed(self, tmp_path, monkeypatch):
+        diverge_on(monkeypatch, {("dasgrad", 1)})
+        out = tmp_path / "match"
+        results, gap = H.matching_experiment(range(3), str(out),
+                                             **SMALL_MATCHING)
+        assert [f[:2] for f in results.failures] == [("dasgrad_target", 1)]
+        assert [r[:2] for r in read_rows(out / "failures.csv")] == [
+            ["dasgrad_target", "1"]]
+        assert not (out / "matching_trace_dasgrad_target_1.csv").exists()
+        assert (out / "matching_trace_amsgrad_uniform_1.csv").exists()
+        assert [r.seed for r in results["dasgrad_target"]] == [0, 2]
+        final = {(arm, s): H.read_trace_csv(
+            out / ("matching_trace_%s_%d.csv" % (arm, s)))["accuracy"][-1]
+            for arm in ("dasgrad_target", "amsgrad_uniform") for s in (0, 2)}
+        expected = M.paired_ci([final["dasgrad_target", s] for s in (0, 2)],
+                               [final["amsgrad_uniform", s] for s in (0, 2)])
+        assert gap == expected
+        summary = dict(read_rows(out / "matching_summary.csv"))
+        assert float(summary["accuracy_gap_mean"]) == expected[0]
+        assert float(summary["accuracy_gap_paired_hi"]) == expected[2]
+
+    def test_matching_with_one_paired_seed_skips_the_gap(self, tmp_path,
+                                                         monkeypatch):
+        diverge_on(monkeypatch, {("dasgrad", 0), ("dasgrad", 1)})
+        out = tmp_path / "match"
+        results, gap = H.matching_experiment(range(3), str(out),
+                                             **SMALL_MATCHING)
+        assert gap is None
+        assert results.skipped == ["matching_summary.csv accuracy_gap rows"]
+        assert [r[0] for r in read_rows(out / "matching_summary.csv")] == [
+            "amsgrad_uniform", "dasgrad_target"]
 
     def test_sweep_rejects_one_seed_before_any_run(self, tmp_path,
                                                    monkeypatch):
@@ -477,6 +652,18 @@ class TestSelfCheckAndCli:
         assert err.value.code == 2
         assert "two seeds" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, failed", [
+        (["sweep-variance", "--sigmas", "1", "--n", "10", "--d", "2",
+          "--T", "20"], "dasgrad_sigma1/1"),
+        (["matching", "--T", "20"], "dasgrad_target/1")])
+    def test_cli_protocol_exits_one_naming_the_failed_run(
+            self, tmp_path, capsys, monkeypatch, command, failed):
+        diverge_on(monkeypatch, {("dasgrad", 1)})
+        out = tmp_path / "div"
+        assert C.main(command + ["--seeds", "3", "--out", str(out)]) == 1
+        assert failed in capsys.readouterr().err
+        assert (out / "failures.csv").exists()
 
     def test_cli_run_one_seed_names_skipped_files(self, tmp_path, capsys):
         cfg_path = tmp_path / "one.cfg"

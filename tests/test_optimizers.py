@@ -361,3 +361,10 @@ class TestRun:
                                       cfg, t)
             assert np.all(state.v_hat >= prev)
             prev = state.v_hat.copy()
+
+    @pytest.mark.parametrize("tick", [0, -2])
+    def test_tick_below_one_rejected(self, tick):
+        prob = centroid_problem([[1.0], [3.0]])
+        cfg = O.OptimizerConfig(method="sgd", batch_size=1)
+        with pytest.raises(ValueError, match="metric_tick"):
+            O.run(prob, cfg, T=4, seed=0, metric_tick=tick)

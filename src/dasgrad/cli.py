@@ -65,30 +65,26 @@ def main(argv=None):
     if args.command == "check":
         return 0 if _harness.self_check(verbose=True) else 1
 
-    if args.command == "run":
-        try:
-            config = _harness.load_config(args.config)
-        except FileNotFoundError:
-            parser.error("config file not found: %s" % args.config)
-        except ValueError as exc:
-            parser.error("bad config: %s" % exc)
-        results, out = _harness.run_experiment(config), config.output_dir
-    else:
-        settings = vars(args)
-        command, seeds, out = (settings.pop(key)
-                               for key in ("command", "seeds", "out"))
-        try:
+    # bad input (a config, a data file, synthesis or protocol settings) is
+    # rejected before any run writes, as a usage error: one line, exit 2
+    settings = vars(args)
+    command, gap = settings.pop("command"), None
+    try:
+        if command == "run":
+            config = _harness.load_config(settings["config"])
+            results, out = _harness.run_experiment(config), config.output_dir
+        else:
+            seeds, out = range(settings.pop("seeds")), settings.pop("out")
             if command == "sweep-variance":
                 results = _harness.sweep_variance(
-                    settings.pop("sigmas"), range(seeds), out, **settings)
+                    settings.pop("sigmas"), seeds, out, **settings)
             else:
                 results, gap = _harness.matching_experiment(
-                    range(seeds), out, **settings)
-                if gap is not None:
-                    print("balanced-accuracy gap %.4f (95%% CI [%.4f, %.4f])"
-                          % gap)
-        except ValueError as exc:
-            parser.error(str(exc))
+                    seeds, out, **settings)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
+    if gap is not None:
+        print("balanced-accuracy gap %.4f (95%% CI [%.4f, %.4f])" % gap)
     print("results written to %s" % out)
     if results.skipped:
         print("fewer than two completed or paired seeds, not written: %s"

@@ -162,9 +162,11 @@ _PROBLEM_FIELDS = {f.name for f in fields(ProblemSpec)}
 
 def parse_config_text(text, base_dir="."):
     """Parse the flat key = value format into an ExperimentConfig. An
-    unknown key or an unparsable value raises ValueError naming its line."""
+    unknown key or an unparsable value raises ValueError naming its line,
+    and a rejected optimizer section names its header line."""
     globals_kv = {}
     optimizer_kv = {}
+    header_line = {}
     current = globals_kv
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -179,6 +181,7 @@ def parse_config_text(text, base_dir="."):
                 raise ValueError("line %d: bad or duplicate optimizer name"
                                  % line_no)
             current = optimizer_kv[name] = {"method": "sgd"}
+            header_line[name] = line_no
             continue
         if "=" not in line:
             raise ValueError("line %d: expected key = value" % line_no)
@@ -193,6 +196,13 @@ def parse_config_text(text, base_dir="."):
 
     if not optimizer_kv:
         raise ValueError("config defines no [optimizer.*] section")
+    optimizers = {}
+    for name, kv in optimizer_kv.items():
+        try:
+            optimizers[name] = _optimizers.OptimizerConfig(**kv)
+        except ValueError as exc:
+            raise ValueError("line %d: [optimizer.%s]: %s"
+                             % (header_line[name], name, exc)) from None
 
     spec_kv = {"kind": _problems.CENTROID}
     for key in _PROBLEM_FIELDS & set(globals_kv):
@@ -200,11 +210,8 @@ def parse_config_text(text, base_dir="."):
     path = spec_kv.get("path")
     if path is not None and not os.path.isabs(path):
         spec_kv["path"] = os.path.join(base_dir, path)
-    return ExperimentConfig(
-        problem=ProblemSpec(**spec_kv),
-        optimizers={name: _optimizers.OptimizerConfig(**kv)
-                    for name, kv in optimizer_kv.items()},
-        **globals_kv)
+    return ExperimentConfig(problem=ProblemSpec(**spec_kv),
+                            optimizers=optimizers, **globals_kv)
 
 
 def load_config(path):

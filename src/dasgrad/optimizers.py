@@ -88,16 +88,19 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError("unknown method %r" % (self.method,))
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if self.method in ("adam", "amsgrad", "dasgrad"):
             if self.beta2 == 0.0 or self.beta1 / np.sqrt(self.beta2) >= 1.0:
                 raise ValueError("need beta1 / sqrt(beta2) < 1 for %s"
                                  % self.method)
-        if self.epsilon_div <= 0 or self.epsilon_prob <= 0:
-            raise ValueError("epsilons must be positive")
+        if not (0 < self.epsilon_div < math.inf
+                and 0 < self.epsilon_prob < math.inf):
+            raise ValueError("epsilons must be finite and positive")
+        if not 0.0 <= self.beta1_decay <= 1.0:
+            raise ValueError("beta1_decay must lie in [0, 1]")
         if self.refresh_period < 1 or self.batch_size < 1:
             raise ValueError("refresh_period and batch_size must be >= 1")
         if self.weight_mode not in ("training", "target"):
@@ -108,8 +111,8 @@ class OptimizerConfig:
         if self.score_mode not in ("momentum", "gradient"):
             raise ValueError("score_mode must be 'momentum' or 'gradient'")
         lo, hi = self.projection
-        if np.any(np.asarray(lo) > np.asarray(hi)):
-            raise ValueError("projection box must satisfy lo <= hi")
+        if not np.all(np.asarray(lo) <= np.asarray(hi)):
+            raise ValueError("projection box needs lo <= hi and no NaN")
 
     def beta1_at(self, t):
         if self.method in ("sgd", "ap_sgd", "adagrad", "rmsprop"):

@@ -46,8 +46,8 @@ class Problem:
     def __init__(self, X, y, kind, l2_lambda=0.0, num_classes=None):
         if kind not in KINDS:
             raise ValueError("unknown problem kind: %r" % (kind,))
-        if l2_lambda < 0:
-            raise ValueError("l2_lambda must be nonnegative")
+        if not 0 <= l2_lambda < np.inf:
+            raise ValueError("l2_lambda must be finite and nonnegative")
         if sparse.issparse(X):
             X = X.tocsr().astype(np.float64, copy=False)
             values = X.data
@@ -80,13 +80,11 @@ class Problem:
         self.class_counts = np.bincount(self.y, minlength=self.num_classes)
 
         self.is_sparse = sparse.issparse(self.X)
-        # ||x_i||^2 per row, reused by the closed-form score computations.
+        # X squared elementwise, reused by the closed-form score computations
         if self.is_sparse:
             self.X_sq = self.X.multiply(self.X).tocsr()
-            self.row_norm_sq = np.asarray(self.X_sq.sum(axis=1)).ravel()
         else:
             self.X_sq = self.X**2
-            self.row_norm_sq = self.X_sq.sum(axis=1)
         self._x_mean = None
 
     @property

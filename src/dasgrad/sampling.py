@@ -2,9 +2,10 @@
 
 A flat-array sum tree gives O(log n) draws. A full refresh of the sampling
 distribution is one O(n) ``set_all``; a single-leaf ``update`` is O(log n).
-Score functions turn the current model state into per-example sampling
-scores; normalization smooths them with a small epsilon so every example
-keeps strictly positive probability.
+``scores_dasgrad`` is the one score function: per-example norms of the
+preconditioned candidate direction, of which ``scores_apsgd`` (gradient
+norms) is the v_hat = 1, no-momentum case. Normalization smooths scores
+with a small epsilon so every example keeps strictly positive probability.
 """
 
 from __future__ import annotations
@@ -186,50 +187,6 @@ def target_weight(p_i, label_count, m):
     return float(out) if out.ndim == 0 else out
 
 
-def _guarded_fourth_root(v_hat, eps_div):
-    """Fourth root of v_hat with zero coordinates replaced by sqrt(eps_div),
-    matching the update rule's sqrt(v_hat) + eps_div guard at zero."""
-    v_hat = np.asarray(v_hat, dtype=np.float64)
-    return np.where(v_hat > 0, np.sqrt(np.sqrt(v_hat)), np.sqrt(eps_div))
-
-
-def _direction_norms(problem, shared, fourth_root):
-    """Norms ||(shared + coef_i (x) x_i) / fourth_root||_2 for all i.
-
-    ``shared`` is the part of the candidate direction common to every
-    example (momentum carry-over plus the regularizer term); the per-example
-    part is rank one in the features, which lets the norms be assembled from
-    three matrix products without materializing n x param_dim gradients.
-    Centroid problems take the direct dense route instead (exact at zero).
-    """
-    X = problem.X
-    inv_sq = 1.0 / (fourth_root * fourth_root)
-
-    if problem.kind == _problems.CENTROID:
-        if problem.is_sparse:
-            X = np.asarray(X.todense())
-        diff = shared["const"][None, :] + shared["coef"] * X
-        return np.linalg.norm(diff / fourth_root[None, :], axis=1)
-
-    if problem.kind == _problems.BINARY_LOGISTIC:
-        a = shared["const"]
-        c = shared["per_example"]
-        base = float((a * a * inv_sq).sum())
-        cross = np.asarray(X @ (a * inv_sq)).ravel()
-        quad = np.asarray(problem.X_sq @ inv_sq).ravel()
-        sq = base + 2.0 * c * cross + (c * c) * quad
-        return np.sqrt(np.maximum(sq, 0.0))
-
-    A = shared["const"]          # (K, d)
-    C = shared["per_example"]    # (n, K) coefficient rows
-    inv_sq = inv_sq.reshape(A.shape)
-    base = float((A * A * inv_sq).sum())
-    cross = np.asarray(X @ (A * inv_sq).T)        # (n, K)
-    quad = np.asarray(problem.X_sq @ inv_sq.T)    # (n, K)
-    sq = base + 2.0 * (C * cross).sum(axis=1) + (C * C * quad).sum(axis=1)
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
 def scores_apsgd(problem, theta):
     """Per-example gradient norms ||grad f_i(theta)||_2, one dataset pass."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -239,28 +196,42 @@ def scores_apsgd(problem, theta):
 
 
 def scores_dasgrad(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
-    """Preconditioned candidate-direction norms for every example:
-    || (b m_prev + (1 - b) grad f_i(theta)) / v_hat^{1/4} ||_2 with b the
-    momentum blend at the current step. Coordinates where v_hat is zero use
-    the sqrt(eps_div) guard so the norm matches the guarded update rule.
+    """Norms || (b m_prev + (1 - b) grad f_i(theta)) / v_hat^{1/4} ||_2 for
+    every example, b the momentum blend at the current step. Zero
+    coordinates of v_hat use the sqrt(eps_div) guard of the update rule.
+    Centroid problems take the direct dense route (exact at zero); for the
+    logistic kinds the per-example part, (1 - b) r_i (x) x_i, is rank one in
+    the features, so three matrix products give the squared norms without
+    materializing n x param_dim gradients.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m_prev = np.asarray(m_prev, dtype=np.float64)
     if not 0.0 <= beta1_t < 1.0:
         raise ValueError("beta1_t must lie in [0, 1)")
-    root = _guarded_fourth_root(v_hat, eps_div)
-    lam = problem.l2_lambda
+    v_hat = np.asarray(v_hat, dtype=np.float64)
+    root = np.where(v_hat > 0, np.sqrt(np.sqrt(v_hat)), np.sqrt(eps_div))
     keep = 1.0 - beta1_t
 
     if problem.kind == _problems.CENTROID:
-        shared = {"const": beta1_t * m_prev + keep * theta, "coef": -keep}
-        return _direction_norms(problem, shared, root)
-    # weights_view is the identity for binary problems
-    W = problem.weights_view(theta)
-    M = problem.weights_view(m_prev)
-    shared = {"const": beta1_t * M + keep * (lam * W),
-              "per_example": keep * _problems.residuals(problem, theta)}
-    return _direction_norms(problem, shared, root)
+        X = problem.X
+        if problem.is_sparse:
+            X = np.asarray(X.todense())
+        diff = (beta1_t * m_prev + keep * theta)[None, :] - keep * X
+        return np.linalg.norm(diff / root[None, :], axis=1)
+
+    # binary: W is the identity and .T of a 1-d array is the array itself
+    W = problem.weights_view
+    A = beta1_t * W(m_prev) + keep * (problem.l2_lambda * W(theta))
+    C = keep * _problems.residuals(problem, theta)   # (n,) or (n, K)
+    inv_sq = W(1.0 / (root * root))
+    base = float((A * A * inv_sq).sum())
+    cross = np.asarray(problem.X @ (A * inv_sq).T)
+    quad = np.asarray(problem.X_sq @ inv_sq.T)
+    if problem.kind == _problems.BINARY_LOGISTIC:
+        sq = base + 2.0 * C * cross + (C * C) * quad
+    else:
+        sq = base + 2.0 * (C * cross).sum(axis=1) + (C * C * quad).sum(axis=1)
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def expected_weighted_second_moment(probs, norms):

@@ -453,6 +453,68 @@ class TestRunSettingsRejected:
         assert seen == [{"T": 5}, {"keep_fraction": 5.0}]
 
 
+    @pytest.mark.parametrize("old, new", [
+        ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = 1.5"),
+        ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = -0.5"),
+        ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = nan"),
+        ("refresh_period = 5", "refresh_period = 5\nalpha = nan"),
+        ("refresh_period = 5", "refresh_period = 5\nepsilon_div = nan"),
+        ("refresh_period = 5", "refresh_period = 5\nalpha = -1"),
+    ])
+    def test_bad_optimizer_value_names_its_section_line(
+            self, tmp_path, capsys, monkeypatch, old, new):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "bad"
+        cfg_path = tmp_path / "bad.cfg"
+        text = TINY_CONFIG.format(out=out)
+        header = text.splitlines().index("[optimizer.dasgrad]") + 1
+        cfg_path.write_text(text.replace(old, new))
+        with pytest.raises(SystemExit) as err:
+            C.main(["run", "--config", str(cfg_path)])
+        assert err.value.code == 2
+        assert ("line %d: [optimizer.dasgrad]: " % header
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_nonfinite_lambda_is_a_usage_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "bad"
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(TINY_CONFIG.format(out=out).replace(
+            "lambda = 1e-3", "lambda = nan"))
+        with pytest.raises(SystemExit) as err:
+            C.main(["run", "--config", str(cfg_path)])
+        assert err.value.code == 2
+        assert "l2_lambda must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, data, message", [
+        ("path = data.csv", "0,1\n1,x\n", "data.csv:2: non-numeric field"),
+        ("path = missing.csv", None, "missing.csv"),
+        ("classes = 1", None, "need n >= num_classes >= 2"),
+    ])
+    def test_bad_data_is_one_usage_error_line(self, tmp_path, capsys,
+                                              monkeypatch, setting, data,
+                                              message):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "bad"
+        cfg_path = tmp_path / "bad.cfg"
+        if data is not None:
+            (tmp_path / "data.csv").write_text(data)
+        cfg_path.write_text(TINY_CONFIG.format(out=out).replace(
+            "classes = 3", setting))
+        with pytest.raises(SystemExit) as err:
+            C.main(["run", "--config", str(cfg_path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("dasgrad: error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+
 class TestResultsReaders:
     def test_runs_and_paired_follow_seed_ids(self):
         results = H.ExperimentResults()

@@ -178,6 +178,27 @@ class TestConfigValidation:
             O.OptimizerConfig(method="adamw")
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", np.nan, "alpha"), ("alpha", np.inf, "alpha"),
+        ("epsilon_div", np.nan, "epsilons"),
+        ("epsilon_prob", np.inf, "epsilons"),
+        ("beta1_decay", 1.5, "beta1_decay"),
+        ("beta1_decay", -0.5, "beta1_decay"),
+        ("beta1_decay", np.nan, "beta1_decay"),
+        ("projection", (np.nan, 1.0), "projection box"),
+        ("projection", (-1.0, np.nan), "projection box"),
+    ])
+    def test_rejects_nonfinite_or_out_of_range_values(self, field, value,
+                                                      message):
+        with pytest.raises(ValueError, match=message):
+            O.OptimizerConfig(method="dasgrad", **{field: value})
+
+    def test_unbounded_box_and_closed_decay_range_are_legal(self):
+        for decay in (0.0, 1.0):
+            O.OptimizerConfig(method="dasgrad", beta1_decay=decay,
+                              projection=(-np.inf, np.inf))
+
+
 class TestCollapseEquivalences:
     def test_dasgrad_frozen_uniform_equals_amsgrad(self):
         rng = np.random.default_rng(4)

@@ -287,3 +287,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             P.Problem(np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
                       P.CENTROID)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_l2_lambda_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="l2_lambda"):
+            P.Problem(np.zeros((2, 2)), [0, 1], P.BINARY_LOGISTIC,
+                      l2_lambda=lam)

@@ -463,6 +463,66 @@ class TestScores:
         np.testing.assert_allclose(scores, oracle, rtol=1e-11, atol=1e-12)
 
 
+def two_pass_scores(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
+    """Reference copy of the earlier score route: the shared part of the
+    direction is built first, keyed by kind, and the norms are assembled
+    from it in a second function. Every operation keeps its order, so
+    ``scores_dasgrad`` must match it bit for bit."""
+    v_hat = np.asarray(v_hat, dtype=np.float64)
+    root = np.where(v_hat > 0, np.sqrt(np.sqrt(v_hat)), np.sqrt(eps_div))
+    keep = 1.0 - beta1_t
+    X = problem.X
+    inv_sq = 1.0 / (root * root)
+    if problem.kind == P.CENTROID:
+        const, coef = beta1_t * m_prev + keep * theta, -keep
+        if problem.is_sparse:
+            X = np.asarray(X.todense())
+        return np.linalg.norm((const[None, :] + coef * X) / root[None, :],
+                              axis=1)
+    A = (beta1_t * problem.weights_view(m_prev)
+         + keep * (problem.l2_lambda * problem.weights_view(theta)))
+    C = keep * P.residuals(problem, theta)
+    if problem.kind == P.BINARY_LOGISTIC:
+        base = float((A * A * inv_sq).sum())
+        cross = np.asarray(X @ (A * inv_sq)).ravel()
+        quad = np.asarray(problem.X_sq @ inv_sq).ravel()
+        sq = base + 2.0 * C * cross + (C * C) * quad
+        return np.sqrt(np.maximum(sq, 0.0))
+    inv_sq = inv_sq.reshape(A.shape)
+    base = float((A * A * inv_sq).sum())
+    cross = np.asarray(X @ (A * inv_sq).T)
+    quad = np.asarray(problem.X_sq @ inv_sq.T)
+    sq = base + 2.0 * (C * cross).sum(axis=1) + (C * C * quad).sum(axis=1)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("beta1_t", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("zero_coords", [False, True])
+@pytest.mark.parametrize("is_sparse", [False, True])
+@pytest.mark.parametrize("kind", P.KINDS)
+def test_scores_bit_identical_to_two_pass_route(kind, is_sparse, zero_coords,
+                                                beta1_t, lam):
+    rng = np.random.default_rng(12)
+    k = {P.CENTROID: 1, P.BINARY_LOGISTIC: 2, P.MULTICLASS_LOGISTIC: 3}[kind]
+    X, y = H._gaussian_rows(rng, 30, 6, k)
+    if is_sparse:
+        X = sparse.csr_matrix(X * (rng.random(X.shape) < 0.4))
+    prob = P.Problem(X, y, kind, l2_lambda=lam)
+    assert prob.is_sparse == is_sparse
+    theta = rng.standard_normal(prob.param_dim)
+    m_prev = rng.standard_normal(prob.param_dim)
+    v_hat = rng.random(prob.param_dim)
+    if zero_coords:
+        v_hat[::3] = 0.0
+    assert np.array_equal(
+        S.scores_dasgrad(prob, theta, m_prev, v_hat, beta1_t, eps_div=1e-6),
+        two_pass_scores(prob, theta, m_prev, v_hat, beta1_t, eps_div=1e-6))
+    ones, zeros = np.ones(prob.param_dim), np.zeros(prob.param_dim)
+    assert np.array_equal(S.scores_apsgd(prob, theta),
+                          two_pass_scores(prob, theta, zeros, ones, 0.0))
+
+
 class TestExpectedWeightedSecondMoment:
     def test_hand_value_at_optimum(self):
         val = S.expected_weighted_second_moment(np.array([0.75, 0.25]),

@@ -27,8 +27,8 @@ print("evaluation class counts (balanced):     ",
 
 arms = {
     "dasgrad + target weights": convex_preset(
-        "dasgrad", alpha=0.01, batch_size=32, weight_mode="target",
-        target_label_counts=evald.label_counts(), target_m=evald.n),
+        "dasgrad", alpha=0.01, batch_size=32,
+        target_label_counts=evald.label_counts()),
     "amsgrad uniform baseline": convex_preset(
         "amsgrad", alpha=0.01, batch_size=32),
 }

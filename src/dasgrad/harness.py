@@ -16,6 +16,7 @@ Config files are flat ``key = value`` lines with ``#`` comments; each
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -26,14 +27,6 @@ from . import metrics as _metrics
 from . import optimizers as _optimizers
 from . import problems as _problems
 from . import sampling as _sampling
-
-# footnote presets of the convex experiments
-CONVEX_ALPHA = 0.01
-CONVEX_BETA1 = 0.9
-CONVEX_BETA2 = 0.99
-CONVEX_BATCH = 32
-CONVEX_REFRESH = 10
-
 
 def _fmt(x):
     return format(float(x), ".17g")
@@ -91,16 +84,17 @@ class ExperimentConfig:
 
 
 def _check_run_settings(T, metric_tick, seeds, min_seeds):
-    """The seeds as a tuple. Rejects too few seeds, a repeated one (it would
-    count one run twice) and a tick outside [1, T] (no trace rows)."""
+    """The seeds as a tuple. Rejects too few seeds, a negative one, a
+    repeated one (it would count one run twice) and a tick outside [1, T]
+    (no trace rows)."""
     seeds = tuple(seeds)
     if len(seeds) < min_seeds:
         raise ValueError("need at least %s, got %d"
                          % (("one seed", "two seeds")[min_seeds - 1],
                             len(seeds)))
-    if len(set(seeds)) < len(seeds):
-        raise ValueError("seeds must not repeat, got %s"
-                         % ",".join(str(s) for s in seeds))
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError("seeds must not repeat or be negative, "
+                         "got %s" % ",".join(str(s) for s in seeds))
     if T < 1:
         raise ValueError("T must be at least 1, got %d" % T)
     if not 1 <= metric_tick <= T:
@@ -110,12 +104,10 @@ def _check_run_settings(T, metric_tick, seeds, min_seeds):
 
 
 def convex_preset(method, **overrides):
-    """OptimizerConfig with the convex-experiment hyperparameters."""
-    base = dict(method=method, alpha=CONVEX_ALPHA, beta1=CONVEX_BETA1,
-                beta2=CONVEX_BETA2, batch_size=CONVEX_BATCH,
-                refresh_period=CONVEX_REFRESH)
-    base.update(overrides)
-    return _optimizers.OptimizerConfig(**base)
+    """OptimizerConfig with the convex-experiment hyperparameters (alpha
+    0.01, beta1 0.9, beta2 0.99, batch 32, refresh 10), which are its
+    defaults."""
+    return _optimizers.OptimizerConfig(method=method, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +131,33 @@ def _parse_ints(text):
     return tuple(int(v) for v in text.split(","))
 
 
+def _checked(parse, ok, rule):
+    """``parse``, then reject a value that fails ``ok``, quoting ``rule``."""
+    def checked(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError("%s, got %r" % (rule, text))
+        return value
+    return checked
+
+
 # config key -> value parser; these are the only keys a config may use
 _GLOBAL_KEYS = {
-    "kind": str, "path": str, "sparse": _parse_bool, "n": int, "d": int,
-    "classes": int, "sigma": float, "margin": float, "sparsity": float,
-    "data_seed": int, "lambda": float, "T": int, "seeds": _parse_ints,
-    "metric_tick": int, "output_dir": str, "reference_tol": float,
-    "reference_max_iters": int,
+    "kind": _checked(str, _problems.KINDS.__contains__,
+                     "kind must be one of " + ", ".join(_problems.KINDS)),
+    "path": str, "sparse": _parse_bool, "n": int, "d": int,
+    "classes": _checked(int, lambda k: k >= 2, "classes must be at least 2"),
+    "sigma": float, "margin": float, "sparsity": float, "data_seed": int,
+    "lambda": _checked(float, lambda v: 0 <= v < math.inf,
+                       "lambda must be finite and nonnegative"),
+    "T": int, "seeds": _parse_ints, "metric_tick": int, "output_dir": str,
+    "reference_tol": float, "reference_max_iters": int,
 }
 _OPTIMIZER_KEYS = {
     "method": str, "alpha": float, "beta1": float, "beta2": float,
     "epsilon_div": float, "epsilon_prob": float, "beta1_decay": float,
-    "refresh_period": int, "batch_size": int, "weight_mode": str,
-    "score_mode": str, "freeze_probabilities": _parse_bool,
-    "box": _parse_box,
+    "refresh_period": int, "batch_size": int,
+    "freeze_probabilities": _parse_bool, "box": _parse_box,
 }
 # config keys whose dataclass field has another name
 _FIELD_OF_KEY = {"classes": "num_classes", "lambda": "l2_lambda",
@@ -162,8 +167,9 @@ _PROBLEM_FIELDS = {f.name for f in fields(ProblemSpec)}
 
 def parse_config_text(text, base_dir="."):
     """Parse the flat key = value format into an ExperimentConfig. An
-    unknown key or an unparsable value raises ValueError naming its line,
-    and a rejected optimizer section names its header line."""
+    unknown key or an unparsable or out-of-range value raises ValueError
+    naming its line, and a rejected optimizer section names its header
+    line."""
     globals_kv = {}
     optimizer_kv = {}
     header_line = {}
@@ -531,8 +537,6 @@ def matching_experiment(seeds, output_dir, **overrides):
     a bad setting (see _protocol_settings). Returns (ExperimentResults
     {arm: [completed RunResult]}, (gap, lo, hi) or None)."""
     p, seeds = _protocol_settings(MATCHING_DEFAULTS, overrides, seeds)
-    os.makedirs(output_dir, exist_ok=True)
-
     total = _datasets.synth_classification(
         p["n_train"] + p["n_eval"], p["d"], p["num_classes"],
         margin=p["margin"], seed=p["data_seed"])
@@ -548,13 +552,13 @@ def matching_experiment(seeds, output_dir, **overrides):
     arms = {
         "dasgrad_target": (problem, convex_preset(
             "dasgrad", alpha=p["alpha"], batch_size=p["batch_size"],
-            weight_mode="target", target_label_counts=eval_ds.label_counts(),
-            target_m=eval_ds.n)),
+            target_label_counts=eval_ds.label_counts())),
         "amsgrad_uniform": (problem, convex_preset(
             "amsgrad", alpha=p["alpha"], batch_size=p["batch_size"])),
     }
 
     reference = _metrics.solve_reference(problem, tol=1e-6, max_iters=2000)
+    os.makedirs(output_dir, exist_ok=True)
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
                      eval_set=(eval_ds.X, eval_ds.y))
     for key, run in runs.items():

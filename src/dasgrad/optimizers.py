@@ -15,11 +15,11 @@ the diagonal preconditioner, and whether the sampling distribution adapts:
 
 Every step samples ``batch_size`` indices i.i.d. with replacement from the
 current distribution and averages the importance-weighted per-index
-directions. In training mode the moment recursion absorbs the raw batch
-mean of the sampled gradients; in target mode it absorbs the weighted mean,
-which is the estimate of the target-distribution risk gradient that the
-momentum must track. Uniform sampling with unit weights reproduces the
-unweighted methods bit for bit either way.
+directions. Without target label counts the moment recursion absorbs the
+raw batch mean of the sampled gradients; with them (target mode) it absorbs
+the weighted mean, which is the estimate of the target-distribution risk
+gradient that the momentum must track. Uniform sampling with unit weights
+reproduces the unweighted methods bit for bit either way.
 """
 
 from __future__ import annotations
@@ -76,12 +76,9 @@ class OptimizerConfig:
     refresh_period: int = 10
     batch_size: int = 32
     projection: tuple = DEFAULT_BOX
-    weight_mode: str = "training"
-    # per-class counts of the target (test) label distribution + its size;
-    # required when weight_mode == "target"
-    target_label_counts: np.ndarray | None = None
-    target_m: int = 0
-    score_mode: str = "momentum"        # "momentum" | "gradient"
+    # per-class counts of the target (test) labels, stored as a tuple of
+    # ints; giving them turns target mode on, and m is their total
+    target_label_counts: tuple | None = None
     beta1_decay: float = 1.0            # beta1_t = beta1 * decay**(t-1)
     freeze_probabilities: bool = False  # keep the distribution uniform
 
@@ -103,13 +100,14 @@ class OptimizerConfig:
             raise ValueError("beta1_decay must lie in [0, 1]")
         if self.refresh_period < 1 or self.batch_size < 1:
             raise ValueError("refresh_period and batch_size must be >= 1")
-        if self.weight_mode not in ("training", "target"):
-            raise ValueError("weight_mode must be 'training' or 'target'")
-        if self.weight_mode == "target":
-            if self.target_label_counts is None or self.target_m < 1:
-                raise ValueError("target weighting needs label counts and m")
-        if self.score_mode not in ("momentum", "gradient"):
-            raise ValueError("score_mode must be 'momentum' or 'gradient'")
+        counts = self.target_label_counts
+        if counts is not None:
+            ints = tuple(int(c) for c in counts)
+            if ints != tuple(counts) or min(ints, default=0) < 0 \
+                    or sum(ints) < 1:
+                raise ValueError("target_label_counts must be nonnegative "
+                                 "integers with a positive total")
+            object.__setattr__(self, "target_label_counts", ints)
         lo, hi = self.projection
         if not np.all(np.asarray(lo) <= np.asarray(hi)):
             raise ValueError("projection box needs lo <= hi and no NaN")
@@ -117,12 +115,7 @@ class OptimizerConfig:
     def beta1_at(self, t):
         if self.method in ("sgd", "ap_sgd", "adagrad", "rmsprop"):
             return 0.0
-        if self.beta1_decay == 1.0:
-            return self.beta1
         return self.beta1 * self.beta1_decay ** (t - 1)
-
-    def uses_max(self):
-        return self.method in ("amsgrad", "dasgrad")
 
 
 def step_size(alpha, t):
@@ -167,20 +160,21 @@ def project_box(theta, lo, hi):
 def _weights_for(problem, indices, probs, config):
     """Importance weights for the sampled indices.
 
-    Training mode unbiases toward the uniform training mean. Target mode is
-    the Radon-Nikodym derivative of the class-matched target distribution:
-    (test count of the class / m) is split evenly over the class's training
-    examples, so the weighted estimator is unbiased for the target-label
-    risk under any sampling distribution.
+    Without target counts the weights unbias toward the uniform training
+    mean. Target mode is the Radon-Nikodym derivative of the class-matched
+    target distribution: (test count of the class / m) is split evenly over
+    the class's training examples, so the weighted estimator is unbiased
+    for the target-label risk under any sampling distribution.
     """
-    if config.method not in _ADAPTIVE_PROBS and config.weight_mode == "training":
+    counts = config.target_label_counts
+    if counts is None and config.method not in _ADAPTIVE_PROBS:
         return np.ones(len(indices))
     p = probs[indices]
-    if config.weight_mode == "training":
+    if counts is None:
         return _sampling.importance_weight(p, problem.n)
-    counts = np.asarray(config.target_label_counts, dtype=np.float64)
     labels = problem.y[indices]
-    w = _sampling.target_weight(p, counts[labels], config.target_m)
+    w = _sampling.target_weight(
+        p, np.asarray(counts, dtype=np.float64)[labels], sum(counts))
     return w / problem.class_counts[labels]
 
 
@@ -194,13 +188,13 @@ def step_general(problem, theta, state, probs, tree, rng, config, t):
 
     g_weighted = (w[:, None] * G).mean(axis=0)
     w_mean = w.mean()
-    # Training mode feeds the recursion the raw batch mean of the sampled
-    # gradients. Target mode feeds the corrected estimate instead: its
+    # Without target counts the recursion takes the raw batch mean of the
+    # sampled gradients. Target mode feeds the corrected estimate instead: its
     # weights recenter the stream on the target-distribution risk, which is
     # the objective the momentum must track, and the coupling of numerator
     # and denominator keeps early steps bounded when weights differ from
     # one at t = 1. The two coincide bitwise whenever all weights are one.
-    if config.weight_mode == "target":
+    if config.target_label_counts is not None:
         g_state = g_weighted
     else:
         g_state = G.mean(axis=0)
@@ -218,7 +212,7 @@ def step_general(problem, theta, state, probs, tree, rng, config, t):
         beta1_t = config.beta1_at(t)
         m_prev = state.m
         moment_update(state, g_state, beta1_t, config.beta2,
-                      config.uses_max())
+                      method in ("amsgrad", "dasgrad"))
         denom = np.sqrt(state.v_hat) + config.epsilon_div
         # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the stack
         direction = (beta1_t * w_mean * m_prev
@@ -239,11 +233,9 @@ def refresh_probabilities(problem, theta, state, config, tree):
     if config.method == "ap_sgd":
         scores = _sampling.scores_apsgd(problem, theta)
     elif config.method == "dasgrad":
-        blend = config.beta1_at(max(state.t, 1))
-        if config.score_mode == "gradient":
-            blend = 0.0
         scores = _sampling.scores_dasgrad(problem, theta, state.m,
-                                          state.v_hat, blend,
+                                          state.v_hat,
+                                          config.beta1_at(max(state.t, 1)),
                                           eps_div=config.epsilon_div)
     else:
         raise ValueError("method %r does not adapt probabilities"
@@ -285,6 +277,10 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
     the problem's own rows."""
     if T < 1 or metric_tick < 1:
         raise ValueError("T and metric_tick must be at least 1")
+    counts = config.target_label_counts
+    if counts is not None and len(counts) != problem.num_classes:
+        raise ValueError("need one target label count per class (%d), got %d"
+                         % (problem.num_classes, len(counts)))
     rng = np.random.default_rng(seed)
     dim = problem.param_dim
     theta = np.zeros(dim) if theta0 is None else np.array(theta0, dtype=np.float64)

@@ -80,11 +80,9 @@ class Problem:
         self.class_counts = np.bincount(self.y, minlength=self.num_classes)
 
         self.is_sparse = sparse.issparse(self.X)
-        # X squared elementwise, reused by the closed-form score computations
-        if self.is_sparse:
-            self.X_sq = self.X.multiply(self.X).tocsr()
-        else:
-            self.X_sq = self.X**2
+        # X squared elementwise, read by the logistic score computations
+        self.X_sq = None if kind == CENTROID else (
+            self.X.multiply(self.X).tocsr() if self.is_sparse else self.X**2)
         self._x_mean = None
 
     @property

@@ -309,9 +309,7 @@ def test_criterion_10_distribution_matching():
     arms = {
         "target": H.convex_preset("dasgrad", alpha=p["alpha"],
                                   batch_size=p["batch_size"],
-                                  weight_mode="target",
-                                  target_label_counts=counts,
-                                  target_m=evald.n),
+                                  target_label_counts=counts),
         "uniform": H.convex_preset("amsgrad", alpha=p["alpha"],
                                    batch_size=p["batch_size"]),
     }

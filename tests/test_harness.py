@@ -118,9 +118,11 @@ class TestConfigParsing:
             H.parse_config_text("T = 5\nseed = 3\n[optimizer.a]\n"
                                 "method = sgd\n")
 
-    def test_unknown_optimizer_key_names_its_line(self):
-        text = "T = 5\n\n[optimizer.a]\nmethod = sgd\nalpah = 5\n"
-        with pytest.raises(ValueError, match="^line 5: unknown key 'alpah'$"):
+    @pytest.mark.parametrize("key", ["alpah", "weight_mode", "score_mode"])
+    def test_unknown_optimizer_key_names_its_line(self, key):
+        text = "T = 5\n\n[optimizer.a]\nmethod = sgd\n%s = 5\n" % key
+        with pytest.raises(ValueError,
+                           match="^line 5: unknown key '%s'$" % key):
             H.parse_config_text(text)
 
     def test_bad_value_names_its_line(self):
@@ -140,7 +142,6 @@ class TestConfigParsing:
             "[optimizer.a]\nmethod = adam\nalpha = 0.5\nbeta1 = 0.5\n"
             "beta2 = 0.75\nepsilon_div = 1e-6\nepsilon_prob = 1e-4\n"
             "beta1_decay = 0.99\nrefresh_period = 3\nbatch_size = 2\n"
-            "weight_mode = training\nscore_mode = gradient\n"
             "freeze_probabilities = yes\nbox = -2,2\n", base_dir="b")
         assert cfg.problem == H.ProblemSpec(
             kind=P.BINARY_LOGISTIC, path=os.path.join("b", "data.csv"),
@@ -152,9 +153,18 @@ class TestConfigParsing:
         assert cfg.optimizers["a"] == O.OptimizerConfig(
             method="adam", alpha=0.5, beta1=0.5, beta2=0.75,
             epsilon_div=1e-6, epsilon_prob=1e-4, beta1_decay=0.99,
-            refresh_period=3, batch_size=2, weight_mode="training",
-            score_mode="gradient", freeze_probabilities=True,
+            refresh_period=3, batch_size=2, freeze_probabilities=True,
             projection=(-2.0, 2.0))
+
+    @pytest.mark.parametrize("line, message", [
+        ("kind = foo", "kind must be one of centroid, "),
+        ("classes = 1", "classes must be at least 2"),
+        ("lambda = nan", "lambda must be finite and nonnegative"),
+        ("lambda = -1", "lambda must be finite and nonnegative"),
+    ])
+    def test_bad_problem_key_names_its_line(self, line, message):
+        with pytest.raises(ValueError, match="^line 2: " + message):
+            H.parse_config_text("T = 5\n" + line + "\n[optimizer.a]\n")
 
     def test_repo_configs_use_only_known_keys(self):
         root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -380,6 +390,7 @@ class TestRunSettingsRejected:
         ("metric_tick = 5", "metric_tick = -5", "metric_tick"),
         ("metric_tick = 5", "metric_tick = 31", "metric_tick"),
         ("seeds = 0,1,2", "seeds = 1,1", "seeds must not repeat"),
+        ("seeds = 0,1,2", "seeds = -1,0", "be negative, got -1,0"),
         ("T = 30", "T = 0", "T must be at least 1"),
         ("T = 30", "T = 30\nreference_tol = 0", "reference_tol"),
         ("T = 30", "T = 30\nreference_max_iters = 0", "reference_max_iters"),
@@ -398,6 +409,7 @@ class TestRunSettingsRejected:
 
     @pytest.mark.parametrize("settings, message", [
         (dict(seeds=[1, 1]), "seeds must not repeat"),
+        (dict(seeds=[-1, 0]), "be negative"),
         (dict(T=5, metric_tick=6), "metric_tick"),
         (dict(metric_tick=0), "metric_tick"),
     ])
@@ -425,6 +437,17 @@ class TestRunSettingsRejected:
         out = tmp_path / "sweep"
         with pytest.raises(ValueError, match="must not repeat"):
             H.sweep_variance(sigmas, range(2), str(out), methods=methods)
+        assert not out.exists()
+
+    def test_matching_usage_error_leaves_no_output_dir(self, tmp_path,
+                                                       capsys, monkeypatch):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "m"
+        with pytest.raises(SystemExit) as err:
+            C.main(["matching", "--seeds", "2", "--T", "40",
+                    "--keep-fraction", "0", "--out", str(out)])
+        assert err.value.code == 2
+        assert "keep_fraction" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_protocol_setting_is_named(self, tmp_path, monkeypatch):
@@ -481,18 +504,21 @@ class TestRunSettingsRejected:
         monkeypatch.setattr(O, "run", None)
         out = tmp_path / "bad"
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text(TINY_CONFIG.format(out=out).replace(
-            "lambda = 1e-3", "lambda = nan"))
+        text = TINY_CONFIG.format(out=out).replace("lambda = 1e-3",
+                                                   "lambda = nan")
+        cfg_path.write_text(text)
+        line = text.splitlines().index("lambda = nan") + 1
         with pytest.raises(SystemExit) as err:
             C.main(["run", "--config", str(cfg_path)])
         assert err.value.code == 2
-        assert "l2_lambda must be finite" in capsys.readouterr().err
+        assert ("line %d: lambda must be finite and nonnegative" % line
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("setting, data, message", [
         ("path = data.csv", "0,1\n1,x\n", "data.csv:2: non-numeric field"),
         ("path = missing.csv", None, "missing.csv"),
-        ("classes = 1", None, "need n >= num_classes >= 2"),
+        ("n = 1", None, "need n >= num_classes >= 2"),
     ])
     def test_bad_data_is_one_usage_error_line(self, tmp_path, capsys,
                                               monkeypatch, setting, data,

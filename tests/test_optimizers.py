@@ -128,8 +128,7 @@ class TestStepGeneral:
         prob = multiclass_problem(rng, n=24, k=3)
         counts = np.array([10, 30, 20])
         m = counts.sum()
-        cfg = O.OptimizerConfig(method="dasgrad", weight_mode="target",
-                                target_label_counts=counts, target_m=int(m))
+        cfg = O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
         theta = rng.standard_normal(prob.param_dim)
         probs = S.normalize_scores(rng.random(prob.n), 1e-3)
         est = np.zeros(prob.param_dim)
@@ -169,9 +168,21 @@ class TestConfigValidation:
         # fine for sgd, which has no moment recursion
         O.OptimizerConfig(method="sgd", beta1=0.99, beta2=0.5)
 
-    def test_target_mode_needs_counts(self):
-        with pytest.raises(ValueError):
-            O.OptimizerConfig(method="dasgrad", weight_mode="target")
+    @pytest.mark.parametrize("counts", [
+        [], [0, 0], [3, -1], [1.5, 2], ["1", "2"]])
+    def test_target_mode_needs_counts(self, counts):
+        with pytest.raises(ValueError, match="target_label_counts"):
+            O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
+
+    def test_target_counts_are_a_tuple_of_ints(self):
+        counts = np.array([1, 2])
+        a = O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
+        b = O.OptimizerConfig(method="dasgrad", target_label_counts=[1, 2])
+        assert a == b and hash(a) == hash(b)
+        counts[0] = 99
+        assert a.target_label_counts == (1, 2)
+        assert type(a.target_label_counts[0]) is int
+        assert O.OptimizerConfig(method="sgd").target_label_counts is None
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
@@ -192,6 +203,30 @@ class TestConfigValidation:
                                                       message):
         with pytest.raises(ValueError, match=message):
             O.OptimizerConfig(method="dasgrad", **{field: value})
+
+    @pytest.mark.parametrize("method", ["adam", "amsgrad", "dasgrad"])
+    def test_beta1_decays_geometrically(self, method):
+        cfg = O.OptimizerConfig(method=method, beta1=0.8, beta1_decay=0.5)
+        for t in (1, 2, 5):
+            assert cfg.beta1_at(t) == 0.8 * 0.5 ** (t - 1)
+
+    def test_step_blends_moments_with_the_decayed_beta1(self):
+        rng = np.random.default_rng(16)
+        prob = multiclass_problem(rng, n=12)
+        cfg = O.OptimizerConfig(method="amsgrad", beta1=0.8,
+                                beta1_decay=0.5, batch_size=3)
+        state = O.MomentState.zeros(prob.param_dim)
+        state.m = rng.standard_normal(prob.param_dim)
+        m_prev = state.m.copy()
+        probs = np.full(prob.n, 1.0 / prob.n)
+        theta = rng.standard_normal(prob.param_dim)
+        _, idx = O.step_general(prob, theta, state, probs,
+                                S.SamplingTree(probs),
+                                np.random.default_rng(2), cfg, t=3)
+        g = P.gradients(prob, theta, idx).mean(axis=0)
+        beta1_t = 0.8 * 0.5 ** 2
+        np.testing.assert_array_equal(
+            state.m, beta1_t * m_prev + (1.0 - beta1_t) * g)
 
     def test_unbounded_box_and_closed_decay_range_are_legal(self):
         for decay in (0.0, 1.0):
@@ -382,6 +417,13 @@ class TestRun:
                                       cfg, t)
             assert np.all(state.v_hat >= prev)
             prev = state.v_hat.copy()
+
+    def test_target_counts_need_one_count_per_class(self):
+        rng = np.random.default_rng(17)
+        prob = multiclass_problem(rng, n=12, k=3)
+        cfg = O.OptimizerConfig(method="dasgrad", target_label_counts=[1, 2])
+        with pytest.raises(ValueError, match="per class"):
+            O.run(prob, cfg, T=4, seed=0)
 
     @pytest.mark.parametrize("tick", [0, -2])
     def test_tick_below_one_rejected(self, tick):

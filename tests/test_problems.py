@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -282,6 +284,14 @@ class TestValidation:
     def test_malformed_arrays(self, X, y):
         with pytest.raises(ValueError):
             P.Problem(X, y, P.BINARY_LOGISTIC)
+
+    def test_centroid_skips_the_squared_features(self):
+        # only the logistic score route reads X_sq; squaring 1e200 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = P.Problem(np.array([[1e200], [-1e200]]), [0, 0],
+                             P.CENTROID)
+        assert prob.X_sq is None
 
     def test_empty(self):
         with pytest.raises(ValueError):

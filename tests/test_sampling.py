@@ -313,8 +313,7 @@ def test_target_weights_are_unbiased_for_the_class_reweighted_mean(data):
     g = rng.standard_normal((n, 3))
     prob = P.Problem(np.zeros((n, 1)), y, P.MULTICLASS_LOGISTIC,
                      num_classes=k)
-    cfg = O.OptimizerConfig(method="dasgrad", weight_mode="target",
-                            target_label_counts=counts, target_m=m)
+    cfg = O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
     w = O._weights_for(prob, np.arange(n), probs, cfg)
     lhs = (probs[:, None] * w[:, None] * g).sum(axis=0)
     rhs = sum(counts[c] / m * g[y == c].mean(axis=0) for c in range(k))

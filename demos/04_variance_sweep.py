@@ -27,7 +27,7 @@ for sigma in (0.1, 1.0, 10.0):
     for method in ("amsgrad", "dasgrad"):
         cfg = convex_preset(method, alpha=0.01, batch_size=8)
         finals[method] = np.array([
-            regret_ledger(r.ticks, r.loss, reference.f_star).cumulative[-1]
+            regret_ledger(r.loss, reference.f_star).cumulative[-1]
             for r in (run(problem, cfg, T=500, seed=s, metric_tick=1)
                       for s in range(SEEDS))])
     gap, lo, hi = paired_ci(finals["amsgrad"], finals["dasgrad"])

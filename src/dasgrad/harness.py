@@ -232,7 +232,7 @@ TRACE_HEADER = "step,loss,accuracy,inst_regret,cum_regret,grad_norm_var"
 
 
 def write_trace_csv(path, result, f_star):
-    ledger = _metrics.regret_ledger(result.ticks, result.loss, f_star)
+    ledger = _metrics.regret_ledger(result.loss, f_star)
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         for row, step in enumerate(result.ticks):
@@ -332,9 +332,8 @@ def _run_arms(arms, seeds, T, metric_tick, out, eval_set=None):
 
 def _cum_regret(runs, f_star):
     """Per-run cumulative regret and its across-seed aggregate."""
-    cums = [_metrics.regret_ledger(r.ticks, r.loss, f_star).cumulative
-            for r in runs]
-    return cums, _metrics.aggregate_runs(cums, runs[0].ticks)
+    cums = [_metrics.regret_ledger(r.loss, f_star).cumulative for r in runs]
+    return cums, _metrics.aggregate_runs(cums)
 
 
 def run_experiment(config):
@@ -363,10 +362,10 @@ def run_experiment(config):
         aggregated.append(name)
         steps = runs[0].ticks
         acc_agg = None if runs[0].accuracy is None else \
-            _metrics.aggregate_runs([r.accuracy for r in runs], steps)
+            _metrics.aggregate_runs([r.accuracy for r in runs])
         _write_aggregate_csv(
             os.path.join(out, "aggregate_%s.csv" % name), steps,
-            [("loss", _metrics.aggregate_runs([r.loss for r in runs], steps)),
+            [("loss", _metrics.aggregate_runs([r.loss for r in runs])),
              ("accuracy", acc_agg),
              ("cum_regret", _cum_regret(runs, reference.f_star)[1])])
 

@@ -28,7 +28,6 @@ class ReferenceSolution:
 class RegretLedger:
     """Instantaneous and cumulative expected-regret trace on a tick grid."""
 
-    steps: np.ndarray
     instantaneous: np.ndarray
     cumulative: np.ndarray
 
@@ -37,21 +36,19 @@ class RegretLedger:
 class AggregateTrace:
     """Across-seed mean and 95% confidence band on a shared tick grid."""
 
-    steps: np.ndarray
     mean: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
     n_seeds: int
 
 
-def backtracking_gradient_descent(problem, tol, max_iters, theta0=None):
-    """Full-batch gradient descent with halving line search (Armijo
-    constant 1e-4) until ||grad||_2 <= tol or the iteration cap. Each trial
+def backtracking_gradient_descent(problem, tol, max_iters):
+    """Full-batch gradient descent from theta = 0 with halving line search
+    (Armijo constant 1e-4) until ||grad||_2 <= tol or the iteration cap. Each trial
     point costs one ``problems.objective_and_gradient`` call, one pass over
     X; the accepted trial's objective and gradient carry into the next
     iteration. Returns (best_theta, best_f, iterations, converged)."""
-    theta = np.zeros(problem.param_dim) if theta0 is None \
-        else np.array(theta0, dtype=np.float64)
+    theta = np.zeros(problem.param_dim)
     f, g = _problems.objective_and_gradient(problem, theta)
     best_theta, best_f = theta, f
     iterations = 0
@@ -107,12 +104,10 @@ def instantaneous_regret(problem, theta_t, f_star):
     return _problems.full_objective(problem, theta_t) - f_star
 
 
-def regret_ledger(steps, losses, f_star):
+def regret_ledger(losses, f_star):
     """Ledger over recorded ticks: instantaneous gaps and their running sum."""
-    steps = np.asarray(steps, dtype=np.int64)
     inst = np.asarray(losses, dtype=np.float64) - f_star
-    return RegretLedger(steps=steps, instantaneous=inst,
-                        cumulative=np.cumsum(inst))
+    return RegretLedger(instantaneous=inst, cumulative=np.cumsum(inst))
 
 
 def gradient_norm_variance(problem, theta):
@@ -140,7 +135,7 @@ def accuracy(problem, theta, X, y):
     return float(np.mean(pred == y))
 
 
-def aggregate_runs(traces, steps=None):
+def aggregate_runs(traces):
     """Aggregate per-seed metric traces sharing one tick grid.
 
     ``traces``: sequence of 1-d arrays (one per seed). CI is
@@ -156,10 +151,8 @@ def aggregate_runs(traces, steps=None):
     n = stack.shape[0]
     mean = stack.mean(axis=0)
     half = Z_95 * stack.std(axis=0, ddof=1) / np.sqrt(n)
-    if steps is None:
-        steps = np.arange(1, stack.shape[1] + 1)
-    return AggregateTrace(steps=np.asarray(steps, dtype=np.int64), mean=mean,
-                          ci_low=mean - half, ci_high=mean + half, n_seeds=n)
+    return AggregateTrace(mean=mean, ci_low=mean - half, ci_high=mean + half,
+                          n_seeds=n)
 
 
 def paired_ci(values_a, values_b):

@@ -13,6 +13,10 @@ the diagonal preconditioner, and whether the sampling distribution adapts:
 * ``dasgrad``   -- amsgrad plus adaptive sampling by preconditioned
   candidate-direction norms, refreshed every ``refresh_period`` steps.
 
+A run's state is theta, the moments (m, v, v_hat) and the sum tree, which
+holds the sampling distribution. v is the one second-moment statistic: the
+EMA of g^2, or adagrad's running sum of g^2.
+
 Every step samples ``batch_size`` indices i.i.d. with replacement from the
 current distribution and averages the importance-weighted per-index
 directions. Without target label counts the moment recursion absorbs the
@@ -51,18 +55,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class MomentState:
-    """Running moment vectors of one optimization run."""
+    """Running moment vectors of one optimization run: the momentum m, the
+    second moment v (the EMA of g^2, or adagrad's running sum of g^2) and
+    v_hat, the running max of v for amsgrad and dasgrad and v itself for
+    adam and rmsprop."""
 
     m: np.ndarray
     v: np.ndarray
     v_hat: np.ndarray
-    adagrad_sum: np.ndarray
-    t: int = 0
 
     @classmethod
     def zeros(cls, dim):
-        return cls(m=np.zeros(dim), v=np.zeros(dim), v_hat=np.zeros(dim),
-                   adagrad_sum=np.zeros(dim))
+        return cls(m=np.zeros(dim), v=np.zeros(dim), v_hat=np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,12 @@ class OptimizerConfig:
                                  "integers with a positive total")
             object.__setattr__(self, "target_label_counts", ints)
         lo, hi = self.projection
-        if not np.all(np.asarray(lo) <= np.asarray(hi)):
+        if np.ndim(lo) or np.ndim(hi):
+            raise ValueError("projection box bounds must be two scalars")
+        lo, hi = float(lo), float(hi)
+        if not lo <= hi:
             raise ValueError("projection box needs lo <= hi and no NaN")
+        object.__setattr__(self, "projection", (lo, hi))
 
     def beta1_at(self, t):
         if self.method in ("sgd", "ap_sgd", "adagrad", "rmsprop"):
@@ -130,7 +138,8 @@ def step_size(alpha, t):
 def moment_update(state, g, beta1_t, beta2, use_max):
     """One moment recursion step:
     m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2, and v_hat keeps the
-    coordinatewise max of v when use_max is set (otherwise it tracks v)."""
+    coordinatewise max of v when use_max is set (otherwise it is v: v is
+    rebound here, never changed in place, so the alias is safe)."""
     g = np.asarray(g, dtype=np.float64)
     if g.shape != state.m.shape:
         raise ValueError("gradient shape %s does not match state %s"
@@ -142,8 +151,7 @@ def moment_update(state, g, beta1_t, beta2, use_max):
     if use_max:
         state.v_hat = np.maximum(state.v_hat, state.v)
     else:
-        state.v_hat = state.v.copy()
-    state.t += 1
+        state.v_hat = state.v
 
 
 def project_box(theta, lo, hi):
@@ -157,7 +165,7 @@ def project_box(theta, lo, hi):
     return np.clip(theta, lo, hi)
 
 
-def _weights_for(problem, indices, probs, config):
+def _weights_for(problem, indices, tree, config):
     """Importance weights for the sampled indices.
 
     Without target counts the weights unbias toward the uniform training
@@ -169,7 +177,7 @@ def _weights_for(problem, indices, probs, config):
     counts = config.target_label_counts
     if counts is None and config.method not in _ADAPTIVE_PROBS:
         return np.ones(len(indices))
-    p = probs[indices]
+    p = tree.leaves(indices)
     if counts is None:
         return _sampling.importance_weight(p, problem.n)
     labels = problem.y[indices]
@@ -178,13 +186,13 @@ def _weights_for(problem, indices, probs, config):
     return w / problem.class_counts[labels]
 
 
-def step_general(problem, theta, state, probs, tree, rng, config, t):
+def step_general(problem, theta, state, tree, rng, config, t):
     """One step of the general method: sample a batch, advance the moment
     state, average the importance-weighted per-index directions, and
     project. Returns (new_theta, sampled_indices)."""
     indices = tree.sample_many(rng, config.batch_size)
     G = _problems.gradients(problem, theta, indices)
-    w = _weights_for(problem, indices, probs, config)
+    w = _weights_for(problem, indices, tree, config)
 
     g_weighted = (w[:, None] * G).mean(axis=0)
     w_mean = w.mean()
@@ -202,11 +210,9 @@ def step_general(problem, theta, state, probs, tree, rng, config, t):
     method = config.method
     if method in ("sgd", "ap_sgd"):
         direction = g_weighted
-        state.t += 1
     elif method == "adagrad":
-        state.adagrad_sum = state.adagrad_sum + g_state * g_state
-        state.t += 1
-        denom = np.sqrt(state.adagrad_sum / t) + config.epsilon_div
+        state.v = state.v + g_state * g_state
+        denom = np.sqrt(state.v / t) + config.epsilon_div
         direction = g_weighted / denom
     else:
         beta1_t = config.beta1_at(t)
@@ -227,22 +233,20 @@ def step_general(problem, theta, state, probs, tree, rng, config, t):
     return new_theta, indices
 
 
-def refresh_probabilities(problem, theta, state, config, tree):
-    """Recompute the sampling distribution from the current scores and load
-    it into the tree in one O(n) rebuild. Returns the new distribution."""
+def refresh_probabilities(problem, theta, state, config, tree, t):
+    """Recompute the sampling distribution from the current scores before
+    step t and load it into the tree in one O(n) rebuild."""
     if config.method == "ap_sgd":
         scores = _sampling.scores_apsgd(problem, theta)
     elif config.method == "dasgrad":
         scores = _sampling.scores_dasgrad(problem, theta, state.m,
                                           state.v_hat,
-                                          config.beta1_at(max(state.t, 1)),
+                                          config.beta1_at(max(t - 1, 1)),
                                           eps_div=config.epsilon_div)
     else:
         raise ValueError("method %r does not adapt probabilities"
                          % (config.method,))
-    probs = _sampling.normalize_scores(scores, config.epsilon_prob)
-    tree.set_all(probs)
-    return probs
+    tree.set_all(_sampling.normalize_scores(scores, config.epsilon_prob))
 
 
 def _wants_refresh(config, t):
@@ -257,10 +261,9 @@ def _wants_refresh(config, t):
 
 @dataclass
 class RunResult:
-    """Trace of one run: sampled indices per step and metrics on the tick
-    grid. ``accuracy`` is None for centroid problems."""
+    """Trace of one run: metrics on the tick grid and the final theta.
+    ``accuracy`` is None for centroid problems."""
 
-    indices: np.ndarray
     ticks: np.ndarray
     loss: np.ndarray
     accuracy: np.ndarray | None
@@ -269,12 +272,11 @@ class RunResult:
     seed: int
 
 
-def run(problem, config, T, seed, metric_tick=10, theta0=None,
-        eval_set=None):
-    """Run T steps from theta0 (zeros by default). Deterministic given
-    (config, seed). Metrics are recorded whenever t % metric_tick == 0;
-    accuracy is computed on the (X, y) pair eval_set when given, else on
-    the problem's own rows."""
+def run(problem, config, T, seed, metric_tick=10, eval_set=None):
+    """Run T steps from theta = 0. Deterministic given (config, seed).
+    Metrics are recorded whenever t % metric_tick == 0; accuracy is
+    computed on the (X, y) pair eval_set when given, else on the problem's
+    own rows."""
     if T < 1 or metric_tick < 1:
         raise ValueError("T and metric_tick must be at least 1")
     counts = config.target_label_counts
@@ -282,25 +284,18 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
         raise ValueError("need one target label count per class (%d), got %d"
                          % (problem.num_classes, len(counts)))
     rng = np.random.default_rng(seed)
-    dim = problem.param_dim
-    theta = np.zeros(dim) if theta0 is None else np.array(theta0, dtype=np.float64)
-    if theta.shape != (dim,):
-        raise ValueError("theta0 has the wrong dimension")
-    state = MomentState.zeros(dim)
-    probs = np.full(problem.n, 1.0 / problem.n)
-    tree = _sampling.SamplingTree(probs)
+    theta = np.zeros(problem.param_dim)
+    state = MomentState.zeros(problem.param_dim)
+    tree = _sampling.SamplingTree(np.full(problem.n, 1.0 / problem.n))
 
     classification = problem.kind != _problems.CENTROID
     X_eval, y_eval = (problem.X, problem.y) if eval_set is None else eval_set
-    all_indices = np.empty((T, config.batch_size), dtype=np.int64)
     ticks, losses, accs, gvars = [], [], [], []
 
     for t in range(1, T + 1):
         if _wants_refresh(config, t):
-            probs = refresh_probabilities(problem, theta, state, config, tree)
-        theta, indices = step_general(problem, theta, state, probs, tree,
-                                      rng, config, t)
-        all_indices[t - 1] = indices
+            refresh_probabilities(problem, theta, state, config, tree, t)
+        theta, _ = step_general(problem, theta, state, tree, rng, config, t)
         if t % metric_tick == 0:
             # a diverging run is reported by DivergenceError, not warnings;
             # only the tick, as ufuncs run slower under a non-default errstate
@@ -315,8 +310,7 @@ def run(problem, config, T, seed, metric_tick=10, theta0=None,
             if classification:
                 accs.append(_metrics.accuracy(problem, theta, X_eval, y_eval))
 
-    return RunResult(indices=all_indices,
-                     ticks=np.array(ticks, dtype=np.int64),
+    return RunResult(ticks=np.array(ticks, dtype=np.int64),
                      loss=np.array(losses),
                      accuracy=np.array(accs) if classification else None,
                      grad_norm_var=np.array(gvars), theta=theta, seed=seed)

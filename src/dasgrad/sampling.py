@@ -39,13 +39,15 @@ class SamplingTree:
     def total(self) -> float:
         return float(self.nodes[1])
 
-    def leaf(self, i: int) -> float:
-        if not 0 <= i < self.n:
+    def leaves(self, rows=None) -> np.ndarray:
+        """Copy of the n leaf weights, or of those at the index array rows."""
+        leaves = self.nodes[self.capacity:self.capacity + self.n]
+        if rows is None:
+            return leaves.copy()
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and rows.min() < 0:
             raise IndexError("leaf index out of range")
-        return float(self.nodes[self.capacity + i])
-
-    def leaves(self) -> np.ndarray:
-        return np.array(self.nodes[self.capacity:self.capacity + self.n])
+        return leaves[rows]  # numpy raises IndexError for a row >= n
 
     def set_all(self, weights) -> None:
         """Replace all n leaf weights and rebuild the parents level by
@@ -153,7 +155,8 @@ def normalize_scores(scores, epsilon):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     shifted = scores + epsilon
-    total = shifted.sum()
+    with np.errstate(over="ignore"):
+        total = shifted.sum()
     if not np.isfinite(total):
         raise ValueError("the total of the scores overflows")
     return shifted / total

@@ -139,16 +139,16 @@ def _lockstep(problem, cfg_a, cfg_b, T, seed):
     thetas = [np.zeros(dim), np.zeros(dim)]
     states = [O.MomentState.zeros(dim), O.MomentState.zeros(dim)]
     rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
-    probs = [np.full(problem.n, 1.0 / problem.n) for _ in range(2)]
-    trees = [S.SamplingTree(p) for p in probs]
+    trees = [S.SamplingTree(np.full(problem.n, 1.0 / problem.n))
+             for _ in range(2)]
     worst = 0.0
     for t in range(1, T + 1):
         for j, cfg in enumerate((cfg_a, cfg_b)):
             if O._wants_refresh(cfg, t):
-                probs[j] = O.refresh_probabilities(problem, thetas[j],
-                                                   states[j], cfg, trees[j])
+                O.refresh_probabilities(problem, thetas[j], states[j], cfg,
+                                        trees[j], t)
             thetas[j], _ = O.step_general(problem, thetas[j], states[j],
-                                          probs[j], trees[j], rngs[j], cfg, t)
+                                          trees[j], rngs[j], cfg, t)
         worst = max(worst, float(np.abs(thetas[0] - thetas[1]).max()))
     return worst
 
@@ -187,16 +187,14 @@ def test_criterion_6_vhat_monotone_and_projection():
     for method in ("amsgrad", "dasgrad"):
         cfg = H.convex_preset(method, alpha=0.05, batch_size=2)
         state = O.MomentState.zeros(5)
-        probs = np.full(20, 1.0 / 20)
-        tree = S.SamplingTree(probs)
+        tree = S.SamplingTree(np.full(20, 1.0 / 20))
         gen = np.random.default_rng(1)
         theta = np.zeros(5)
         prev = np.zeros(5)
         for t in range(1, 10_001):
             if O._wants_refresh(cfg, t):
-                probs = O.refresh_probabilities(prob, theta, state, cfg, tree)
-            theta, _ = O.step_general(prob, theta, state, probs, tree, gen,
-                                      cfg, t)
+                O.refresh_probabilities(prob, theta, state, cfg, tree, t)
+            theta, _ = O.step_general(prob, theta, state, tree, gen, cfg, t)
             assert np.all(state.v_hat >= prev), (method, t)
             prev = state.v_hat.copy()
 

@@ -616,7 +616,7 @@ class TestSweepAndMatching:
             problem = D.make_problem(D.synth_centroid(
                 20, 3, sigma, H.SWEEP_DEFAULTS["data_seed"]), P.CENTROID)
             f_star = M.solve_reference(problem).f_star
-            final = {m: [M.regret_ledger(r.ticks, r.loss, f_star).cumulative[-1]
+            final = {m: [M.regret_ledger(r.loss, f_star).cumulative[-1]
                          for r in results[sigma][m] if r.seed in (0, 2)]
                      for m in ("amsgrad", "dasgrad")}
             gap = M.paired_ci(final["amsgrad"], final["dasgrad"])

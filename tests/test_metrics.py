@@ -208,7 +208,7 @@ class TestRegret:
 
     def test_ledger_cumulative_is_running_sum(self):
         losses = np.array([3.0, 2.5, 2.1, 2.0])
-        ledger = M.regret_ledger([10, 20, 30, 40], losses, f_star=2.0)
+        ledger = M.regret_ledger(losses, f_star=2.0)
         np.testing.assert_allclose(ledger.instantaneous,
                                    [1.0, 0.5, 0.1, 0.0])
         np.testing.assert_allclose(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from dasgrad import harness as H
 from dasgrad import metrics as M
@@ -44,7 +45,6 @@ class TestMomentUpdate:
         O.moment_update(state, np.array([0.0]), 0.0, 0.9, use_max=True)
         np.testing.assert_allclose(state.v, [0.09])
         np.testing.assert_allclose(state.v_hat, [0.1])
-        assert state.t == 2
 
     def test_memoryless_case(self):
         state = O.MomentState.zeros(2)
@@ -52,6 +52,7 @@ class TestMomentUpdate:
         O.moment_update(state, g, 0.0, 0.0, use_max=False)
         np.testing.assert_allclose(state.m, g)
         np.testing.assert_allclose(state.v, g * g)
+        assert state.v_hat is state.v
 
     def test_dimension_mismatch(self):
         state = O.MomentState.zeros(2)
@@ -102,9 +103,8 @@ class TestStepGeneral:
         prob = centroid_problem([[0.0], [4.0]])
         cfg = O.OptimizerConfig(method="sgd", alpha=1.0, batch_size=1)
         tree = S.SamplingTree([0.0, 1.0])  # all mass on index 1
-        probs = np.array([0.5, 0.5])
         state = O.MomentState.zeros(1)
-        theta, idx = O.step_general(prob, np.zeros(1), state, probs, tree,
+        theta, idx = O.step_general(prob, np.zeros(1), state, tree,
                                     np.random.default_rng(0), cfg, t=1)
         assert idx.tolist() == [1]
         np.testing.assert_allclose(theta, [4.0])
@@ -131,9 +131,10 @@ class TestStepGeneral:
         cfg = O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
         theta = rng.standard_normal(prob.param_dim)
         probs = S.normalize_scores(rng.random(prob.n), 1e-3)
+        tree = S.SamplingTree(probs)
         est = np.zeros(prob.param_dim)
         for i in range(prob.n):
-            w = O._weights_for(prob, np.array([i]), probs, cfg)[0]
+            w = O._weights_for(prob, np.array([i]), tree, cfg)[0]
             est += probs[i] * w * P.example_gradient(prob, i, theta)
         target = np.zeros(prob.param_dim)
         for k in range(3):
@@ -184,6 +185,12 @@ class TestConfigValidation:
         assert type(a.target_label_counts[0]) is int
         assert O.OptimizerConfig(method="sgd").target_label_counts is None
 
+    def test_projection_is_two_floats(self):
+        a = O.OptimizerConfig(method="dasgrad", projection=(-1, 1))
+        b = O.OptimizerConfig(method="dasgrad", projection=(-1.0, 1.0))
+        assert a == b and hash(a) == hash(b)
+        assert all(type(bound) is float for bound in a.projection)
+
     def test_bad_method(self):
         with pytest.raises(ValueError):
             O.OptimizerConfig(method="adamw")
@@ -198,6 +205,10 @@ class TestConfigValidation:
         ("beta1_decay", np.nan, "beta1_decay"),
         ("projection", (np.nan, 1.0), "projection box"),
         ("projection", (-1.0, np.nan), "projection box"),
+        ("projection", (np.array([-1.0, -2.0]), np.array([1.0, 2.0])),
+         "two scalars"),
+        ("projection", (-1.0, np.array([1.0, 2.0])), "two scalars"),
+        ("projection", (np.array([-1.0]), 1.0), "two scalars"),
     ])
     def test_rejects_nonfinite_or_out_of_range_values(self, field, value,
                                                       message):
@@ -218,10 +229,9 @@ class TestConfigValidation:
         state = O.MomentState.zeros(prob.param_dim)
         state.m = rng.standard_normal(prob.param_dim)
         m_prev = state.m.copy()
-        probs = np.full(prob.n, 1.0 / prob.n)
         theta = rng.standard_normal(prob.param_dim)
-        _, idx = O.step_general(prob, theta, state, probs,
-                                S.SamplingTree(probs),
+        _, idx = O.step_general(prob, theta, state,
+                                S.SamplingTree(np.full(prob.n, 1.0 / prob.n)),
                                 np.random.default_rng(2), cfg, t=3)
         g = P.gradients(prob, theta, idx).mean(axis=0)
         beta1_t = 0.8 * 0.5 ** 2
@@ -244,7 +254,6 @@ class TestCollapseEquivalences:
         ams = O.OptimizerConfig(method="amsgrad", **kw)
         r1 = O.run(prob, das, T=100, seed=7, metric_tick=1)
         r2 = O.run(prob, ams, T=100, seed=7, metric_tick=1)
-        assert np.array_equal(r1.indices, r2.indices)
         assert np.array_equal(r1.theta, r2.theta)
         assert np.array_equal(r1.loss, r2.loss)
 
@@ -279,14 +288,12 @@ class TestCollapseEquivalences:
         adam = O.OptimizerConfig(method="adam", **kw)
         ams = O.OptimizerConfig(method="amsgrad", **kw)
         state = O.MomentState.zeros(2)
-        probs = np.array([1.0])
-        tree = S.SamplingTree(probs)
+        tree = S.SamplingTree([1.0])
         rng = np.random.default_rng(11)
         theta = np.zeros(2)
         prev_v = np.zeros(2)
         for t in range(1, 61):
-            theta, _ = O.step_general(prob, theta, state, probs, tree, rng,
-                                      adam, t)
+            theta, _ = O.step_general(prob, theta, state, tree, rng, adam, t)
             assert np.all(state.v >= prev_v), \
                 "test premise: v must rise along this run"
             prev_v = state.v.copy()
@@ -302,16 +309,16 @@ class TestRefresh:
         cfg = O.OptimizerConfig(method="ap_sgd")
         tree = S.SamplingTree(np.full(2, 0.5))
         state = O.MomentState.zeros(1)
-        probs = O.refresh_probabilities(prob, np.array([2.0]), state, cfg, tree)
-        assert probs[0] == probs[1]
-        np.testing.assert_allclose(tree.leaves(), probs)
+        O.refresh_probabilities(prob, np.array([2.0]), state, cfg, tree, 1)
+        np.testing.assert_array_equal(tree.leaves(), [0.5, 0.5])
 
     def test_dominant_example_gets_proportional_mass(self):
         prob = centroid_problem([[1.0], [10.0]])
         cfg = O.OptimizerConfig(method="ap_sgd", epsilon_prob=1e-12)
         tree = S.SamplingTree(np.full(2, 0.5))
         state = O.MomentState.zeros(1)
-        probs = O.refresh_probabilities(prob, np.array([0.0]), state, cfg, tree)
+        O.refresh_probabilities(prob, np.array([0.0]), state, cfg, tree, 1)
+        probs = tree.leaves()
         assert probs[1] / probs[0] == pytest.approx(10.0, rel=1e-9)
 
     def test_tree_root_is_one_and_sampling_matches(self):
@@ -320,25 +327,32 @@ class TestRefresh:
         cfg = O.OptimizerConfig(method="ap_sgd")
         tree = S.SamplingTree(np.full(50, 1.0 / 50))
         state = O.MomentState.zeros(3)
-        probs = O.refresh_probabilities(prob, rng.standard_normal(3), state,
-                                        cfg, tree)
+        O.refresh_probabilities(prob, rng.standard_normal(3), state, cfg,
+                                tree, 1)
+        probs = tree.leaves()
         assert abs(tree.total - 1.0) <= 1e-9
         draws = tree.sample_many(np.random.default_rng(8), 100_000)
         freq = np.bincount(draws, minlength=50) / 100_000
         bound = 4 * np.sqrt(probs * (1 - probs) / 100_000)
         assert np.all(np.abs(freq - probs) <= bound)
 
-    def test_tree_nodes_match_fresh_build(self):
+    @pytest.mark.parametrize("t, blend_step", [(1, 1), (2, 1), (8, 7)])
+    def test_tree_nodes_match_fresh_build(self, t, blend_step):
+        # the refresh before step t blends with beta1 of the step before it
         rng = np.random.default_rng(14)
         prob = multiclass_problem(rng, n=37)
-        cfg = O.OptimizerConfig(method="dasgrad", batch_size=4)
+        cfg = O.OptimizerConfig(method="dasgrad", batch_size=4,
+                                beta1_decay=0.5)
         tree = S.SamplingTree(np.full(prob.n, 1.0 / prob.n))
         state = O.MomentState.zeros(prob.param_dim)
         state.m = rng.standard_normal(prob.param_dim)
         state.v_hat = rng.random(prob.param_dim)
-        state.t = 7
-        probs = O.refresh_probabilities(
-            prob, rng.standard_normal(prob.param_dim), state, cfg, tree)
+        theta = rng.standard_normal(prob.param_dim)
+        O.refresh_probabilities(prob, theta, state, cfg, tree, t)
+        scores = S.scores_dasgrad(prob, theta, state.m, state.v_hat,
+                                  cfg.beta1_at(blend_step),
+                                  eps_div=cfg.epsilon_div)
+        probs = S.normalize_scores(scores, cfg.epsilon_prob)
         assert np.array_equal(tree.nodes, S.SamplingTree(probs).nodes)
 
     def test_schedule(self):
@@ -364,13 +378,10 @@ class TestRun:
         cfg = O.OptimizerConfig(method="amsgrad", batch_size=3)
         result = O.run(prob, cfg, T=1, seed=5, metric_tick=1)
         state = O.MomentState.zeros(prob.param_dim)
-        probs = np.full(prob.n, 1.0 / prob.n)
-        tree = S.SamplingTree(probs)
-        theta, idx = O.step_general(prob, np.zeros(prob.param_dim), state,
-                                    probs, tree, np.random.default_rng(5),
-                                    cfg, 1)
+        tree = S.SamplingTree(np.full(prob.n, 1.0 / prob.n))
+        theta, _ = O.step_general(prob, np.zeros(prob.param_dim), state,
+                                  tree, np.random.default_rng(5), cfg, 1)
         assert np.array_equal(result.theta, theta)
-        assert np.array_equal(result.indices[0], idx)
 
     def test_identical_seeds_identical_traces(self):
         rng = np.random.default_rng(11)
@@ -379,7 +390,6 @@ class TestRun:
                                 refresh_period=3)
         r1 = O.run(prob, cfg, T=60, seed=42, metric_tick=5)
         r2 = O.run(prob, cfg, T=60, seed=42, metric_tick=5)
-        assert np.array_equal(r1.indices, r2.indices)
         assert np.array_equal(r1.theta, r2.theta)
         assert np.array_equal(r1.loss, r2.loss)
 
@@ -407,14 +417,12 @@ class TestRun:
         prob = centroid_problem(rng.standard_normal((8, 3)))
         cfg = O.OptimizerConfig(method="amsgrad", alpha=0.2, batch_size=2)
         state = O.MomentState.zeros(3)
-        probs = np.full(8, 1.0 / 8)
-        tree = S.SamplingTree(probs)
+        tree = S.SamplingTree(np.full(8, 1.0 / 8))
         gen = np.random.default_rng(1)
         theta = np.zeros(3)
         prev = np.zeros(3)
         for t in range(1, 501):
-            theta, _ = O.step_general(prob, theta, state, probs, tree, gen,
-                                      cfg, t)
+            theta, _ = O.step_general(prob, theta, state, tree, gen, cfg, t)
             assert np.all(state.v_hat >= prev)
             prev = state.v_hat.copy()
 
@@ -431,3 +439,145 @@ class TestRun:
         cfg = O.OptimizerConfig(method="sgd", batch_size=1)
         with pytest.raises(ValueError, match="metric_tick"):
             O.run(prob, cfg, T=4, seed=0, metric_tick=tick)
+
+
+# A test-local copy of the step loop as it stood before the sum tree became
+# the only copy of the distribution: it keeps a separate ``probs`` array, a
+# step counter in the moment state and a separate adagrad accumulator. The
+# engine must reproduce its traces bit for bit.
+
+class _CountingState:
+    def __init__(self, dim):
+        self.m, self.v, self.v_hat = np.zeros(dim), np.zeros(dim), np.zeros(dim)
+        self.adagrad_sum = np.zeros(dim)
+        self.t = 0
+
+
+def _counting_moment_update(state, g, beta1_t, beta2, use_max):
+    state.m = beta1_t * state.m + (1.0 - beta1_t) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
+    if use_max:
+        state.v_hat = np.maximum(state.v_hat, state.v)
+    else:
+        state.v_hat = state.v.copy()
+    state.t += 1
+
+
+def _probs_weights_for(problem, indices, probs, config):
+    counts = config.target_label_counts
+    if counts is None and config.method not in ("ap_sgd", "dasgrad"):
+        return np.ones(len(indices))
+    p = probs[indices]
+    if counts is None:
+        return S.importance_weight(p, problem.n)
+    labels = problem.y[indices]
+    w = S.target_weight(p, np.asarray(counts, dtype=np.float64)[labels],
+                        sum(counts))
+    return w / problem.class_counts[labels]
+
+
+def _probs_step(problem, theta, state, probs, tree, rng, config, t):
+    indices = tree.sample_many(rng, config.batch_size)
+    G = P.gradients(problem, theta, indices)
+    w = _probs_weights_for(problem, indices, probs, config)
+    g_weighted = (w[:, None] * G).mean(axis=0)
+    w_mean = w.mean()
+    if config.target_label_counts is not None:
+        g_state = g_weighted
+    else:
+        g_state = G.mean(axis=0)
+    method = config.method
+    if method in ("sgd", "ap_sgd"):
+        direction = g_weighted
+        state.t += 1
+    elif method == "adagrad":
+        state.adagrad_sum = state.adagrad_sum + g_state * g_state
+        state.t += 1
+        denom = np.sqrt(state.adagrad_sum / t) + config.epsilon_div
+        direction = g_weighted / denom
+    else:
+        beta1_t = config.beta1_at(t)
+        m_prev = state.m
+        _counting_moment_update(state, g_state, beta1_t, config.beta2,
+                                method in ("amsgrad", "dasgrad"))
+        denom = np.sqrt(state.v_hat) + config.epsilon_div
+        direction = (beta1_t * w_mean * m_prev
+                     + (1.0 - beta1_t) * g_weighted) / denom
+    lo, hi = config.projection
+    return O.project_box(theta - O.step_size(config.alpha, t) * direction,
+                         lo, hi)
+
+
+def _probs_refresh(problem, theta, state, config, tree):
+    if config.method == "ap_sgd":
+        scores = S.scores_apsgd(problem, theta)
+    else:
+        scores = S.scores_dasgrad(problem, theta, state.m, state.v_hat,
+                                  config.beta1_at(max(state.t, 1)),
+                                  eps_div=config.epsilon_div)
+    probs = S.normalize_scores(scores, config.epsilon_prob)
+    tree.set_all(probs)
+    return probs
+
+
+def _probs_run(problem, config, T, seed, metric_tick):
+    rng = np.random.default_rng(seed)
+    theta = np.zeros(problem.param_dim)
+    state = _CountingState(problem.param_dim)
+    probs = np.full(problem.n, 1.0 / problem.n)
+    tree = S.SamplingTree(probs)
+    ticks, losses, accs, gvars = [], [], [], []
+    for t in range(1, T + 1):
+        if O._wants_refresh(config, t):
+            probs = _probs_refresh(problem, theta, state, config, tree)
+        theta = _probs_step(problem, theta, state, probs, tree, rng, config, t)
+        if t % metric_tick == 0:
+            ticks.append(t)
+            losses.append(P.full_objective(problem, theta))
+            gvars.append(M.gradient_norm_variance(problem, theta))
+            if problem.kind != P.CENTROID:
+                accs.append(M.accuracy(problem, theta, problem.X, problem.y))
+    return (np.array(ticks, dtype=np.int64), np.array(losses),
+            np.array(accs) if accs else None, np.array(gvars), theta)
+
+
+def _bit_check_problem(kind, is_sparse):
+    rng = np.random.default_rng(20)
+    k = {P.CENTROID: 1, P.BINARY_LOGISTIC: 2, P.MULTICLASS_LOGISTIC: 3}[kind]
+    X, y = H._gaussian_rows(rng, 24, 4, k)
+    if is_sparse:
+        X = sparse.csr_matrix(X * (rng.random(X.shape) < 0.6))
+    return P.Problem(X, y, kind, l2_lambda=0.01, num_classes=k)
+
+
+_BIT_CHECK_MODES = [
+    {},
+    {"target": True},
+    {"freeze_probabilities": True, "beta1_decay": 0.5},
+    {"freeze_probabilities": True, "beta1_decay": 0.5, "target": True},
+    {"beta1_decay": 0.5, "projection": (-0.05, 0.05)},
+]
+
+
+@pytest.mark.parametrize("kind", P.KINDS)
+@pytest.mark.parametrize("method", O.METHODS)
+def test_run_is_bit_identical_to_the_parent_loop(method, kind):
+    for is_sparse in (False, True):
+        problem = _bit_check_problem(kind, is_sparse)
+        for mode in _BIT_CHECK_MODES:
+            kw = dict(mode)
+            if kw.pop("target", False):
+                kw["target_label_counts"] = (2, 5, 3)[:problem.num_classes]
+            cfg = O.OptimizerConfig(method=method, alpha=0.2, batch_size=5,
+                                    refresh_period=3, **kw)
+            result = O.run(problem, cfg, T=24, seed=3, metric_tick=4)
+            ticks, loss, acc, gvar, theta = _probs_run(problem, cfg, 24, 3, 4)
+            case = (method, kind, is_sparse, mode)
+            assert np.array_equal(result.ticks, ticks), case
+            assert np.array_equal(result.loss, loss), case
+            assert np.array_equal(result.grad_norm_var, gvar), case
+            assert np.array_equal(result.theta, theta), case
+            if acc is None:
+                assert result.accuracy is None, case
+            else:
+                assert np.array_equal(result.accuracy, acc), case

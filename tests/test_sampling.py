@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,27 @@ class TestTreeBuild:
             S.SamplingTree([0.0, 0.0])
 
 
+class TestTreeLeaves:
+    def test_rows_pick_the_same_bits_as_all_leaves(self):
+        weights = np.random.default_rng(3).random(37)
+        tree = S.SamplingTree(weights / weights.sum())
+        rows = np.array([36, 0, 5, 5, 17])
+        assert np.array_equal(tree.leaves(rows), tree.leaves()[rows])
+        assert np.array_equal(tree.leaves(), weights / weights.sum())
+
+    def test_empty_rows(self):
+        tree = S.SamplingTree([1.0, 2.0, 3.0])
+        out = tree.leaves(np.array([], dtype=np.int64))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("row", [-1, 3])
+    def test_out_of_range_row(self, row):
+        # capacity 4 > n = 3, so row 3 is a padding node, not a leaf
+        tree = S.SamplingTree([1.0, 2.0, 3.0])
+        with pytest.raises(IndexError):
+            tree.leaves(np.array([0, row]))
+
+
 class TestTreeUpdate:
     def test_root_after_update(self):
         tree = S.SamplingTree([1.0, 2.0, 3.0, 4.0])
@@ -53,7 +76,7 @@ class TestTreeUpdate:
     def test_identity_update_keeps_every_node(self):
         tree = S.SamplingTree([1.0, 2.0, 3.0, 4.0])
         before = np.array(tree.nodes)
-        tree.update(2, tree.leaf(2))
+        tree.update(2, tree.leaves()[2])
         assert np.array_equal(tree.nodes, before)
 
     def test_many_updates_keep_sums_consistent(self):
@@ -263,8 +286,11 @@ class TestNormalizeScores:
             S.normalize_scores([1.0], 0.0)
 
     def test_overflowing_total_rejected(self):
-        with pytest.raises(ValueError):
-            S.normalize_scores([1.7e308, 1.7e308], 1e-8)
+        # rejected by the ValueError alone, with no numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="overflows"):
+                S.normalize_scores([1.7e308, 1.7e308], 1e-8)
 
 
 _epsilon = st.floats(min_value=1e-12, max_value=1.0)
@@ -314,7 +340,7 @@ def test_target_weights_are_unbiased_for_the_class_reweighted_mean(data):
     prob = P.Problem(np.zeros((n, 1)), y, P.MULTICLASS_LOGISTIC,
                      num_classes=k)
     cfg = O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
-    w = O._weights_for(prob, np.arange(n), probs, cfg)
+    w = O._weights_for(prob, np.arange(n), S.SamplingTree(probs), cfg)
     lhs = (probs[:, None] * w[:, None] * g).sum(axis=0)
     rhs = sum(counts[c] / m * g[y == c].mean(axis=0) for c in range(k))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)

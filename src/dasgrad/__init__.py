@@ -34,6 +34,7 @@ from .optimizers import (
     MomentState,
     OptimizerConfig,
     RunResult,
+    draw_batch,
     moment_update,
     project_box,
     refresh_probabilities,
@@ -47,6 +48,7 @@ from .metrics import (
     RegretLedger,
     accuracy,
     aggregate_runs,
+    centroid_loss_and_norm_variance,
     gradient_norm_variance,
     instantaneous_regret,
     regret_ledger,

@@ -116,6 +116,18 @@ def gradient_norm_variance(problem, theta):
     return float(np.var(norms))
 
 
+def centroid_loss_and_norm_variance(problem, theta):
+    """(full_objective, gradient_norm_variance) of a centroid problem from
+    one diff = theta - X: grad f_i = theta - x_i, so the loss and the
+    gradient norms share the squares of diff. Bit-identical to the two
+    separate calls, which each form diff themselves."""
+    X = problem.X.toarray() if problem.is_sparse else problem.X
+    diff = theta[None, :] - X
+    sq = diff * diff
+    loss = 0.5 * float(sq.sum()) / problem.n
+    return loss, float(np.var(np.sqrt(sq.sum(axis=1))))
+
+
 def accuracy(problem, theta, X, y):
     """Fraction of the rows of X (dense or CSR) whose predicted class
     equals the label in y; ties go to the lowest class index. Unsupported

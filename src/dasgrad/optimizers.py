@@ -24,6 +24,17 @@ raw batch mean of the sampled gradients; with them (target mode) it absorbs
 the weighted mean, which is the estimate of the target-distribution risk
 gradient that the momentum must track. Uniform sampling with unit weights
 reproduces the unweighted methods bit for bit either way.
+
+The distribution changes only at a refresh, so ``run`` works in refresh
+blocks. A block starts at t = 1 and at every multiple of ``refresh_period``
+(the only steps where a refresh can happen). The indices of all its steps
+are drawn in one ``sample_many`` call, and their rows gathered (CSR rows
+densified) and weighted once. A block holds at most
+``refresh_period * batch_size`` gathered rows; one of more than
+``_BLOCK_ROWS`` rows is cut into blocks of whole steps. Each step slices
+its own ``batch_size`` rows. One draw of k * batch_size uniforms is the
+same stream as k draws of batch_size, so blocks reproduce per-step
+sampling bit for bit.
 """
 
 from __future__ import annotations
@@ -102,8 +113,9 @@ class OptimizerConfig:
             raise ValueError("epsilons must be finite and positive")
         if not 0.0 <= self.beta1_decay <= 1.0:
             raise ValueError("beta1_decay must lie in [0, 1]")
-        if self.refresh_period < 1 or self.batch_size < 1:
-            raise ValueError("refresh_period and batch_size must be >= 1")
+        for name in ("refresh_period", "batch_size"):
+            object.__setattr__(self, name,
+                               _positive_int(name, getattr(self, name)))
         counts = self.target_label_counts
         if counts is not None:
             ints = tuple(int(c) for c in counts)
@@ -124,6 +136,19 @@ class OptimizerConfig:
         if self.method in ("sgd", "ap_sgd", "adagrad", "rmsprop"):
             return 0.0
         return self.beta1 * self.beta1_decay ** (t - 1)
+
+
+def _positive_int(name, value):
+    """value as a Python int >= 1. Bools and non-integral numbers are
+    rejected: the block arithmetic of ``run`` needs whole periods."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if isinstance(value, (bool, np.bool_)) or whole is None \
+            or whole != value or whole < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+    return whole
 
 
 def step_size(alpha, t):
@@ -166,7 +191,9 @@ def project_box(theta, lo, hi):
 
 
 def _weights_for(problem, indices, tree, config):
-    """Importance weights for the sampled indices.
+    """Importance weights for the sampled indices, or None when every
+    weight is one (no target counts and a method with fixed uniform
+    sampling).
 
     Without target counts the weights unbias toward the uniform training
     mean. Target mode is the Radon-Nikodym derivative of the class-matched
@@ -176,7 +203,7 @@ def _weights_for(problem, indices, tree, config):
     """
     counts = config.target_label_counts
     if counts is None and config.method not in _ADAPTIVE_PROBS:
-        return np.ones(len(indices))
+        return None
     p = tree.leaves(indices)
     if counts is None:
         return _sampling.importance_weight(p, problem.n)
@@ -186,26 +213,39 @@ def _weights_for(problem, indices, tree, config):
     return w / problem.class_counts[labels]
 
 
-def step_general(problem, theta, state, tree, rng, config, t):
-    """One step of the general method: sample a batch, advance the moment
-    state, average the importance-weighted per-index directions, and
-    project. Returns (new_theta, sampled_indices)."""
-    indices = tree.sample_many(rng, config.batch_size)
-    G = _problems.gradients(problem, theta, indices)
-    w = _weights_for(problem, indices, tree, config)
+def draw_batch(problem, tree, rng, config, size):
+    """Draw ``size`` indices i.i.d. from the tree's distribution and return
+    the batch (X, y, w): their rows (CSR rows densified), labels and
+    weights, w None for unit weights (see ``_weights_for``)."""
+    indices = tree.sample_many(rng, size)
+    X, y = _problems.gather_rows(problem, indices)
+    return X, y, _weights_for(problem, indices, tree, config)
 
-    g_weighted = (w[:, None] * G).mean(axis=0)
-    w_mean = w.mean()
-    # Without target counts the recursion takes the raw batch mean of the
-    # sampled gradients. Target mode feeds the corrected estimate instead: its
-    # weights recenter the stream on the target-distribution risk, which is
-    # the objective the momentum must track, and the coupling of numerator
-    # and denominator keeps early steps bounded when weights differ from
-    # one at t = 1. The two coincide bitwise whenever all weights are one.
-    if config.target_label_counts is not None:
-        g_state = g_weighted
+
+def step_general(problem, theta, state, batch, config, t):
+    """One step of the general method on a drawn batch (X, y, w), as
+    ``draw_batch`` returns it: advance the moment state, average the
+    importance-weighted per-index directions, and project. Returns the new
+    theta."""
+    X, y, w = batch
+    G = _problems.batch_gradients(problem, theta, X, y)
+    if w is None:
+        # w * G would be G and w.mean() one, bit for bit
+        g_weighted = g_state = G.mean(axis=0)
+        w_mean = 1.0
     else:
-        g_state = G.mean(axis=0)
+        g_weighted = (w[:, None] * G).mean(axis=0)
+        w_mean = w.mean()
+        # Without target counts the recursion takes the raw batch mean of
+        # the sampled gradients. Target mode feeds the corrected estimate
+        # instead: its weights recenter the stream on the target-distribution
+        # risk, which is the objective the momentum must track, and the
+        # coupling of numerator and denominator keeps early steps bounded
+        # when weights differ from one at t = 1.
+        if config.target_label_counts is not None:
+            g_state = g_weighted
+        else:
+            g_state = G.mean(axis=0)
 
     method = config.method
     if method in ("sgd", "ap_sgd"):
@@ -224,13 +264,15 @@ def step_general(problem, theta, state, tree, rng, config, t):
         direction = (beta1_t * w_mean * m_prev
                      + (1.0 - beta1_t) * g_weighted) / denom
 
+    # OptimizerConfig guarantees lo <= hi, so the clamp skips project_box's
+    # check of the box
     lo, hi = config.projection
     with np.errstate(over="ignore", invalid="ignore"):
-        new_theta = project_box(
-            theta - step_size(config.alpha, t) * direction, lo, hi)
+        new_theta = np.clip(theta - step_size(config.alpha, t) * direction,
+                            lo, hi)
     if not np.all(np.isfinite(new_theta)):
         raise DivergenceError(t)
-    return new_theta, indices
+    return new_theta
 
 
 def refresh_probabilities(problem, theta, state, config, tree, t):
@@ -272,13 +314,19 @@ class RunResult:
     seed: int
 
 
+# A refresh block of more rows than this is cut into blocks of whole steps,
+# so that a long refresh period cannot make one gather arbitrarily large;
+# the cut draws the same stream (see the module docstring).
+_BLOCK_ROWS = 4096
+
+
 def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     """Run T steps from theta = 0. Deterministic given (config, seed).
     Metrics are recorded whenever t % metric_tick == 0; accuracy is
     computed on the (X, y) pair eval_set when given, else on the problem's
     own rows."""
-    if T < 1 or metric_tick < 1:
-        raise ValueError("T and metric_tick must be at least 1")
+    T = _positive_int("T", T)
+    metric_tick = _positive_int("metric_tick", metric_tick)
     counts = config.target_label_counts
     if counts is not None and len(counts) != problem.num_classes:
         raise ValueError("need one target label count per class (%d), got %d"
@@ -292,23 +340,40 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     X_eval, y_eval = (problem.X, problem.y) if eval_set is None else eval_set
     ticks, losses, accs, gvars = [], [], [], []
 
-    for t in range(1, T + 1):
+    period, B = config.refresh_period, config.batch_size
+    max_steps = max(1, _BLOCK_ROWS // B)
+    t = 1
+    while t <= T:
+        # the block runs up to the next multiple of the period, the next
+        # step where a refresh can happen
+        end = min(t - t % period + period, t + max_steps, T + 1)
         if _wants_refresh(config, t):
             refresh_probabilities(problem, theta, state, config, tree, t)
-        theta, _ = step_general(problem, theta, state, tree, rng, config, t)
-        if t % metric_tick == 0:
-            # a diverging run is reported by DivergenceError, not warnings;
-            # only the tick, as ufuncs run slower under a non-default errstate
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = _problems.full_objective(problem, theta)
-                gvar = _metrics.gradient_norm_variance(problem, theta)
-            if not (math.isfinite(loss) and math.isfinite(gvar)):
-                raise DivergenceError(t, "nonfinite loss")
-            ticks.append(t)
-            losses.append(loss)
-            gvars.append(gvar)
-            if classification:
-                accs.append(_metrics.accuracy(problem, theta, X_eval, y_eval))
+        X, y, w = draw_batch(problem, tree, rng, config, (end - t) * B)
+        for lo in range(0, len(y), B):
+            rows = slice(lo, lo + B)
+            batch = X[rows], y[rows], None if w is None else w[rows]
+            theta = step_general(problem, theta, state, batch, config, t)
+            if t % metric_tick == 0:
+                # a diverging run is reported by DivergenceError, not
+                # warnings; only the tick, as ufuncs run slower under a
+                # non-default errstate
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if classification:
+                        loss = _problems.full_objective(problem, theta)
+                        gvar = _metrics.gradient_norm_variance(problem, theta)
+                    else:
+                        loss, gvar = _metrics.centroid_loss_and_norm_variance(
+                            problem, theta)
+                if not (math.isfinite(loss) and math.isfinite(gvar)):
+                    raise DivergenceError(t, "nonfinite loss")
+                ticks.append(t)
+                losses.append(loss)
+                gvars.append(gvar)
+                if classification:
+                    accs.append(_metrics.accuracy(problem, theta, X_eval,
+                                                  y_eval))
+            t += 1
 
     return RunResult(ticks=np.array(ticks, dtype=np.int64),
                      loss=np.array(losses),

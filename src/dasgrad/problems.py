@@ -3,11 +3,14 @@ gradients, full-batch oracles, and a finite-difference gradient checker.
 
 ``residuals`` and ``gradients`` are the one gradient oracle: the batch
 gradients of a step, the per-example and full gradients and the sampling
-scores all come from them. ``losses`` is computed separately and serves as
-the reference the gradients are checked against. ``objective_and_gradient``
-returns the full objective and the full gradient together from one pass
-over X (one margin product, and for softmax one exp pass, shared by both);
-the reference solve calls it once per line-search trial.
+scores all come from them. ``gradients`` is ``gather_rows`` followed by
+``batch_gradients``; the optimizer gathers a refresh block's rows once and
+calls ``batch_gradients`` on each step's slice of them. ``losses`` is
+computed separately and serves as the reference the gradients are checked
+against. ``objective_and_gradient`` returns the full objective and the full
+gradient together from one pass over X (one margin product, and for
+softmax one exp pass, shared by both); the reference solve calls it once
+per line-search trial.
 
 Three problem kinds are supported:
 
@@ -127,9 +130,10 @@ def _dense(X):
     return X.toarray() if sparse.issparse(X) else X
 
 
-def _gather(problem, rows):
-    """Features and labels of the given rows (all rows when None). Gathered
-    CSR rows are densified; the full matrix keeps its format."""
+def gather_rows(problem, rows):
+    """Features and labels of the index array ``rows`` (all rows when
+    None). Gathered CSR rows are densified; the full matrix keeps its
+    format."""
     if rows is None:
         return problem.X, problem.y
     return _dense(problem.X[rows]), problem.y[rows]
@@ -173,7 +177,7 @@ def residuals(problem, theta, rows=None):
     if problem.kind == CENTROID:
         raise ValueError("residuals are defined for the logistic kinds")
     theta = _check_theta(problem, theta)
-    return _logistic_terms(problem, theta, *_gather(problem, rows),
+    return _logistic_terms(problem, theta, *gather_rows(problem, rows),
                            want_residuals=True)[1]
 
 
@@ -181,7 +185,13 @@ def gradients(problem, theta, rows):
     """Per-example gradients of the index array ``rows``, stacked
     (len(rows), param_dim) and dense."""
     theta = _check_theta(problem, theta)
-    X, y = _gather(problem, rows)
+    return batch_gradients(problem, theta, *gather_rows(problem, rows))
+
+
+def batch_gradients(problem, theta, X, y):
+    """Per-example gradients of the dense rows X with labels y, as
+    ``gather_rows`` returns them, stacked (len(y), param_dim). theta must
+    be a float64 vector of length param_dim; it is not checked here."""
     if problem.kind == CENTROID:
         return theta[None, :] - X
     r = _logistic_terms(problem, theta, X, y, want_residuals=True)[1]
@@ -197,7 +207,7 @@ def losses(problem, theta, rows=None):
     """Data part of f_i (regularizer excluded) for the index array ``rows``,
     or for every example when rows is None."""
     theta = _check_theta(problem, theta)
-    X, y = _gather(problem, rows)
+    X, y = gather_rows(problem, rows)
     if problem.kind == CENTROID:
         diff = theta[None, :] - _dense(X)
         return 0.5 * (diff * diff).sum(axis=1)

@@ -147,8 +147,10 @@ def _lockstep(problem, cfg_a, cfg_b, T, seed):
             if O._wants_refresh(cfg, t):
                 O.refresh_probabilities(problem, thetas[j], states[j], cfg,
                                         trees[j], t)
-            thetas[j], _ = O.step_general(problem, thetas[j], states[j],
-                                          trees[j], rngs[j], cfg, t)
+            batch = O.draw_batch(problem, trees[j], rngs[j], cfg,
+                                 cfg.batch_size)
+            thetas[j] = O.step_general(problem, thetas[j], states[j], batch,
+                                       cfg, t)
         worst = max(worst, float(np.abs(thetas[0] - thetas[1]).max()))
     return worst
 
@@ -194,7 +196,9 @@ def test_criterion_6_vhat_monotone_and_projection():
         for t in range(1, 10_001):
             if O._wants_refresh(cfg, t):
                 O.refresh_probabilities(prob, theta, state, cfg, tree, t)
-            theta, _ = O.step_general(prob, theta, state, tree, gen, cfg, t)
+            theta = O.step_general(prob, theta, state,
+                                   O.draw_batch(prob, tree, gen, cfg, 2),
+                                   cfg, t)
             assert np.all(state.v_hat >= prev), (method, t)
             prev = state.v_hat.copy()
 

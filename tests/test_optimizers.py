@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from dasgrad import datasets as D
 from dasgrad import harness as H
 from dasgrad import metrics as M
 from dasgrad import optimizers as O
@@ -104,9 +107,9 @@ class TestStepGeneral:
         cfg = O.OptimizerConfig(method="sgd", alpha=1.0, batch_size=1)
         tree = S.SamplingTree([0.0, 1.0])  # all mass on index 1
         state = O.MomentState.zeros(1)
-        theta, idx = O.step_general(prob, np.zeros(1), state, tree,
-                                    np.random.default_rng(0), cfg, t=1)
-        assert idx.tolist() == [1]
+        batch = O.draw_batch(prob, tree, np.random.default_rng(0), cfg, 1)
+        assert batch[0].tolist() == [[4.0]] and batch[2] is None
+        theta = O.step_general(prob, np.zeros(1), state, batch, cfg, t=1)
         np.testing.assert_allclose(theta, [4.0])
 
     def test_unbiased_direction_training_weights(self):
@@ -215,6 +218,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             O.OptimizerConfig(method="dasgrad", **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("batch_size", True), ("batch_size", 0),
+        ("batch_size", "4"), ("refresh_period", 2.5),
+        ("refresh_period", np.True_), ("refresh_period", np.nan),
+        ("refresh_period", np.inf)])
+    def test_sizes_must_be_whole_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            O.OptimizerConfig(method="dasgrad", **{field: value})
+
+    def test_sizes_are_stored_as_ints(self):
+        cfg = O.OptimizerConfig(method="dasgrad", batch_size=np.int64(4),
+                                refresh_period=5.0)
+        assert (cfg.batch_size, cfg.refresh_period) == (4, 5)
+        assert type(cfg.batch_size) is int
+        assert type(cfg.refresh_period) is int
+
     @pytest.mark.parametrize("method", ["adam", "amsgrad", "dasgrad"])
     def test_beta1_decays_geometrically(self, method):
         cfg = O.OptimizerConfig(method=method, beta1=0.8, beta1_decay=0.5)
@@ -230,10 +249,11 @@ class TestConfigValidation:
         state.m = rng.standard_normal(prob.param_dim)
         m_prev = state.m.copy()
         theta = rng.standard_normal(prob.param_dim)
-        _, idx = O.step_general(prob, theta, state,
-                                S.SamplingTree(np.full(prob.n, 1.0 / prob.n)),
-                                np.random.default_rng(2), cfg, t=3)
-        g = P.gradients(prob, theta, idx).mean(axis=0)
+        X, y, w = O.draw_batch(prob,
+                               S.SamplingTree(np.full(prob.n, 1.0 / prob.n)),
+                               np.random.default_rng(2), cfg, cfg.batch_size)
+        O.step_general(prob, theta, state, (X, y, w), cfg, t=3)
+        g = P.batch_gradients(prob, theta, X, y).mean(axis=0)
         beta1_t = 0.8 * 0.5 ** 2
         np.testing.assert_array_equal(
             state.m, beta1_t * m_prev + (1.0 - beta1_t) * g)
@@ -293,7 +313,9 @@ class TestCollapseEquivalences:
         theta = np.zeros(2)
         prev_v = np.zeros(2)
         for t in range(1, 61):
-            theta, _ = O.step_general(prob, theta, state, tree, rng, adam, t)
+            theta = O.step_general(prob, theta, state,
+                                   O.draw_batch(prob, tree, rng, adam, 1),
+                                   adam, t)
             assert np.all(state.v >= prev_v), \
                 "test premise: v must rise along this run"
             prev_v = state.v.copy()
@@ -379,8 +401,9 @@ class TestRun:
         result = O.run(prob, cfg, T=1, seed=5, metric_tick=1)
         state = O.MomentState.zeros(prob.param_dim)
         tree = S.SamplingTree(np.full(prob.n, 1.0 / prob.n))
-        theta, _ = O.step_general(prob, np.zeros(prob.param_dim), state,
-                                  tree, np.random.default_rng(5), cfg, 1)
+        batch = O.draw_batch(prob, tree, np.random.default_rng(5), cfg, 3)
+        theta = O.step_general(prob, np.zeros(prob.param_dim), state, batch,
+                               cfg, 1)
         assert np.array_equal(result.theta, theta)
 
     def test_identical_seeds_identical_traces(self):
@@ -422,7 +445,9 @@ class TestRun:
         theta = np.zeros(3)
         prev = np.zeros(3)
         for t in range(1, 501):
-            theta, _ = O.step_general(prob, theta, state, tree, gen, cfg, t)
+            theta = O.step_general(prob, theta, state,
+                                   O.draw_batch(prob, tree, gen, cfg, 2),
+                                   cfg, t)
             assert np.all(state.v_hat >= prev)
             prev = state.v_hat.copy()
 
@@ -440,11 +465,22 @@ class TestRun:
         with pytest.raises(ValueError, match="metric_tick"):
             O.run(prob, cfg, T=4, seed=0, metric_tick=tick)
 
+    @pytest.mark.parametrize("T, tick, field", [
+        (10, 2.5, "metric_tick"), (10, True, "metric_tick"),
+        (7.5, 1, "T"), (np.False_, 1, "T")])
+    def test_non_integral_T_or_tick_rejected(self, T, tick, field):
+        prob = centroid_problem([[1.0], [3.0]])
+        cfg = O.OptimizerConfig(method="sgd", batch_size=1)
+        with pytest.raises(ValueError, match=field):
+            O.run(prob, cfg, T=T, seed=0, metric_tick=tick)
+
 
 # A test-local copy of the step loop as it stood before the sum tree became
 # the only copy of the distribution: it keeps a separate ``probs`` array, a
-# step counter in the moment state and a separate adagrad accumulator. The
-# engine must reproduce its traces bit for bit.
+# step counter in the moment state and a separate adagrad accumulator, and
+# it draws, gathers and weights each step's batch on its own. The engine,
+# which does these once per refresh block, must reproduce its traces and
+# its divergences bit for bit.
 
 class _CountingState:
     def __init__(self, dim):
@@ -504,8 +540,12 @@ def _probs_step(problem, theta, state, probs, tree, rng, config, t):
         direction = (beta1_t * w_mean * m_prev
                      + (1.0 - beta1_t) * g_weighted) / denom
     lo, hi = config.projection
-    return O.project_box(theta - O.step_size(config.alpha, t) * direction,
-                         lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = O.project_box(
+            theta - O.step_size(config.alpha, t) * direction, lo, hi)
+    if not np.all(np.isfinite(theta)):
+        raise O.DivergenceError(t)
+    return theta
 
 
 def _probs_refresh(problem, theta, state, config, tree):
@@ -532,9 +572,14 @@ def _probs_run(problem, config, T, seed, metric_tick):
             probs = _probs_refresh(problem, theta, state, config, tree)
         theta = _probs_step(problem, theta, state, probs, tree, rng, config, t)
         if t % metric_tick == 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = P.full_objective(problem, theta)
+                gvar = M.gradient_norm_variance(problem, theta)
+            if not (np.isfinite(loss) and np.isfinite(gvar)):
+                raise O.DivergenceError(t, "nonfinite loss")
             ticks.append(t)
-            losses.append(P.full_objective(problem, theta))
-            gvars.append(M.gradient_norm_variance(problem, theta))
+            losses.append(loss)
+            gvars.append(gvar)
             if problem.kind != P.CENTROID:
                 accs.append(M.accuracy(problem, theta, problem.X, problem.y))
     return (np.array(ticks, dtype=np.int64), np.array(losses),
@@ -559,25 +604,103 @@ _BIT_CHECK_MODES = [
 ]
 
 
+def _assert_same_trace(problem, cfg, T, seed, metric_tick, case):
+    result = O.run(problem, cfg, T=T, seed=seed, metric_tick=metric_tick)
+    ticks, loss, acc, gvar, theta = _probs_run(problem, cfg, T, seed,
+                                               metric_tick)
+    assert np.array_equal(result.ticks, ticks), case
+    assert np.array_equal(result.loss, loss), case
+    assert np.array_equal(result.grad_norm_var, gvar), case
+    assert np.array_equal(result.theta, theta), case
+    if acc is None:
+        assert result.accuracy is None, case
+    else:
+        assert np.array_equal(result.accuracy, acc), case
+
+
+# (refresh_period, batch_size) with T = 24: a period that divides T, one
+# step per block, a period that does not divide T with single draws, and a
+# period longer than the run
+_BIT_CHECK_SCHEDULES = [(3, 5), (1, 5), (5, 1), (30, 5)]
+
+
 @pytest.mark.parametrize("kind", P.KINDS)
 @pytest.mark.parametrize("method", O.METHODS)
 def test_run_is_bit_identical_to_the_parent_loop(method, kind):
     for is_sparse in (False, True):
         problem = _bit_check_problem(kind, is_sparse)
-        for mode in _BIT_CHECK_MODES:
+        for (period, batch), mode in itertools.product(_BIT_CHECK_SCHEDULES,
+                                                       _BIT_CHECK_MODES):
             kw = dict(mode)
             if kw.pop("target", False):
                 kw["target_label_counts"] = (2, 5, 3)[:problem.num_classes]
-            cfg = O.OptimizerConfig(method=method, alpha=0.2, batch_size=5,
-                                    refresh_period=3, **kw)
-            result = O.run(problem, cfg, T=24, seed=3, metric_tick=4)
-            ticks, loss, acc, gvar, theta = _probs_run(problem, cfg, 24, 3, 4)
-            case = (method, kind, is_sparse, mode)
-            assert np.array_equal(result.ticks, ticks), case
-            assert np.array_equal(result.loss, loss), case
-            assert np.array_equal(result.grad_norm_var, gvar), case
-            assert np.array_equal(result.theta, theta), case
-            if acc is None:
-                assert result.accuracy is None, case
-            else:
-                assert np.array_equal(result.accuracy, acc), case
+            cfg = O.OptimizerConfig(method=method, alpha=0.2,
+                                    batch_size=batch, refresh_period=period,
+                                    **kw)
+            _assert_same_trace(problem, cfg, 24, 3, 4,
+                               (method, kind, is_sparse, period, batch, mode))
+
+
+@pytest.mark.parametrize("method", ["sgd", "ap_sgd", "dasgrad"])
+def test_split_blocks_draw_the_same_stream(method, monkeypatch):
+    # a block of more than _BLOCK_ROWS rows is cut into blocks of whole
+    # steps: here 7-step periods into blocks of 2 steps (10 rows)
+    monkeypatch.setattr(O, "_BLOCK_ROWS", 12)
+    sizes = []
+    draw_batch = O.draw_batch
+
+    def recorded(problem, tree, rng, config, size):
+        sizes.append(size)
+        return draw_batch(problem, tree, rng, config, size)
+
+    monkeypatch.setattr(O, "draw_batch", recorded)
+    for is_sparse in (False, True):
+        problem = _bit_check_problem(P.MULTICLASS_LOGISTIC, is_sparse)
+        cfg = O.OptimizerConfig(method=method, alpha=0.2, batch_size=5,
+                                refresh_period=7)
+        sizes.clear()
+        _assert_same_trace(problem, cfg, 24, 3, 4, (method, is_sparse))
+        assert sizes == [10, 10, 10] + [10, 10, 10, 5] * 2 + [10, 10]
+
+
+_DIVERGING_CASES = [(method, 1e200, 24, 5) for method in O.METHODS] + [
+    ("sgd", 1000.0, 100, 1), ("ap_sgd", 1000.0, 100, 1)]
+
+
+@pytest.mark.parametrize("method, alpha, T, metric_tick", _DIVERGING_CASES)
+@pytest.mark.parametrize("is_sparse", [False, True])
+def test_divergence_is_raised_at_the_parent_loops_step(method, alpha, T,
+                                                      metric_tick, is_sparse):
+    # alpha = 1e200 overflows theta at step 2 for sgd and ap_sgd and the
+    # loss at the first tick for the others; alpha = 1000 lets theta grow
+    # for some 60 steps and diverge inside a refresh block
+    problem = _bit_check_problem(P.CENTROID, is_sparse)
+    cfg = O.OptimizerConfig(method=method, alpha=alpha, batch_size=2,
+                            refresh_period=3, projection=(-np.inf, np.inf))
+    # the overflow warnings on the way to a divergence are not under test
+    with np.errstate(all="ignore"):
+        with pytest.raises(O.DivergenceError) as parent:
+            _probs_run(problem, cfg, T, 3, metric_tick)
+        with pytest.raises(O.DivergenceError) as engine:
+            O.run(problem, cfg, T=T, seed=3, metric_tick=metric_tick)
+    assert str(engine.value) == str(parent.value)
+    assert engine.value.step == parent.value.step
+
+
+@pytest.mark.parametrize("is_sparse", [False, True])
+def test_workload_shaped_runs_are_bit_identical(is_sparse):
+    # the logistic config's multiclass problem and a sparse binary one, so
+    # that BLAS reads row slices of a block at the benchmark's shapes
+    if is_sparse:
+        data = D.synth_classification(4000, 100, 2, margin=3.0,
+                                      sparsity=0.9, seed=5)
+        problem = D.make_problem(data, P.BINARY_LOGISTIC, 1e-3)
+        methods, batch, T, tick = ("amsgrad", "ap_sgd", "dasgrad"), 32, 40, 10
+    else:
+        data = D.synth_classification(2000, 100, 10, margin=3.0, seed=7)
+        problem = D.make_problem(data, P.MULTICLASS_LOGISTIC, 1e-3)
+        methods, batch, T, tick = ("adam", "amsgrad", "dasgrad"), 4, 60, 20
+    assert problem.is_sparse == is_sparse
+    for method in methods:
+        cfg = O.OptimizerConfig(method=method, alpha=0.1, batch_size=batch)
+        _assert_same_trace(problem, cfg, T, 0, tick, method)

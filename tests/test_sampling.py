@@ -224,6 +224,32 @@ class TestTreeSample:
             tree.sample(np.random.default_rng(0))
 
 
+# tree sizes: one leaf, powers of two, one past a power of two (a capacity
+# with a padding leaf per level), and any size up to 70
+_tree_size = st.one_of(st.just(1), st.integers(1, 6).map(lambda j: 2**j),
+                       st.integers(1, 6).map(lambda j: 2**j + 1),
+                       st.integers(1, 70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_draw_of_k_batches_is_k_batch_draws_in_a_row(data):
+    # a refresh block draws its steps' indices at once; the stream must be
+    # the one the steps would draw one batch at a time
+    n = data.draw(_tree_size, label="n")
+    weights = data.draw(st.lists(_weight, min_size=n, max_size=n).filter(
+        lambda ws: any(w > 0 for w in ws)), label="weights")
+    batch = data.draw(st.one_of(st.just(1), st.integers(1, 40)),
+                      label="batch")
+    k = data.draw(st.integers(1, 12), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    tree = S.SamplingTree(weights)
+    block = tree.sample_many(np.random.default_rng(seed), k * batch)
+    rng = np.random.default_rng(seed)
+    steps = [tree.sample_many(rng, batch) for _ in range(k)]
+    assert np.array_equal(block, np.concatenate(steps))
+
+
 class _FixedUniforms:
     """rng stand-in replaying a fixed uniform sequence."""
 

@@ -48,11 +48,11 @@ from .metrics import (
     RegretLedger,
     accuracy,
     aggregate_runs,
-    centroid_loss_and_norm_variance,
     gradient_norm_variance,
     instantaneous_regret,
     regret_ledger,
     solve_reference,
+    tick,
 )
 from .datasets import (
     Dataset,

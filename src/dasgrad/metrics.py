@@ -1,5 +1,12 @@
 """Regret instrumentation, gradient-variance diagnostics, accuracy, and
-multi-seed aggregation with normal-approximation confidence intervals."""
+multi-seed aggregation with normal-approximation confidence intervals.
+
+``tick`` is what a run records at each metric tick: the full objective,
+the gradient-norm variance and the accuracy, from one pass over X (one
+margin product for the logistic kinds, one theta - X for centroid), bit
+for bit the values of ``problems.full_objective``,
+``gradient_norm_variance`` and ``accuracy``.
+"""
 
 from __future__ import annotations
 
@@ -116,16 +123,31 @@ def gradient_norm_variance(problem, theta):
     return float(np.var(norms))
 
 
-def centroid_loss_and_norm_variance(problem, theta):
-    """(full_objective, gradient_norm_variance) of a centroid problem from
-    one diff = theta - X: grad f_i = theta - x_i, so the loss and the
-    gradient norms share the squares of diff. Bit-identical to the two
-    separate calls, which each form diff themselves."""
-    X = problem.X.toarray() if problem.is_sparse else problem.X
-    diff = theta[None, :] - X
-    sq = diff * diff
-    loss = 0.5 * float(sq.sum()) / problem.n
-    return loss, float(np.var(np.sqrt(sq.sum(axis=1))))
+def tick(problem, theta, eval_set=None):
+    """(loss, gvar, acc) at theta: ``problems.full_objective``,
+    ``gradient_norm_variance`` and ``accuracy`` on the (X, y) pair eval_set
+    (the problem's own rows when None) from one pass over X, bit-identical
+    to the three separate calls; acc is None for centroid problems.
+
+    Centroid problems form diff = theta - X once: grad f_i = theta - x_i,
+    so the loss and the gradient norms share the squares of diff. The
+    logistic kinds form the margin product once: its losses give the
+    objective, its residuals the gradient norms (grad f_i is rank one in
+    x_i), and its argmax the training accuracy."""
+    theta = _problems._check_theta(problem, theta)
+    if problem.kind == _problems.CENTROID:
+        X = problem.X.toarray() if problem.is_sparse else problem.X
+        sq = theta[None, :] - X
+        sq *= sq
+        loss = 0.5 * float(sq.sum()) / problem.n
+        return loss, float(np.var(np.sqrt(sq.sum(axis=1)))), None
+    L, R, Z = _problems._logistic_terms(problem, theta, problem.X, problem.y,
+                                        want_loss=True, want_residuals=True)
+    loss = _problems._mean_objective(problem, theta, L)
+    gvar = float(np.var(_sampling._gradient_norms(problem, theta, R)))
+    if eval_set is not None:
+        return loss, gvar, accuracy(problem, theta, *eval_set)
+    return loss, gvar, _share_correct(problem, Z, problem.y)
 
 
 def accuracy(problem, theta, X, y):
@@ -138,11 +160,19 @@ def accuracy(problem, theta, X, y):
         raise ValueError("y must hold one label per row of X")
     theta = np.asarray(theta, dtype=np.float64)
     if problem.kind == _problems.BINARY_LOGISTIC:
-        z = np.asarray(X @ theta).ravel()
-        pred = (z > 0).astype(np.int64)
+        Z = np.asarray(X @ theta).ravel()
     else:
-        W = problem.weights_view(theta)
-        Z = np.asarray(X @ W.T)
+        Z = np.asarray(X @ problem.weights_view(theta).T)
+    return _share_correct(problem, Z, y)
+
+
+def _share_correct(problem, Z, y):
+    """Share of the rows of the margin product Z (z = X theta for binary,
+    X W^T for multiclass) whose predicted class equals y: z > 0, or the
+    row argmax with ties to the lowest class index."""
+    if problem.kind == _problems.BINARY_LOGISTIC:
+        pred = (Z > 0).astype(np.int64)
+    else:
         pred = Z.argmax(axis=1)
     return float(np.mean(pred == y))
 

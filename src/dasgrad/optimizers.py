@@ -35,6 +35,13 @@ densified) and weighted once. A block holds at most
 its own ``batch_size`` rows. One draw of k * batch_size uniforms is the
 same stream as k draws of batch_size, so blocks reproduce per-step
 sampling bit for bit.
+
+Every ``metric_tick`` steps the run records ``metrics.tick``: the loss,
+the gradient-norm variance and the accuracy from one pass over X. A
+diverging run raises ``DivergenceError`` at the step that makes theta
+nonfinite, the tick that reads a nonfinite loss or the refresh that reads
+nonfinite scores; overflows in the moment update, the tick and the
+scores on the way there raise no numpy warning.
 """
 
 from __future__ import annotations
@@ -56,8 +63,9 @@ DEFAULT_BOX = (-1e6, 1e6)
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an update produces a nonfinite parameter vector, or a
-    metric tick a nonfinite loss or gradient-norm variance."""
+    """Raised when an update produces a nonfinite parameter vector, a
+    metric tick a nonfinite loss or gradient-norm variance, or a refresh
+    nonfinite scores."""
 
     def __init__(self, step, message="nonfinite update"):
         super().__init__("%s at step %d" % (message, step))
@@ -248,26 +256,29 @@ def step_general(problem, theta, state, batch, config, t):
             g_state = G.mean(axis=0)
 
     method = config.method
-    if method in ("sgd", "ap_sgd"):
-        direction = g_weighted
-    elif method == "adagrad":
-        state.v = state.v + g_state * g_state
-        denom = np.sqrt(state.v / t) + config.epsilon_div
-        direction = g_weighted / denom
-    else:
-        beta1_t = config.beta1_at(t)
-        m_prev = state.m
-        moment_update(state, g_state, beta1_t, config.beta2,
-                      method in ("amsgrad", "dasgrad"))
-        denom = np.sqrt(state.v_hat) + config.epsilon_div
-        # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the stack
-        direction = (beta1_t * w_mean * m_prev
-                     + (1.0 - beta1_t) * g_weighted) / denom
-
-    # OptimizerConfig guarantees lo <= hi, so the clamp skips project_box's
-    # check of the box
     lo, hi = config.projection
+    # an overflow on the way to a divergence is reported by DivergenceError,
+    # here or at the next tick, not by a warning; one errstate for the
+    # step, as entering one costs time
     with np.errstate(over="ignore", invalid="ignore"):
+        if method in ("sgd", "ap_sgd"):
+            direction = g_weighted
+        elif method == "adagrad":
+            state.v = state.v + g_state * g_state
+            denom = np.sqrt(state.v / t) + config.epsilon_div
+            direction = g_weighted / denom
+        else:
+            beta1_t = config.beta1_at(t)
+            m_prev = state.m
+            moment_update(state, g_state, beta1_t, config.beta2,
+                          method in ("amsgrad", "dasgrad"))
+            denom = np.sqrt(state.v_hat) + config.epsilon_div
+            # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the
+            # stack
+            direction = (beta1_t * w_mean * m_prev
+                         + (1.0 - beta1_t) * g_weighted) / denom
+        # OptimizerConfig guarantees lo <= hi, so the clamp skips
+        # project_box's check of the box
         new_theta = np.clip(theta - step_size(config.alpha, t) * direction,
                             lo, hi)
     if not np.all(np.isfinite(new_theta)):
@@ -277,17 +288,23 @@ def step_general(problem, theta, state, batch, config, t):
 
 def refresh_probabilities(problem, theta, state, config, tree, t):
     """Recompute the sampling distribution from the current scores before
-    step t and load it into the tree in one O(n) rebuild."""
-    if config.method == "ap_sgd":
-        scores = _sampling.scores_apsgd(problem, theta)
-    elif config.method == "dasgrad":
-        scores = _sampling.scores_dasgrad(problem, theta, state.m,
-                                          state.v_hat,
-                                          config.beta1_at(max(t - 1, 1)),
-                                          eps_div=config.epsilon_div)
-    else:
-        raise ValueError("method %r does not adapt probabilities"
-                         % (config.method,))
+    step t and load it into the tree in one O(n) rebuild. Scores whose
+    total is not finite raise DivergenceError: an overflow in them belongs
+    to a diverging run, not to bad input."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.method == "ap_sgd":
+            scores = _sampling.scores_apsgd(problem, theta)
+        elif config.method == "dasgrad":
+            scores = _sampling.scores_dasgrad(problem, theta, state.m,
+                                              state.v_hat,
+                                              config.beta1_at(max(t - 1, 1)),
+                                              eps_div=config.epsilon_div)
+        else:
+            raise ValueError("method %r does not adapt probabilities"
+                             % (config.method,))
+        total = scores.sum()
+    if not math.isfinite(total):
+        raise DivergenceError(t, "nonfinite scores")
     tree.set_all(_sampling.normalize_scores(scores, config.epsilon_prob))
 
 
@@ -336,8 +353,6 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     state = MomentState.zeros(problem.param_dim)
     tree = _sampling.SamplingTree(np.full(problem.n, 1.0 / problem.n))
 
-    classification = problem.kind != _problems.CENTROID
-    X_eval, y_eval = (problem.X, problem.y) if eval_set is None else eval_set
     ticks, losses, accs, gvars = [], [], [], []
 
     period, B = config.refresh_period, config.batch_size
@@ -356,26 +371,19 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
             theta = step_general(problem, theta, state, batch, config, t)
             if t % metric_tick == 0:
                 # a diverging run is reported by DivergenceError, not
-                # warnings; only the tick, as ufuncs run slower under a
-                # non-default errstate
+                # warnings
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if classification:
-                        loss = _problems.full_objective(problem, theta)
-                        gvar = _metrics.gradient_norm_variance(problem, theta)
-                    else:
-                        loss, gvar = _metrics.centroid_loss_and_norm_variance(
-                            problem, theta)
+                    loss, gvar, acc = _metrics.tick(problem, theta, eval_set)
                 if not (math.isfinite(loss) and math.isfinite(gvar)):
                     raise DivergenceError(t, "nonfinite loss")
                 ticks.append(t)
                 losses.append(loss)
                 gvars.append(gvar)
-                if classification:
-                    accs.append(_metrics.accuracy(problem, theta, X_eval,
-                                                  y_eval))
+                accs.append(acc)
             t += 1
 
     return RunResult(ticks=np.array(ticks, dtype=np.int64),
                      loss=np.array(losses),
-                     accuracy=np.array(accs) if classification else None,
+                     accuracy=None if problem.kind == _problems.CENTROID
+                     else np.array(accs),
                      grad_norm_var=np.array(gvars), theta=theta, seed=seed)

@@ -4,7 +4,9 @@ A flat-array sum tree gives O(log n) draws. A full refresh of the sampling
 distribution is one O(n) ``set_all``; a single-leaf ``update`` is O(log n).
 ``scores_dasgrad`` is the one score function: per-example norms of the
 preconditioned candidate direction, of which ``scores_apsgd`` (gradient
-norms) is the v_hat = 1, no-momentum case. Normalization smooths scores
+norms) is the v_hat = 1, no-momentum case; for the logistic kinds both
+share one rank-one norm routine, and the ap-SGD case reads its constant
+quad term from ``Problem.row_sq_norms``. Normalization smooths scores
 with a small epsilon so every example keeps strictly positive probability.
 """
 
@@ -193,9 +195,23 @@ def target_weight(p_i, label_count, m):
 def scores_apsgd(problem, theta):
     """Per-example gradient norms ||grad f_i(theta)||_2, one dataset pass."""
     theta = np.asarray(theta, dtype=np.float64)
-    ones = np.ones(problem.param_dim)
-    return scores_dasgrad(problem, theta, np.zeros(problem.param_dim),
-                          ones, beta1_t=0.0)
+    if problem.kind == _problems.CENTROID:
+        ones = np.ones(problem.param_dim)
+        return scores_dasgrad(problem, theta, np.zeros(problem.param_dim),
+                              ones, beta1_t=0.0)
+    return _gradient_norms(problem, theta,
+                           _problems.residuals(problem, theta))
+
+
+def _gradient_norms(problem, theta, R):
+    """Gradient norms of a logistic problem from its residuals R at theta:
+    ``scores_dasgrad`` at v_hat = 1 without momentum, whose quad term is
+    the problem's ``row_sq_norms``. The metric tick calls this with the
+    residuals of its own loss pass."""
+    dim = problem.param_dim
+    return _rank_one_norms(problem, theta, R, np.zeros(dim),
+                           problem.weights_view(np.ones(dim)), 0.0,
+                           problem.row_sq_norms)
 
 
 def scores_dasgrad(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
@@ -222,14 +238,23 @@ def scores_dasgrad(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
         diff = (beta1_t * m_prev + keep * theta)[None, :] - keep * X
         return np.linalg.norm(diff / root[None, :], axis=1)
 
+    inv_sq = problem.weights_view(1.0 / (root * root))
+    return _rank_one_norms(problem, theta, _problems.residuals(problem, theta),
+                           m_prev, inv_sq, beta1_t,
+                           np.asarray(problem.X_sq @ inv_sq.T))
+
+
+def _rank_one_norms(problem, theta, R, m_prev, inv_sq, beta1_t, quad):
+    """The logistic branch of ``scores_dasgrad``: the norms from the
+    residuals R at theta, the weights inv_sq = v_hat^{-1/2} (shaped as
+    theta's weights view) and quad = X_sq inv_sq^T."""
     # binary: W is the identity and .T of a 1-d array is the array itself
     W = problem.weights_view
+    keep = 1.0 - beta1_t
     A = beta1_t * W(m_prev) + keep * (problem.l2_lambda * W(theta))
-    C = keep * _problems.residuals(problem, theta)   # (n,) or (n, K)
-    inv_sq = W(1.0 / (root * root))
+    C = keep * R   # (n,) or (n, K)
     base = float((A * A * inv_sq).sum())
     cross = np.asarray(problem.X @ (A * inv_sq).T)
-    quad = np.asarray(problem.X_sq @ inv_sq.T)
     if problem.kind == _problems.BINARY_LOGISTIC:
         sq = base + 2.0 * C * cross + (C * C) * quad
     else:

@@ -60,6 +60,24 @@ alpha = 0.1
 batch_size = 1
 """
 
+# ap_sgd at a huge step keeps theta finite until a refresh reads gradient
+# norms that overflow (step 69 on both seeds)
+SCORE_OVERFLOW_CONFIG = """
+kind = centroid
+n = 24
+d = 4
+T = 200
+seeds = 0,1
+metric_tick = 5
+output_dir = {out}
+[optimizer.ap]
+method = ap_sgd
+alpha = 1000
+refresh_period = 3
+batch_size = 2
+box = -inf,inf
+"""
+
 # a dense CSV of 23 one-dimensional rows at 0 and one at 1
 PARTIAL_DIVERGENCE_DATA = "0,0\n" * 23 + "0,1\n"
 
@@ -727,6 +745,18 @@ class TestSelfCheckAndCli:
         assert C.main(["run", "--config", str(cfg_path)]) == 0
         # and failures.csv describes only the latest call
         assert not (out / "failures.csv").exists()
+
+    def test_cli_run_reports_overflowing_scores_as_divergence(self,
+                                                              tmp_path):
+        out = tmp_path / "scores"
+        cfg_path = tmp_path / "scores.cfg"
+        cfg_path.write_text(SCORE_OVERFLOW_CONFIG.format(out=out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert C.main(["run", "--config", str(cfg_path)]) == 1
+        assert [(r[0], r[1], r[3]) for r in read_rows(out / "failures.csv")] \
+            == [("ap", seed, "nonfinite scores at step 69")
+                for seed in ("0", "1")]
 
     @pytest.mark.parametrize("command", [
         ["sweep-variance", "--sigmas", "1", "--n", "10", "--d", "2"],

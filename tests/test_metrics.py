@@ -257,6 +257,39 @@ class TestGradientNormVariance:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def tick_problem(kind, storage, rng, n=30, d=6):
+    k = {P.CENTROID: 1, P.BINARY_LOGISTIC: 2, P.MULTICLASS_LOGISTIC: 4}[kind]
+    X, y = H._gaussian_rows(rng, n, d, k)
+    if storage == "csr":
+        X = sparse.csr_matrix(X * (rng.random(X.shape) < 0.5))
+    return P.Problem(X, y, kind, l2_lambda=0.05, num_classes=k)
+
+
+class TestTick:
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("kind", P.KINDS)
+    def test_bit_identical_to_the_three_calls(self, kind, storage):
+        rng = np.random.default_rng(17)
+        prob = tick_problem(kind, storage, rng)
+        held_out = tick_problem(kind, storage, rng, n=11)
+        for scale in (0.0, 1.0, 30.0):
+            theta = scale * rng.standard_normal(prob.param_dim)
+            for eval_set in (None, (held_out.X, held_out.y)):
+                loss, gvar, acc = M.tick(prob, theta, eval_set)
+                assert loss == P.full_objective(prob, theta)
+                assert gvar == M.gradient_norm_variance(prob, theta)
+                if kind == P.CENTROID:
+                    assert acc is None
+                    continue
+                X, y = eval_set or (prob.X, prob.y)
+                assert acc == M.accuracy(prob, theta, X, y)
+
+    def test_rejects_wrong_theta_shape(self):
+        prob = centroid_problem([[0.0, 1.0]])
+        with pytest.raises(ValueError):
+            M.tick(prob, np.zeros(3))
+
+
 class TestAccuracy:
     def test_zero_theta_binary_tie_rule(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -560,7 +561,8 @@ def _probs_refresh(problem, theta, state, config, tree):
     return probs
 
 
-def _probs_run(problem, config, T, seed, metric_tick):
+def _probs_run(problem, config, T, seed, metric_tick, eval_set=None):
+    X_eval, y_eval = (problem.X, problem.y) if eval_set is None else eval_set
     rng = np.random.default_rng(seed)
     theta = np.zeros(problem.param_dim)
     state = _CountingState(problem.param_dim)
@@ -581,17 +583,22 @@ def _probs_run(problem, config, T, seed, metric_tick):
             losses.append(loss)
             gvars.append(gvar)
             if problem.kind != P.CENTROID:
-                accs.append(M.accuracy(problem, theta, problem.X, problem.y))
+                accs.append(M.accuracy(problem, theta, X_eval, y_eval))
     return (np.array(ticks, dtype=np.int64), np.array(losses),
             np.array(accs) if accs else None, np.array(gvars), theta)
 
 
-def _bit_check_problem(kind, is_sparse):
-    rng = np.random.default_rng(20)
+def _bit_check_rows(kind, is_sparse, n, seed):
+    rng = np.random.default_rng(seed)
     k = {P.CENTROID: 1, P.BINARY_LOGISTIC: 2, P.MULTICLASS_LOGISTIC: 3}[kind]
-    X, y = H._gaussian_rows(rng, 24, 4, k)
+    X, y = H._gaussian_rows(rng, n, 4, k)
     if is_sparse:
         X = sparse.csr_matrix(X * (rng.random(X.shape) < 0.6))
+    return X, y, k
+
+
+def _bit_check_problem(kind, is_sparse):
+    X, y, k = _bit_check_rows(kind, is_sparse, 24, 20)
     return P.Problem(X, y, kind, l2_lambda=0.01, num_classes=k)
 
 
@@ -601,13 +608,16 @@ _BIT_CHECK_MODES = [
     {"freeze_probabilities": True, "beta1_decay": 0.5},
     {"freeze_probabilities": True, "beta1_decay": 0.5, "target": True},
     {"beta1_decay": 0.5, "projection": (-0.05, 0.05)},
+    {"eval_set": True},
 ]
 
 
-def _assert_same_trace(problem, cfg, T, seed, metric_tick, case):
-    result = O.run(problem, cfg, T=T, seed=seed, metric_tick=metric_tick)
+def _assert_same_trace(problem, cfg, T, seed, metric_tick, case,
+                       eval_set=None):
+    result = O.run(problem, cfg, T=T, seed=seed, metric_tick=metric_tick,
+                   eval_set=eval_set)
     ticks, loss, acc, gvar, theta = _probs_run(problem, cfg, T, seed,
-                                               metric_tick)
+                                               metric_tick, eval_set)
     assert np.array_equal(result.ticks, ticks), case
     assert np.array_equal(result.loss, loss), case
     assert np.array_equal(result.grad_norm_var, gvar), case
@@ -634,11 +644,15 @@ def test_run_is_bit_identical_to_the_parent_loop(method, kind):
             kw = dict(mode)
             if kw.pop("target", False):
                 kw["target_label_counts"] = (2, 5, 3)[:problem.num_classes]
+            # accuracy on held-out rows, not the training rows
+            eval_set = _bit_check_rows(kind, is_sparse, 9, 21)[:2] \
+                if kw.pop("eval_set", False) else None
             cfg = O.OptimizerConfig(method=method, alpha=0.2,
                                     batch_size=batch, refresh_period=period,
                                     **kw)
             _assert_same_trace(problem, cfg, 24, 3, 4,
-                               (method, kind, is_sparse, period, batch, mode))
+                               (method, kind, is_sparse, period, batch, mode),
+                               eval_set)
 
 
 @pytest.mark.parametrize("method", ["sgd", "ap_sgd", "dasgrad"])
@@ -685,6 +699,21 @@ def test_divergence_is_raised_at_the_parent_loops_step(method, alpha, T,
             O.run(problem, cfg, T=T, seed=3, metric_tick=metric_tick)
     assert str(engine.value) == str(parent.value)
     assert engine.value.step == parent.value.step
+
+
+@pytest.mark.parametrize("method",
+                         ["adagrad", "rmsprop", "adam", "amsgrad", "dasgrad"])
+def test_moment_overflow_diverges_without_a_warning(method):
+    # g * g overflows in the moment update (adagrad: its running sum)
+    # before the first tick reads a nonfinite loss
+    problem = _bit_check_problem(P.CENTROID, False)
+    cfg = O.OptimizerConfig(method=method, alpha=1e300,
+                            projection=(-np.inf, np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(O.DivergenceError, match="nonfinite loss at "
+                                                    "step 5"):
+            O.run(problem, cfg, T=20, seed=0, metric_tick=5)
 
 
 @pytest.mark.parametrize("is_sparse", [False, True])

@@ -191,6 +191,55 @@ class TestObjectiveAndGradient:
             P.objective_and_gradient(prob, np.zeros(3))
 
 
+def _reduce_max_terms(problem, theta):
+    """The softmax (L, R) of the full data with the max shift taken by
+    Z.max(axis=1), as the batch path takes it."""
+    Z = np.asarray(problem.X @ problem.weights_view(theta).T)
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    E = np.exp(shifted)
+    row_sums = E.sum(axis=1)
+    rows = np.arange(problem.n)
+    L = np.log(row_sums) - shifted[rows, problem.y]
+    R = E / row_sums[:, None]
+    R[rows, problem.y] -= 1.0
+    return L, R
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFullDataRowMax:
+    @pytest.mark.parametrize("K", [2, 3, 10])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_loop_matches_the_reduce_bit_for_bit(self, K, storage):
+        # X is the identity, so Z = X W^T is W^T entry for entry. Entries
+        # come from a small pool, so rows hold ties; CSR X multiplies only
+        # its stored ones, which lets +-inf and NaN reach Z unchanged.
+        rng = np.random.default_rng(30 + K)
+        n = 300
+        pool = [-2.5, -0.0, 0.0, 1.0, 3.5, 700.0, -800.0]
+        if storage == "csr":
+            pool += [np.inf, -np.inf, np.nan]
+        Z = rng.choice(pool, size=(n, K))
+        Z[::7] = rng.standard_normal((len(Z[::7]), K))
+        X = sparse.identity(n, format="csr") if storage == "csr" \
+            else np.eye(n)
+        prob = P.Problem(X, rng.integers(0, K, n), P.MULTICLASS_LOGISTIC,
+                         num_classes=K)
+        theta = Z.T.ravel()
+        with np.errstate(all="ignore"):
+            L, R, Z_out = P._logistic_terms(prob, theta, prob.X, prob.y,
+                                            want_loss=True,
+                                            want_residuals=True)
+            L_ref, R_ref = _reduce_max_terms(prob, theta)
+        assert np.array_equal(Z_out, Z, equal_nan=True)
+        assert np.array_equal(_bits(L), _bits(L_ref))
+        assert np.array_equal(_bits(R), _bits(R_ref))
+        if storage == "csr":
+            assert np.isnan(L).any() and np.isinf(Z).any()
+
+
 class TestFiniteDifferenceCheck:
     def test_centroid_exact(self):
         rng = np.random.default_rng(8)

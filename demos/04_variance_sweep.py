@@ -11,8 +11,8 @@ The full protocol (100 seeds) runs via:  dasgrad sweep-variance
 import numpy as np
 
 from dasgrad import (
-    CENTROID, convex_preset, make_problem, regret_ledger, run,
-    solve_reference, synth_centroid,
+    CENTROID, convex_preset, make_problem, run, solve_reference,
+    synth_centroid,
 )
 from dasgrad.metrics import paired_ci
 
@@ -27,7 +27,7 @@ for sigma in (0.1, 1.0, 10.0):
     for method in ("amsgrad", "dasgrad"):
         cfg = convex_preset(method, alpha=0.01, batch_size=8)
         finals[method] = np.array([
-            regret_ledger(r.loss, reference.f_star).cumulative[-1]
+            np.cumsum(r.loss - reference.f_star)[-1]
             for r in (run(problem, cfg, T=500, seed=s, metric_tick=1)
                       for s in range(SEEDS))])
     gap, lo, hi = paired_ci(finals["amsgrad"], finals["dasgrad"])

@@ -36,21 +36,16 @@ from .optimizers import (
     RunResult,
     draw_batch,
     moment_update,
-    project_box,
     refresh_probabilities,
     run,
     step_general,
-    step_size,
 )
 from .metrics import (
     AggregateTrace,
     ReferenceSolution,
-    RegretLedger,
     accuracy,
     aggregate_runs,
     gradient_norm_variance,
-    instantaneous_regret,
-    regret_ledger,
     solve_reference,
     tick,
 )

@@ -50,18 +50,6 @@ class SparseVector:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def densify(self, d: int) -> np.ndarray:
-        if self.indices.size and self.indices[-1] >= d:
-            raise ValueError("index %d out of range for dimension %d"
-                             % (self.indices[-1], d))
-        out = np.zeros(d)
-        out[self.indices] = self.values
-        return out
-
 
 @dataclass(frozen=True)
 class Example:
@@ -174,6 +162,8 @@ def load_sparse(path):
             raise DatasetFormatError(path, 1,
                                      "missing '#d=<dim> #k=<classes>' header")
         d, k = int(m.group(1)), int(m.group(2))
+        if d < 1:
+            raise DatasetFormatError(path, 1, "d must be at least 1")
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:

@@ -145,7 +145,9 @@ def _checked(parse, ok, rule):
 _GLOBAL_KEYS = {
     "kind": _checked(str, _problems.KINDS.__contains__,
                      "kind must be one of " + ", ".join(_problems.KINDS)),
-    "path": str, "sparse": _parse_bool, "n": int, "d": int,
+    "path": str, "sparse": _parse_bool,
+    "n": _checked(int, lambda n: n >= 1, "n must be at least 1"),
+    "d": _checked(int, lambda d: d >= 1, "d must be at least 1"),
     "classes": _checked(int, lambda k: k >= 2, "classes must be at least 2"),
     "sigma": float, "margin": float, "sparsity": float, "data_seed": int,
     "lambda": _checked(float, lambda v: 0 <= v < math.inf,
@@ -232,7 +234,8 @@ TRACE_HEADER = "step,loss,accuracy,inst_regret,cum_regret,grad_norm_var"
 
 
 def write_trace_csv(path, result, f_star):
-    ledger = _metrics.regret_ledger(result.loss, f_star)
+    inst = result.loss - f_star
+    cum = np.cumsum(inst)
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         for row, step in enumerate(result.ticks):
@@ -240,7 +243,7 @@ def write_trace_csv(path, result, f_star):
                 else _fmt(result.accuracy[row])
             fh.write(",".join([
                 str(int(step)), _fmt(result.loss[row]), acc,
-                _fmt(ledger.instantaneous[row]), _fmt(ledger.cumulative[row]),
+                _fmt(inst[row]), _fmt(cum[row]),
                 _fmt(result.grad_norm_var[row])]) + "\n")
 
 
@@ -332,7 +335,7 @@ def _run_arms(arms, seeds, T, metric_tick, out, eval_set=None):
 
 def _cum_regret(runs, f_star):
     """Per-run cumulative regret and its across-seed aggregate."""
-    cums = [_metrics.regret_ledger(r.loss, f_star).cumulative for r in runs]
+    cums = [np.cumsum(r.loss - f_star) for r in runs]
     return cums, _metrics.aggregate_runs(cums)
 
 

@@ -1,5 +1,7 @@
-"""Regret instrumentation, gradient-variance diagnostics, accuracy, and
-multi-seed aggregation with normal-approximation confidence intervals.
+"""The regret baseline (the reference solve), gradient-variance
+diagnostics, accuracy, and multi-seed aggregation with normal-approximation
+confidence intervals. A trace's regret is its loss minus f_star, summed
+over the ticks (``np.cumsum``).
 
 ``tick`` is what a run records at each metric tick: the full objective,
 the gradient-norm variance and the accuracy, from one pass over X (one
@@ -29,14 +31,6 @@ class ReferenceSolution:
     grad_norm_at_star: float
     solver_iterations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class RegretLedger:
-    """Instantaneous and cumulative expected-regret trace on a tick grid."""
-
-    instantaneous: np.ndarray
-    cumulative: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,17 +100,6 @@ def solve_reference(problem, tol=1e-8, max_iters=5000):
                              solver_iterations=iterations, converged=converged)
 
 
-def instantaneous_regret(problem, theta_t, f_star):
-    """Full-objective gap F(theta_t) - f_star."""
-    return _problems.full_objective(problem, theta_t) - f_star
-
-
-def regret_ledger(losses, f_star):
-    """Ledger over recorded ticks: instantaneous gaps and their running sum."""
-    inst = np.asarray(losses, dtype=np.float64) - f_star
-    return RegretLedger(instantaneous=inst, cumulative=np.cumsum(inst))
-
-
 def gradient_norm_variance(problem, theta):
     """Population variance over examples of ||grad f_i(theta)||_2."""
     norms = _sampling.scores_apsgd(problem, theta)
@@ -136,8 +119,7 @@ def tick(problem, theta, eval_set=None):
     x_i), and its argmax the training accuracy."""
     theta = _problems._check_theta(problem, theta)
     if problem.kind == _problems.CENTROID:
-        X = problem.X.toarray() if problem.is_sparse else problem.X
-        sq = theta[None, :] - X
+        sq = theta[None, :] - _problems._dense(problem.X)
         sq *= sq
         loss = 0.5 * float(sq.sum()) / problem.n
         return loss, float(np.var(np.sqrt(sq.sum(axis=1)))), None
@@ -192,7 +174,7 @@ def aggregate_runs(traces):
     stack = np.vstack(traces)
     n = stack.shape[0]
     mean = stack.mean(axis=0)
-    half = Z_95 * stack.std(axis=0, ddof=1) / np.sqrt(n)
+    half = Z_95 * _spread(lambda s: s.std(axis=0, ddof=1), stack) / np.sqrt(n)
     return AggregateTrace(mean=mean, ci_low=mean - half, ci_high=mean + half,
                           n_seeds=n)
 
@@ -205,7 +187,7 @@ def paired_ci(values_a, values_b):
     if n < 2:
         raise ValueError("need at least two paired seeds")
     mean = diff.mean()
-    half = Z_95 * diff.std(ddof=1) / np.sqrt(n)
+    half = Z_95 * _spread(lambda d: d.std(ddof=1), diff) / np.sqrt(n)
     return mean, mean - half, mean + half
 
 
@@ -217,12 +199,25 @@ def unpaired_ci(values_a, values_b):
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least two seeds per side")
     mean = a.mean() - b.mean()
-    half = Z_95 * np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    half = Z_95 * _spread(lambda a, b: np.sqrt(a.var(ddof=1) / a.size
+                                               + b.var(ddof=1) / b.size),
+                          a, b)
     return mean, mean - half, mean + half
 
 
-def trend_slope(steps, values):
-    """Least-squares slope of values against steps."""
-    steps = np.asarray(steps, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    return float(np.polyfit(steps, values, 1)[0])
+def _spread(formula, *samples):
+    """formula(*samples): a spread that scales linearly with the samples
+    (a standard deviation along axis 0, or a root of summed variances).
+    Its squares overflow for finite samples above about 1e154. Only where
+    the plain result is not finite is the formula taken again on the
+    samples divided by their largest magnitude (per column) and scaled
+    back, so a spread that does not overflow keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = formula(*samples)
+        bad = ~np.isfinite(spread)
+        if not bad.any():
+            return spread
+        scale = np.maximum.reduce([np.abs(s).max(axis=0) for s in samples])
+        scale = np.where(scale > 0, scale, 1.0)
+        return np.where(bad, scale * formula(*(s / scale for s in samples)),
+                        spread)[()]

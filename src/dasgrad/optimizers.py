@@ -159,15 +159,6 @@ def _positive_int(name, value):
     return whole
 
 
-def step_size(alpha, t):
-    """Decaying schedule alpha / sqrt(t)."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return alpha / np.sqrt(t)
-
-
 def moment_update(state, g, beta1_t, beta2, use_max):
     """One moment recursion step:
     m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2, and v_hat keeps the
@@ -185,17 +176,6 @@ def moment_update(state, g, beta1_t, beta2, use_max):
         state.v_hat = np.maximum(state.v_hat, state.v)
     else:
         state.v_hat = state.v
-
-
-def project_box(theta, lo, hi):
-    """Coordinatewise clamp into [lo, hi]. For an axis-aligned box the
-    metric-weighted projection separates per coordinate, so one clamp serves
-    every positive diagonal metric."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if np.any(lo > hi):
-        raise ValueError("projection box must satisfy lo <= hi")
-    return np.clip(theta, lo, hi)
 
 
 def _weights_for(problem, indices, tree, config):
@@ -277,9 +257,8 @@ def step_general(problem, theta, state, batch, config, t):
             # stack
             direction = (beta1_t * w_mean * m_prev
                          + (1.0 - beta1_t) * g_weighted) / denom
-        # OptimizerConfig guarantees lo <= hi, so the clamp skips
-        # project_box's check of the box
-        new_theta = np.clip(theta - step_size(config.alpha, t) * direction,
+        # OptimizerConfig guarantees lo <= hi
+        new_theta = np.clip(theta - config.alpha / np.sqrt(t) * direction,
                             lo, hi)
     if not np.all(np.isfinite(new_theta)):
         raise DivergenceError(t)

@@ -1,19 +1,19 @@
 """Convex objectives used by the benchmark: per-example losses, analytic
 gradients, full-batch oracles, and a finite-difference gradient checker.
 
-``residuals`` and ``gradients`` are the one gradient oracle: the batch
-gradients of a step, the per-example and full gradients and the sampling
-scores all come from them. ``gradients`` is ``gather_rows`` followed by
-``batch_gradients``; the optimizer gathers a refresh block's rows once and
-calls ``batch_gradients`` on each step's slice of them. ``losses`` is
-computed separately and serves as the reference the gradients are checked
-against. ``objective_and_gradient`` returns the full objective and the full
-gradient together from one pass over X (one margin product, and for
-softmax one exp pass, shared by both); the reference solve calls it once
-per line-search trial. The metric tick (``metrics.tick``) takes the
-losses, the residuals and the margin product of one such pass. On the
-full data the softmax max shift runs a column loop, the same bits as the
-row reduce in a fraction of its time.
+``residuals`` and ``batch_gradients`` are the one gradient oracle: the
+batch gradients of a step, the per-example and full gradients and the
+sampling scores all come from them. ``batch_gradients`` takes rows as
+``gather_rows`` returns them; the optimizer gathers a refresh block's rows
+once and calls ``batch_gradients`` on each step's slice of them.
+``losses`` is computed separately and serves as the reference the
+gradients are checked against. ``objective_and_gradient`` returns the
+full objective and the full gradient together from one pass over X (one
+margin product, and for softmax one exp pass, shared by both); the
+reference solve calls it once per line-search trial. The metric tick
+(``metrics.tick``) takes the losses, the residuals and the margin product
+of one such pass. On the full data the softmax max shift runs a column
+loop, the same bits as the row reduce in a fraction of its time.
 
 Three problem kinds are supported:
 
@@ -63,6 +63,8 @@ class Problem:
             raise ValueError("X must be 2-d, got shape %s" % (X.shape,))
         if X.shape[0] == 0:
             raise ValueError("a problem needs at least one example")
+        if X.shape[1] == 0:
+            raise ValueError("a problem needs at least one feature")
         if not np.all(np.isfinite(values)):
             raise ValueError("features must be finite")
         y = np.asarray(y)
@@ -206,13 +208,6 @@ def residuals(problem, theta, rows=None):
                            want_residuals=True)[1]
 
 
-def gradients(problem, theta, rows):
-    """Per-example gradients of the index array ``rows``, stacked
-    (len(rows), param_dim) and dense."""
-    theta = _check_theta(problem, theta)
-    return batch_gradients(problem, theta, *gather_rows(problem, rows))
-
-
 def batch_gradients(problem, theta, X, y):
     """Per-example gradients of the dense rows X with labels y, as
     ``gather_rows`` returns them, stacked (len(y), param_dim). theta must
@@ -253,7 +248,7 @@ def example_gradient(problem, i, theta):
     """Analytic gradient of f_i at theta, always returned dense."""
     _check_index(problem, i)
     theta = _check_theta(problem, theta)
-    return gradients(problem, theta, [i])[0]
+    return batch_gradients(problem, theta, *gather_rows(problem, [i]))[0]
 
 
 def full_objective(problem, theta):

@@ -1,7 +1,9 @@
 """Adaptive categorical sampling over training indices.
 
-A flat-array sum tree gives O(log n) draws. A full refresh of the sampling
-distribution is one O(n) ``set_all``; a single-leaf ``update`` is O(log n).
+A flat-array sum tree gives O(log n) draws, which ``sample_many`` makes
+in one vectorized root-to-leaf descent per tree level. A full refresh of
+the sampling distribution is one O(n) ``set_all``; a single-leaf
+``update`` is O(log n).
 ``scores_dasgrad`` is the one score function: per-example norms of the
 preconditioned candidate direction, of which ``scores_apsgd`` (gradient
 norms) is the v_hat = 1, no-momentum case; for the logistic kinds both
@@ -99,32 +101,6 @@ class SamplingTree:
             self.update(i, old)
             raise ValueError("the weights' total overflows")
 
-    def index_of_prefix(self, u: float) -> int:
-        """Leaf whose cumulative-weight interval contains u in [0, total).
-
-        Descends left on u < left-child sum, otherwise subtracts the left
-        sum and descends right, so boundary ties go right.
-        """
-        idx = 1
-        nodes = self.nodes
-        while idx < self.capacity:
-            left = 2 * idx
-            if u < nodes[left]:
-                idx = left
-            else:
-                u -= nodes[left]
-                idx = left + 1
-        i = idx - self.capacity
-        # float slack in the child sums can spill past the last live leaf
-        return min(i, self.n - 1)
-
-    def sample(self, rng) -> int:
-        """Draw one index with probability leaf_i / total."""
-        root = self.total
-        if root <= 0:
-            raise ValueError("cannot sample from an all-zero tree")
-        return self.index_of_prefix(rng.random() * root)
-
     def sample_many(self, rng, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. indices; one vectorized descent per level."""
         root = self.total
@@ -133,9 +109,10 @@ class SamplingTree:
         u = rng.random(size) * root
         idx = np.ones(size, dtype=np.int64)
         nodes = self.nodes
-        # Ties go right, as in index_of_prefix. Where a draw goes left it
-        # subtracts 0.0, which leaves u unchanged, so draws match the
-        # scalar descent bit for bit.
+        # A draw goes left on u < left sum, else subtracts the left sum and
+        # goes right, so boundary ties go right. Where a draw goes left it
+        # subtracts 0.0, which leaves u unchanged, so each draw is the
+        # scalar root-to-leaf descent bit for bit.
         for _ in range(self.capacity.bit_length() - 1):
             idx <<= 1
             left_sum = nodes[idx]
@@ -232,10 +209,8 @@ def scores_dasgrad(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
     keep = 1.0 - beta1_t
 
     if problem.kind == _problems.CENTROID:
-        X = problem.X
-        if problem.is_sparse:
-            X = np.asarray(X.todense())
-        diff = (beta1_t * m_prev + keep * theta)[None, :] - keep * X
+        diff = ((beta1_t * m_prev + keep * theta)[None, :]
+                - keep * _problems._dense(problem.X))
         return np.linalg.norm(diff / root[None, :], axis=1)
 
     inv_sq = problem.weights_view(1.0 / (root * root))

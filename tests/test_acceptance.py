@@ -284,7 +284,7 @@ def test_criterion_9_sublinear_regret_signature():
         ticks = np.arange(1, 501)
         avg = np.mean(cums, axis=0) / ticks
         half = ticks >= 250
-        slopes[method] = M.trend_slope(ticks[half], avg[half])
+        slopes[method] = float(np.polyfit(ticks[half], avg[half], 1)[0])
         assert slopes[method] <= 0.0, method
     elapsed = time.time() - start
     assert elapsed < 300.0

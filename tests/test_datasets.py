@@ -73,8 +73,9 @@ class TestSparseFile:
         np.testing.assert_allclose(ds.X.toarray(), [[1.5, 0.0, 0.0, 2.0]])
         np.testing.assert_array_equal(ds.y, [1])
         sv = ds.examples[0].features
-        assert sv.nnz == 2
-        np.testing.assert_allclose(sv.densify(4), [1.5, 0.0, 0.0, 2.0])
+        row = ds.X.toarray()[0]
+        np.testing.assert_array_equal(sv.indices, np.flatnonzero(row))
+        np.testing.assert_array_equal(sv.values, row[sv.indices])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_nonfinite_value_reports_line(self, tmp_path, value):
@@ -96,6 +97,14 @@ class TestSparseFile:
         with pytest.raises(D.DatasetFormatError):
             D.load_sparse(path)
 
+    def test_zero_dimension_header_names_line_one(self, tmp_path):
+        path = tmp_path / "d0.sparse"
+        path.write_text("#d=0 #k=2\n0\n1\n")
+        with pytest.raises(D.DatasetFormatError,
+                           match="d must be at least 1") as err:
+            D.load_sparse(path)
+        assert err.value.line_no == 1
+
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "oob.sparse"
         path.write_text("#d=4 #k=2\n1 5:1.0\n")
@@ -111,9 +120,13 @@ class TestSparseFile:
         ds_dense = D.load_dense_csv(dense_path)
         np.testing.assert_array_equal(ds_sparse.X.toarray(), ds_dense.X)
         np.testing.assert_array_equal(ds_sparse.y, ds_dense.y)
-        for a, b in zip(ds_sparse.examples, ds_dense.examples):
-            np.testing.assert_array_equal(a.features.densify(3),
-                                          np.asarray(b.features))
+        for a, b, row in zip(ds_sparse.examples, ds_dense.examples,
+                             ds_sparse.X.toarray()):
+            np.testing.assert_array_equal(a.features.indices,
+                                          np.flatnonzero(row))
+            np.testing.assert_array_equal(a.features.values,
+                                          row[a.features.indices])
+            np.testing.assert_array_equal(b.features, row)
             assert a.label == b.label
 
 

@@ -78,6 +78,18 @@ batch_size = 2
 box = -inf,inf
 """
 
+# SCORE_OVERFLOW_CONFIG stopped at T = 60, before its refresh overflows,
+# with a dasgrad arm: losses near 1e277 whose squares overflow in the CI
+# bands of the aggregates and the comparison
+BAND_OVERFLOW_CONFIG = SCORE_OVERFLOW_CONFIG.replace(
+    "T = 200", "T = 60") + """[optimizer.dasgrad]
+method = dasgrad
+alpha = 1000
+refresh_period = 3
+batch_size = 2
+box = -inf,inf
+"""
+
 # a dense CSV of 23 one-dimensional rows at 0 and one at 1
 PARTIAL_DIVERGENCE_DATA = "0,0\n" * 23 + "0,1\n"
 
@@ -177,6 +189,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line, message", [
         ("kind = foo", "kind must be one of centroid, "),
         ("classes = 1", "classes must be at least 2"),
+        ("n = 0", "n must be at least 1"),
+        ("d = 0", "d must be at least 1"),
+        ("d = -2", "d must be at least 1"),
         ("lambda = nan", "lambda must be finite and nonnegative"),
         ("lambda = -1", "lambda must be finite and nonnegative"),
     ])
@@ -412,6 +427,8 @@ class TestRunSettingsRejected:
         ("T = 30", "T = 0", "T must be at least 1"),
         ("T = 30", "T = 30\nreference_tol = 0", "reference_tol"),
         ("T = 30", "T = 30\nreference_max_iters = 0", "reference_max_iters"),
+        ("kind = multiclass-logistic\nn = 40\nd = 4",
+         "kind = centroid\nn = 40\nd = 0", "line 5: d must be at least 1"),
     ])
     def test_cli_run_exits_two_before_the_reference_solve(
             self, tmp_path, capsys, monkeypatch, old, new, message):
@@ -634,7 +651,7 @@ class TestSweepAndMatching:
             problem = D.make_problem(D.synth_centroid(
                 20, 3, sigma, H.SWEEP_DEFAULTS["data_seed"]), P.CENTROID)
             f_star = M.solve_reference(problem).f_star
-            final = {m: [M.regret_ledger(r.loss, f_star).cumulative[-1]
+            final = {m: [np.cumsum(r.loss - f_star)[-1]
                          for r in results[sigma][m] if r.seed in (0, 2)]
                      for m in ("amsgrad", "dasgrad")}
             gap = M.paired_ci(final["amsgrad"], final["dasgrad"])
@@ -757,6 +774,22 @@ class TestSelfCheckAndCli:
         assert [(r[0], r[1], r[3]) for r in read_rows(out / "failures.csv")] \
             == [("ap", seed, "nonfinite scores at step 69")
                 for seed in ("0", "1")]
+
+    def test_cli_run_keeps_overflowing_bands_finite(self, tmp_path):
+        out = tmp_path / "bands"
+        cfg_path = tmp_path / "bands.cfg"
+        cfg_path.write_text(BAND_OVERFLOW_CONFIG.format(out=out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert C.main(["run", "--config", str(cfg_path)]) == 0
+        written = sorted(out.glob("*.csv"))
+        assert {p.name for p in written} >= {
+            "aggregate_ap.csv", "aggregate_dasgrad.csv", "comparison.csv"}
+        for path in written:
+            assert "inf" not in path.read_text(), path.name
+        # the loss really is past the square's overflow point
+        assert max(float(r[1]) for r in read_rows(
+            out / "trace_ap_0.csv")) > 1e200
 
     @pytest.mark.parametrize("command", [
         ["sweep-variance", "--sigmas", "1", "--n", "10", "--d", "2"],

@@ -20,6 +20,24 @@ def recompute_tree_reference(tree):
     return ref
 
 
+def index_of_prefix(tree, u):
+    """Oracle for ``sample_many``: the scalar root-to-leaf descent to the
+    leaf whose cumulative-weight interval contains u in [0, total). It goes
+    left on u < left-child sum, else subtracts the left sum and goes right,
+    so boundary ties go right."""
+    idx = 1
+    nodes = tree.nodes
+    while idx < tree.capacity:
+        left = 2 * idx
+        if u < nodes[left]:
+            idx = left
+        else:
+            u -= nodes[left]
+            idx = left + 1
+    # float slack in the child sums can spill past the last live leaf
+    return min(idx - tree.capacity, tree.n - 1)
+
+
 class TestTreeBuild:
     def test_root_sum(self):
         tree = S.SamplingTree([1.0, 2.0, 3.0, 4.0])
@@ -162,23 +180,25 @@ class TestTreeSample:
     def test_prefix_descent_hand_case(self):
         # cumulative sums 1, 3, 6, 10: u = 5.5 lies in [3, 6) -> index 2
         tree = S.SamplingTree([1.0, 2.0, 3.0, 4.0])
-        assert tree.index_of_prefix(5.5) == 2
+        assert tree.sample_many(_FixedUniforms([0.55]), 1).tolist() == [2]
 
     def test_prefix_descent_matches_cumsum_oracle(self):
         rng = np.random.default_rng(2)
         weights = rng.random(37)
         tree = S.SamplingTree(weights)
         edges = np.cumsum(weights)
-        for u in rng.uniform(0.0, edges[-1], size=500):
-            # ties at interval edges go right, so searchsorted side='right'
-            expected = int(np.searchsorted(edges, u, side="right"))
-            expected = min(expected, len(weights) - 1)
-            assert tree.index_of_prefix(float(u)) == expected
+        fractions = rng.random(500)
+        u = fractions * tree.total  # as sample_many scales its uniforms
+        # ties at interval edges go right, so searchsorted side='right'
+        expected = np.minimum(np.searchsorted(edges, u, side="right"),
+                              len(weights) - 1)
+        assert np.array_equal(
+            tree.sample_many(_FixedUniforms(fractions), 500), expected)
 
     def test_single_support_point(self):
         tree = S.SamplingTree([0.0, 0.0, 7.0, 0.0])
-        for u in (0.0, 1.0, 6.9):
-            assert tree.index_of_prefix(u) == 2
+        draws = tree.sample_many(_FixedUniforms([0.0, 1 / 7, 6.9 / 7]), 3)
+        assert draws.tolist() == [2, 2, 2]
 
     def test_empirical_frequencies(self):
         tree = S.SamplingTree([1.0, 2.0, 3.0, 4.0])
@@ -187,13 +207,13 @@ class TestTreeSample:
         freq = np.bincount(draws, minlength=4) / 1e6
         np.testing.assert_allclose(freq, [0.1, 0.2, 0.3, 0.4], atol=0.01)
 
-    def test_sample_and_sample_many_agree(self):
+    def test_scalar_descent_and_sample_many_agree(self):
         # non-dyadic weights: the tree sums and u - left_sum round
         weights = np.array([0.3, 1.7, 0.0, 2.4, 0.6])
         tree = S.SamplingTree(weights)
         many = tree.sample_many(np.random.default_rng(9), 200)
-        singles = [tree.sample(np.random.default_rng(9)) for _ in range(1)]
-        assert many[0] == singles[0]
+        first = np.random.default_rng(9).random() * tree.total
+        assert many[0] == index_of_prefix(tree, first)
         _scalar_and_vector_descents_agree(tree, weights)
         # with many random weights the tree's sums differ from a running
         # sum in the last bits, so the edges probe the rounded descent
@@ -221,7 +241,7 @@ class TestTreeSample:
         tree = S.SamplingTree([1.0])
         tree.update(0, 0.0)
         with pytest.raises(ValueError):
-            tree.sample(np.random.default_rng(0))
+            tree.sample_many(np.random.default_rng(0), 1)
 
 
 # tree sizes: one leaf, powers of two, one past a power of two (a capacity
@@ -256,16 +276,13 @@ class _FixedUniforms:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def random(self, size=None):
-        if size is None:
-            v, self.values = self.values[0], self.values[1:]
-            return float(v)
+    def random(self, size):
         v, self.values = self.values[:size], self.values[size:]
         return np.array(v)
 
 
 def _scalar_and_vector_descents_agree(tree, weights):
-    """Feed index_of_prefix and sample_many the same u-grid: a linspace,
+    """Feed the scalar descent and sample_many the same u-grid: a linspace,
     seeded uniforms, the prefix-sum edges and the floats either side of
     them, and u = total (the spill into the padding leaves). Returns the
     grid and the vector draws."""
@@ -277,7 +294,7 @@ def _scalar_and_vector_descents_agree(tree, weights):
         np.nextafter(edges, np.inf) / tree.total, [1.0],
     ])
     u = fractions * tree.total  # as sample_many scales its uniforms
-    scalar = np.array([tree.index_of_prefix(float(x)) for x in u])
+    scalar = np.array([index_of_prefix(tree, float(x)) for x in u])
     vector = tree.sample_many(_FixedUniforms(fractions), len(fractions))
     assert np.array_equal(scalar, vector)
     return u, vector

@@ -85,8 +85,8 @@ class ExperimentConfig:
 
 def _check_run_settings(T, metric_tick, seeds, min_seeds):
     """The seeds as a tuple. Rejects too few seeds, a negative one, a
-    repeated one (it would count one run twice) and a tick outside [1, T]
-    (no trace rows)."""
+    repeated one (it would count one run twice), a T or tick that ``run``
+    rejects and a tick above T (no trace rows)."""
     seeds = tuple(seeds)
     if len(seeds) < min_seeds:
         raise ValueError("need at least %s, got %d"
@@ -95,9 +95,8 @@ def _check_run_settings(T, metric_tick, seeds, min_seeds):
     if min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValueError("seeds must not repeat or be negative, "
                          "got %s" % ",".join(str(s) for s in seeds))
-    if T < 1:
-        raise ValueError("T must be at least 1, got %d" % T)
-    if not 1 <= metric_tick <= T:
+    T = _optimizers._positive_int("T", T)
+    if _optimizers._positive_int("metric_tick", metric_tick) > T:
         raise ValueError("metric_tick must lie in [1, T=%d], got %d"
                          % (T, metric_tick))
     return seeds
@@ -309,13 +308,16 @@ class ExperimentResults(dict):
                 for name in names]
 
 
-def _run_arms(arms, seeds, T, metric_tick, out, eval_set=None):
+def _run_arms(arms, seeds, T, metric_tick, out, outputs, eval_set=None):
     """Run every (arm, seed) of ``arms``, name -> (problem, OptimizerConfig),
     in order. A diverged run is recorded in ``failures``, never raised;
-    out/failures.csv lists this call's failures and exists only if any."""
+    out/failures.csv lists this call's failures and exists only if any.
+    First removes it and ``outputs``, the other names in out that the call
+    may leave unwritten, so that no earlier call's file survives there."""
     failures_path = os.path.join(out, "failures.csv")
-    if os.path.exists(failures_path):
-        os.remove(failures_path)
+    for path in [failures_path] + [os.path.join(out, f) for f in outputs]:
+        if os.path.exists(path):
+            os.remove(path)
     results = ExperimentResults()
     for name, (problem, config) in arms.items():
         for seed in seeds:
@@ -350,8 +352,11 @@ def run_experiment(config):
     reference = _metrics.solve_reference(problem, config.reference_tol,
                                          config.reference_max_iters)
     names = sorted(config.optimizers)
+    outputs = ["comparison.csv"] + ["aggregate_%s.csv" % n for n in names] \
+        + ["trace_%s_%d.csv" % (n, s) for n in names for s in config.seeds]
     results = _run_arms({n: (problem, config.optimizers[n]) for n in names},
-                        config.seeds, config.T, config.metric_tick, out)
+                        config.seeds, config.T, config.metric_tick, out,
+                        outputs)
     for key, run in results.items():
         write_trace_csv(os.path.join(out, "trace_%s_%d.csv" % key), run,
                         reference.f_star)
@@ -492,7 +497,9 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
         raise ValueError("methods and sigma tags (6 significant digits) "
                          "must not repeat")
     os.makedirs(output_dir, exist_ok=True)
-    runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir)
+    runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
+                     ["sweep_aggregate_sigma%s.csv" % tag
+                      for _, tag, _, _ in per_sigma])
 
     results = ExperimentResults(failures=runs.failures)
     summary_rows = []
@@ -562,6 +569,8 @@ def matching_experiment(seeds, output_dir, **overrides):
     reference = _metrics.solve_reference(problem, tol=1e-6, max_iters=2000)
     os.makedirs(output_dir, exist_ok=True)
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
+                     ["matching_trace_%s_%d.csv" % (a, s)
+                      for a in arms for s in seeds],
                      eval_set=(eval_ds.X, eval_ds.y))
     for key, run in runs.items():
         write_trace_csv(os.path.join(output_dir, "matching_trace_%s_%d.csv"

@@ -87,7 +87,7 @@ def solve_reference(problem, tol=1e-8, max_iters=5000):
     if tol <= 0:
         raise ValueError("tol must be positive")
     if problem.kind == _problems.CENTROID:
-        theta = problem.feature_mean()
+        theta = problem.X.mean(axis=0)
         f, g = _problems.objective_and_gradient(problem, theta)
         return ReferenceSolution(theta_star=theta, f_star=f,
                                  grad_norm_at_star=float(np.linalg.norm(g)),
@@ -119,7 +119,7 @@ def tick(problem, theta, eval_set=None):
     x_i), and its argmax the training accuracy."""
     theta = _problems._check_theta(problem, theta)
     if problem.kind == _problems.CENTROID:
-        sq = theta[None, :] - _problems._dense(problem.X)
+        sq = theta[None, :] - problem.X
         sq *= sq
         loss = 0.5 * float(sq.sum()) / problem.n
         return loss, float(np.var(np.sqrt(sq.sum(axis=1)))), None

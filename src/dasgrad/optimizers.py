@@ -40,8 +40,8 @@ Every ``metric_tick`` steps the run records ``metrics.tick``: the loss,
 the gradient-norm variance and the accuracy from one pass over X. A
 diverging run raises ``DivergenceError`` at the step that makes theta
 nonfinite, the tick that reads a nonfinite loss or the refresh that reads
-nonfinite scores; overflows in the moment update, the tick and the
-scores on the way there raise no numpy warning.
+nonfinite scores. ``run`` ignores float overflow and invalid values in
+its whole loop, so nothing in a run raises a numpy warning.
 """
 
 from __future__ import annotations
@@ -155,7 +155,8 @@ def _positive_int(name, value):
         whole = None
     if isinstance(value, (bool, np.bool_)) or whole is None \
             or whole != value or whole < 1:
-        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+        raise ValueError("%s must be at least 1 and whole, got %r"
+                         % (name, value))
     return whole
 
 
@@ -237,29 +238,23 @@ def step_general(problem, theta, state, batch, config, t):
 
     method = config.method
     lo, hi = config.projection
-    # an overflow on the way to a divergence is reported by DivergenceError,
-    # here or at the next tick, not by a warning; one errstate for the
-    # step, as entering one costs time
-    with np.errstate(over="ignore", invalid="ignore"):
-        if method in ("sgd", "ap_sgd"):
-            direction = g_weighted
-        elif method == "adagrad":
-            state.v = state.v + g_state * g_state
-            denom = np.sqrt(state.v / t) + config.epsilon_div
-            direction = g_weighted / denom
-        else:
-            beta1_t = config.beta1_at(t)
-            m_prev = state.m
-            moment_update(state, g_state, beta1_t, config.beta2,
-                          method in ("amsgrad", "dasgrad"))
-            denom = np.sqrt(state.v_hat) + config.epsilon_div
-            # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the
-            # stack
-            direction = (beta1_t * w_mean * m_prev
-                         + (1.0 - beta1_t) * g_weighted) / denom
-        # OptimizerConfig guarantees lo <= hi
-        new_theta = np.clip(theta - config.alpha / np.sqrt(t) * direction,
-                            lo, hi)
+    if method in ("sgd", "ap_sgd"):
+        direction = g_weighted
+    elif method == "adagrad":
+        state.v = state.v + g_state * g_state
+        denom = np.sqrt(state.v / t) + config.epsilon_div
+        direction = g_weighted / denom
+    else:
+        beta1_t = config.beta1_at(t)
+        m_prev = state.m
+        moment_update(state, g_state, beta1_t, config.beta2,
+                      method in ("amsgrad", "dasgrad"))
+        denom = np.sqrt(state.v_hat) + config.epsilon_div
+        # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the stack
+        direction = (beta1_t * w_mean * m_prev
+                     + (1.0 - beta1_t) * g_weighted) / denom
+    # OptimizerConfig guarantees lo <= hi
+    new_theta = np.clip(theta - config.alpha / np.sqrt(t) * direction, lo, hi)
     if not np.all(np.isfinite(new_theta)):
         raise DivergenceError(t)
     return new_theta
@@ -270,18 +265,17 @@ def refresh_probabilities(problem, theta, state, config, tree, t):
     step t and load it into the tree in one O(n) rebuild. Scores whose
     total is not finite raise DivergenceError: an overflow in them belongs
     to a diverging run, not to bad input."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if config.method == "ap_sgd":
-            scores = _sampling.scores_apsgd(problem, theta)
-        elif config.method == "dasgrad":
-            scores = _sampling.scores_dasgrad(problem, theta, state.m,
-                                              state.v_hat,
-                                              config.beta1_at(max(t - 1, 1)),
-                                              eps_div=config.epsilon_div)
-        else:
-            raise ValueError("method %r does not adapt probabilities"
-                             % (config.method,))
-        total = scores.sum()
+    if config.method == "ap_sgd":
+        scores = _sampling.scores_apsgd(problem, theta)
+    elif config.method == "dasgrad":
+        scores = _sampling.scores_dasgrad(problem, theta, state.m,
+                                          state.v_hat,
+                                          config.beta1_at(max(t - 1, 1)),
+                                          eps_div=config.epsilon_div)
+    else:
+        raise ValueError("method %r does not adapt probabilities"
+                         % (config.method,))
+    total = scores.sum()
     if not math.isfinite(total):
         raise DivergenceError(t, "nonfinite scores")
     tree.set_all(_sampling.normalize_scores(scores, config.epsilon_prob))
@@ -337,29 +331,29 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     period, B = config.refresh_period, config.batch_size
     max_steps = max(1, _BLOCK_ROWS // B)
     t = 1
-    while t <= T:
-        # the block runs up to the next multiple of the period, the next
-        # step where a refresh can happen
-        end = min(t - t % period + period, t + max_steps, T + 1)
-        if _wants_refresh(config, t):
-            refresh_probabilities(problem, theta, state, config, tree, t)
-        X, y, w = draw_batch(problem, tree, rng, config, (end - t) * B)
-        for lo in range(0, len(y), B):
-            rows = slice(lo, lo + B)
-            batch = X[rows], y[rows], None if w is None else w[rows]
-            theta = step_general(problem, theta, state, batch, config, t)
-            if t % metric_tick == 0:
-                # a diverging run is reported by DivergenceError, not
-                # warnings
-                with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow on the way to a divergence is reported by DivergenceError
+    # (at a step, a tick or a refresh), never by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t <= T:
+            # the block runs up to the next multiple of the period, the
+            # next step where a refresh can happen
+            end = min(t - t % period + period, t + max_steps, T + 1)
+            if _wants_refresh(config, t):
+                refresh_probabilities(problem, theta, state, config, tree, t)
+            X, y, w = draw_batch(problem, tree, rng, config, (end - t) * B)
+            for lo in range(0, len(y), B):
+                rows = slice(lo, lo + B)
+                batch = X[rows], y[rows], None if w is None else w[rows]
+                theta = step_general(problem, theta, state, batch, config, t)
+                if t % metric_tick == 0:
                     loss, gvar, acc = _metrics.tick(problem, theta, eval_set)
-                if not (math.isfinite(loss) and math.isfinite(gvar)):
-                    raise DivergenceError(t, "nonfinite loss")
-                ticks.append(t)
-                losses.append(loss)
-                gvars.append(gvar)
-                accs.append(acc)
-            t += 1
+                    if not (math.isfinite(loss) and math.isfinite(gvar)):
+                        raise DivergenceError(t, "nonfinite loss")
+                    ticks.append(t)
+                    losses.append(loss)
+                    gvars.append(gvar)
+                    accs.append(acc)
+                t += 1
 
     return RunResult(ticks=np.array(ticks, dtype=np.int64),
                      loss=np.array(losses),

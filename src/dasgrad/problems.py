@@ -5,7 +5,9 @@ gradients, full-batch oracles, and a finite-difference gradient checker.
 batch gradients of a step, the per-example and full gradients and the
 sampling scores all come from them. ``batch_gradients`` takes rows as
 ``gather_rows`` returns them; the optimizer gathers a refresh block's rows
-once and calls ``batch_gradients`` on each step's slice of them.
+once and calls ``batch_gradients`` on each step's slice of them. Only the
+logistic kinds keep a CSR X; a centroid ``Problem`` holds its X dense, so
+``gather_rows`` is the one place CSR rows are densified.
 ``losses`` is computed separately and serves as the reference the
 gradients are checked against. ``objective_and_gradient`` returns the
 full objective and the full gradient together from one pass over X (one
@@ -45,8 +47,9 @@ KINDS = (CENTROID, BINARY_LOGISTIC, MULTICLASS_LOGISTIC)
 class Problem:
     """Immutable objective over a feature matrix X (dense float64 ndarray
     or CSR, one row per example) and int64 labels y. The arrays are held as
-    given, not copied, and must not be modified afterwards. All operations
-    below are pure reads and safe to call concurrently.
+    given, not copied (a CSR centroid X is held dense), and must not be
+    modified afterwards. All operations below are pure reads and safe to
+    call concurrently.
     """
 
     def __init__(self, X, y, kind, l2_lambda=0.0, num_classes=None):
@@ -57,6 +60,8 @@ class Problem:
         if sparse.issparse(X):
             X = X.tocsr().astype(np.float64, copy=False)
             values = X.data
+            if kind == CENTROID:
+                X = values = X.toarray()
         else:
             X = values = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -98,21 +103,12 @@ class Problem:
                          else self.X**2)
             self.row_sq_norms = np.asarray(
                 self.X_sq @ self.weights_view(np.ones(self.param_dim)).T)
-        self._x_mean = None
 
     @property
     def param_dim(self) -> int:
         if self.kind == MULTICLASS_LOGISTIC:
             return self.num_classes * self.d
         return self.d
-
-    def feature_mean(self) -> np.ndarray:
-        if self._x_mean is None:
-            if self.is_sparse:
-                self._x_mean = np.asarray(self.X.mean(axis=0)).ravel()
-            else:
-                self._x_mean = self.X.mean(axis=0)
-        return self._x_mean
 
     def weights_view(self, theta: np.ndarray) -> np.ndarray:
         """Multiclass parameter reshaped to (K, d); identity otherwise."""
@@ -138,17 +134,14 @@ def _check_theta(problem, theta):
     return theta
 
 
-def _dense(X):
-    return X.toarray() if sparse.issparse(X) else X
-
-
 def gather_rows(problem, rows):
     """Features and labels of the index array ``rows`` (all rows when
-    None). Gathered CSR rows are densified; the full matrix keeps its
-    format."""
+    None). Gathered CSR rows are densified, here only; the full matrix
+    keeps its format."""
     if rows is None:
         return problem.X, problem.y
-    return _dense(problem.X[rows]), problem.y[rows]
+    X = problem.X[rows]
+    return X.toarray() if problem.is_sparse else X, problem.y[rows]
 
 
 def _row_max(Z):
@@ -229,7 +222,7 @@ def losses(problem, theta, rows=None):
     theta = _check_theta(problem, theta)
     X, y = gather_rows(problem, rows)
     if problem.kind == CENTROID:
-        diff = theta[None, :] - _dense(X)
+        diff = theta[None, :] - X
         return 0.5 * (diff * diff).sum(axis=1)
     return _logistic_terms(problem, theta, X, y, want_loss=True)[0]
 
@@ -255,7 +248,7 @@ def full_objective(problem, theta):
     """Mean loss (1/n) sum_i f_i(theta), regularizer included."""
     theta = _check_theta(problem, theta)
     if problem.kind == CENTROID:
-        diff = theta[None, :] - _dense(problem.X)
+        diff = theta[None, :] - problem.X
         return 0.5 * float((diff * diff).sum()) / problem.n
     return _mean_objective(problem, theta, losses(problem, theta))
 
@@ -272,7 +265,7 @@ def objective_and_gradient(problem, theta):
     both, and the objective is bit-identical to ``full_objective``."""
     theta = _check_theta(problem, theta)
     if problem.kind == CENTROID:
-        return full_objective(problem, theta), theta - problem.feature_mean()
+        return full_objective(problem, theta), theta - problem.X.mean(axis=0)
     L, R, _ = _logistic_terms(problem, theta, problem.X, problem.y,
                               want_loss=True, want_residuals=True)
     lam = problem.l2_lambda

@@ -210,7 +210,7 @@ def scores_dasgrad(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
 
     if problem.kind == _problems.CENTROID:
         diff = ((beta1_t * m_prev + keep * theta)[None, :]
-                - keep * _problems._dense(problem.X))
+                - keep * problem.X)
         return np.linalg.norm(diff / root[None, :], axis=1)
 
     inv_sq = problem.weights_view(1.0 / (root * root))

@@ -90,6 +90,25 @@ batch_size = 2
 box = -inf,inf
 """
 
+# sgd at a step near 1e154: the sum in the batch gradients' mean overflows
+# on the step that makes theta nonfinite, step 3 on seed 0 and step 2 on
+# seeds 1 and 2
+BATCH_MEAN_OVERFLOW_CONFIG = """
+kind = centroid
+n = 12
+d = 3
+T = 19
+seeds = 0,1,2
+metric_tick = 9
+data_seed = 120
+output_dir = {out}
+[optimizer.sgd]
+alpha = 2.0529417675298077e+154
+refresh_period = 10
+batch_size = 2
+box = -inf,inf
+"""
+
 # a dense CSV of 23 one-dimensional rows at 0 and one at 1
 PARTIAL_DIVERGENCE_DATA = "0,0\n" * 23 + "0,1\n"
 
@@ -371,6 +390,19 @@ batch_size = 2
         assert sorted(os.listdir(out)) == [
             "metadata.txt", "trace_amsgrad_4.csv", "trace_dasgrad_4.csv"]
 
+    def test_rerun_removes_the_outputs_it_leaves_unwritten(self, tmp_path,
+                                                           monkeypatch):
+        cfg = H.parse_config_text(TINY_CONFIG.format(out=tmp_path / "o"))
+        H.run_experiment(cfg)
+        diverge_on(monkeypatch, {("dasgrad", 0), ("dasgrad", 1),
+                                 ("dasgrad", 2)})
+        results = H.run_experiment(cfg)
+        assert results.skipped == ["aggregate_dasgrad.csv", "comparison.csv"]
+        assert sorted(os.listdir(tmp_path / "o")) == [
+            "aggregate_amsgrad.csv", "failures.csv", "metadata.txt",
+            "trace_amsgrad_0.csv", "trace_amsgrad_1.csv",
+            "trace_amsgrad_2.csv"]
+
     def test_comparison_pairs_runs_by_seed(self, tmp_path, monkeypatch):
         diverge_on(monkeypatch, {("dasgrad", 0)})
         out = tmp_path / "paired"
@@ -447,6 +479,8 @@ class TestRunSettingsRejected:
         (dict(seeds=[-1, 0]), "be negative"),
         (dict(T=5, metric_tick=6), "metric_tick"),
         (dict(metric_tick=0), "metric_tick"),
+        (dict(T=50.5), "T"),
+        (dict(metric_tick=True), "metric_tick"),
     ])
     @pytest.mark.parametrize("protocol", ["sweep", "matching"])
     def test_protocols_reject_bad_settings_before_any_run(
@@ -462,6 +496,12 @@ class TestRunSettingsRejected:
             else:
                 H.matching_experiment(seeds, out, **settings)
         assert not os.path.exists(out)
+
+    def test_experiment_config_rejects_a_tick_run_rejects(self):
+        with pytest.raises(ValueError, match="metric_tick"):
+            H.ExperimentConfig(problem=H.ProblemSpec(kind=P.CENTROID),
+                               optimizers={"sgd": H.convex_preset("sgd")},
+                               metric_tick=True)
 
     @pytest.mark.parametrize("sigmas, methods", [
         ([0.1, 0.1000001], ("amsgrad", "dasgrad")),
@@ -664,6 +704,18 @@ class TestSweepAndMatching:
                                     **SMALL_SWEEP).failures
         assert not (out / "failures.csv").exists()
 
+    def test_sweep_rerun_removes_the_aggregates_it_skips(self, tmp_path,
+                                                         monkeypatch):
+        out = tmp_path / "sweep"
+        H.sweep_variance([0.5, 2.0], range(3), str(out), **SMALL_SWEEP)
+        diverge_on(monkeypatch, {("dasgrad", 0), ("dasgrad", 1)})
+        results = H.sweep_variance([0.5, 2.0], range(3), str(out),
+                                   **SMALL_SWEEP)
+        assert results.skipped == ["sweep_aggregate_sigma0p5.csv",
+                                   "sweep_aggregate_sigma2.csv"]
+        assert sorted(os.listdir(out)) == ["failures.csv",
+                                           "sweep_summary.csv"]
+
     def test_sweep_skips_a_sigma_with_one_paired_seed(self, tmp_path,
                                                       monkeypatch):
         diverge_on(monkeypatch, {("dasgrad", 0), ("dasgrad", 1)})
@@ -694,6 +746,18 @@ class TestSweepAndMatching:
         summary = dict(read_rows(out / "matching_summary.csv"))
         assert float(summary["accuracy_gap_mean"]) == expected[0]
         assert float(summary["accuracy_gap_paired_hi"]) == expected[2]
+
+    def test_matching_rerun_removes_the_traces_it_leaves_unwritten(
+            self, tmp_path, monkeypatch):
+        out = tmp_path / "match"
+        H.matching_experiment(range(3), str(out), **SMALL_MATCHING)
+        diverge_on(monkeypatch, {("dasgrad", 1)})
+        H.matching_experiment(range(3), str(out), **SMALL_MATCHING)
+        traces = sorted(f for f in os.listdir(out)
+                        if f.startswith("matching_trace_"))
+        assert traces == [
+            "matching_trace_amsgrad_uniform_%d.csv" % s for s in range(3)] \
+            + ["matching_trace_dasgrad_target_%d.csv" % s for s in (0, 2)]
 
     def test_matching_with_one_paired_seed_skips_the_gap(self, tmp_path,
                                                          monkeypatch):
@@ -774,6 +838,17 @@ class TestSelfCheckAndCli:
         assert [(r[0], r[1], r[3]) for r in read_rows(out / "failures.csv")] \
             == [("ap", seed, "nonfinite scores at step 69")
                 for seed in ("0", "1")]
+
+    def test_cli_run_reports_an_overflowing_batch_mean_as_divergence(
+            self, tmp_path):
+        out = tmp_path / "mean"
+        cfg_path = tmp_path / "mean.cfg"
+        cfg_path.write_text(BATCH_MEAN_OVERFLOW_CONFIG.format(out=out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert C.main(["run", "--config", str(cfg_path)]) == 1
+        assert [r[:3] for r in read_rows(out / "failures.csv")] == [
+            ["sgd", "0", "3"], ["sgd", "1", "2"], ["sgd", "2", "2"]]
 
     def test_cli_run_keeps_overflowing_bands_finite(self, tmp_path):
         out = tmp_path / "bands"

@@ -70,7 +70,6 @@ from .harness import (
     load_config,
     matching_experiment,
     parse_config_text,
-    read_trace_csv,
     run_experiment,
     self_check,
     sweep_variance,

@@ -5,9 +5,13 @@ Trace CSV schema (one row per metric tick)::
 
     step,loss,accuracy,inst_regret,cum_regret,grad_norm_var
 
-``accuracy`` is blank for centroid problems. Floats are written with 17
-significant digits so reruns of the same config are byte identical. The
-recorded loss includes the L2 regularizer (it is part of every f_i).
+``accuracy`` is blank for centroid problems. The recorded loss includes
+the L2 regularizer (it is part of every f_i).
+
+Every CSV cell is written by one rule: a string as is, None blank, an
+integer in decimal and any other number with 17 significant digits
+(``format(float(x), ".17g")``), so reruns of the same config are byte
+identical.
 
 Config files are flat ``key = value`` lines with ``#`` comments; each
 ``[optimizer.<name>]`` section header starts one optimizer block. See
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,10 +32,6 @@ from . import metrics as _metrics
 from . import optimizers as _optimizers
 from . import problems as _problems
 from . import sampling as _sampling
-
-def _fmt(x):
-    return format(float(x), ".17g")
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -232,38 +233,33 @@ def load_config(path):
 TRACE_HEADER = "step,loss,accuracy,inst_regret,cum_regret,grad_norm_var"
 
 
+def _cell(x):
+    """One CSV cell: a str as is, None blank, an int or np.integer in
+    decimal, any other number with 17 significant digits."""
+    if isinstance(x, str):
+        return x
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return "%d" % x
+    return format(float(x), ".17g")
+
+
+def _write_csv(path, header, rows):
+    """Write the ``header`` names and then each row, one comma-joined line
+    of cells apiece; every CSV file of the harness is written here."""
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 def write_trace_csv(path, result, f_star):
     inst = result.loss - f_star
-    cum = np.cumsum(inst)
-    with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for row, step in enumerate(result.ticks):
-            acc = "" if result.accuracy is None \
-                else _fmt(result.accuracy[row])
-            fh.write(",".join([
-                str(int(step)), _fmt(result.loss[row]), acc,
-                _fmt(inst[row]), _fmt(cum[row]),
-                _fmt(result.grad_norm_var[row])]) + "\n")
-
-
-def read_trace_csv(path):
-    """Trace rows as a dict of column arrays (accuracy may hold NaN)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError("unexpected trace header %r in %s"
-                             % (header, path))
-        cols = {name: [] for name in header.split(",")}
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 6:
-                raise ValueError("malformed trace row in %s" % path)
-            for name, value in zip(cols, parts):
-                if name == "step":
-                    cols[name].append(int(value))
-                else:
-                    cols[name].append(float(value) if value else np.nan)
-    return {name: np.array(vals) for name, vals in cols.items()}
+    acc = [None] * len(result.ticks) if result.accuracy is None \
+        else result.accuracy
+    _write_csv(path, TRACE_HEADER.split(","),
+               zip(result.ticks, result.loss, acc, inst, np.cumsum(inst),
+                   result.grad_norm_var))
 
 
 def _write_aggregate_csv(path, steps, named_aggregates):
@@ -272,16 +268,12 @@ def _write_aggregate_csv(path, steps, named_aggregates):
                          for col in ("mean", "ci_low", "ci_high")]
     header.append("n_seeds")
     n_seeds = next(agg.n_seeds for _, agg in named_aggregates if agg is not None)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row, step in enumerate(steps):
-            fields = [str(int(step))]
-            for _, agg in named_aggregates:
-                fields += ["", "", ""] if agg is None else [
-                    _fmt(agg.mean[row]), _fmt(agg.ci_low[row]),
-                    _fmt(agg.ci_high[row])]
-            fields.append(str(n_seeds))
-            fh.write(",".join(fields) + "\n")
+    columns = [steps]
+    for _, agg in named_aggregates:
+        columns += [[None] * len(steps)] * 3 if agg is None \
+            else [agg.mean, agg.ci_low, agg.ci_high]
+    columns.append([n_seeds] * len(steps))
+    _write_csv(path, header, zip(*columns))
 
 
 class ExperimentResults(dict):
@@ -308,15 +300,19 @@ class ExperimentResults(dict):
                 for name in names]
 
 
-def _run_arms(arms, seeds, T, metric_tick, out, outputs, eval_set=None):
+def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None):
     """Run every (arm, seed) of ``arms``, name -> (problem, OptimizerConfig),
     in order. A diverged run is recorded in ``failures``, never raised;
     out/failures.csv lists this call's failures and exists only if any.
-    First removes it and ``outputs``, the other names in out that the call
-    may leave unwritten, so that no earlier call's file survives there."""
+    First removes it and every file in out whose whole name matches the
+    regular expression ``own``, the form of the call's per-run and per-arm
+    outputs, so that no earlier call's file of those forms survives there,
+    whatever seeds or arms that call ran. No other file is touched."""
     failures_path = os.path.join(out, "failures.csv")
-    for path in [failures_path] + [os.path.join(out, f) for f in outputs]:
-        if os.path.exists(path):
+    for name in os.listdir(out):
+        path = os.path.join(out, name)
+        if (name == "failures.csv" or re.fullmatch(own, name)) \
+                and os.path.isfile(path):
             os.remove(path)
     results = ExperimentResults()
     for name, (problem, config) in arms.items():
@@ -328,10 +324,8 @@ def _run_arms(arms, seeds, T, metric_tick, out, outputs, eval_set=None):
             except _optimizers.DivergenceError as exc:
                 results.failures.append((name, seed, exc.step, str(exc)))
     if results.failures:
-        with open(failures_path, "w") as fh:
-            fh.write("optimizer,seed,step,message\n")
-            for name, seed, step, message in results.failures:
-                fh.write("%s,%d,%d,%s\n" % (name, seed, step, message))
+        _write_csv(failures_path, ["optimizer", "seed", "step", "message"],
+                   results.failures)
     return results
 
 
@@ -352,11 +346,9 @@ def run_experiment(config):
     reference = _metrics.solve_reference(problem, config.reference_tol,
                                          config.reference_max_iters)
     names = sorted(config.optimizers)
-    outputs = ["comparison.csv"] + ["aggregate_%s.csv" % n for n in names] \
-        + ["trace_%s_%d.csv" % (n, s) for n in names for s in config.seeds]
     results = _run_arms({n: (problem, config.optimizers[n]) for n in names},
                         config.seeds, config.T, config.metric_tick, out,
-                        outputs)
+                        r"trace_.+_\d+\.csv|aggregate_.+\.csv|comparison\.csv")
     for key, run in results.items():
         write_trace_csv(os.path.join(out, "trace_%s_%d.csv" % key), run,
                         reference.f_star)
@@ -400,28 +392,25 @@ def _write_comparison_csv(path, results, baselines):
         "%s_gain_%s" % (metric, col) for metric in ("loss", "acc")
         for col in ("mean", "paired_lo", "paired_hi", "unpaired_lo",
                     "unpaired_hi")]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for base in baselines:
-            if len(results.paired(base, "dasgrad")[0]) < 2:
-                continue
-            gains = [("loss", base, "dasgrad")]
-            if das[0].accuracy is not None:
-                gains.append(("accuracy", "dasgrad", base))
-            # per gain a - b: rows of every run of a and of b, then the
-            # rows of the seeds both completed
-            stacks = [[np.array([getattr(r, attr) for r in rows])
-                       for rows in [results.runs(a), results.runs(b)]
-                       + results.paired(a, b)] for attr, a, b in gains]
-            for row, step in enumerate(das[0].ticks):
-                cells = [str(int(step)), base]
-                for a, b, a_paired, b_paired in stacks:
-                    gain, lo, hi = _metrics.paired_ci(a_paired[:, row],
-                                                      b_paired[:, row])
-                    _, ulo, uhi = _metrics.unpaired_ci(a[:, row], b[:, row])
-                    cells += [_fmt(v) for v in (gain, lo, hi, ulo, uhi)]
-                cells += [""] * (len(header) - len(cells))
-                fh.write(",".join(cells) + "\n")
+    rows = []
+    for base in baselines:
+        if len(results.paired(base, "dasgrad")[0]) < 2:
+            continue
+        gains = [("loss", base, "dasgrad")]
+        if das[0].accuracy is not None:
+            gains.append(("accuracy", "dasgrad", base))
+        # per gain a - b: rows of every run of a and of b, then the rows of
+        # the seeds both completed
+        stacks = [[np.array([getattr(r, attr) for r in runs])
+                   for runs in [results.runs(a), results.runs(b)]
+                   + results.paired(a, b)] for attr, a, b in gains]
+        for row, step in enumerate(das[0].ticks):
+            cells = [step, base]
+            for a, b, a_paired, b_paired in stacks:
+                cells += _metrics.paired_ci(a_paired[:, row], b_paired[:, row])
+                cells += _metrics.unpaired_ci(a[:, row], b[:, row])[1:]
+            rows.append(cells + [None] * (len(header) - len(cells)))
+    _write_csv(path, header, rows)
 
 
 def _write_metadata(path, config, dataset, problem, reference):
@@ -431,13 +420,13 @@ def _write_metadata(path, config, dataset, problem, reference):
         "n = %d" % problem.n,
         "d = %d" % problem.d,
         "classes = %d" % problem.num_classes,
-        "lambda = %s" % _fmt(problem.l2_lambda),
+        "lambda = %s" % _cell(problem.l2_lambda),
         "T = %d" % config.T,
         "seeds = %s" % ",".join(str(s) for s in config.seeds),
         "metric_tick = %d" % config.metric_tick,
         "loss_includes_regularizer = true",
-        "reference_f_star = %s" % _fmt(reference.f_star),
-        "reference_grad_norm = %s" % _fmt(reference.grad_norm_at_star),
+        "reference_f_star = %s" % _cell(reference.f_star),
+        "reference_grad_norm = %s" % _cell(reference.grad_norm_at_star),
         "reference_converged = %s" % str(reference.converged).lower(),
         "reference_iterations = %d" % reference.solver_iterations,
     ]
@@ -498,8 +487,7 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
                          "must not repeat")
     os.makedirs(output_dir, exist_ok=True)
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                     ["sweep_aggregate_sigma%s.csv" % tag
-                      for _, tag, _, _ in per_sigma])
+                     r"sweep_aggregate_sigma.+\.csv")
 
     results = ExperimentResults(failures=runs.failures)
     summary_rows = []
@@ -515,15 +503,13 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
                              paired["dasgrad"][0].ticks,
                              [(m, cums[m][1]) for m in methods])
         finals = {m: np.array([c[-1] for c in cums[m][0]]) for m in methods}
-        summary_rows.append(
+        summary_rows.append([float(v) for v in (
             (sigma, finals["dasgrad"].mean(), finals[baseline].mean())
-            + _metrics.paired_ci(finals[baseline], finals["dasgrad"]))
+            + _metrics.paired_ci(finals[baseline], finals["dasgrad"]))])
 
-    with open(os.path.join(output_dir, "sweep_summary.csv"), "w") as fh:
-        fh.write("sigma,dasgrad_final_mean,%s_final_mean,gap_mean,"
-                 "gap_paired_lo,gap_paired_hi\n" % baseline)
-        for row in summary_rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(os.path.join(output_dir, "sweep_summary.csv"),
+               ["sigma", "dasgrad_final_mean", baseline + "_final_mean",
+                "gap_mean", "gap_paired_lo", "gap_paired_hi"], summary_rows)
     return results
 
 
@@ -569,8 +555,7 @@ def matching_experiment(seeds, output_dir, **overrides):
     reference = _metrics.solve_reference(problem, tol=1e-6, max_iters=2000)
     os.makedirs(output_dir, exist_ok=True)
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                     ["matching_trace_%s_%d.csv" % (a, s)
-                      for a in arms for s in seeds],
+                     r"matching_trace_.+_\d+\.csv",
                      eval_set=(eval_ds.X, eval_ds.y))
     for key, run in runs.items():
         write_trace_csv(os.path.join(output_dir, "matching_trace_%s_%d.csv"
@@ -581,15 +566,12 @@ def matching_experiment(seeds, output_dir, **overrides):
     paired = runs.paired("dasgrad_target", "amsgrad_uniform",
                          value=lambda r: r.accuracy[-1])
     gap = _metrics.paired_ci(*paired) if len(paired[0]) >= 2 else None
-    with open(os.path.join(output_dir, "matching_summary.csv"), "w") as fh:
-        fh.write("arm,final_balanced_accuracy_mean\n")
-        for name in sorted(arms):
-            if results[name]:
-                fh.write("%s,%s\n" % (name, _fmt(np.mean(
-                    [r.accuracy[-1] for r in results[name]]))))
-        for label, value in zip(("mean", "paired_lo", "paired_hi"),
-                                gap or ()):
-            fh.write("accuracy_gap_%s,%s\n" % (label, _fmt(value)))
+    _write_csv(os.path.join(output_dir, "matching_summary.csv"),
+               ["arm", "final_balanced_accuracy_mean"],
+               [(name, np.mean([r.accuracy[-1] for r in results[name]]))
+                for name in sorted(arms) if results[name]]
+               + [("accuracy_gap_" + label, value) for label, value
+                  in zip(("mean", "paired_lo", "paired_hi"), gap or ())])
     if gap is None:
         results.skipped.append("matching_summary.csv accuracy_gap rows")
     return results, gap

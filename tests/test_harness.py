@@ -235,6 +235,12 @@ class TestPresets:
         assert cfg.refresh_period == 10
 
 
+def read_trace(path):
+    """A trace CSV as a structured array of float columns (NaN for a blank
+    accuracy)."""
+    return np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+
+
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         cfg = H.parse_config_text(TINY_CONFIG.format(out=tmp_path / "o"))
@@ -243,7 +249,7 @@ class TestTraceCsv:
         result = O.run(problem, opt, T=20, seed=0, metric_tick=5)
         path = tmp_path / "trace.csv"
         H.write_trace_csv(path, result, f_star=0.5)
-        back = H.read_trace_csv(path)
+        back = read_trace(path)
         np.testing.assert_array_equal(back["step"], result.ticks)
         np.testing.assert_array_equal(back["loss"], result.loss)
         np.testing.assert_array_equal(back["accuracy"], result.accuracy)
@@ -262,8 +268,26 @@ class TestTraceCsv:
         text = path.read_text().splitlines()
         assert text[0] == H.TRACE_HEADER
         assert text[1].split(",")[2] == ""
-        back = H.read_trace_csv(path)
+        back = read_trace(path)
         assert np.all(np.isnan(back["accuracy"]))
+
+
+class TestWriteCsv:
+    def test_every_cell_follows_one_rule(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        H._write_csv(path, ["arm", "seed"], [
+            ["tame", None],
+            [np.int64(500), 2**63 - 1],   # .17g would write 9.22...58e+18
+            [-0.0, 5e-324, 0.1, np.nan, np.inf, np.float64(1 / 3)]])
+        assert path.read_text().splitlines() == [
+            "arm,seed", "tame,", "500,9223372036854775807",
+            "-0,4.9406564584124654e-324,0.10000000000000001,nan,inf,"
+            "0.33333333333333331"]
+
+    def test_sweep_summary_writes_an_int_sigma_as_a_float(self, tmp_path):
+        out = tmp_path / "sweep"
+        H.sweep_variance([10**20], range(2), str(out), **SMALL_SWEEP)
+        assert read_rows(out / "sweep_summary.csv")[0][0] == "1e+20"
 
 
 class TestRunExperiment:
@@ -306,7 +330,7 @@ batch_size = 2
                      "comparison.csv", "metadata.txt"):
             assert (out / name).exists(), name
         # aggregate column equals aggregate_runs over the emitted traces
-        losses = [H.read_trace_csv(out / ("trace_amsgrad_%d.csv" % s))["loss"]
+        losses = [read_trace(out / ("trace_amsgrad_%d.csv" % s))["loss"]
                   for s in (0, 1, 2)]
         agg = M.aggregate_runs(losses)
         with open(out / "aggregate_amsgrad.csv") as fh:
@@ -320,9 +344,9 @@ batch_size = 2
         out = tmp_path / "cmp"
         cfg = H.parse_config_text(TINY_CONFIG.format(out=out))
         H.run_experiment(cfg)
-        das = [H.read_trace_csv(out / ("trace_dasgrad_%d.csv" % s))
+        das = [read_trace(out / ("trace_dasgrad_%d.csv" % s))
                for s in (0, 1, 2)]
-        ams = [H.read_trace_csv(out / ("trace_amsgrad_%d.csv" % s))
+        ams = [read_trace(out / ("trace_amsgrad_%d.csv" % s))
                for s in (0, 1, 2)]
         loss_gain = (np.mean([t["loss"] for t in ams], axis=0)
                      - np.mean([t["loss"] for t in das], axis=0))
@@ -361,7 +385,7 @@ batch_size = 2
         assert [f[:2] for f in results.failures] == [
             ("dasgrad", s) for s in (2, 4, 5, 6, 7)]
         for seed in (0, 1, 3):
-            trace = H.read_trace_csv(out / ("trace_dasgrad_%d.csv" % seed))
+            trace = read_trace(out / ("trace_dasgrad_%d.csv" % seed))
             assert np.all(np.isfinite(trace["loss"]))
             assert np.all(np.isfinite(trace["grad_norm_var"]))
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
@@ -407,7 +431,7 @@ batch_size = 2
         diverge_on(monkeypatch, {("dasgrad", 0)})
         out = tmp_path / "paired"
         H.run_experiment(H.parse_config_text(TINY_CONFIG.format(out=out)))
-        trace = {(name, s): H.read_trace_csv(
+        trace = {(name, s): read_trace(
             out / ("trace_%s_%d.csv" % (name, s)))
             for name in ("dasgrad", "amsgrad") for s in (0, 1, 2)
             if name == "amsgrad" or s > 0}
@@ -649,6 +673,94 @@ def read_rows(path):
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
+# the centroid config of the stale-output repro; a rerun changes its seeds
+# or drops its sgd section
+OWNED_CONFIG = """
+kind = centroid
+n = 20
+d = 2
+T = 20
+metric_tick = 5
+seeds = {seeds}
+output_dir = {out}
+[optimizer.sgd]
+method = sgd
+batch_size = 2
+[optimizer.dasgrad]
+method = dasgrad
+batch_size = 2
+"""
+SGD_SECTION = "[optimizer.sgd]\nmethod = sgd\nbatch_size = 2\n"
+
+
+def plant(out, *names):
+    """Leave a file of each name in ``out``; returns the names."""
+    for name in names:
+        (out / name).write_text("kept\n")
+    return list(names)
+
+
+def assert_only(out, written, planted):
+    """``out`` holds exactly the files ``written`` and ``planted``, and the
+    planted ones are untouched."""
+    assert sorted(os.listdir(out)) == sorted(written + planted)
+    assert all((out / name).read_text() == "kept\n" for name in planted)
+
+
+class TestOutputOwnership:
+    """A rerun into the same directory removes every file whose name has
+    the form of one of its protocol's per-run or per-arm outputs, whatever
+    seeds, arms or sigmas the earlier call ran, and no other file."""
+
+    def run(self, out, seeds, drop_sgd=False):
+        text = OWNED_CONFIG.format(out=out, seeds=seeds)
+        H.run_experiment(H.parse_config_text(
+            text.replace(SGD_SECTION, "") if drop_sgd else text))
+
+    def test_run_with_fewer_seeds(self, tmp_path):
+        out = tmp_path / "o"
+        self.run(out, "0,1,2")
+        planted = plant(out, "notes.csv", "sweep_aggregate_sigma1.csv",
+                        "matching_trace_amsgrad_uniform_2.csv")
+        self.run(out, "0,1")
+        assert_only(out, ["aggregate_dasgrad.csv", "aggregate_sgd.csv",
+                          "comparison.csv", "metadata.txt"]
+                    + ["trace_%s_%d.csv" % (name, s)
+                       for name in ("dasgrad", "sgd") for s in (0, 1)],
+                    planted)
+
+    def test_run_without_an_optimizer_section(self, tmp_path):
+        out = tmp_path / "o"
+        self.run(out, "0,1,2")
+        planted = plant(out, "notes.csv", "sweep_summary.csv",
+                        "matching_summary.csv")
+        self.run(out, "0,1,2", drop_sgd=True)
+        assert_only(out, ["aggregate_dasgrad.csv", "metadata.txt"]
+                    + ["trace_dasgrad_%d.csv" % s for s in (0, 1, 2)],
+                    planted)
+
+    def test_sweep_with_fewer_sigmas(self, tmp_path):
+        out = tmp_path / "sweep"
+        H.sweep_variance([0.5, 2.0], range(2), str(out), **SMALL_SWEEP)
+        planted = plant(out, "notes.csv", "metadata.txt", "trace_sgd_2.csv",
+                        "aggregate_sgd.csv", "comparison.csv",
+                        "matching_trace_amsgrad_uniform_2.csv")
+        H.sweep_variance([0.5], range(2), str(out), **SMALL_SWEEP)
+        assert_only(out, ["sweep_aggregate_sigma0p5.csv",
+                          "sweep_summary.csv"], planted)
+
+    def test_matching_with_fewer_seeds(self, tmp_path):
+        out = tmp_path / "match"
+        H.matching_experiment(range(3), str(out), **SMALL_MATCHING)
+        planted = plant(out, "notes.csv", "metadata.txt", "trace_sgd_2.csv",
+                        "aggregate_sgd.csv", "sweep_aggregate_sigma1.csv")
+        H.matching_experiment(range(2), str(out), **SMALL_MATCHING)
+        assert_only(out, ["matching_summary.csv"]
+                    + ["matching_trace_%s_%d.csv" % (arm, s)
+                       for arm in ("amsgrad_uniform", "dasgrad_target")
+                       for s in (0, 1)], planted)
+
+
 class TestSweepAndMatching:
     def test_sweep_emits_manifest(self, tmp_path):
         out = tmp_path / "sweep"
@@ -737,7 +849,7 @@ class TestSweepAndMatching:
         assert not (out / "matching_trace_dasgrad_target_1.csv").exists()
         assert (out / "matching_trace_amsgrad_uniform_1.csv").exists()
         assert [r.seed for r in results["dasgrad_target"]] == [0, 2]
-        final = {(arm, s): H.read_trace_csv(
+        final = {(arm, s): read_trace(
             out / ("matching_trace_%s_%d.csv" % (arm, s)))["accuracy"][-1]
             for arm in ("dasgrad_target", "amsgrad_uniform") for s in (0, 2)}
         expected = M.paired_ci([final["dasgrad_target", s] for s in (0, 2)],

@@ -1,10 +1,10 @@
-"""The adaptive sampling machinery: sum tree, score normalization, and
-importance weights.
+"""The adaptive sampling machinery: draws from running sums, score
+normalization, and importance weights.
 
-Shows that tree draws follow the leaf weights, that a single-leaf update
-costs O(log n) and a full refresh (set_all) one O(n) rebuild, both keeping
-the internal sums exact, and that the importance weights make the weighted
-estimator unbiased regardless of how skewed the sampling is.
+Shows that draws follow the leaf weights, that a single-leaf update and a
+full refresh (set_all) each retake the running sums in O(n), and that the
+importance weights make the weighted estimator unbiased regardless of how
+skewed the sampling is.
 """
 
 import numpy as np
@@ -24,14 +24,14 @@ freq = np.bincount(draws, minlength=4) / len(draws)
 print("leaf weights      ", weights / weights.sum())
 print("observed frequency", np.round(freq, 4))
 
-# --- updates reshape the distribution in O(log n) ---------------------------
+# --- a single-leaf update reshapes the distribution --------------------------
 tree.update(0, 10.0)
 print("after update(0, 10): total =", tree.total)
 draws = tree.sample_many(rng, 200_000)
 print("index 0 now drawn %.1f%% of the time (10/19 = %.1f%%)"
       % (100 * np.mean(draws == 0), 100 * 10 / 19))
 
-# --- a full refresh replaces every leaf in one O(n) rebuild ------------------
+# --- a full refresh replaces every leaf in one O(n) pass ---------------------
 tree.set_all([4.0, 3.0, 2.0, 1.0])
 draws = tree.sample_many(rng, 200_000)
 print("after set_all([4, 3, 2, 1]): observed frequency",

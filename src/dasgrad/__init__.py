@@ -2,7 +2,7 @@
 
 A numpy library implementing one stepping engine for the SGD / ap-SGD /
 ADAGrad / RMSProp / Adam / AMSGrad / DASGrad family, an adaptive
-importance-sampling engine backed by a sum tree, expected-regret
+importance-sampling engine that draws from running sums, expected-regret
 instrumentation, and a reproducible desk-scale experiment harness.
 """
 
@@ -60,7 +60,6 @@ from .datasets import (
     synth_centroid,
     synth_classification,
     unbalance,
-    write_dense_csv,
 )
 from .harness import (
     ExperimentConfig,

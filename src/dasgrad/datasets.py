@@ -211,16 +211,6 @@ def load_sparse(path):
                    provenance=str(path))
 
 
-def write_dense_csv(dataset, path):
-    """Inverse of load_dense_csv, with round-trip exact float formatting;
-    sparse rows are written densified."""
-    X = dataset.X.toarray() if sparse.issparse(dataset.X) else dataset.X
-    with open(path, "w") as fh:
-        for row, label in zip(X, dataset.y):
-            fh.write("%d,%s\n" % (label,
-                                  ",".join(format(v, ".17g") for v in row)))
-
-
 def box_muller(rng, size):
     """Standard normals from the uniform stream via Box-Muller."""
     n_pairs = (size + 1) // 2

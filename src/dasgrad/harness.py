@@ -304,10 +304,15 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None):
     """Run every (arm, seed) of ``arms``, name -> (problem, OptimizerConfig),
     in order. A diverged run is recorded in ``failures``, never raised;
     out/failures.csv lists this call's failures and exists only if any.
-    First removes it and every file in out whose whole name matches the
-    regular expression ``own``, the form of the call's per-run and per-arm
-    outputs, so that no earlier call's file of those forms survives there,
-    whatever seeds or arms that call ran. No other file is touched."""
+    Target label counts that no arm's problem can draw are rejected before
+    out is made. Then removes failures.csv and every file in out whose
+    whole name matches the regular expression ``own``, the form of the
+    call's per-run and per-arm outputs, so that no earlier call's file of
+    those forms survives there, whatever seeds or arms that call ran. No
+    other file is touched."""
+    for problem, config in arms.values():
+        _optimizers._check_target_counts(problem, config.target_label_counts)
+    os.makedirs(out, exist_ok=True)
     failures_path = os.path.join(out, "failures.csv")
     for name in os.listdir(out):
         path = os.path.join(out, name)
@@ -341,7 +346,6 @@ def run_experiment(config):
     metadata file. Returns the in-memory ExperimentResults of this call."""
     dataset, problem = config.problem.build()
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
     # the centroid solve is closed-form and ignores tol and max_iters
     reference = _metrics.solve_reference(problem, config.reference_tol,
                                          config.reference_max_iters)
@@ -485,7 +489,6 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
     if len(arms) < len(sigmas) * len(methods):
         raise ValueError("methods and sigma tags (6 significant digits) "
                          "must not repeat")
-    os.makedirs(output_dir, exist_ok=True)
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
                      r"sweep_aggregate_sigma.+\.csv")
 
@@ -529,7 +532,9 @@ def matching_experiment(seeds, output_dir, **overrides):
     accuracy, and the paired CI of the final accuracy gap over the seeds
     both arms completed. With fewer than two such seeds the gap lines are
     left out and named in ``skipped``. Raises ValueError before any run on
-    a bad setting (see _protocol_settings). Returns (ExperimentResults
+    a bad setting (see _protocol_settings), and before output_dir is made
+    when unbalancing leaves a class with no training row, as the balanced
+    target still weighs it (see _run_arms). Returns (ExperimentResults
     {arm: [completed RunResult]}, (gap, lo, hi) or None)."""
     p, seeds = _protocol_settings(MATCHING_DEFAULTS, overrides, seeds)
     total = _datasets.synth_classification(
@@ -553,7 +558,6 @@ def matching_experiment(seeds, output_dir, **overrides):
     }
 
     reference = _metrics.solve_reference(problem, tol=1e-6, max_iters=2000)
-    os.makedirs(output_dir, exist_ok=True)
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
                      r"matching_trace_.+_\d+\.csv",
                      eval_set=(eval_ds.X, eval_ds.y))
@@ -587,14 +591,12 @@ def self_check(verbose=True):
     checks = []
 
     rng = np.random.default_rng(404)
-    ok = True
     for kind in _problems.KINDS:
         worst = 0.0
         for _ in range(20):
             problem, theta = _random_instance(kind, rng)
             worst = max(worst,
                         _problems.finite_difference_check(problem, theta, 1e-6))
-        ok &= worst < 1e-5
         checks.append(("gradient/%s (max rel err %.2e)" % (kind, worst),
                        worst < 1e-5))
 
@@ -611,15 +613,12 @@ def self_check(verbose=True):
     for _ in range(2000):
         tree.update(int(upd_rng.integers(0, 1000)),
                     0.1 + upd_rng.random())
-    sums_ok = _tree_sums_consistent(tree)
-    checks.append(("tree sum invariant after updates", sums_ok))
+    checks.append(("running-sum invariant after updates",
+                   np.array_equal(tree.cdf, np.cumsum(tree.leaves()))))
 
-    refreshed = 0.1 + upd_rng.random(1000)
-    tree.set_all(refreshed)
-    bulk_ok = (_tree_sums_consistent(tree)
-               and np.array_equal(tree.nodes,
-                                  _sampling.SamplingTree(refreshed).nodes))
-    checks.append(("tree sum invariant after set_all", bulk_ok))
+    tree.set_all(0.1 + upd_rng.random(1000))
+    checks.append(("running-sum invariant after set_all",
+                   np.array_equal(tree.cdf, np.cumsum(tree.leaves()))))
 
     id_rng = np.random.default_rng(9)
     ident_ok = True
@@ -650,13 +649,6 @@ def self_check(verbose=True):
             print("%s %s" % ("PASS" if passed else "FAIL", label))
         print("self-check %s" % ("OK" if all_ok else "FAILED"))
     return all_ok
-
-
-def _tree_sums_consistent(tree):
-    """Every internal node equals the float sum of its two children."""
-    nodes, cap = tree.nodes, tree.capacity
-    return np.array_equal(nodes[1:cap],
-                          nodes[2:2 * cap:2] + nodes[3:2 * cap:2])
 
 
 def _gaussian_rows(rng, n, d, k):

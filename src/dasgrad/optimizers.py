@@ -13,9 +13,9 @@ the diagonal preconditioner, and whether the sampling distribution adapts:
 * ``dasgrad``   -- amsgrad plus adaptive sampling by preconditioned
   candidate-direction norms, refreshed every ``refresh_period`` steps.
 
-A run's state is theta, the moments (m, v, v_hat) and the sum tree, which
-holds the sampling distribution. v is the one second-moment statistic: the
-EMA of g^2, or adagrad's running sum of g^2.
+A run's state is theta, the moments (m, v, v_hat) and the SamplingTree,
+which holds the sampling distribution and its running sums. v is the one
+second-moment statistic: the EMA of g^2, or adagrad's running sum of g^2.
 
 Every step samples ``batch_size`` indices i.i.d. with replacement from the
 current distribution and averages the importance-weighted per-index
@@ -310,6 +310,22 @@ class RunResult:
 _BLOCK_ROWS = 4096
 
 
+def _check_target_counts(problem, counts):
+    """Target label counts, when given, need one count per class of the
+    problem, and none positive on a class with no training row: no draw
+    reaches such a class, so the weighted estimator would miss its mass."""
+    if counts is None:
+        return
+    if len(counts) != problem.num_classes:
+        raise ValueError("need one target label count per class (%d), got %d"
+                         % (problem.num_classes, len(counts)))
+    unreachable = [str(k) for k, c in enumerate(counts)
+                   if c > 0 and problem.class_counts[k] == 0]
+    if unreachable:
+        raise ValueError("positive target label count on class(es) with no "
+                         "training row: %s" % ", ".join(unreachable))
+
+
 def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     """Run T steps from theta = 0. Deterministic given (config, seed).
     Metrics are recorded whenever t % metric_tick == 0; accuracy is
@@ -317,10 +333,7 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     own rows."""
     T = _positive_int("T", T)
     metric_tick = _positive_int("metric_tick", metric_tick)
-    counts = config.target_label_counts
-    if counts is not None and len(counts) != problem.num_classes:
-        raise ValueError("need one target label count per class (%d), got %d"
-                         % (problem.num_classes, len(counts)))
+    _check_target_counts(problem, config.target_label_counts)
     rng = np.random.default_rng(seed)
     theta = np.zeros(problem.param_dim)
     state = MomentState.zeros(problem.param_dim)

@@ -88,6 +88,9 @@ class Problem:
         else:
             inferred = int(self.y.max()) + 1
             self.num_classes = int(num_classes) if num_classes else max(inferred, 2)
+            if self.num_classes < 2:
+                raise ValueError("a %s problem needs at least 2 classes, "
+                                 "got %d" % (kind, self.num_classes))
         if np.any(self.y < 0) or np.any(self.y >= self.num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
         self.class_counts = np.bincount(self.y, minlength=self.num_classes)

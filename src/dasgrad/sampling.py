@@ -1,9 +1,10 @@
 """Adaptive categorical sampling over training indices.
 
-A flat-array sum tree gives O(log n) draws, which ``sample_many`` makes
-in one vectorized root-to-leaf descent per tree level. A full refresh of
-the sampling distribution is one O(n) ``set_all``; a single-leaf
-``update`` is O(log n).
+``SamplingTree`` keeps the weights' running sums: a refresh of the
+sampling distribution is one O(n) ``set_all``, and ``sample_many`` draws a
+block of indices with one binary search of the running sums. A single-leaf
+``update`` also retakes the running sums in O(n); the optimizers never call
+it, as each refresh replaces the whole distribution.
 ``scores_dasgrad`` is the one score function: per-example norms of the
 preconditioned candidate direction, of which ``scores_apsgd`` (gradient
 norms) is the v_hat = 1, no-momentum case; for the logistic kinds both
@@ -20,13 +21,14 @@ from . import problems as _problems
 
 
 class SamplingTree:
-    """Sum tree over n nonnegative leaf weights.
+    """Categorical distribution over n nonnegative leaf weights.
 
-    Layout: ``nodes`` has 2 * capacity entries, capacity a power of two.
-    nodes[1] is the root, leaf i lives at nodes[capacity + i], and every
-    internal node holds the exact float sum of its two children (parents are
-    recomputed from children by ``update`` and ``set_all``, never adjusted
-    incrementally, so the sum invariant holds to the last bit).
+    Holds the weights and their running sums, ``cdf = np.cumsum(weights)``,
+    and nothing else: ``total`` is ``cdf[-1]``, and a draw is one binary
+    search of the running sums. Every method that changes a weight takes
+    the running sums afresh in a new array, so ``cdf`` equals
+    ``np.cumsum(leaves())`` to the last bit, and a rejected call changes
+    nothing.
     """
 
     def __init__(self, weights):
@@ -34,32 +36,24 @@ class SamplingTree:
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
         self.n = int(weights.size)
-        self.capacity = 1
-        while self.capacity < self.n:
-            self.capacity *= 2
         self.set_all(weights)
 
     @property
     def total(self) -> float:
-        return float(self.nodes[1])
+        return float(self.cdf[-1])
 
     def leaves(self, rows=None) -> np.ndarray:
         """Copy of the n leaf weights, or of those at the index array rows."""
-        leaves = self.nodes[self.capacity:self.capacity + self.n]
         if rows is None:
-            return leaves.copy()
+            return self._weights.copy()
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and rows.min() < 0:
             raise IndexError("leaf index out of range")
-        return leaves[rows]  # numpy raises IndexError for a row >= n
+        return self._weights[rows]  # numpy raises IndexError for a row >= n
 
     def set_all(self, weights) -> None:
-        """Replace all n leaf weights and rebuild the parents level by
-        level, O(n). The tree is built in a new array and kept only when
-        the input is valid and its total is finite, so a rejected call
-        changes nothing. Each parent is the same child sum that n per-leaf
-        ``update`` calls leave, so the nodes match theirs bit for bit."""
-        weights = np.asarray(weights, dtype=np.float64)
+        """Replace all n leaf weights, O(n)."""
+        weights = np.array(weights, dtype=np.float64)
         if weights.shape != (self.n,):
             raise ValueError("weights must be a 1-d sequence of length %d"
                              % self.n)
@@ -69,58 +63,39 @@ class SamplingTree:
             raise ValueError("weights must be nonnegative")
         if not np.any(weights > 0):
             raise ValueError("at least one weight must be positive")
-        nodes = np.zeros(2 * self.capacity)
-        nodes[self.capacity:self.capacity + self.n] = weights
-        lo = self.capacity
-        with np.errstate(over="ignore"):
-            while lo > 1:
-                half = lo // 2
-                level = nodes[lo:2 * lo]
-                nodes[half:lo] = level[0::2] + level[1::2]
-                lo = half
-        if not np.isfinite(nodes[1]):
-            raise ValueError("the weights' total overflows")
-        self.nodes = nodes
+        self._commit(weights)
 
     def update(self, i: int, w: float) -> None:
-        """Set leaf i to w and refresh its ancestors. A weight that makes
-        the total overflow is rejected and the old leaf restored."""
+        """Set leaf i to w, O(n). The weights may all be zero afterwards;
+        ``sample_many`` rejects that."""
         if not 0 <= i < self.n:
             raise IndexError("leaf index out of range")
         if not np.isfinite(w) or w < 0:
             raise ValueError("weight must be finite and nonnegative")
-        idx = self.capacity + i
-        old = self.nodes[idx]
-        self.nodes[idx] = w
-        idx >>= 1
+        weights = self._weights.copy()
+        weights[i] = w
+        self._commit(weights)
+
+    def _commit(self, weights):
+        """Keep weights and their running sums unless the total overflows.
+        The running sums are nondecreasing, so only the last can be inf."""
         with np.errstate(over="ignore"):
-            while idx >= 1:
-                self.nodes[idx] = self.nodes[2 * idx] + self.nodes[2 * idx + 1]
-                idx >>= 1
-        if not np.isfinite(self.nodes[1]):
-            self.update(i, old)
+            cdf = np.cumsum(weights)
+        if not np.isfinite(cdf[-1]):
             raise ValueError("the weights' total overflows")
+        self._weights, self.cdf = weights, cdf
 
     def sample_many(self, rng, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. indices; one vectorized descent per level."""
-        root = self.total
-        if root <= 0:
+        """Draw ``size`` i.i.d. indices: draw i is the first leaf whose
+        running sum exceeds u_i = rng.random() * total, so a u on an edge
+        goes right, past any empty leaves."""
+        total = self.total
+        if total <= 0:
             raise ValueError("cannot sample from an all-zero tree")
-        u = rng.random(size) * root
-        idx = np.ones(size, dtype=np.int64)
-        nodes = self.nodes
-        # A draw goes left on u < left sum, else subtracts the left sum and
-        # goes right, so boundary ties go right. Where a draw goes left it
-        # subtracts 0.0, which leaves u unchanged, so each draw is the
-        # scalar root-to-leaf descent bit for bit.
-        for _ in range(self.capacity.bit_length() - 1):
-            idx <<= 1
-            left_sum = nodes[idx]
-            right = u >= left_sum
-            left_sum *= right
-            u -= left_sum
-            idx += right
-        return np.minimum(idx - self.capacity, self.n - 1)
+        u = rng.random(size) * total
+        # u rounds up to total at most; that draw takes the last leaf
+        return np.minimum(np.searchsorted(self.cdf, u, side="right"),
+                          self.n - 1)
 
 
 def normalize_scores(scores, epsilon):

@@ -618,6 +618,12 @@ class TestRunSettingsRejected:
         ("path = data.csv", "0,1\n1,x\n", "data.csv:2: non-numeric field"),
         ("path = missing.csv", None, "missing.csv"),
         ("n = 1", None, "need n >= num_classes >= 2"),
+        # a data file of one class bypasses the config's classes >= 2 rule
+        ("path = data.csv\nsparse = true",
+         "#d=2 #k=1\n0 0:1.0\n0 1:2.0\n0 0:3.0 1:1.0\n",
+         "multiclass-logistic problem needs at least 2 classes, got 1"),
+        ("path = data.csv", "0,1.0,2.0\n0,2.0,1.0\n0,3.0,1.0\n",
+         "multiclass-logistic problem needs at least 2 classes, got 1"),
     ])
     def test_bad_data_is_one_usage_error_line(self, tmp_path, capsys,
                                               monkeypatch, setting, data,
@@ -898,6 +904,18 @@ class TestSweepAndMatching:
         with pytest.raises(ValueError, match="two seeds"):
             H.matching_experiment(seeds=[3], output_dir=str(out),
                                   n_train=60, n_eval=40, d=5, T=5)
+        assert not out.exists()
+
+    def test_matching_rejects_target_mass_on_a_class_with_no_row(
+            self, tmp_path, monkeypatch):
+        # keep_fraction 0.0005 drops every training row of classes 1 and 3,
+        # which the balanced target still weighs
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "match"
+        with pytest.raises(ValueError, match="no training row: 1, 3$"):
+            H.matching_experiment(seeds=range(2), output_dir=str(out),
+                                  n_train=200, n_eval=80, d=5, T=40,
+                                  metric_tick=10, keep_fraction=0.0005)
         assert not out.exists()
 
 

@@ -310,7 +310,7 @@ class TestRefresh:
         assert np.all(np.abs(freq - probs) <= bound)
 
     @pytest.mark.parametrize("t, blend_step", [(1, 1), (2, 1), (8, 7)])
-    def test_tree_nodes_match_fresh_build(self, t, blend_step):
+    def test_tree_matches_fresh_build(self, t, blend_step):
         # the refresh before step t blends with beta1 of the step before it
         rng = np.random.default_rng(14)
         prob = multiclass_problem(rng, n=37)
@@ -326,7 +326,8 @@ class TestRefresh:
                                   cfg.beta1_at(blend_step),
                                   eps_div=cfg.epsilon_div)
         probs = S.normalize_scores(scores, cfg.epsilon_prob)
-        assert np.array_equal(tree.nodes, S.SamplingTree(probs).nodes)
+        assert np.array_equal(tree.leaves(), probs)
+        assert np.array_equal(tree.cdf, S.SamplingTree(probs).cdf)
 
     def test_schedule(self):
         rng = np.random.default_rng(9)
@@ -408,6 +409,20 @@ class TestRun:
         cfg = O.OptimizerConfig(method="dasgrad", target_label_counts=[1, 2])
         with pytest.raises(ValueError, match="per class"):
             O.run(prob, cfg, T=4, seed=0)
+
+    def test_target_counts_reject_a_class_with_no_training_row(self):
+        rng = np.random.default_rng(17)
+        X, _ = H._gaussian_rows(rng, 12, 4, 1)
+        prob = P.Problem(X, np.arange(12) % 2 * 2, P.MULTICLASS_LOGISTIC,
+                         num_classes=3)   # labels 0 and 2 only
+        cfg = O.OptimizerConfig(method="dasgrad",
+                                target_label_counts=[1, 2, 1])
+        with pytest.raises(ValueError, match="no training row: 1$"):
+            O.run(prob, cfg, T=4, seed=0)
+        # a class with no row and no target mass is fine
+        cfg = O.OptimizerConfig(method="dasgrad",
+                                target_label_counts=[1, 0, 1])
+        assert len(O.run(prob, cfg, T=4, seed=0, metric_tick=2).loss) == 2
 
     @pytest.mark.parametrize("tick", [0, -2])
     def test_tick_below_one_rejected(self, tick):

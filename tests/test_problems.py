@@ -322,6 +322,12 @@ class TestValidation:
             P.Problem(np.zeros((1, 2)), [7], P.MULTICLASS_LOGISTIC,
                       num_classes=3)
 
+    @pytest.mark.parametrize("X", [np.ones((3, 2)),
+                                   sparse.csr_matrix(np.ones((3, 2)))])
+    def test_multiclass_needs_two_classes(self, X):
+        with pytest.raises(ValueError, match="at least 2 classes, got 1"):
+            P.Problem(X, [0, 0, 0], P.MULTICLASS_LOGISTIC, num_classes=1)
+
     def test_mixed_dimensions(self):
         with pytest.raises(ValueError):
             P.Problem([np.zeros(2), np.zeros(3)], [0, 0], P.CENTROID)

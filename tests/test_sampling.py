@@ -12,19 +12,48 @@ from dasgrad import problems as P
 from dasgrad import sampling as S
 
 
-def recompute_tree_reference(tree):
-    """Oracle: rebuild every internal node bottom-up from the stored leaves."""
-    ref = np.array(tree.nodes)
-    for idx in range(tree.capacity - 1, 0, -1):
-        ref[idx] = ref[2 * idx] + ref[2 * idx + 1]
-    return ref
+class _SumTree:
+    """Oracle for ``SamplingTree.sample_many``: the flat-array sum tree the
+    sampler used before it kept running sums. ``nodes`` has 2 * capacity
+    entries, capacity the least power of two >= n; nodes[1] is the root,
+    leaf i lives at nodes[capacity + i], and every parent is the float sum
+    of its two children, built level by level."""
+
+    def __init__(self, weights):
+        weights = np.asarray(weights, dtype=np.float64)
+        self.n = len(weights)
+        self.capacity = 1 << (self.n - 1).bit_length()
+        self.nodes = np.zeros(2 * self.capacity)
+        self.nodes[self.capacity:self.capacity + self.n] = weights
+        lo = self.capacity
+        while lo > 1:
+            level = self.nodes[lo:2 * lo]
+            self.nodes[lo // 2:lo] = level[0::2] + level[1::2]
+            lo //= 2
+        self.total = float(self.nodes[1])
+
+    def sample_many(self, rng, size):
+        """``index_of_prefix`` of u = rng.random(size) * total, as one
+        vectorized descent per level. Where a draw goes left it subtracts
+        0.0, which leaves u unchanged, so each draw is the scalar descent
+        bit for bit."""
+        u = rng.random(size) * self.total
+        idx = np.ones(size, dtype=np.int64)
+        for _ in range(self.capacity.bit_length() - 1):
+            idx <<= 1
+            left_sum = self.nodes[idx]
+            right = u >= left_sum
+            left_sum *= right
+            u -= left_sum
+            idx += right
+        return np.minimum(idx - self.capacity, self.n - 1)
 
 
 def index_of_prefix(tree, u):
-    """Oracle for ``sample_many``: the scalar root-to-leaf descent to the
-    leaf whose cumulative-weight interval contains u in [0, total). It goes
-    left on u < left-child sum, else subtracts the left sum and goes right,
-    so boundary ties go right."""
+    """The scalar root-to-leaf descent of a ``_SumTree`` to the leaf whose
+    cumulative-weight interval contains u in [0, total). It goes left on
+    u < left-child sum, else subtracts the left sum and goes right, so
+    boundary ties go right."""
     idx = 1
     nodes = tree.nodes
     while idx < tree.capacity:
@@ -46,7 +75,7 @@ class TestTreeBuild:
     def test_singleton(self):
         tree = S.SamplingTree([5.0])
         assert tree.total == 5.0
-        assert tree.capacity == 1
+        assert tree.cdf.tolist() == [5.0]
 
     def test_large_random_build_matches_direct_sum(self):
         rng = np.random.default_rng(0)
@@ -79,7 +108,7 @@ class TestTreeLeaves:
 
     @pytest.mark.parametrize("row", [-1, 3])
     def test_out_of_range_row(self, row):
-        # capacity 4 > n = 3, so row 3 is a padding node, not a leaf
+        # row 3 is one past the last leaf
         tree = S.SamplingTree([1.0, 2.0, 3.0])
         with pytest.raises(IndexError):
             tree.leaves(np.array([0, row]))
@@ -91,21 +120,18 @@ class TestTreeUpdate:
         tree.update(1, 5.0)
         assert tree.total == 13.0
 
-    def test_identity_update_keeps_every_node(self):
+    def test_identity_update_keeps_every_running_sum(self):
         tree = S.SamplingTree([1.0, 2.0, 3.0, 4.0])
-        before = np.array(tree.nodes)
+        before = tree.cdf.copy()
         tree.update(2, tree.leaves()[2])
-        assert np.array_equal(tree.nodes, before)
+        assert np.array_equal(tree.cdf, before)
 
-    def test_many_updates_keep_sums_consistent(self):
+    def test_many_updates_keep_running_sums_exact(self):
         rng = np.random.default_rng(1)
         tree = S.SamplingTree(rng.random(1000))
         for _ in range(10_000):
             tree.update(int(rng.integers(0, 1000)), float(rng.random()))
-        ref = recompute_tree_reference(tree)
-        internal = tree.nodes[1:tree.capacity]
-        ref_internal = ref[1:tree.capacity]
-        np.testing.assert_allclose(internal, ref_internal, rtol=1e-9)
+        _assert_running_sums_exact(tree)
 
     def test_bad_updates(self):
         tree = S.SamplingTree([1.0, 2.0])
@@ -116,10 +142,11 @@ class TestTreeUpdate:
 
     def test_update_that_overflows_the_total_is_rejected(self):
         tree = S.SamplingTree([1e308, 1.0, 3.0])
-        before = np.array(tree.nodes)
+        before = tree.cdf.copy()
         with pytest.raises(ValueError):
             tree.update(1, 1e308)
-        assert np.array_equal(tree.nodes, before)
+        assert np.array_equal(tree.cdf, before)
+        assert tree.leaves().tolist() == [1e308, 1.0, 3.0]
 
 
 class TestTreeSetAll:
@@ -132,8 +159,9 @@ class TestTreeSetAll:
         bulk.set_all(weights)
         for i, w in enumerate(weights):
             per_leaf.update(i, w)
-        assert np.array_equal(bulk.nodes, S.SamplingTree(weights).nodes)
-        assert np.array_equal(bulk.nodes, per_leaf.nodes)
+        assert np.array_equal(bulk.cdf, S.SamplingTree(weights).cdf)
+        assert np.array_equal(bulk.cdf, per_leaf.cdf)
+        assert np.array_equal(bulk.leaves(), weights)
 
     @pytest.mark.parametrize("bad", [
         [1.0, 2.0],
@@ -147,10 +175,19 @@ class TestTreeSetAll:
     ])
     def test_rejects_bad_input_and_leaves_tree_unchanged(self, bad):
         tree = S.SamplingTree([1.0, 2.0, 3.0])
-        before = np.array(tree.nodes)
         with pytest.raises(ValueError):
             tree.set_all(bad)
-        assert np.array_equal(tree.nodes, before)
+        assert tree.leaves().tolist() == [1.0, 2.0, 3.0]
+        assert tree.cdf.tolist() == [1.0, 3.0, 6.0]
+
+    def test_keeps_its_own_copy_of_the_weights(self):
+        weights = np.array([1.0, 2.0, 3.0])
+        tree = S.SamplingTree(weights)
+        weights[0] = 100.0
+        tree.set_all(weights)
+        weights[1] = 100.0
+        assert tree.leaves().tolist() == [100.0, 2.0, 3.0]
+        _assert_running_sums_exact(tree)
 
 
 _weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
@@ -159,7 +196,7 @@ _weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_mixed_set_all_and_update_keep_sums_exact(data):
+def test_mixed_set_all_and_update_keep_running_sums_exact(data):
     n = data.draw(st.integers(min_value=1, max_value=40), label="n")
     positive = st.lists(_weight, min_size=n, max_size=n).filter(
         lambda ws: any(w > 0 for w in ws))
@@ -173,7 +210,12 @@ def test_mixed_set_all_and_update_keep_sums_exact(data):
             tree.set_all(op[1])
         else:
             tree.update(op[1], op[2])
-        assert np.array_equal(tree.nodes, recompute_tree_reference(tree))
+        _assert_running_sums_exact(tree)
+
+
+def _assert_running_sums_exact(tree):
+    assert np.array_equal(tree.cdf, np.cumsum(tree.leaves()))
+    assert tree.total == tree.cdf[-1]
 
 
 class TestTreeSample:
@@ -207,30 +249,24 @@ class TestTreeSample:
         freq = np.bincount(draws, minlength=4) / 1e6
         np.testing.assert_allclose(freq, [0.1, 0.2, 0.3, 0.4], atol=0.01)
 
-    def test_scalar_descent_and_sample_many_agree(self):
-        # non-dyadic weights: the tree sums and u - left_sum round
-        weights = np.array([0.3, 1.7, 0.0, 2.4, 0.6])
-        tree = S.SamplingTree(weights)
-        many = tree.sample_many(np.random.default_rng(9), 200)
-        first = np.random.default_rng(9).random() * tree.total
-        assert many[0] == index_of_prefix(tree, first)
-        _scalar_and_vector_descents_agree(tree, weights)
-        # with many random weights the tree's sums differ from a running
-        # sum in the last bits, so the edges probe the rounded descent
-        weights = np.random.default_rng(2).random(37)
-        _scalar_and_vector_descents_agree(S.SamplingTree(weights), weights)
+    @pytest.mark.parametrize("weights", [
+        # non-dyadic weights: the running sums round
+        [0.3, 1.7, 0.0, 2.4, 0.6],
+        np.random.default_rng(2).random(37),
+    ])
+    def test_edge_grid_draws_search_the_running_sums(self, weights):
+        _running_sum_draws_on_edge_grid(S.SamplingTree(weights), weights)
 
     def test_sample_many_ties_go_right_at_exact_edges(self):
         # dyadic weights with a power-of-two total keep every prefix sum,
         # and u = fraction * total, exact in floating point
         weights = np.array([0.375, 1.625, 0.0, 2.5, 3.5])
         tree = S.SamplingTree(weights)
-        u, vector = _scalar_and_vector_descents_agree(tree, weights)
-        # ties at an edge go right, past the empty leaf 2
-        edges = np.cumsum(weights)
-        expected = np.minimum(np.searchsorted(edges, u, side="right"),
-                              len(weights) - 1)
-        assert np.array_equal(vector, expected)
+        _running_sum_draws_on_edge_grid(tree, weights)
+        # ties at an edge go right, past the empty leaf 2; u = total is
+        # past the last edge and takes the last leaf
+        edges = _FixedUniforms(np.array([0.375, 2.0, 4.5, 8.0]) / 8.0)
+        assert tree.sample_many(edges, 4).tolist() == [1, 3, 4, 4]
 
     def test_sample_many_of_size_zero(self):
         tree = S.SamplingTree([1.0, 2.0, 3.0])
@@ -244,8 +280,8 @@ class TestTreeSample:
             tree.sample_many(np.random.default_rng(0), 1)
 
 
-# tree sizes: one leaf, powers of two, one past a power of two (a capacity
-# with a padding leaf per level), and any size up to 70
+# sizes: one leaf, powers of two, one past a power of two, and any size up
+# to 70
 _tree_size = st.one_of(st.just(1), st.integers(1, 6).map(lambda j: 2**j),
                        st.integers(1, 6).map(lambda j: 2**j + 1),
                        st.integers(1, 70))
@@ -281,23 +317,69 @@ class _FixedUniforms:
         return np.array(v)
 
 
-def _scalar_and_vector_descents_agree(tree, weights):
-    """Feed the scalar descent and sample_many the same u-grid: a linspace,
-    seeded uniforms, the prefix-sum edges and the floats either side of
-    them, and u = total (the spill into the padding leaves). Returns the
-    grid and the vector draws."""
+def _edge_grid(weights, total):
+    """Uniforms whose u = fraction * total cover a linspace, seeded
+    uniforms, the prefix-sum edges and the floats either side of them, and
+    u = total."""
     edges = np.cumsum(weights)
-    fractions = np.concatenate([
+    return np.concatenate([
         np.linspace(0.0, 1 - 1e-12, 97),
         np.random.default_rng(5).random(1000),
-        edges / tree.total, np.nextafter(edges, 0.0) / tree.total,
-        np.nextafter(edges, np.inf) / tree.total, [1.0],
+        edges / total, np.nextafter(edges, 0.0) / total,
+        np.nextafter(edges, np.inf) / total, [1.0],
     ])
+
+
+def _running_sum_draws_on_edge_grid(tree, weights):
+    """sample_many on the edge grid is the right-side search of the
+    running sums, clamped to the last leaf."""
+    fractions = _edge_grid(weights, tree.total)
     u = fractions * tree.total  # as sample_many scales its uniforms
-    scalar = np.array([index_of_prefix(tree, float(x)) for x in u])
-    vector = tree.sample_many(_FixedUniforms(fractions), len(fractions))
-    assert np.array_equal(scalar, vector)
-    return u, vector
+    expected = np.minimum(np.searchsorted(np.cumsum(weights), u,
+                                          side="right"), len(weights) - 1)
+    draws = tree.sample_many(_FixedUniforms(fractions), len(fractions))
+    assert np.array_equal(draws, expected)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.3, 1.7, 0.0, 2.4, 0.6],
+    [0.375, 1.625, 0.0, 2.5, 3.5],
+    # a padding leaf at every level, and pairwise sums that round apart
+    # from the running sums
+    np.random.default_rng(2).random(37),
+])
+def test_oracle_vector_descent_is_its_scalar_descent(weights):
+    oracle = _SumTree(weights)
+    fractions = _edge_grid(weights, oracle.total)
+    u = fractions * oracle.total
+    scalar = [index_of_prefix(oracle, float(x)) for x in u]
+    vector = oracle.sample_many(_FixedUniforms(fractions), len(fractions))
+    assert vector.tolist() == scalar
+
+
+def _draw_equality_cases():
+    """(weights, draws) pairs: the uniform 1/n start that every run draws
+    from first, and refreshed distributions of heavy-tailed scores."""
+    for n in range(1, 301):
+        yield np.full(n, 1.0 / n), 2000
+    for n in (1100, 2000, 20000):
+        yield np.full(n, 1.0 / n), 35_000
+    rng = np.random.default_rng(16)
+    for n in (200, 2000, 20000):
+        for scores in (rng.random(n), rng.standard_cauchy(n) ** 2,
+                       rng.lognormal(0.0, 2.0, n)):
+            yield S.normalize_scores(scores, 1e-8), 35_000
+
+
+def test_sample_many_draws_the_sum_trees_indices():
+    # about 10^6 seeded draws; a running sum and the tree's pairwise sums
+    # round differently, so a u within ulps of an edge could tell them apart
+    for seed, (weights, size) in enumerate(_draw_equality_cases()):
+        got = S.SamplingTree(weights).sample_many(
+            np.random.default_rng(seed), size)
+        want = _SumTree(weights).sample_many(
+            np.random.default_rng(seed), size)
+        assert np.array_equal(got, want), (len(weights), seed)
 
 
 class TestNormalizeScores:

@@ -45,7 +45,6 @@ from .metrics import (
     ReferenceSolution,
     accuracy,
     aggregate_runs,
-    gradient_norm_variance,
     solve_reference,
     tick,
 )

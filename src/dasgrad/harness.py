@@ -346,13 +346,14 @@ def run_experiment(config):
     metadata file. Returns the in-memory ExperimentResults of this call."""
     dataset, problem = config.problem.build()
     out = config.output_dir
-    # the centroid solve is closed-form and ignores tol and max_iters
-    reference = _metrics.solve_reference(problem, config.reference_tol,
-                                         config.reference_max_iters)
     names = sorted(config.optimizers)
     results = _run_arms({n: (problem, config.optimizers[n]) for n in names},
                         config.seeds, config.T, config.metric_tick, out,
                         r"trace_.+_\d+\.csv|aggregate_.+\.csv|comparison\.csv")
+    # after the runs, so that a call _run_arms rejects pays no solve; the
+    # centroid solve is closed-form and ignores tol and max_iters
+    reference = _metrics.solve_reference(problem, config.reference_tol,
+                                         config.reference_max_iters)
     for key, run in results.items():
         write_trace_csv(os.path.join(out, "trace_%s_%d.csv" % key), run,
                         reference.f_star)
@@ -557,10 +558,10 @@ def matching_experiment(seeds, output_dir, **overrides):
             "amsgrad", alpha=p["alpha"], batch_size=p["batch_size"])),
     }
 
-    reference = _metrics.solve_reference(problem, tol=1e-6, max_iters=2000)
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
                      r"matching_trace_.+_\d+\.csv",
                      eval_set=(eval_ds.X, eval_ds.y))
+    reference = _metrics.solve_reference(problem, tol=1e-6, max_iters=2000)
     for key, run in runs.items():
         write_trace_csv(os.path.join(output_dir, "matching_trace_%s_%d.csv"
                                      % key), run, reference.f_star)

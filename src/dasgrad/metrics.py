@@ -1,13 +1,13 @@
-"""The regret baseline (the reference solve), gradient-variance
-diagnostics, accuracy, and multi-seed aggregation with normal-approximation
-confidence intervals. A trace's regret is its loss minus f_star, summed
-over the ticks (``np.cumsum``).
+"""The regret baseline (the reference solve), the metric tick, accuracy,
+and multi-seed aggregation with normal-approximation confidence intervals.
+A trace's regret is its loss minus f_star, summed over the ticks
+(``np.cumsum``).
 
 ``tick`` is what a run records at each metric tick: the full objective,
 the gradient-norm variance and the accuracy, from one pass over X (one
 margin product for the logistic kinds, one theta - X for centroid), bit
-for bit the values of ``problems.full_objective``,
-``gradient_norm_variance`` and ``accuracy``.
+for bit the values of ``problems.full_objective``, the population variance
+of ``sampling.scores_apsgd`` and ``accuracy``.
 """
 
 from __future__ import annotations
@@ -100,15 +100,10 @@ def solve_reference(problem, tol=1e-8, max_iters=5000):
                              solver_iterations=iterations, converged=converged)
 
 
-def gradient_norm_variance(problem, theta):
-    """Population variance over examples of ||grad f_i(theta)||_2."""
-    norms = _sampling.scores_apsgd(problem, theta)
-    return float(np.var(norms))
-
-
 def tick(problem, theta, eval_set=None):
-    """(loss, gvar, acc) at theta: ``problems.full_objective``,
-    ``gradient_norm_variance`` and ``accuracy`` on the (X, y) pair eval_set
+    """(loss, gvar, acc) at theta: ``problems.full_objective``, the
+    population variance over examples of the gradient norms
+    ``sampling.scores_apsgd``, and ``accuracy`` on the (X, y) pair eval_set
     (the problem's own rows when None) from one pass over X, bit-identical
     to the three separate calls; acc is None for centroid problems.
 
@@ -126,7 +121,7 @@ def tick(problem, theta, eval_set=None):
     L, R, Z = _problems._logistic_terms(problem, theta, problem.X, problem.y,
                                         want_loss=True, want_residuals=True)
     loss = _problems._mean_objective(problem, theta, L)
-    gvar = float(np.var(_sampling._gradient_norms(problem, theta, R)))
+    gvar = float(np.var(_sampling.scores_apsgd(problem, theta, R)))
     if eval_set is not None:
         return loss, gvar, accuracy(problem, theta, *eval_set)
     return loss, gvar, _share_correct(problem, Z, problem.y)
@@ -141,19 +136,17 @@ def accuracy(problem, theta, X, y):
     if np.shape(y) != (X.shape[0],):
         raise ValueError("y must hold one label per row of X")
     theta = np.asarray(theta, dtype=np.float64)
-    if problem.kind == _problems.BINARY_LOGISTIC:
-        Z = np.asarray(X @ theta).ravel()
-    else:
-        Z = np.asarray(X @ problem.weights_view(theta).T)
+    Z = np.asarray(X @ problem.weights_view(theta).T)
     return _share_correct(problem, Z, y)
 
 
 def _share_correct(problem, Z, y):
-    """Share of the rows of the margin product Z (z = X theta for binary,
-    X W^T for multiclass) whose predicted class equals y: z > 0, or the
-    row argmax with ties to the lowest class index."""
+    """Share of the rows of the margin product Z = X W^T, (n, K) with
+    K = 1 for binary, whose predicted class equals y: class 1 where the
+    binary margin is positive, else the row argmax with ties to the lowest
+    class index."""
     if problem.kind == _problems.BINARY_LOGISTIC:
-        pred = (Z > 0).astype(np.int64)
+        pred = (Z[:, 0] > 0).astype(np.int64)
     else:
         pred = Z.argmax(axis=1)
     return float(np.mean(pred == y))

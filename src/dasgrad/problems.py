@@ -8,24 +8,27 @@ sampling scores all come from them. ``batch_gradients`` takes rows as
 once and calls ``batch_gradients`` on each step's slice of them. Only the
 logistic kinds keep a CSR X; a centroid ``Problem`` holds its X dense, so
 ``gather_rows`` is the one place CSR rows are densified.
-``losses`` is computed separately and serves as the reference the
-gradients are checked against. ``objective_and_gradient`` returns the
-full objective and the full gradient together from one pass over X (one
-margin product, and for softmax one exp pass, shared by both); the
-reference solve calls it once per line-search trial. The metric tick
-(``metrics.tick``) takes the losses, the residuals and the margin product
-of one such pass. On the full data the softmax max shift runs a column
-loop, the same bits as the row reduce in a fraction of its time.
+``objective_and_gradient`` returns the full objective and the full
+gradient together from one pass over X (one margin product, and for
+softmax one exp pass, shared by both); the reference solve calls it once
+per line-search trial. The metric tick (``metrics.tick``) takes the
+losses, the residuals and the margin product of one such pass. On the
+full data the softmax max shift runs a column loop, the same bits as the
+row reduce in a fraction of its time.
 
 Three problem kinds are supported:
 
 * ``centroid`` -- squared-distance learning of a center point,
   f_i(theta) = 0.5 * ||theta - x_i||^2.
 * ``binary-logistic`` -- regularized logistic regression with labels {0, 1}
-  mapped internally to {-1, +1}.
+  mapped internally to {-1, +1}; the parameter is one row of d weights.
 * ``multiclass-logistic`` -- softmax cross-entropy over K classes; the
   parameter is the (K, d) weight matrix flattened row-major (row k holds the
   weights of class k).
+
+Both logistic kinds are one linear model: ``weights_view`` shapes the
+parameter as its weight rows (one row for binary) and every formula but the
+link (sigmoid or softmax) and the decision rule is written once for both.
 
 L2 regularization at strength ``l2_lambda`` is applied to every parameter
 coordinate. There is no separate bias term; append a constant feature column
@@ -98,8 +101,8 @@ class Problem:
         self.is_sparse = sparse.issparse(self.X)
         # X squared elementwise, read by the logistic score computations,
         # and its products with a unit preconditioner: the squared row
-        # norms, one column per class, that every ap-SGD score and metric
-        # tick reads
+        # norms, one column per weight row, that every ap-SGD score and
+        # metric tick reads
         self.X_sq = self.row_sq_norms = None
         if kind != CENTROID:
             self.X_sq = (self.X.multiply(self.X).tocsr() if self.is_sparse
@@ -114,10 +117,9 @@ class Problem:
         return self.d
 
     def weights_view(self, theta: np.ndarray) -> np.ndarray:
-        """Multiclass parameter reshaped to (K, d); identity otherwise."""
-        if self.kind == MULTICLASS_LOGISTIC:
-            return theta.reshape(self.num_classes, self.d)
-        return theta
+        """The parameter as its rows of d weights: (K, d) for multiclass,
+        (1, d) for binary."""
+        return theta.reshape(-1, self.d)
 
     def __repr__(self):
         return "Problem(kind=%s, n=%d, d=%d, K=%d, l2=%.3g)" % (
@@ -159,22 +161,21 @@ def _row_max(Z):
 
 def _logistic_terms(problem, theta, X, y, want_loss=False,
                     want_residuals=False):
-    """(L, R, Z): per-example data losses and residuals of the logistic
-    kinds from one margin product (and, for softmax, one exp pass), and the
-    margin product itself, z = X theta (binary) or Z = X W^T (multiclass);
-    L and R are None unless asked for. The sigmoid and softmax loss and
-    residual formulas are written only here."""
+    """(L, R, Z): per-example data losses and (n, K) residuals of the
+    logistic kinds from one margin product Z = X W^T (and, for softmax, one
+    exp pass), and Z itself, with W = ``weights_view(theta)``: K = 1 for
+    binary. L and R are None unless asked for. The sigmoid and softmax loss
+    and residual formulas are written only here."""
     L = R = None
+    Z = np.asarray(X @ problem.weights_view(theta).T)
     if problem.kind == BINARY_LOGISTIC:
-        s = 2.0 * y - 1.0
-        z = np.asarray(X @ theta).ravel()
-        m = -s * z
+        s = (2.0 * y - 1.0)[:, None]
+        m = -s * Z
         if want_loss:
-            L = np.logaddexp(0.0, m)
+            L = np.logaddexp(0.0, m).ravel()
         if want_residuals:
             R = -s * expit(m)
-        return L, R, z
-    Z = np.asarray(X @ problem.weights_view(theta).T)
+        return L, R, Z
     # max-shift keeps exp() in range for any magnitude of scores; the
     # column loop pays off on full data, a batch of a few rows keeps the
     # reduce
@@ -192,11 +193,11 @@ def _logistic_terms(problem, theta, X, y, want_loss=False,
 
 
 def residuals(problem, theta, rows=None):
-    """Residuals r_i with grad f_i = r_i x_i + lambda theta (binary,
-    r_i = -s_i sigmoid(-s_i <theta, x_i>) with s_i in {-1, +1}) or
-    r_i (x) x_i + lambda W (multiclass, r_i = softmax(W x_i) - e_{y_i}).
-    Returns a vector (binary) or a (B, K) array (multiclass) for the index
-    array ``rows``, or for every example when rows is None."""
+    """Residuals r_i with grad f_i = r_i (x) x_i + lambda W, where
+    r_i = -s_i sigmoid(-s_i <theta, x_i>) with s_i in {-1, +1} (binary,
+    K = 1) or r_i = softmax(W x_i) - e_{y_i} (multiclass). Returns a (B, K)
+    array for the index array ``rows``, or for every example when rows is
+    None."""
     if problem.kind == CENTROID:
         raise ValueError("residuals are defined for the logistic kinds")
     theta = _check_theta(problem, theta)
@@ -211,11 +212,8 @@ def batch_gradients(problem, theta, X, y):
     if problem.kind == CENTROID:
         return theta[None, :] - X
     r = _logistic_terms(problem, theta, X, y, want_residuals=True)[1]
-    lam = problem.l2_lambda
-    if problem.kind == BINARY_LOGISTIC:
-        return r[:, None] * X + lam * theta[None, :]
     W = problem.weights_view(theta)
-    G = r[:, :, None] * X[:, None, :] + lam * W[None, :, :]
+    G = r[:, :, None] * X[:, None, :] + problem.l2_lambda * W[None, :, :]
     return G.reshape(len(y), -1)
 
 
@@ -271,12 +269,8 @@ def objective_and_gradient(problem, theta):
         return full_objective(problem, theta), theta - problem.X.mean(axis=0)
     L, R, _ = _logistic_terms(problem, theta, problem.X, problem.y,
                               want_loss=True, want_residuals=True)
-    lam = problem.l2_lambda
-    if problem.kind == BINARY_LOGISTIC:
-        g = np.asarray(problem.X.T @ R).ravel() / problem.n + lam * theta
-    else:
-        G = np.asarray(R.T @ problem.X) / problem.n
-        g = (G + lam * problem.weights_view(theta)).ravel()
+    G = np.asarray(R.T @ problem.X) / problem.n
+    g = (G + problem.l2_lambda * problem.weights_view(theta)).ravel()
     return _mean_objective(problem, theta, L), g
 
 

@@ -8,9 +8,10 @@ it, as each refresh replaces the whole distribution.
 ``scores_dasgrad`` is the one score function: per-example norms of the
 preconditioned candidate direction, of which ``scores_apsgd`` (gradient
 norms) is the v_hat = 1, no-momentum case; for the logistic kinds both
-share one rank-one norm routine, and the ap-SGD case reads its constant
-quad term from ``Problem.row_sq_norms``. Normalization smooths scores
-with a small epsilon so every example keeps strictly positive probability.
+share one rank-one norm routine over the weight rows (one row for
+binary), and the ap-SGD case reads its constant quad term from
+``Problem.row_sq_norms``. Normalization smooths scores with a small
+epsilon so every example keeps strictly positive probability.
 """
 
 from __future__ import annotations
@@ -144,23 +145,19 @@ def target_weight(p_i, label_count, m):
     return float(out) if out.ndim == 0 else out
 
 
-def scores_apsgd(problem, theta):
-    """Per-example gradient norms ||grad f_i(theta)||_2, one dataset pass."""
+def scores_apsgd(problem, theta, R=None):
+    """Per-example gradient norms ||grad f_i(theta)||_2, one dataset pass:
+    ``scores_dasgrad`` at v_hat = 1 without momentum. For the logistic
+    kinds the quad term is the problem's ``row_sq_norms``, and R, when
+    given, must be the residuals at theta (``problems.residuals``); the
+    metric tick passes those of its own loss pass."""
     theta = np.asarray(theta, dtype=np.float64)
-    if problem.kind == _problems.CENTROID:
-        ones = np.ones(problem.param_dim)
-        return scores_dasgrad(problem, theta, np.zeros(problem.param_dim),
-                              ones, beta1_t=0.0)
-    return _gradient_norms(problem, theta,
-                           _problems.residuals(problem, theta))
-
-
-def _gradient_norms(problem, theta, R):
-    """Gradient norms of a logistic problem from its residuals R at theta:
-    ``scores_dasgrad`` at v_hat = 1 without momentum, whose quad term is
-    the problem's ``row_sq_norms``. The metric tick calls this with the
-    residuals of its own loss pass."""
     dim = problem.param_dim
+    if problem.kind == _problems.CENTROID:
+        return scores_dasgrad(problem, theta, np.zeros(dim), np.ones(dim),
+                              beta1_t=0.0)
+    if R is None:
+        R = _problems.residuals(problem, theta)
     return _rank_one_norms(problem, theta, R, np.zeros(dim),
                            problem.weights_view(np.ones(dim)), 0.0,
                            problem.row_sq_norms)
@@ -196,19 +193,16 @@ def scores_dasgrad(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
 
 def _rank_one_norms(problem, theta, R, m_prev, inv_sq, beta1_t, quad):
     """The logistic branch of ``scores_dasgrad``: the norms from the
-    residuals R at theta, the weights inv_sq = v_hat^{-1/2} (shaped as
-    theta's weights view) and quad = X_sq inv_sq^T."""
-    # binary: W is the identity and .T of a 1-d array is the array itself
+    (n, K) residuals R at theta, the weights inv_sq = v_hat^{-1/2} (shaped
+    as theta's (K, d) weights view) and the (n, K) quad = X_sq inv_sq^T;
+    K = 1 for binary."""
     W = problem.weights_view
     keep = 1.0 - beta1_t
     A = beta1_t * W(m_prev) + keep * (problem.l2_lambda * W(theta))
-    C = keep * R   # (n,) or (n, K)
+    C = keep * R
     base = float((A * A * inv_sq).sum())
     cross = np.asarray(problem.X @ (A * inv_sq).T)
-    if problem.kind == _problems.BINARY_LOGISTIC:
-        sq = base + 2.0 * C * cross + (C * C) * quad
-    else:
-        sq = base + 2.0 * (C * cross).sum(axis=1) + (C * C * quad).sum(axis=1)
+    sq = base + 2.0 * (C * cross).sum(axis=1) + (C * C * quad).sum(axis=1)
     return np.sqrt(np.maximum(sq, 0.0))
 
 

@@ -4,6 +4,7 @@ import pytest
 from dasgrad import datasets as D
 from dasgrad import metrics as M
 from dasgrad import problems as P
+from dasgrad import sampling as S
 
 
 class TestDenseCsv:
@@ -138,7 +139,7 @@ class TestSynthCentroid:
         ds = D.synth_centroid(10, 3, 0.0, seed=1)
         prob = D.make_problem(ds, P.CENTROID)
         assert np.all(prob.X == 0.0)
-        gvar = M.gradient_norm_variance(prob, np.array([1.0, -2.0, 0.5]))
+        gvar = np.var(S.scores_apsgd(prob, np.array([1.0, -2.0, 0.5])))
         assert gvar == pytest.approx(0.0, abs=1e-25)
 
     def test_empirical_variance(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import os
 import warnings
@@ -520,6 +521,30 @@ class TestRunSettingsRejected:
             else:
                 H.matching_experiment(seeds, out, **settings)
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("protocol", ["run", "matching"])
+    def test_rejected_target_counts_cost_no_reference_solve(
+            self, tmp_path, monkeypatch, protocol):
+        solves = []
+        solve = M.solve_reference
+        monkeypatch.setattr(M, "solve_reference", lambda *args, **kwargs: (
+            solves.append(args), solve(*args, **kwargs))[1])
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="target label count"):
+            if protocol == "run":
+                config = H.parse_config_text(TINY_CONFIG.format(out=out))
+                # two counts for the config's three classes
+                H.run_experiment(dataclasses.replace(config, optimizers={
+                    "dasgrad": H.convex_preset(
+                        "dasgrad", target_label_counts=[1, 2])}))
+            else:
+                # keep_fraction 0.0005 leaves classes 1 and 3 no training
+                # row, which the balanced target still weighs
+                H.matching_experiment(range(2), str(out), n_train=200,
+                                      n_eval=80, d=5, T=40, metric_tick=10,
+                                      keep_fraction=0.0005)
+        assert solves == []
+        assert not out.exists()
 
     def test_experiment_config_rejects_a_tick_run_rejects(self):
         with pytest.raises(ValueError, match="metric_tick"):

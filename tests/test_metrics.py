@@ -213,15 +213,21 @@ class TestRegret:
             assert P.full_objective(prob, theta) - ref.f_star >= -1e-10
 
 
+def gradient_norm_variance(problem, theta):
+    """Population variance over examples of ||grad f_i(theta)||_2, the
+    gvar the metric tick records."""
+    return float(np.var(S.scores_apsgd(problem, theta)))
+
+
 class TestGradientNormVariance:
     def test_identical_examples(self):
         prob = centroid_problem([[1.0, 2.0]] * 5)
-        assert M.gradient_norm_variance(prob, np.array([3.0, -1.0])) == 0.0
+        assert gradient_norm_variance(prob, np.array([3.0, -1.0])) == 0.0
 
     def test_hand_value(self):
         # per-example gradient norms are |theta - x|: {1, 3} -> variance 1
         prob = centroid_problem([[1.0], [3.0]])
-        assert M.gradient_norm_variance(prob, np.array([0.0])) == \
+        assert gradient_norm_variance(prob, np.array([0.0])) == \
             pytest.approx(1.0)
 
     def test_matches_two_pass_oracle(self):
@@ -232,14 +238,14 @@ class TestGradientNormVariance:
                           for i in range(prob.n)])
         mean = norms.sum() / prob.n
         oracle = ((norms - mean) ** 2).sum() / prob.n
-        assert M.gradient_norm_variance(prob, theta) == \
+        assert gradient_norm_variance(prob, theta) == \
             pytest.approx(oracle, rel=1e-10)
 
     def test_nonnegative_and_zero_iff_equal(self):
         rng = np.random.default_rng(5)
         prob = logistic_problem(rng)
         theta = rng.standard_normal(prob.param_dim)
-        assert M.gradient_norm_variance(prob, theta) >= 0.0
+        assert gradient_norm_variance(prob, theta) >= 0.0
 
     def test_lemma_chain_ties_modules_together(self):
         # min_p E_p[w^2 ||g||^2] + Var_n(||g||) = E_n[||g||^2]
@@ -249,7 +255,7 @@ class TestGradientNormVariance:
         norms = S.scores_apsgd(prob, theta)
         p_star = S.normalize_scores(norms, 1e-12)
         lhs = (S.expected_weighted_second_moment(p_star, norms)
-               + M.gradient_norm_variance(prob, theta))
+               + gradient_norm_variance(prob, theta))
         rhs = float((norms**2).mean())
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -274,7 +280,7 @@ class TestTick:
             for eval_set in (None, (held_out.X, held_out.y)):
                 loss, gvar, acc = M.tick(prob, theta, eval_set)
                 assert loss == P.full_objective(prob, theta)
-                assert gvar == M.gradient_norm_variance(prob, theta)
+                assert gvar == gradient_norm_variance(prob, theta)
                 if kind == P.CENTROID:
                     assert acc is None
                     continue

@@ -541,7 +541,7 @@ def _probs_run(problem, config, T, seed, metric_tick, eval_set=None):
         if t % metric_tick == 0:
             with np.errstate(over="ignore", invalid="ignore"):
                 loss = P.full_objective(problem, theta)
-                gvar = M.gradient_norm_variance(problem, theta)
+                gvar = float(np.var(S.scores_apsgd(problem, theta)))
             if not (np.isfinite(loss) and np.isfinite(gvar)):
                 raise O.DivergenceError(t, "nonfinite loss")
             ticks.append(t)

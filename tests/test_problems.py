@@ -3,10 +3,13 @@ import warnings
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.special import expit
 
 from dasgrad import datasets as D
 from dasgrad import harness as H
+from dasgrad import metrics as M
 from dasgrad import problems as P
+from dasgrad import sampling as S
 
 
 def centroid_problem(points):
@@ -241,6 +244,98 @@ class TestFullDataRowMax:
         assert np.array_equal(_bits(R), _bits(R_ref))
         if storage == "csr":
             assert np.isnan(L).any() and np.isinf(Z).any()
+
+
+def _flat_terms(X, y, theta):
+    """Binary (loss, residual, margin) with theta a flat vector of d
+    weights: z = X theta, s = 2y - 1, r = -s sigmoid(-s z)."""
+    s = 2.0 * y - 1.0
+    z = np.asarray(X @ theta).ravel()
+    m = -s * z
+    return np.logaddexp(0.0, m), -s * expit(m), z
+
+
+def _flat_scores(problem, theta, m_prev, v_hat, beta1_t):
+    """Binary ``scores_dasgrad`` in the flat layout: every operand is a
+    vector of length n or d."""
+    root = np.sqrt(np.sqrt(v_hat))   # v_hat > 0: no zero-coordinate guard
+    inv_sq = 1.0 / (root * root)
+    keep = 1.0 - beta1_t
+    A = beta1_t * m_prev + keep * (problem.l2_lambda * theta)
+    C = keep * _flat_terms(problem.X, problem.y, theta)[1]
+    base = float((A * A * inv_sq).sum())
+    cross = np.asarray(problem.X @ (A * inv_sq)).ravel()
+    quad = np.asarray(problem.X_sq @ inv_sq).ravel()
+    # (2C) cross and 2 (C cross) differ only where C cross is subnormal;
+    # here A = 0 gives cross = 0, and any other A a base far above that
+    sq = base + 2.0 * C * cross + (C * C) * quad
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+class TestBinaryOneRowLayout:
+    """A binary parameter is one row of d weights; every binary oracle
+    gives, bit for bit, what the flat-vector formulas give."""
+
+    @pytest.mark.parametrize("margins", ["unit", "saturated"])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_oracles_match_the_flat_formulas(self, storage, lam, margins):
+        rng = np.random.default_rng(31)
+        n, d = 64, 7
+        X, y = H._gaussian_rows(rng, n, d, 2)
+        X *= rng.random(X.shape) < 0.6
+        X[:, 0] = 1.0   # no empty row
+        if storage == "csr":
+            X = sparse.csr_matrix(X)
+        prob = P.Problem(X, y, P.BINARY_LOGISTIC, l2_lambda=lam)
+        theta = rng.standard_normal(d)
+        if margins == "saturated":
+            # the median |z| is 800: exp(-800) underflows, so most
+            # residuals are exactly 0 or +-1
+            theta *= 800.0 / np.median(np.abs(prob.X @ theta))
+        L, r, z = _flat_terms(prob.X, prob.y, theta)
+        if margins == "saturated":
+            assert np.isin(np.abs(r), (0.0, 1.0)).mean() > 0.5
+        assert np.array_equal(
+            _bits(P._logistic_terms(prob, theta, prob.X, prob.y)[2]
+                  .ravel()), _bits(z))
+        assert np.array_equal(_bits(P.losses(prob, theta)), _bits(L))
+        assert np.array_equal(_bits(P.residuals(prob, theta).ravel()),
+                              _bits(r))
+
+        f, g = P.objective_and_gradient(prob, theta)
+        assert f == float(L.mean()) + 0.5 * lam * float(theta @ theta)
+        assert np.array_equal(_bits(g), _bits(
+            np.asarray(prob.X.T @ r).ravel() / n + lam * theta))
+
+        for size in (1, 32):
+            Xb, yb = P.gather_rows(prob, rng.integers(0, n, size))
+            rb = _flat_terms(Xb, yb, theta)[1]
+            assert np.array_equal(
+                _bits(P.batch_gradients(prob, theta, Xb, yb)),
+                _bits(rb[:, None] * Xb + lam * theta[None, :]))
+
+        m_prev = rng.standard_normal(d)
+        v_hat = rng.random(d) + 0.1
+        flat_norms = _flat_scores(prob, theta, np.zeros(d), np.ones(d), 0.0)
+        assert np.array_equal(_bits(S.scores_apsgd(prob, theta)),
+                              _bits(flat_norms))
+        for beta1_t in (0.0, 0.9):
+            assert np.array_equal(
+                _bits(S.scores_dasgrad(prob, theta, m_prev, v_hat,
+                                       beta1_t)),
+                _bits(_flat_scores(prob, theta, m_prev, v_hat, beta1_t)))
+
+        X_eval, y_eval = prob.X[::3], prob.y[::3]
+        flat_acc = float(np.mean((z > 0).astype(np.int64) == prob.y))
+        eval_acc = float(np.mean(
+            (_flat_terms(X_eval, y_eval, theta)[2] > 0).astype(np.int64)
+            == y_eval))
+        assert M.accuracy(prob, theta, X_eval, y_eval) == eval_acc
+        gvar = float(np.var(flat_norms))
+        assert M.tick(prob, theta) == (f, gvar, flat_acc)
+        assert M.tick(prob, theta, (X_eval, y_eval)) == (f, gvar,
+                                                         eval_acc)
 
 
 class TestFiniteDifferenceCheck:

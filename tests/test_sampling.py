@@ -629,15 +629,18 @@ def two_pass_scores(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
             X = np.asarray(X.todense())
         return np.linalg.norm((const[None, :] + coef * X) / root[None, :],
                               axis=1)
-    A = (beta1_t * problem.weights_view(m_prev)
-         + keep * (problem.l2_lambda * problem.weights_view(theta)))
-    C = keep * P.residuals(problem, theta)
     if problem.kind == P.BINARY_LOGISTIC:
+        # the flat layout: theta, m_prev and the residuals as vectors
+        A = beta1_t * m_prev + keep * (problem.l2_lambda * theta)
+        C = keep * P.residuals(problem, theta).ravel()
         base = float((A * A * inv_sq).sum())
         cross = np.asarray(X @ (A * inv_sq)).ravel()
         quad = np.asarray(problem.X_sq @ inv_sq).ravel()
         sq = base + 2.0 * C * cross + (C * C) * quad
         return np.sqrt(np.maximum(sq, 0.0))
+    A = (beta1_t * problem.weights_view(m_prev)
+         + keep * (problem.l2_lambda * problem.weights_view(theta)))
+    C = keep * P.residuals(problem, theta)
     inv_sq = inv_sq.reshape(A.shape)
     base = float((A * A * inv_sq).sum())
     cross = np.asarray(X @ (A * inv_sq).T)

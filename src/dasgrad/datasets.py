@@ -143,7 +143,7 @@ def load_dense_csv(path):
             labels.append(label)
             values.extend(row)
     if not labels:
-        raise DatasetFormatError(path, 0, "empty dataset file")
+        raise DatasetFormatError(path, 1, "empty dataset file")
     y = np.array(labels, dtype=np.int64)
     return Dataset(X=np.array(values).reshape(len(labels), d), y=y,
                    num_classes=int(y.max()) + 1, provenance=str(path))

@@ -16,11 +16,23 @@ identical.
 Config files are flat ``key = value`` lines with ``#`` comments; each
 ``[optimizer.<name>]`` section header starts one optimizer block. See
 ``configs/`` for working examples.
+
+``run_experiment`` and ``matching_experiment`` regret against the
+reference solve of ``metrics.solve_reference``. They run it in one helper
+process, forked (the ``fork`` start method is required) once the call's
+settings are accepted, while the parent runs every (arm, seed); so a call
+takes the longer of the solve and the runs on two cores, not their sum,
+and at most two processes run per call. Only the ReferenceSolution comes
+back, pickled over a pipe, so the written bytes are those of an
+in-process solve. ``sweep_variance`` solves its centroid problems in
+closed form in the parent.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
 import os
 import re
 from dataclasses import dataclass, fields
@@ -300,38 +312,96 @@ class ExperimentResults(dict):
                 for name in names]
 
 
-def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None):
+def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
+              reference=None):
     """Run every (arm, seed) of ``arms``, name -> (problem, OptimizerConfig),
     in order. A diverged run is recorded in ``failures``, never raised;
     out/failures.csv lists this call's failures and exists only if any.
     Target label counts that no arm's problem can draw are rejected before
-    out is made. Then removes failures.csv and every file in out whose
-    whole name matches the regular expression ``own``, the form of the
-    call's per-run and per-arm outputs, so that no earlier call's file of
-    those forms survives there, whatever seeds or arms that call ran. No
-    other file is touched."""
+    out is made or a helper starts. Then removes failures.csv and every
+    file in out whose whole name matches the regular expression ``own``,
+    the form of the call's per-run and per-arm outputs, so that no earlier
+    call's file of those forms survives there, whatever seeds or arms that
+    call ran. No other file is touched.
+
+    ``reference``, when given, holds the (problem, tol, max_iters) of a
+    ``metrics.solve_reference`` call, made in a forked helper while the
+    runs go on (see _reference_helper). Returns (ExperimentResults, that
+    call's ReferenceSolution or None)."""
     for problem, config in arms.values():
         _optimizers._check_target_counts(problem, config.target_label_counts)
-    os.makedirs(out, exist_ok=True)
-    failures_path = os.path.join(out, "failures.csv")
-    for name in os.listdir(out):
-        path = os.path.join(out, name)
-        if (name == "failures.csv" or re.fullmatch(own, name)) \
-                and os.path.isfile(path):
-            os.remove(path)
-    results = ExperimentResults()
-    for name, (problem, config) in arms.items():
-        for seed in seeds:
-            try:
-                results[name, seed] = _optimizers.run(
-                    problem, config, T, seed, metric_tick=metric_tick,
-                    eval_set=eval_set)
-            except _optimizers.DivergenceError as exc:
-                results.failures.append((name, seed, exc.step, str(exc)))
-    if results.failures:
-        _write_csv(failures_path, ["optimizer", "seed", "step", "message"],
-                   results.failures)
-    return results
+    helper = _reference_helper(*reference) if reference \
+        else contextlib.nullcontext(lambda: None)
+    with helper as solution:
+        os.makedirs(out, exist_ok=True)
+        failures_path = os.path.join(out, "failures.csv")
+        for name in os.listdir(out):
+            path = os.path.join(out, name)
+            if (name == "failures.csv" or re.fullmatch(own, name)) \
+                    and os.path.isfile(path):
+                os.remove(path)
+        results = ExperimentResults()
+        for name, (problem, config) in arms.items():
+            for seed in seeds:
+                try:
+                    results[name, seed] = _optimizers.run(
+                        problem, config, T, seed, metric_tick=metric_tick,
+                        eval_set=eval_set)
+                except _optimizers.DivergenceError as exc:
+                    results.failures.append((name, seed, exc.step, str(exc)))
+        if results.failures:
+            _write_csv(failures_path, ["optimizer", "seed", "step", "message"],
+                       results.failures)
+        return results, solution()
+
+
+@contextlib.contextmanager
+def _reference_helper(problem, tol, max_iters):
+    """Start ``metrics.solve_reference(problem, tol, max_iters)`` in one
+    child forked on entry, and yield a function that waits for its
+    ReferenceSolution. The child inherits the problem through the fork;
+    only the solution, or the exception the solve raised, comes back
+    pickled over a pipe, and that exception is raised again here. A child
+    that exits without sending either raises RuntimeError naming its exit
+    code. On exit the child is terminated if it still runs, and always
+    joined, so no helper outlives the block."""
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_solve_and_send,
+                            args=(sender, problem, tol, max_iters),
+                            daemon=True)
+    child.start()
+    sender.close()
+
+    def solution():
+        try:
+            solved, value = receiver.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(
+                "the reference solve helper exited with code %s and sent "
+                "no result" % child.exitcode) from None
+        child.join()
+        if not solved:
+            raise value
+        return value
+
+    try:
+        yield solution
+    finally:
+        child.terminate()
+        child.join()
+        receiver.close()
+
+
+def _solve_and_send(sender, *args):
+    """The helper's body: send (True, solution) or (False, the exception
+    the solve raised) to the parent."""
+    try:
+        message = True, _metrics.solve_reference(*args)
+    except Exception as exc:
+        message = False, exc
+    sender.send(message)
 
 
 def _cum_regret(runs, f_star):
@@ -341,19 +411,19 @@ def _cum_regret(runs, f_star):
 
 
 def run_experiment(config):
-    """Execute every (optimizer, seed) run, then write per-seed traces, one
+    """Execute every (optimizer, seed) run while one forked helper solves
+    the reference (see _run_arms), then write per-seed traces, one
     aggregate CSV per optimizer, a dasgrad-vs-baseline comparison CSV, and a
     metadata file. Returns the in-memory ExperimentResults of this call."""
     dataset, problem = config.problem.build()
     out = config.output_dir
     names = sorted(config.optimizers)
-    results = _run_arms({n: (problem, config.optimizers[n]) for n in names},
-                        config.seeds, config.T, config.metric_tick, out,
-                        r"trace_.+_\d+\.csv|aggregate_.+\.csv|comparison\.csv")
-    # after the runs, so that a call _run_arms rejects pays no solve; the
-    # centroid solve is closed-form and ignores tol and max_iters
-    reference = _metrics.solve_reference(problem, config.reference_tol,
-                                         config.reference_max_iters)
+    # the centroid solve is closed-form and ignores tol and max_iters
+    results, reference = _run_arms(
+        {n: (problem, config.optimizers[n]) for n in names}, config.seeds,
+        config.T, config.metric_tick, out,
+        r"trace_.+_\d+\.csv|aggregate_.+\.csv|comparison\.csv",
+        reference=(problem, config.reference_tol, config.reference_max_iters))
     for key, run in results.items():
         write_trace_csv(os.path.join(out, "trace_%s_%d.csv" % key), run,
                         reference.f_star)
@@ -490,8 +560,8 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
     if len(arms) < len(sigmas) * len(methods):
         raise ValueError("methods and sigma tags (6 significant digits) "
                          "must not repeat")
-    runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                     r"sweep_aggregate_sigma.+\.csv")
+    runs, _ = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
+                        r"sweep_aggregate_sigma.+\.csv")
 
     results = ExperimentResults(failures=runs.failures)
     summary_rows = []
@@ -528,15 +598,18 @@ def matching_experiment(seeds, output_dir, **overrides):
     """Distribution-matching protocol: unbalance two classes of a synthetic
     multiclass problem, train DASGrad with target-distribution importance
     weights against a uniform-sampling AMSGrad baseline, and compare
-    balanced-test accuracy; ``overrides`` replace MATCHING_DEFAULTS. Writes
-    a trace per completed run and a summary CSV: each arm's mean final
-    accuracy, and the paired CI of the final accuracy gap over the seeds
-    both arms completed. With fewer than two such seeds the gap lines are
-    left out and named in ``skipped``. Raises ValueError before any run on
-    a bad setting (see _protocol_settings), and before output_dir is made
-    when unbalancing leaves a class with no training row, as the balanced
-    target still weighs it (see _run_arms). Returns (ExperimentResults
-    {arm: [completed RunResult]}, (gap, lo, hi) or None)."""
+    balanced-test accuracy; ``overrides`` replace MATCHING_DEFAULTS. The
+    regret baseline (tol 1e-6, at most 2000 iterations) is solved in one
+    forked helper while the runs go on (see _run_arms). Writes a trace per
+    completed run and a summary CSV: each arm's mean final accuracy, and
+    the paired CI of the final accuracy gap over the seeds both arms
+    completed. With fewer than two such seeds the gap lines are left out
+    and named in ``skipped``. Raises ValueError before any run on a bad
+    setting (see _protocol_settings), and before output_dir is made or the
+    helper starts when unbalancing leaves a class with no training row, as
+    the balanced target still weighs it (see _run_arms). Returns
+    (ExperimentResults {arm: [completed RunResult]}, (gap, lo, hi) or
+    None)."""
     p, seeds = _protocol_settings(MATCHING_DEFAULTS, overrides, seeds)
     total = _datasets.synth_classification(
         p["n_train"] + p["n_eval"], p["d"], p["num_classes"],
@@ -558,10 +631,10 @@ def matching_experiment(seeds, output_dir, **overrides):
             "amsgrad", alpha=p["alpha"], batch_size=p["batch_size"])),
     }
 
-    runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                     r"matching_trace_.+_\d+\.csv",
-                     eval_set=(eval_ds.X, eval_ds.y))
-    reference = _metrics.solve_reference(problem, tol=1e-6, max_iters=2000)
+    runs, reference = _run_arms(arms, seeds, p["T"], p["metric_tick"],
+                                output_dir, r"matching_trace_.+_\d+\.csv",
+                                eval_set=(eval_ds.X, eval_ds.y),
+                                reference=(problem, 1e-6, 2000))
     for key, run in runs.items():
         write_trace_csv(os.path.join(output_dir, "matching_trace_%s_%d.csv"
                                      % key), run, reference.f_star)

@@ -21,9 +21,11 @@ class TestDenseCsv:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(D.DatasetFormatError):
-            D.load_dense_csv(path)
+        for text in ("", "\n  \n\n"):
+            path.write_text(text)
+            with pytest.raises(D.DatasetFormatError,
+                               match=r"empty\.csv:1: empty dataset file"):
+                D.load_dense_csv(path)
 
     def test_round_trip(self, tmp_path):
         for sparsity in (0.0, 0.5):  # a sparse dataset is written densified
@@ -100,6 +102,14 @@ class TestSparseFile:
         path.write_text("1 0:1.5\n")
         with pytest.raises(D.DatasetFormatError):
             D.load_sparse(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.sparse"
+        for text in ("#d=4 #k=2\n", "#d=4 #k=2\n\n  \n"):
+            path.write_text(text)
+            with pytest.raises(D.DatasetFormatError,
+                               match=r"empty\.sparse:1: empty dataset file"):
+                D.load_sparse(path)
 
     def test_zero_dimension_header_names_line_one(self, tmp_path):
         path = tmp_path / "d0.sparse"

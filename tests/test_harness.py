@@ -1,6 +1,8 @@
 import dataclasses
 import filecmp
+import multiprocessing
 import os
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -525,10 +527,12 @@ class TestRunSettingsRejected:
     @pytest.mark.parametrize("protocol", ["run", "matching"])
     def test_rejected_target_counts_cost_no_reference_solve(
             self, tmp_path, monkeypatch, protocol):
-        solves = []
-        solve = M.solve_reference
+        solves, forks = [], []
+        solve, fork = M.solve_reference, os.fork
         monkeypatch.setattr(M, "solve_reference", lambda *args, **kwargs: (
             solves.append(args), solve(*args, **kwargs))[1])
+        # a solve in a forked helper would escape the spy above
+        monkeypatch.setattr(os, "fork", lambda: (forks.append(1), fork())[1])
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="target label count"):
             if protocol == "run":
@@ -543,7 +547,7 @@ class TestRunSettingsRejected:
                 H.matching_experiment(range(2), str(out), n_train=200,
                                       n_eval=80, d=5, T=40, metric_tick=10,
                                       keep_fraction=0.0005)
-        assert solves == []
+        assert solves == [] and forks == []
         assert not out.exists()
 
     def test_experiment_config_rejects_a_tick_run_rejects(self):
@@ -942,6 +946,70 @@ class TestSweepAndMatching:
                                   n_train=200, n_eval=80, d=5, T=40,
                                   metric_tick=10, keep_fraction=0.0005)
         assert not out.exists()
+
+
+def call_protocol(protocol, out):
+    """One small run_experiment or matching_experiment call into ``out``."""
+    if protocol == "run":
+        return H.run_experiment(H.parse_config_text(TINY_CONFIG.format(
+            out=out)))
+    return H.matching_experiment(range(2), str(out), **SMALL_MATCHING)
+
+
+class TestReferenceHelper:
+    @pytest.mark.parametrize("make", [
+        lambda: D.make_problem(D.synth_classification(
+            60, 5, 3, margin=2.0, seed=1), P.MULTICLASS_LOGISTIC, 1e-3),
+        lambda: D.make_problem(D.synth_classification(
+            80, 6, 2, margin=2.0, sparsity=0.5, seed=2),
+            P.BINARY_LOGISTIC, 1e-3),
+        lambda: D.make_problem(D.synth_centroid(30, 4, 1.0, 3), P.CENTROID),
+    ], ids=["dense-multiclass", "csr-binary", "centroid"])
+    def test_solution_bit_equals_an_in_process_solve(self, make):
+        problem = make()
+        with H._reference_helper(problem, 1e-6, 300) as solution:
+            got = solution()
+        want = M.solve_reference(problem, 1e-6, 300)
+        assert got.theta_star.tobytes() == want.theta_star.tobytes()
+        assert (got.f_star, got.grad_norm_at_star, got.solver_iterations,
+                got.converged) == (want.f_star, want.grad_norm_at_star,
+                                   want.solver_iterations, want.converged)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("protocol", ["run", "matching"])
+    def test_run_error_propagates_and_stops_the_helper(
+            self, tmp_path, monkeypatch, protocol):
+        solve = M.solve_reference
+        monkeypatch.setattr(M, "solve_reference", lambda *args: (
+            time.sleep(60), solve(*args))[1])
+
+        def run(*args, **kwargs):
+            raise KeyError("not a divergence")
+        monkeypatch.setattr(O, "run", run)
+        start = time.perf_counter()
+        with pytest.raises(KeyError, match="not a divergence"):
+            call_protocol(protocol, tmp_path / "out")
+        # the sleeping helper was terminated, not waited for
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("protocol", ["run", "matching"])
+    def test_helper_exit_without_a_result_names_its_code(
+            self, tmp_path, monkeypatch, protocol):
+        monkeypatch.setattr(M, "solve_reference", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            call_protocol(protocol, tmp_path / "out")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("protocol", ["run", "matching"])
+    def test_solve_error_is_raised_in_the_parent(self, tmp_path, monkeypatch,
+                                                 protocol):
+        def solve(*args):
+            raise ValueError("no reference here")
+        monkeypatch.setattr(M, "solve_reference", solve)
+        with pytest.raises(ValueError, match="no reference here"):
+            call_protocol(protocol, tmp_path / "out")
+        assert multiprocessing.active_children() == []
 
 
 class TestSelfCheckAndCli:

@@ -3,11 +3,13 @@ and multi-seed aggregation with normal-approximation confidence intervals.
 A trace's regret is its loss minus f_star, summed over the ticks
 (``np.cumsum``).
 
-``tick`` is what a run records at each metric tick: the full objective,
-the gradient-norm variance and the accuracy, from one pass over X (one
-margin product for the logistic kinds, one theta - X for centroid), bit
-for bit the values of ``problems.full_objective``, the population variance
-of ``sampling.scores_apsgd`` and ``accuracy``.
+``tick`` is what a run records at its metric ticks: the full objective,
+the gradient-norm variance and the accuracy at each row of a stack of
+parameters (a run passes the ticks of one refresh block together), bit for
+bit the values of ``problems.full_objective``, the population variance of
+``sampling.scores_apsgd`` and ``accuracy`` at each row alone. A logistic
+row takes one pass over X (one margin product); centroid rows form
+theta - X in chunks of about ``_TICK_BYTES`` bytes, one pass per chunk.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from . import problems as _problems
 from . import sampling as _sampling
 
 Z_95 = 1.96
+
+# A centroid tick forms theta - X for as many rows of its stack as fit in
+# this many bytes, so that ticking a long block holds no more memory than
+# about this much.
+_TICK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,48 +90,74 @@ def backtracking_gradient_descent(problem, tol, max_iters):
 def solve_reference(problem, tol=1e-8, max_iters=5000):
     """Reference optimum. Centroid has the closed form theta* = mean(x);
     logistic problems run backtracking gradient descent and return the best
-    iterate (flagged unconverged when the cap is hit first)."""
+    iterate (flagged unconverged when the cap is hit first). Float overflow
+    and invalid values are ignored, as in ``optimizers.run``: data whose
+    loss overflows gives f_star = inf, not a numpy warning."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if problem.kind == _problems.CENTROID:
-        theta = problem.X.mean(axis=0)
-        f, g = _problems.objective_and_gradient(problem, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.kind == _problems.CENTROID:
+            theta = problem.X.mean(axis=0)
+            f, g = _problems.objective_and_gradient(problem, theta)
+            return ReferenceSolution(
+                theta_star=theta, f_star=f,
+                grad_norm_at_star=float(np.linalg.norm(g)),
+                solver_iterations=0, converged=True)
+        theta, f, iterations, converged = backtracking_gradient_descent(
+            problem, tol, max_iters)
+        g = _problems.full_gradient(problem, theta)
         return ReferenceSolution(theta_star=theta, f_star=f,
                                  grad_norm_at_star=float(np.linalg.norm(g)),
-                                 solver_iterations=0, converged=True)
-    theta, f, iterations, converged = backtracking_gradient_descent(
-        problem, tol, max_iters)
-    g = _problems.full_gradient(problem, theta)
-    return ReferenceSolution(theta_star=theta, f_star=f,
-                             grad_norm_at_star=float(np.linalg.norm(g)),
-                             solver_iterations=iterations, converged=converged)
+                                 solver_iterations=iterations,
+                                 converged=converged)
 
 
-def tick(problem, theta, eval_set=None):
-    """(loss, gvar, acc) at theta: ``problems.full_objective``, the
+def tick(problem, thetas, eval_set=None):
+    """(loss, gvar, acc) at each row of the (k, param_dim) stack thetas,
+    as three arrays of k values: ``problems.full_objective``, the
     population variance over examples of the gradient norms
     ``sampling.scores_apsgd``, and ``accuracy`` on the (X, y) pair eval_set
-    (the problem's own rows when None) from one pass over X, bit-identical
-    to the three separate calls; acc is None for centroid problems.
+    (the problem's own rows when None), bit-identical to the three separate
+    calls on each row; acc is None for centroid problems.
 
-    Centroid problems form diff = theta - X once: grad f_i = theta - x_i,
-    so the loss and the gradient norms share the squares of diff. The
-    logistic kinds form the margin product once: its losses give the
-    objective, its residuals the gradient norms (grad f_i is rank one in
-    x_i), and its argmax the training accuracy."""
-    theta = _problems._check_theta(problem, theta)
+    Centroid problems form diff = theta - X for a chunk of rows at once:
+    grad f_i = theta - x_i, so the loss and the gradient norms share the
+    squares of diff. The sums and the variance are the ufunc steps of
+    ``ndarray.sum`` and ``np.var`` taken per row. The logistic kinds tick
+    one row at a time and form its margin product once: its losses give
+    the objective, its residuals the gradient norms (grad f_i is rank one
+    in x_i), and its argmax the training accuracy."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 2 or thetas.shape[1] != problem.param_dim:
+        raise ValueError("thetas has shape %s, expected (k, %d)"
+                         % (thetas.shape, problem.param_dim))
+    k, n = len(thetas), problem.n
+    loss, gvar = np.empty(k), np.empty(k)
     if problem.kind == _problems.CENTROID:
-        sq = theta[None, :] - problem.X
-        sq *= sq
-        loss = 0.5 * float(sq.sum()) / problem.n
-        return loss, float(np.var(np.sqrt(sq.sum(axis=1)))), None
-    L, R, Z = _problems._logistic_terms(problem, theta, problem.X, problem.y,
-                                        want_loss=True, want_residuals=True)
-    loss = _problems._mean_objective(problem, theta, L)
-    gvar = float(np.var(_sampling.scores_apsgd(problem, theta, R)))
-    if eval_set is not None:
-        return loss, gvar, accuracy(problem, theta, *eval_set)
-    return loss, gvar, _share_correct(problem, Z, problem.y)
+        X = problem.X
+        step = max(1, _TICK_BYTES // X.nbytes)
+        for lo in range(0, k, step):
+            rows = slice(lo, lo + step)
+            sq = thetas[rows, None, :] - X
+            sq *= sq
+            loss[rows] = 0.5 * np.add.reduce(sq.reshape(len(sq), -1),
+                                             axis=1) / n
+            norms = np.sqrt(np.add.reduce(sq, axis=2))
+            del sq  # freed before the next chunk's sq is formed
+            norms -= np.add.reduce(norms, axis=1, keepdims=True) / n
+            norms *= norms
+            gvar[rows] = np.add.reduce(norms, axis=1) / n
+        return loss, gvar, None
+    acc = np.empty(k)
+    for row, theta in enumerate(thetas):
+        L, R, Z = _problems._logistic_terms(problem, theta, problem.X,
+                                            problem.y, want_loss=True,
+                                            want_residuals=True)
+        loss[row] = _problems._mean_objective(problem, theta, L)
+        gvar[row] = np.var(_sampling.scores_apsgd(problem, theta, R))
+        acc[row] = _share_correct(problem, Z, problem.y) \
+            if eval_set is None else accuracy(problem, theta, *eval_set)
+    return loss, gvar, acc
 
 
 def accuracy(problem, theta, X, y):

@@ -36,12 +36,16 @@ its own ``batch_size`` rows. One draw of k * batch_size uniforms is the
 same stream as k draws of batch_size, so blocks reproduce per-step
 sampling bit for bit.
 
-Every ``metric_tick`` steps the run records ``metrics.tick``: the loss,
-the gradient-norm variance and the accuracy from one pass over X. A
-diverging run raises ``DivergenceError`` at the step that makes theta
-nonfinite, the tick that reads a nonfinite loss or the refresh that reads
-nonfinite scores. ``run`` ignores float overflow and invalid values in
-its whole loop, so nothing in a run raises a numpy warning.
+Every ``metric_tick`` steps the run records the loss, the gradient-norm
+variance and the accuracy. A block keeps the theta of each of its tick
+steps and takes them in one ``metrics.tick`` call on their stack when the
+block ends, the same values as one call per tick step. A diverging run
+raises ``DivergenceError`` at the step that makes theta nonfinite, the
+tick that reads a nonfinite loss or the refresh that reads nonfinite
+scores, whichever comes first: when a step diverges, the block's pending
+ticks are taken first, so a nonfinite loss at an earlier tick is still the
+error raised. ``run`` ignores float overflow and invalid values in its
+whole loop, so nothing in a run raises a numpy warning.
 """
 
 from __future__ import annotations
@@ -218,13 +222,16 @@ def step_general(problem, theta, state, batch, config, t):
     theta."""
     X, y, w = batch
     G = _problems.batch_gradients(problem, theta, X, y)
+    # np.add.reduce(a, axis=0) / len(a) is what a.mean(axis=0) computes,
+    # without the Python wrapper it pays on every step
+    B = len(G)
     if w is None:
         # w * G would be G and w.mean() one, bit for bit
-        g_weighted = g_state = G.mean(axis=0)
+        g_weighted = g_state = np.add.reduce(G, axis=0) / B
         w_mean = 1.0
     else:
-        g_weighted = (w[:, None] * G).mean(axis=0)
-        w_mean = w.mean()
+        g_weighted = np.add.reduce(w[:, None] * G, axis=0) / B
+        w_mean = np.add.reduce(w) / B
         # Without target counts the recursion takes the raw batch mean of
         # the sampled gradients. Target mode feeds the corrected estimate
         # instead: its weights recenter the stream on the target-distribution
@@ -234,7 +241,7 @@ def step_general(problem, theta, state, batch, config, t):
         if config.target_label_counts is not None:
             g_state = g_weighted
         else:
-            g_state = G.mean(axis=0)
+            g_state = np.add.reduce(G, axis=0) / B
 
     method = config.method
     lo, hi = config.projection
@@ -255,7 +262,7 @@ def step_general(problem, theta, state, batch, config, t):
                      + (1.0 - beta1_t) * g_weighted) / denom
     # OptimizerConfig guarantees lo <= hi
     new_theta = np.clip(theta - config.alpha / np.sqrt(t) * direction, lo, hi)
-    if not np.all(np.isfinite(new_theta)):
+    if not np.isfinite(new_theta).all():
         raise DivergenceError(t)
     return new_theta
 
@@ -354,22 +361,44 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
             if _wants_refresh(config, t):
                 refresh_probabilities(problem, theta, state, config, tree, t)
             X, y, w = draw_batch(problem, tree, rng, config, (end - t) * B)
-            for lo in range(0, len(y), B):
-                rows = slice(lo, lo + B)
-                batch = X[rows], y[rows], None if w is None else w[rows]
-                theta = step_general(problem, theta, state, batch, config, t)
-                if t % metric_tick == 0:
-                    loss, gvar, acc = _metrics.tick(problem, theta, eval_set)
-                    if not (math.isfinite(loss) and math.isfinite(gvar)):
-                        raise DivergenceError(t, "nonfinite loss")
-                    ticks.append(t)
-                    losses.append(loss)
-                    gvars.append(gvar)
-                    accs.append(acc)
-                t += 1
+            due, thetas = [], []    # the block's tick steps and their theta
+            try:
+                for lo in range(0, len(y), B):
+                    rows = slice(lo, lo + B)
+                    batch = X[rows], y[rows], None if w is None else w[rows]
+                    theta = step_general(problem, theta, state, batch, config,
+                                         t)
+                    if t % metric_tick == 0:
+                        due.append(t)
+                        thetas.append(theta)
+                    t += 1
+            except DivergenceError:
+                # a pending tick comes before the diverging step: its
+                # nonfinite loss is the run's first divergence
+                if due:
+                    _tick_block(problem, due, thetas, eval_set)
+                raise
+            if due:
+                loss, gvar, acc = _tick_block(problem, due, thetas, eval_set)
+                ticks += due
+                losses.extend(loss)
+                gvars.extend(gvar)
+                if acc is not None:
+                    accs.extend(acc)
 
     return RunResult(ticks=np.array(ticks, dtype=np.int64),
                      loss=np.array(losses),
                      accuracy=None if problem.kind == _problems.CENTROID
                      else np.array(accs),
                      grad_norm_var=np.array(gvars), theta=theta, seed=seed)
+
+
+def _tick_block(problem, due, thetas, eval_set):
+    """``metrics.tick`` at the stack of thetas, the parameters after the
+    steps due. The first step whose loss or gradient-norm variance is not
+    finite raises DivergenceError."""
+    loss, gvar, acc = _metrics.tick(problem, thetas, eval_set)
+    bad = ~(np.isfinite(loss) & np.isfinite(gvar))
+    if bad.any():
+        raise DivergenceError(due[bad.argmax()], "nonfinite loss")
+    return loss, gvar, acc

@@ -93,6 +93,26 @@ batch_size = 2
 box = -inf,inf
 """
 
+# features near 1e200: the loss overflows at the first tick of every run,
+# and in the reference solve
+LOSS_OVERFLOW_CONFIG = """
+kind = centroid
+n = 24
+d = 4
+sigma = 1e200
+T = 40
+seeds = 0,1
+metric_tick = 5
+output_dir = {out}
+[optimizer.sgd]
+method = sgd
+alpha = 0.1
+batch_size = 2
+[optimizer.amsgrad]
+method = amsgrad
+batch_size = 2
+"""
+
 # sgd at a step near 1e154: the sum in the batch gradients' mean overflows
 # on the step that makes theta nonfinite, step 3 on seed 0 and step 2 on
 # seeds 1 and 2
@@ -1061,6 +1081,18 @@ class TestSelfCheckAndCli:
         assert [(r[0], r[1], r[3]) for r in read_rows(out / "failures.csv")] \
             == [("ap", seed, "nonfinite scores at step 69")
                 for seed in ("0", "1")]
+
+    def test_cli_run_reports_an_overflowing_loss_as_divergence(self,
+                                                              tmp_path):
+        out = tmp_path / "loss"
+        cfg_path = tmp_path / "loss.cfg"
+        cfg_path.write_text(LOSS_OVERFLOW_CONFIG.format(out=out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert C.main(["run", "--config", str(cfg_path)]) == 1
+        assert [r[:4] for r in read_rows(out / "failures.csv")] == [
+            [method, seed, "5", "nonfinite loss at step 5"]
+            for method in ("amsgrad", "sgd") for seed in ("0", "1")]
 
     def test_cli_run_reports_an_overflowing_batch_mean_as_divergence(
             self, tmp_path):

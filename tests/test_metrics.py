@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,6 +50,15 @@ class TestSolveReference:
         for _ in range(100):
             theta = rng.standard_normal(prob.param_dim)
             assert ref.f_star <= P.full_objective(prob, theta) + 1e-12
+
+    def test_overflowing_centroid_loss_is_inf_without_a_warning(self):
+        rng = np.random.default_rng(3)
+        prob = centroid_problem(1e200 * rng.standard_normal((8, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = M.solve_reference(prob)
+        assert ref.f_star == np.inf
+        assert ref.converged
 
     def test_unconverged_is_flagged(self):
         rng = np.random.default_rng(2)
@@ -268,6 +278,40 @@ def tick_problem(kind, storage, rng, n=30, d=6):
     return P.Problem(X, y, kind, l2_lambda=0.05, num_classes=k)
 
 
+def single_tick(problem, theta, eval_set=None):
+    """The single-theta tick that the stacked ``M.tick`` replaced, as it
+    was: the oracle for each row of a stack."""
+    theta = P._check_theta(problem, theta)
+    if problem.kind == P.CENTROID:
+        sq = theta[None, :] - problem.X
+        sq *= sq
+        loss = 0.5 * float(sq.sum()) / problem.n
+        return loss, float(np.var(np.sqrt(sq.sum(axis=1)))), None
+    L, R, Z = P._logistic_terms(problem, theta, problem.X, problem.y,
+                                want_loss=True, want_residuals=True)
+    loss = P._mean_objective(problem, theta, L)
+    gvar = float(np.var(S.scores_apsgd(problem, theta, R)))
+    if eval_set is not None:
+        return loss, gvar, M.accuracy(problem, theta, *eval_set)
+    return loss, gvar, M._share_correct(problem, Z, problem.y)
+
+
+def assert_ticks_are_single_ticks(problem, thetas, eval_set=None):
+    loss, gvar, acc = M.tick(problem, thetas, eval_set)
+    singles = [single_tick(problem, theta, eval_set) for theta in thetas]
+    expect = np.array([s[:2] for s in singles]).T
+    assert loss.tobytes() == expect[0].tobytes()
+    assert gvar.tobytes() == expect[1].tobytes()
+    if problem.kind == P.CENTROID:
+        assert acc is None
+    else:
+        assert acc.tobytes() == np.array([s[2] for s in singles]).tobytes()
+
+
+# rows of the sweep's centroid problem (n = 200, d = 10) per chunk
+SWEEP_CHUNK = M._TICK_BYTES // (200 * 10 * 8)
+
+
 class TestTick:
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("kind", P.KINDS)
@@ -275,22 +319,59 @@ class TestTick:
         rng = np.random.default_rng(17)
         prob = tick_problem(kind, storage, rng)
         held_out = tick_problem(kind, storage, rng, n=11)
-        for scale in (0.0, 1.0, 30.0):
-            theta = scale * rng.standard_normal(prob.param_dim)
-            for eval_set in (None, (held_out.X, held_out.y)):
-                loss, gvar, acc = M.tick(prob, theta, eval_set)
-                assert loss == P.full_objective(prob, theta)
-                assert gvar == gradient_norm_variance(prob, theta)
+        thetas = np.array([scale * rng.standard_normal(prob.param_dim)
+                           for scale in (0.0, 1.0, 30.0)])
+        for eval_set in (None, (held_out.X, held_out.y)):
+            loss, gvar, acc = M.tick(prob, thetas, eval_set)
+            for row, theta in enumerate(thetas):
+                assert loss[row] == P.full_objective(prob, theta)
+                assert gvar[row] == gradient_norm_variance(prob, theta)
                 if kind == P.CENTROID:
                     assert acc is None
                     continue
                 X, y = eval_set or (prob.X, prob.y)
-                assert acc == M.accuracy(prob, theta, X, y)
+                assert acc[row] == M.accuracy(prob, theta, X, y)
+
+    @pytest.mark.parametrize("k", [1, SWEEP_CHUNK, SWEEP_CHUNK + 1,
+                                   2 * SWEEP_CHUNK + 3])
+    def test_centroid_stack_is_single_ticks_across_chunks(self, k):
+        rng = np.random.default_rng(18)
+        prob = P.Problem(*H._gaussian_rows(rng, 200, 10, 1), P.CENTROID)
+        thetas = rng.standard_normal((k, 10)) * rng.choice([0.1, 1, 30],
+                                                           (k, 1))
+        assert_ticks_are_single_ticks(prob, thetas)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("kind", [P.BINARY_LOGISTIC,
+                                      P.MULTICLASS_LOGISTIC])
+    def test_logistic_stack_is_single_ticks(self, kind, storage):
+        # d = 5: rows of the stack sit at offsets that are not multiples of
+        # 16 bytes
+        rng = np.random.default_rng(19)
+        prob = tick_problem(kind, storage, rng, d=5)
+        held_out = tick_problem(kind, storage, rng, n=11, d=5)
+        thetas = rng.standard_normal((7, prob.param_dim)) * 3.0
+        for eval_set in (None, (held_out.X, held_out.y)):
+            assert_ticks_are_single_ticks(prob, thetas, eval_set)
+
+    def test_centroid_stack_memory_is_bounded_by_the_chunk(self):
+        rng = np.random.default_rng(20)
+        prob = P.Problem(*H._gaussian_rows(rng, 200, 10, 1), P.CENTROID)
+        thetas = rng.standard_normal((512, 10))
+        tracemalloc.start()
+        try:
+            M.tick(prob, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one pass over all 512 rows would hold 8 MB of theta - X
+        assert peak <= 2 * M._TICK_BYTES
 
     def test_rejects_wrong_theta_shape(self):
         prob = centroid_problem([[0.0, 1.0]])
-        with pytest.raises(ValueError):
-            M.tick(prob, np.zeros(3))
+        for thetas in (np.zeros((1, 3)), np.zeros(2)):
+            with pytest.raises(ValueError):
+                M.tick(prob, thetas)
 
 
 class TestAccuracy:

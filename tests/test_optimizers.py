@@ -666,6 +666,73 @@ def test_divergence_is_raised_at_the_parent_loops_step(method, alpha, T,
     assert engine.value.step == parent.value.step
 
 
+@pytest.mark.parametrize("metric_tick", [1, 2, 7])
+@pytest.mark.parametrize("kind", P.KINDS)
+@pytest.mark.parametrize("method", ["sgd", "ap_sgd", "dasgrad"])
+def test_block_ticks_are_the_parent_loops_ticks(method, kind, metric_tick):
+    # every step, every other step and a tick grid that crosses the blocks
+    # of each schedule unevenly
+    for is_sparse in (False, True):
+        problem = _bit_check_problem(kind, is_sparse)
+        for period, batch in _BIT_CHECK_SCHEDULES:
+            cfg = O.OptimizerConfig(method=method, alpha=0.2,
+                                    batch_size=batch, refresh_period=period)
+            _assert_same_trace(problem, cfg, 24, 3, metric_tick,
+                               (method, kind, is_sparse, period, batch))
+
+
+def _diverge_at(monkeypatch, step):
+    """Make step_general raise DivergenceError at the given step."""
+    step_general = O.step_general
+
+    def diverging(problem, theta, state, batch, config, t):
+        if t == step:
+            raise O.DivergenceError(t)
+        return step_general(problem, theta, state, batch, config, t)
+
+    monkeypatch.setattr(O, "step_general", diverging)
+
+
+def test_a_pending_nonfinite_tick_precedes_a_later_step_divergence(
+        monkeypatch):
+    # features near 1e200 overflow the loss at every tick while theta stays
+    # in its box; ticks at 2 and 4 are pending when step 5 of the same
+    # refresh block diverges
+    rng = np.random.default_rng(4)
+    problem = P.Problem(1e200 * rng.standard_normal((12, 3)),
+                        np.zeros(12, dtype=np.int64), P.CENTROID)
+    cfg = O.OptimizerConfig(method="sgd", alpha=0.1, batch_size=2,
+                            refresh_period=10)
+    _diverge_at(monkeypatch, 5)
+    with pytest.raises(O.DivergenceError,
+                       match="^nonfinite loss at step 2$") as err:
+        O.run(problem, cfg, T=20, seed=0, metric_tick=2)
+    assert err.value.step == 2
+
+
+def test_a_step_divergence_after_finite_pending_ticks_is_reported(
+        monkeypatch):
+    problem = _bit_check_problem(P.CENTROID, False)
+    cfg = O.OptimizerConfig(method="amsgrad", alpha=0.2, batch_size=2,
+                            refresh_period=10)
+    _diverge_at(monkeypatch, 5)
+    with pytest.raises(O.DivergenceError,
+                       match="^nonfinite update at step 5$") as err:
+        O.run(problem, cfg, T=20, seed=0, metric_tick=2)
+    assert err.value.step == 5
+
+
+@pytest.mark.parametrize("kind", P.KINDS)
+def test_a_run_ending_mid_block_records_its_last_ticks(kind):
+    # the last block holds steps 10-13 of a 10-step period
+    problem = _bit_check_problem(kind, False)
+    cfg = O.OptimizerConfig(method="dasgrad", alpha=0.2, batch_size=2,
+                            refresh_period=10)
+    result = O.run(problem, cfg, T=13, seed=3, metric_tick=2)
+    assert result.ticks.tolist() == [2, 4, 6, 8, 10, 12]
+    _assert_same_trace(problem, cfg, 13, 3, 2, kind)
+
+
 @pytest.mark.parametrize("method",
                          ["adagrad", "rmsprop", "adam", "amsgrad", "dasgrad"])
 def test_moment_overflow_diverges_without_a_warning(method):

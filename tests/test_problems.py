@@ -333,9 +333,9 @@ class TestBinaryOneRowLayout:
             == y_eval))
         assert M.accuracy(prob, theta, X_eval, y_eval) == eval_acc
         gvar = float(np.var(flat_norms))
-        assert M.tick(prob, theta) == (f, gvar, flat_acc)
-        assert M.tick(prob, theta, (X_eval, y_eval)) == (f, gvar,
-                                                         eval_acc)
+        for eval_set, acc in ((None, flat_acc), ((X_eval, y_eval), eval_acc)):
+            ticked = M.tick(prob, theta[None, :], eval_set)
+            assert tuple(m[0] for m in ticked) == (f, gvar, acc)
 
 
 class TestFiniteDifferenceCheck:

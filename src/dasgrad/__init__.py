@@ -50,8 +50,6 @@ from .metrics import (
 )
 from .datasets import (
     Dataset,
-    Example,
-    SparseVector,
     box_muller,
     load_dense_csv,
     load_sparse,

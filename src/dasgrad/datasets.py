@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -26,38 +27,20 @@ from scipy import sparse
 from .problems import Problem
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sparse feature vector: strictly increasing 0-based indices and the
-    matching nonzero values. The dimension lives with the owning dataset."""
+class SparseRow(NamedTuple):
+    """A sparse row of a Dataset: its slices of the CSR index and value
+    arrays, strictly increasing 0-based indices and nonzero values."""
 
     indices: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be 1-d and equal length")
-        if idx.size and np.any(np.diff(idx) <= 0):
-            raise ValueError("indices must be strictly increasing")
-        if idx.size and idx[0] < 0:
-            raise ValueError("indices must be nonnegative")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("values must be finite")
-        if np.any(val == 0.0):
-            raise ValueError("zero values must not be stored")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
 
-
-@dataclass(frozen=True)
-class Example:
-    """One row of a Dataset: features (dense array or SparseVector) and an
+class Row(NamedTuple):
+    """One row of a Dataset: features (a dense row or a SparseRow) and an
     integer class label in [0, K)."""
 
-    features: np.ndarray | SparseVector
-    label: int = 0
+    features: np.ndarray | SparseRow
+    label: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +66,16 @@ class Dataset:
 
     @property
     def examples(self) -> list:
-        """The rows as Example objects, built on each access for callers
-        that read rows one at a time; a sparse row is a SparseVector over
-        its slice of the CSR arrays, so X is never densified."""
+        """The rows as (features, label) records, built on each access for
+        callers that read rows one at a time. Features are views of X: a
+        dense row, or a sparse row's (indices, values) slices of the CSR
+        arrays, so X is never densified or copied."""
+        labels = self.y.tolist()
         if not sparse.issparse(self.X):
-            return [Example(row, int(label))
-                    for row, label in zip(self.X, self.y)]
-        X = self.X
-        return [Example(SparseVector(X.indices[a:b], X.data[a:b]), int(label))
-                for a, b, label in zip(X.indptr[:-1], X.indptr[1:], self.y)]
+            return list(map(Row, self.X, labels))
+        X, bounds = self.X, self.X.indptr.tolist()
+        return [Row(SparseRow(X.indices[a:b], X.data[a:b]), label)
+                for a, b, label in zip(bounds[:-1], bounds[1:], labels)]
 
     def label_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=self.num_classes)

@@ -87,7 +87,8 @@ class ExperimentConfig:
     reference_max_iters: int = 2000
 
     def __post_init__(self):
-        _check_run_settings(self.T, self.metric_tick, self.seeds, 1)
+        object.__setattr__(self, "seeds", _check_run_settings(
+            self.T, self.metric_tick, self.seeds, 1))
         if not self.optimizers:
             raise ValueError("need at least one optimizer")
         if not self.reference_tol > 0:
@@ -180,13 +181,15 @@ _PROBLEM_FIELDS = {f.name for f in fields(ProblemSpec)}
 
 
 def parse_config_text(text, base_dir="."):
-    """Parse the flat key = value format into an ExperimentConfig. An
-    unknown key or an unparsable or out-of-range value raises ValueError
-    naming its line, and a rejected optimizer section names its header
-    line."""
+    """Parse the flat key = value format into an ExperimentConfig; a
+    section's method is its name unless a ``method`` line says otherwise.
+    An unknown key, an unparsable or out-of-range value and a nonzero
+    lambda on a centroid problem raise ValueError naming their line, and a
+    rejected optimizer section names its header line."""
     globals_kv = {}
     optimizer_kv = {}
     header_line = {}
+    lambda_line = None
     current = globals_kv
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -200,7 +203,7 @@ def parse_config_text(text, base_dir="."):
             if not name or name in optimizer_kv:
                 raise ValueError("line %d: bad or duplicate optimizer name"
                                  % line_no)
-            current = optimizer_kv[name] = {"method": "sgd"}
+            current = optimizer_kv[name] = {"method": name}
             header_line[name] = line_no
             continue
         if "=" not in line:
@@ -213,7 +216,13 @@ def parse_config_text(text, base_dir="."):
             current[_FIELD_OF_KEY.get(key, key)] = parsers[key](value)
         except ValueError as exc:
             raise ValueError("line %d: %s" % (line_no, exc)) from None
+        if key == "lambda":
+            lambda_line = line_no
 
+    if globals_kv.get("kind", _problems.CENTROID) == _problems.CENTROID \
+            and globals_kv.get("l2_lambda", 0.0) != 0.0:
+        raise ValueError("line %d: lambda must be 0 for a centroid problem, "
+                         "whose loss has no L2 term" % lambda_line)
     if not optimizer_kv:
         raise ValueError("config defines no [optimizer.*] section")
     optimizers = {}
@@ -313,9 +322,11 @@ class ExperimentResults(dict):
 
 
 def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
-              reference=None):
+              reference=None, f_stars=None):
     """Run every (arm, seed) of ``arms``, name -> (problem, OptimizerConfig),
-    in order. A diverged run is recorded in ``failures``, never raised;
+    in order. A run that diverged, or whose cumulative regret against
+    ``f_stars[arm]`` (default: the reference's f_star) is not finite at a
+    tick, is recorded in ``failures``, never raised, and has no entry;
     out/failures.csv lists this call's failures and exists only if any.
     Target label counts that no arm's problem can draw are rejected before
     out is made or a helper starts. Then removes failures.csv and every
@@ -349,10 +360,20 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
                         eval_set=eval_set)
                 except _optimizers.DivergenceError as exc:
                     results.failures.append((name, seed, exc.step, str(exc)))
+        solved = solution()
+        for (name, seed), run in list(results.items()):
+            f_star = solved.f_star if f_stars is None else f_stars[name]
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(np.cumsum(run.loss - f_star))
+            if not finite.all():
+                step = int(run.ticks[finite.argmin()])
+                del results[name, seed]
+                results.failures.append(
+                    (name, seed, step, "nonfinite regret at step %d" % step))
         if results.failures:
             _write_csv(failures_path, ["optimizer", "seed", "step", "message"],
                        results.failures)
-        return results, solution()
+        return results, solved
 
 
 @contextlib.contextmanager
@@ -546,22 +567,23 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
         raise ValueError("the sweep compares dasgrad against a baseline")
     baseline = next(m for m in methods if m != "dasgrad")
 
-    arms, per_sigma = {}, []
+    arms, per_sigma, f_stars = {}, [], {}
     for sigma in sigmas:
         tag = ("%g" % sigma).replace(".", "p")
         problem = _datasets.make_problem(_datasets.synth_centroid(
             p["n"], p["d"], sigma, p["data_seed"]), _problems.CENTROID)
         names = ["%s_sigma%s" % (m, tag) for m in methods]
+        f_star = _metrics.solve_reference(problem).f_star
         for name, method in zip(names, methods):
             arms[name] = (problem, convex_preset(
                 method, alpha=p["alpha"], batch_size=p["batch_size"]))
-        per_sigma.append((sigma, tag, names,
-                          _metrics.solve_reference(problem).f_star))
+        f_stars.update(dict.fromkeys(names, f_star))
+        per_sigma.append((sigma, tag, names, f_star))
     if len(arms) < len(sigmas) * len(methods):
         raise ValueError("methods and sigma tags (6 significant digits) "
                          "must not repeat")
     runs, _ = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                        r"sweep_aggregate_sigma.+\.csv")
+                        r"sweep_aggregate_sigma.+\.csv", f_stars=f_stars)
 
     results = ExperimentResults(failures=runs.failures)
     summary_rows = []
@@ -578,7 +600,8 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
                              [(m, cums[m][1]) for m in methods])
         finals = {m: np.array([c[-1] for c in cums[m][0]]) for m in methods}
         summary_rows.append([float(v) for v in (
-            (sigma, finals["dasgrad"].mean(), finals[baseline].mean())
+            (sigma, _metrics._rescaled(np.mean, finals["dasgrad"]),
+             _metrics._rescaled(np.mean, finals[baseline]))
             + _metrics.paired_ci(finals[baseline], finals["dasgrad"]))])
 
     _write_csv(os.path.join(output_dir, "sweep_summary.csv"),
@@ -675,24 +698,13 @@ def self_check(verbose=True):
                        worst < 1e-5))
 
     weights = 0.1 + np.random.default_rng(7).random(1000)
-    tree = _sampling.SamplingTree(weights)
-    draws = tree.sample_many(np.random.default_rng(7), 200_000)
+    draws = _sampling.SamplingTree(weights).sample_many(
+        np.random.default_rng(7), 200_000)
     freq = np.bincount(draws, minlength=1000) / 200_000
     p = weights / weights.sum()
     bound = 4.0 * np.sqrt(p * (1 - p) / 200_000)
     sampler_ok = bool(np.all(np.abs(freq - p) <= bound))
     checks.append(("sampler law (200k draws, 4 sigma)", sampler_ok))
-
-    upd_rng = np.random.default_rng(8)
-    for _ in range(2000):
-        tree.update(int(upd_rng.integers(0, 1000)),
-                    0.1 + upd_rng.random())
-    checks.append(("running-sum invariant after updates",
-                   np.array_equal(tree.cdf, np.cumsum(tree.leaves()))))
-
-    tree.set_all(0.1 + upd_rng.random(1000))
-    checks.append(("running-sum invariant after set_all",
-                   np.array_equal(tree.cdf, np.cumsum(tree.leaves()))))
 
     id_rng = np.random.default_rng(9)
     ident_ok = True

@@ -198,23 +198,20 @@ def aggregate_runs(traces):
     if any(t.shape != length for t in traces):
         raise ValueError("traces disagree on tick grid length")
     stack = np.vstack(traces)
-    n = stack.shape[0]
-    mean = stack.mean(axis=0)
-    half = Z_95 * _spread(lambda s: s.std(axis=0, ddof=1), stack) / np.sqrt(n)
-    return AggregateTrace(mean=mean, ci_low=mean - half, ci_high=mean + half,
-                          n_seeds=n)
+    mean, lo, hi = _ci(lambda s: s.mean(axis=0),
+                       lambda s: s.std(axis=0, ddof=1), len(stack), stack)
+    return AggregateTrace(mean=mean, ci_low=lo, ci_high=hi,
+                          n_seeds=len(stack))
 
 
 def paired_ci(values_a, values_b):
     """Mean and 95% CI of per-seed differences a_s - b_s."""
-    diff = np.asarray(values_a, dtype=np.float64) - np.asarray(values_b,
-                                                               dtype=np.float64)
-    n = diff.size
-    if n < 2:
+    a = np.asarray(values_a, dtype=np.float64)
+    b = np.asarray(values_b, dtype=np.float64)
+    if a.size < 2:
         raise ValueError("need at least two paired seeds")
-    mean = diff.mean()
-    half = Z_95 * _spread(lambda d: d.std(ddof=1), diff) / np.sqrt(n)
-    return mean, mean - half, mean + half
+    return _ci(lambda a, b: (a - b).mean(),
+               lambda a, b: (a - b).std(ddof=1), a.size, a, b)
 
 
 def unpaired_ci(values_a, values_b):
@@ -224,26 +221,33 @@ def unpaired_ci(values_a, values_b):
     b = np.asarray(values_b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least two seeds per side")
-    mean = a.mean() - b.mean()
-    half = Z_95 * _spread(lambda a, b: np.sqrt(a.var(ddof=1) / a.size
-                                               + b.var(ddof=1) / b.size),
-                          a, b)
-    return mean, mean - half, mean + half
+    # the spread is already a standard error: n = 1
+    return _ci(lambda a, b: a.mean() - b.mean(),
+               lambda a, b: np.sqrt(a.var(ddof=1) / a.size
+                                    + b.var(ddof=1) / b.size), 1, a, b)
 
 
-def _spread(formula, *samples):
-    """formula(*samples): a spread that scales linearly with the samples
-    (a standard deviation along axis 0, or a root of summed variances).
-    Its squares overflow for finite samples above about 1e154. Only where
-    the plain result is not finite is the formula taken again on the
-    samples divided by their largest magnitude (per column) and scaled
-    back, so a spread that does not overflow keeps its bits."""
+def _ci(mean, spread, n, *samples):
+    """(m, m - h, m + h) with m = mean(*samples) and h = 1.96 *
+    spread(*samples) / sqrt(n), both formulas taken by _rescaled; a bound
+    beyond the float range is an infinity, not a numpy warning."""
+    mean, spread = _rescaled(mean, *samples), _rescaled(spread, *samples)
+    with np.errstate(over="ignore"):
+        half = Z_95 * spread / np.sqrt(n)
+        return mean, mean - half, mean + half
+
+
+def _rescaled(formula, *samples):
+    """formula(*samples), linear in the samples' scale (a mean or a spread)
+    but overflowing on the way for large finite samples: only where the
+    plain value is not finite is it taken again on the samples divided by
+    their largest magnitude (per column) and scaled back."""
     with np.errstate(over="ignore", invalid="ignore"):
-        spread = formula(*samples)
-        bad = ~np.isfinite(spread)
+        value = formula(*samples)
+        bad = ~np.isfinite(value)
         if not bad.any():
-            return spread
+            return value
         scale = np.maximum.reduce([np.abs(s).max(axis=0) for s in samples])
         scale = np.where(scale > 0, scale, 1.0)
         return np.where(bad, scale * formula(*(s / scale for s in samples)),
-                        spread)[()]
+                        value)[()]

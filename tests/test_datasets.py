@@ -144,6 +144,26 @@ class TestSparseFile:
             assert a.label == b.label
 
 
+class TestExamples:
+    def test_rows_are_records_viewing_the_packed_arrays(self, tmp_path):
+        dense = D.Dataset(np.arange(6.0).reshape(3, 2),
+                          np.array([1, 0, 1], dtype=np.int64), 2, "dense")
+        features, label = dense.examples[1]
+        assert np.shares_memory(features, dense.X)
+        assert type(label) is int and label == 0
+        path = tmp_path / "rows.sparse"
+        path.write_text("#d=4 #k=2\n1 0:1.5 3:2.0\n0\n0 2:-1.0\n")
+        ds = D.load_sparse(path)
+        rows = ds.examples
+        assert [len(f.indices) for f, _ in rows] == [2, 0, 1]
+        (indices, values), label = rows[2]
+        assert label == 0
+        assert np.shares_memory(indices, ds.X.indices)
+        assert np.shares_memory(values, ds.X.data)
+        np.testing.assert_array_equal(indices, [2])
+        np.testing.assert_array_equal(values, [-1.0])
+
+
 class TestSynthCentroid:
     def test_sigma_zero_degenerate(self):
         ds = D.synth_centroid(10, 3, 0.0, seed=1)

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import math
 import multiprocessing
 import os
 import time
@@ -132,6 +133,31 @@ batch_size = 2
 box = -inf,inf
 """
 
+# one point near 7e154: every loss, near 7.6e307, is finite, but the sum
+# in the mean of the three seeds' losses or regrets overflows
+MEAN_OVERFLOW_CONFIG = """
+kind = centroid
+n = 1
+d = 1
+sigma = 7e154
+T = 5
+seeds = 0,1,2
+metric_tick = 5
+output_dir = {out}
+[optimizer.sgd]
+method = sgd
+batch_size = 2
+[optimizer.dasgrad]
+method = dasgrad
+batch_size = 2
+"""
+
+# one point near 6e154: each tick's regret, near 5.6e307, is finite, but
+# their running sum overflows at step 20 on every run
+REGRET_OVERFLOW_CONFIG = MEAN_OVERFLOW_CONFIG.replace(
+    "sigma = 7e154", "sigma = 6e154").replace("T = 5", "T = 20").replace(
+    "seeds = 0,1,2", "seeds = 0,1")
+
 # a dense CSV of 23 one-dimensional rows at 0 and one at 1
 PARTIAL_DIVERGENCE_DATA = "0,0\n" * 23 + "0,1\n"
 
@@ -240,6 +266,27 @@ class TestConfigParsing:
     def test_bad_problem_key_names_its_line(self, line, message):
         with pytest.raises(ValueError, match="^line 2: " + message):
             H.parse_config_text("T = 5\n" + line + "\n[optimizer.a]\n")
+
+    def test_method_defaults_to_the_section_name(self):
+        cfg = H.parse_config_text("[optimizer.dasgrad]\nbatch_size = 2\n"
+                                  "[optimizer.fast]\nmethod = sgd\n")
+        assert cfg.optimizers["dasgrad"].method == "dasgrad"
+        assert cfg.optimizers["fast"].method == "sgd"
+
+    def test_section_named_for_no_method_needs_a_method_line(self):
+        with pytest.raises(ValueError, match=r"^line 2: \[optimizer\.fast\]: "
+                                             r"unknown method 'fast'$"):
+            H.parse_config_text("T = 5\n[optimizer.fast]\nbatch_size = 2\n")
+
+    @pytest.mark.parametrize("kind", ["", "kind = centroid\n"])
+    def test_lambda_on_a_centroid_problem_names_its_line(self, kind):
+        with pytest.raises(ValueError, match="^line 2: lambda must be 0 "
+                                             "for a centroid problem"):
+            H.parse_config_text("T = 10\nlambda = 0.5\n" + kind
+                                + "[optimizer.sgd]\n")
+        cfg = H.parse_config_text("T = 10\nlambda = 0\n" + kind
+                                  + "[optimizer.sgd]\n")
+        assert cfg.problem.l2_lambda == 0.0
 
     def test_repo_configs_use_only_known_keys(self):
         root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -570,6 +617,32 @@ class TestRunSettingsRejected:
         assert solves == [] and forks == []
         assert not out.exists()
 
+    def test_experiment_config_keeps_a_one_shot_iterable_of_seeds(
+            self, tmp_path):
+        out = tmp_path / "gen"
+        config = H.ExperimentConfig(
+            problem=H.ProblemSpec(kind=P.CENTROID, n=10, d=2),
+            optimizers={"sgd": H.convex_preset("sgd", batch_size=2)},
+            T=10, seeds=(s for s in (0, 1)), metric_tick=5,
+            output_dir=str(out))
+        assert config.seeds == (0, 1)
+        assert sorted(H.run_experiment(config)) == [("sgd", 0), ("sgd", 1)]
+        assert "seeds = 0,1" in (out / "metadata.txt").read_text().split("\n")
+
+    def test_cli_run_rejects_lambda_on_a_centroid_problem(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "bad"
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(OWNED_CONFIG.format(out=out, seeds="0,1").replace(
+            "T = 20", "T = 20\nlambda = 0.5"))
+        with pytest.raises(SystemExit) as err:
+            C.main(["run", "--config", str(cfg_path)])
+        assert err.value.code == 2
+        assert ("line 6: lambda must be 0 for a centroid problem"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_experiment_config_rejects_a_tick_run_rejects(self):
         with pytest.raises(ValueError, match="metric_tick"):
             H.ExperimentConfig(problem=H.ProblemSpec(kind=P.CENTROID),
@@ -871,6 +944,42 @@ class TestSweepAndMatching:
                                     **SMALL_SWEEP).failures
         assert not (out / "failures.csv").exists()
 
+    def test_sweep_reports_an_overflowing_regret_sum(self, tmp_path):
+        # REGRET_OVERFLOW_CONFIG's point, in a sweep
+        out = tmp_path / "sweep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = H.sweep_variance([6e154], range(2), str(out), n=1,
+                                       d=1, T=20, metric_tick=5,
+                                       batch_size=2, data_seed=0)
+        assert results.failures == [
+            ("%s_sigma6e+154" % m, s, 20, "nonfinite regret at step 20")
+            for m in ("amsgrad", "dasgrad") for s in (0, 1)]
+        assert results[6e154] == {"amsgrad": [], "dasgrad": []}
+        assert results.skipped == ["sweep_aggregate_sigma6e+154.csv"]
+        assert sorted(os.listdir(out)) == ["failures.csv",
+                                           "sweep_summary.csv"]
+
+    def test_matching_reports_an_overflowing_regret_sum(self, tmp_path,
+                                                        monkeypatch):
+        # f_star = -1e308 makes each tick's regret about 1e308, so the sum
+        # of the first two ticks (steps 10 and 20) overflows; the forked
+        # helper solves with this patch
+        solve = M.solve_reference
+        monkeypatch.setattr(M, "solve_reference", lambda *args: (
+            dataclasses.replace(solve(*args), f_star=-1e308)))
+        out = tmp_path / "match"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results, gap = H.matching_experiment(range(2), str(out),
+                                                 **SMALL_MATCHING)
+        assert results.failures == [
+            (arm, s, 20, "nonfinite regret at step 20")
+            for arm in ("dasgrad_target", "amsgrad_uniform") for s in (0, 1)]
+        assert gap is None
+        assert sorted(os.listdir(out)) == ["failures.csv",
+                                           "matching_summary.csv"]
+
     def test_sweep_rerun_removes_the_aggregates_it_skips(self, tmp_path,
                                                          monkeypatch):
         out = tmp_path / "sweep"
@@ -1035,8 +1144,12 @@ class TestReferenceHelper:
 class TestSelfCheckAndCli:
     def test_self_check_passes(self, capsys):
         assert H.self_check(verbose=True)
-        printed = capsys.readouterr().out
-        assert "PASS" in printed and "FAIL" not in printed
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in printed] == [
+            "PASS gradient/centroid", "PASS gradient/binary-logistic",
+            "PASS gradient/multiclass-logistic",
+            "PASS sampler law", "PASS unbiasedness identity",
+            "PASS weighted-second-moment minimum identity", "self-check OK"]
 
     def test_cli_check_exit_zero(self, capsys):
         assert C.main(["check"]) == 0
@@ -1120,6 +1233,45 @@ class TestSelfCheckAndCli:
         # the loss really is past the square's overflow point
         assert max(float(r[1]) for r in read_rows(
             out / "trace_ap_0.csv")) > 1e200
+
+    def test_cli_run_keeps_overflowing_means_finite(self, tmp_path):
+        out = tmp_path / "means"
+        cfg_path = tmp_path / "means.cfg"
+        cfg_path.write_text(MEAN_OVERFLOW_CONFIG.format(out=out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert C.main(["run", "--config", str(cfg_path)]) == 0
+        written = sorted(out.glob("*.csv"))
+        assert {p.name for p in written} >= {
+            "aggregate_sgd.csv", "aggregate_dasgrad.csv", "comparison.csv"}
+        for path in written:
+            assert all(math.isfinite(float(v)) for row in read_rows(path)
+                       for v in row if v and v[0] not in "sd"), path.name
+        assert float(read_rows(out / "aggregate_sgd.csv")[0][1]) > 7e307
+
+    def test_cli_run_reports_an_overflowing_regret_sum(self, tmp_path):
+        out = tmp_path / "regret"
+        cfg_path = tmp_path / "regret.cfg"
+        cfg_path.write_text(REGRET_OVERFLOW_CONFIG.format(out=out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert C.main(["run", "--config", str(cfg_path)]) == 1
+        assert read_rows(out / "failures.csv") == [
+            [m, s, "20", "nonfinite regret at step 20"]
+            for m in ("dasgrad", "sgd") for s in ("0", "1")]
+        assert not list(out.glob("trace_*.csv"))
+
+    def test_cli_run_section_without_method_runs_its_named_method(
+            self, tmp_path):
+        out = tmp_path / "named"
+        cfg_path = tmp_path / "named.cfg"
+        cfg_path.write_text(OWNED_CONFIG.format(out=out, seeds="0,1").replace(
+            "method = dasgrad\n", ""))
+        assert C.main(["run", "--config", str(cfg_path)]) == 0
+        assert ((out / "trace_dasgrad_0.csv").read_bytes()
+                != (out / "trace_sgd_0.csv").read_bytes())
+        gains = [float(r[2]) for r in read_rows(out / "comparison.csv")]
+        assert any(g != 0.0 for g in gains)
 
     @pytest.mark.parametrize("command", [
         ["sweep-variance", "--sigmas", "1", "--n", "10", "--d", "2"],

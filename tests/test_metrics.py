@@ -480,6 +480,29 @@ def test_ci_bands_finite_for_huge_finite_values(data):
                                       np.asarray(mean + half)[kept])
 
 
+def test_means_finite_for_samples_near_the_float_limit():
+    """A mean, or a difference of means, of finite samples is finite where
+    its plain sum overflows, and a difference of samples may overflow too.
+    A band bound beyond the float range is an infinity. Nothing warns."""
+    big = np.finfo(np.float64).max
+    stack = np.array([[0.9, -0.9], [0.8, 0.9], [0.7, 0.8]]) * big
+    a = np.array([0.9, -0.9, 0.1]) * big  # a - b overflows in two rows
+    b = np.array([-0.5, 0.5, 0.0]) * big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        agg = M.aggregate_runs(list(stack))
+        paired = M.paired_ci(a, b)
+        unpaired = M.unpaired_ci(stack[:, 0], stack[:, 1])
+    expected = (big * (stack / big).mean(axis=0),
+                big * (a / big - b / big).mean(),
+                big * ((stack[:, 0] / big).mean() - (stack[:, 1] / big).mean()))
+    bands = [(agg.mean, agg.ci_low, agg.ci_high), paired, unpaired]
+    for (mean, lo, hi), want in zip(bands, expected):
+        np.testing.assert_allclose(mean, want, rtol=1e-14)
+        assert np.all(lo <= mean) and np.all(mean <= hi)
+    assert np.isfinite(agg.ci_high[0]) and agg.ci_high[1] == np.inf
+
+
 class TestPairedCI:
     def test_paired_hand_value(self):
         a = np.array([1.0, 2.0, 3.0])

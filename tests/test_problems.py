@@ -374,16 +374,6 @@ class TestConvexity:
 
 
 class TestSparse:
-    def test_sparse_vector_validation(self):
-        with pytest.raises(ValueError):
-            D.SparseVector(np.array([2, 1]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            D.SparseVector(np.array([0, 0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            D.SparseVector(np.array([0]), np.array([0.0]))
-        sv = D.SparseVector([1, 3], [2, -1])
-        assert sv.indices.dtype == np.int64 and sv.values.dtype == np.float64
-
     def test_sparse_problem_matches_dense(self):
         rng = np.random.default_rng(11)
         d = 6

@@ -17,15 +17,16 @@ Config files are flat ``key = value`` lines with ``#`` comments; each
 ``[optimizer.<name>]`` section header starts one optimizer block. See
 ``configs/`` for working examples.
 
-``run_experiment`` and ``matching_experiment`` regret against the
-reference solve of ``metrics.solve_reference``. They run it in one helper
-process, forked (the ``fork`` start method is required) once the call's
-settings are accepted, while the parent runs every (arm, seed); so a call
-takes the longer of the solve and the runs on two cores, not their sum,
-and at most two processes run per call. Only the ReferenceSolution comes
-back, pickled over a pipe, so the written bytes are those of an
-in-process solve. ``sweep_variance`` solves its centroid problems in
-closed form in the parent.
+Every protocol call forks one helper process (the ``fork`` start method
+is required) once its settings are accepted, so at most two processes
+run per call. ``run_experiment`` and ``matching_experiment`` regret
+against the reference solve of ``metrics.solve_reference``, which the
+helper makes first; ``sweep_variance`` solves its centroid problems in
+closed form in the parent. The helper and the parent then share the
+call's (arm, seed) runs, taking them off the two ends of one list. The
+helper's solution and runs come back pickled over a pipe in one message,
+and the parent puts every run back in (arm, seed) order, so the written
+bytes are those of one process making the solve and every run in order.
 """
 
 from __future__ import annotations
@@ -274,12 +275,14 @@ def _write_csv(path, header, rows):
             fh.write(",".join(map(_cell, row)) + "\n")
 
 
-def write_trace_csv(path, result, f_star):
+def write_trace_csv(path, result, f_star, cum_regret):
+    """The trace of ``result`` against ``f_star``, whose cumulative regret
+    ``np.cumsum(result.loss - f_star)`` the caller has already taken."""
     inst = result.loss - f_star
     acc = [None] * len(result.ticks) if result.accuracy is None \
         else result.accuracy
     _write_csv(path, TRACE_HEADER.split(","),
-               zip(result.ticks, result.loss, acc, inst, np.cumsum(inst),
+               zip(result.ticks, result.loss, acc, inst, cum_regret,
                    result.grad_norm_var))
 
 
@@ -301,12 +304,14 @@ class ExperimentResults(dict):
     """Results of one protocol call; the runner keys completed runs (arm,
     seed). A diverged run has no entry: ``failures`` lists it as (arm, seed,
     step, message), as in failures.csv. ``skipped`` names the outputs left
-    out because fewer than two seeds completed or paired."""
+    out because fewer than two seeds completed or paired. ``cum_regret``
+    maps the runner's key of a completed run to its cumulative regret."""
 
     def __init__(self, items=(), failures=()):
         super().__init__(items)
         self.failures = list(failures)
         self.skipped = []
+        self.cum_regret = {}
 
     def runs(self, name):
         """The completed runs of arm ``name``, in seed order."""
@@ -323,27 +328,41 @@ class ExperimentResults(dict):
 
 def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
               reference=None, f_stars=None):
-    """Run every (arm, seed) of ``arms``, name -> (problem, OptimizerConfig),
-    in order. A run that diverged, or whose cumulative regret against
+    """Run every (arm, seed) of ``arms``, name -> (problem, OptimizerConfig).
+    A run that diverged, or whose cumulative regret against
     ``f_stars[arm]`` (default: the reference's f_star) is not finite at a
     tick, is recorded in ``failures``, never raised, and has no entry;
     out/failures.csv lists this call's failures and exists only if any.
     Target label counts that no arm's problem can draw are rejected before
-    out is made or a helper starts. Then removes failures.csv and every
+    out is made or the helper starts. Then removes failures.csv and every
     file in out whose whole name matches the regular expression ``own``,
     the form of the call's per-run and per-arm outputs, so that no earlier
     call's file of those forms survives there, whatever seeds or arms that
     call ran. No other file is touched.
 
-    ``reference``, when given, holds the (problem, tol, max_iters) of a
-    ``metrics.solve_reference`` call, made in a forked helper while the
-    runs go on (see _reference_helper). Returns (ExperimentResults, that
-    call's ReferenceSolution or None)."""
+    The runs are shared with one forked helper (see _forked_helper): the
+    parent takes (arm, seed) tasks from the back of the list in (arm, seed)
+    order and the helper from its front. ``reference``, when given, holds
+    the (problem, tol, max_iters) of a ``metrics.solve_reference`` call,
+    which the helper makes before it takes a task. The results and
+    failures are rebuilt in (arm, seed) order, so every output byte is
+    that of one process running the list in order. Returns
+    (ExperimentResults, that call's ReferenceSolution or None); the
+    results' ``cum_regret`` holds each completed run's cumulative regret."""
     for problem, config in arms.values():
         _optimizers._check_target_counts(problem, config.target_label_counts)
-    helper = _reference_helper(*reference) if reference \
-        else contextlib.nullcontext(lambda: None)
-    with helper as solution:
+    tasks = [(name, seed) for name in arms for seed in seeds]
+
+    def attempt(i):
+        name, seed = tasks[i]
+        problem, config = arms[name]
+        try:
+            return _optimizers.run(problem, config, T, seed,
+                                   metric_tick=metric_tick, eval_set=eval_set)
+        except _optimizers.DivergenceError as exc:
+            return name, seed, exc.step, str(exc)
+
+    with _forked_helper(attempt, len(tasks), reference) as run_all:
         os.makedirs(out, exist_ok=True)
         failures_path = os.path.join(out, "failures.csv")
         for name in os.listdir(out):
@@ -351,91 +370,118 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
             if (name == "failures.csv" or re.fullmatch(own, name)) \
                     and os.path.isfile(path):
                 os.remove(path)
-        results = ExperimentResults()
-        for name, (problem, config) in arms.items():
-            for seed in seeds:
-                try:
-                    results[name, seed] = _optimizers.run(
-                        problem, config, T, seed, metric_tick=metric_tick,
-                        eval_set=eval_set)
-                except _optimizers.DivergenceError as exc:
-                    results.failures.append((name, seed, exc.step, str(exc)))
-        solved = solution()
-        for (name, seed), run in list(results.items()):
-            f_star = solved.f_star if f_stars is None else f_stars[name]
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.isfinite(np.cumsum(run.loss - f_star))
-            if not finite.all():
-                step = int(run.ticks[finite.argmin()])
-                del results[name, seed]
-                results.failures.append(
-                    (name, seed, step, "nonfinite regret at step %d" % step))
-        if results.failures:
-            _write_csv(failures_path, ["optimizer", "seed", "step", "message"],
-                       results.failures)
-        return results, solved
+        solved, done = run_all()
+    results = ExperimentResults()
+    for i, key in enumerate(tasks):
+        if isinstance(done[i], _optimizers.RunResult):
+            results[key] = done[i]
+        else:
+            results.failures.append(done[i])
+    for (name, seed), run in list(results.items()):
+        f_star = solved.f_star if f_stars is None else f_stars[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.cumsum(run.loss - f_star)
+        finite = np.isfinite(cum)
+        if finite.all():
+            results.cum_regret[name, seed] = cum
+            continue
+        step = int(run.ticks[finite.argmin()])
+        del results[name, seed]
+        results.failures.append(
+            (name, seed, step, "nonfinite regret at step %d" % step))
+    if results.failures:
+        _write_csv(failures_path, ["optimizer", "seed", "step", "message"],
+                   results.failures)
+    return results, solved
 
 
 @contextlib.contextmanager
-def _reference_helper(problem, tol, max_iters):
-    """Start ``metrics.solve_reference(problem, tol, max_iters)`` in one
-    child forked on entry, and yield a function that waits for its
-    ReferenceSolution. The child inherits the problem through the fork;
-    only the solution, or the exception the solve raised, comes back
-    pickled over a pipe, and that exception is raised again here. A child
-    that exits without sending either raises RuntimeError naming its exit
-    code. On exit the child is terminated if it still runs, and always
-    joined, so no helper outlives the block."""
+def _forked_helper(attempt, count, reference):
+    """Fork one helper on entry that makes ``metrics.solve_reference(
+    *reference)`` if ``reference`` is given and then calls ``attempt(i)``
+    for the task indices it takes from the front of the shared range [0,
+    count), and yield ``run_all`` to the parent. ``run_all()`` calls
+    ``attempt`` for the indices the parent takes from the back of the
+    range until it is empty, waits for the helper's one message and
+    returns (the solution or None, {index: attempt(index)} for every
+    index). The helper inherits ``attempt`` and everything else through
+    the fork, so a module attribute patched in the parent, such as
+    ``_optimizers.run``, is patched in the helper too. It sends its
+    results once at the end, so it never stalls on a full pipe while the
+    parent runs. An exception the helper raises closes the range, so that
+    the parent stops after its current task, and is raised again by
+    ``run_all``; a helper that exits without a message makes ``run_all``
+    raise RuntimeError naming its exit code. On exit the helper is
+    terminated if it still runs, and always joined, so no helper outlives
+    the block. The ``fork`` start method is required."""
     context = multiprocessing.get_context("fork")
+    span = context.Array("q", [0, count])
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_solve_and_send,
-                            args=(sender, problem, tol, max_iters),
+    child = context.Process(target=_helper_main,
+                            args=(sender, span, attempt, reference),
                             daemon=True)
     child.start()
     sender.close()
 
-    def solution():
+    def run_all():
+        done = _run_share(span, True, attempt)
         try:
-            solved, value = receiver.recv()
+            message = receiver.recv()
         except EOFError:
             child.join()
-            raise RuntimeError(
-                "the reference solve helper exited with code %s and sent "
-                "no result" % child.exitcode) from None
+            raise RuntimeError("the forked helper exited with code %s and "
+                               "sent no result" % child.exitcode) from None
         child.join()
-        if not solved:
-            raise value
-        return value
+        if isinstance(message, Exception):
+            raise message
+        solution, theirs = message
+        return solution, {**done, **theirs}
 
     try:
-        yield solution
+        yield run_all
     finally:
         child.terminate()
         child.join()
         receiver.close()
 
 
-def _solve_and_send(sender, *args):
-    """The helper's body: send (True, solution) or (False, the exception
-    the solve raised) to the parent."""
+def _run_share(span, back, attempt):
+    """{index: attempt(index)} for each index taken off the shared range
+    [span[0], span[1]) until it is empty: its last one each time when
+    ``back``, else its first."""
+    done = {}
+    while True:
+        with span.get_lock():
+            lo, hi = span[:]
+            if lo == hi:
+                return done
+            if back:
+                i = span[1] = hi - 1
+            else:
+                i, span[0] = lo, lo + 1
+        done[i] = attempt(i)
+
+
+def _helper_main(sender, span, attempt, reference):
+    """The helper's body: solve, run tasks off the front of ``span``, and
+    send (solution, results), or the exception raised, to the parent."""
     try:
-        message = True, _metrics.solve_reference(*args)
+        solution = _metrics.solve_reference(*reference) if reference \
+            else None
+        message = solution, _run_share(span, False, attempt)
     except Exception as exc:
-        message = False, exc
+        with span.get_lock():
+            span[0] = span[1]
+        message = exc
     sender.send(message)
 
 
-def _cum_regret(runs, f_star):
-    """Per-run cumulative regret and its across-seed aggregate."""
-    cums = [np.cumsum(r.loss - f_star) for r in runs]
-    return cums, _metrics.aggregate_runs(cums)
-
-
 def run_experiment(config):
-    """Execute every (optimizer, seed) run while one forked helper solves
-    the reference (see _run_arms), then write per-seed traces, one
-    aggregate CSV per optimizer, a dasgrad-vs-baseline comparison CSV, and a
-    metadata file. Returns the in-memory ExperimentResults of this call."""
+    """Execute every (optimizer, seed) run, shared with one forked helper
+    that first solves the reference (see _run_arms), then write per-seed
+    traces, one aggregate CSV per optimizer, a dasgrad-vs-baseline
+    comparison CSV, and a metadata file. Returns the in-memory
+    ExperimentResults of this call."""
     dataset, problem = config.problem.build()
     out = config.output_dir
     names = sorted(config.optimizers)
@@ -447,7 +493,7 @@ def run_experiment(config):
         reference=(problem, config.reference_tol, config.reference_max_iters))
     for key, run in results.items():
         write_trace_csv(os.path.join(out, "trace_%s_%d.csv" % key), run,
-                        reference.f_star)
+                        reference.f_star, results.cum_regret[key])
 
     aggregated = []
     for name in names:
@@ -463,7 +509,8 @@ def run_experiment(config):
             os.path.join(out, "aggregate_%s.csv" % name), steps,
             [("loss", _metrics.aggregate_runs([r.loss for r in runs])),
              ("accuracy", acc_agg),
-             ("cum_regret", _cum_regret(runs, reference.f_star)[1])])
+             ("cum_regret", _metrics.aggregate_runs(
+                 [results.cum_regret[name, r.seed] for r in runs]))])
 
     if "dasgrad" in aggregated and len(aggregated) > 1:
         _write_comparison_csv(os.path.join(out, "comparison.csv"), results,
@@ -578,7 +625,7 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
             arms[name] = (problem, convex_preset(
                 method, alpha=p["alpha"], batch_size=p["batch_size"]))
         f_stars.update(dict.fromkeys(names, f_star))
-        per_sigma.append((sigma, tag, names, f_star))
+        per_sigma.append((sigma, tag, names))
     if len(arms) < len(sigmas) * len(methods):
         raise ValueError("methods and sigma tags (6 significant digits) "
                          "must not repeat")
@@ -587,18 +634,20 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
 
     results = ExperimentResults(failures=runs.failures)
     summary_rows = []
-    for sigma, tag, names, f_star in per_sigma:
+    for sigma, tag, names in per_sigma:
         results[sigma] = {m: runs.runs(n) for m, n in zip(methods, names)}
         paired = dict(zip(methods, runs.paired(*names)))
         aggregate = "sweep_aggregate_sigma%s.csv" % tag
         if len(paired["dasgrad"]) < 2:
             results.skipped.append(aggregate)
             continue
-        cums = {m: _cum_regret(paired[m], f_star) for m in methods}
+        cums = {m: [runs.cum_regret[n, r.seed] for r in paired[m]]
+                for m, n in zip(methods, names)}
         _write_aggregate_csv(os.path.join(output_dir, aggregate),
                              paired["dasgrad"][0].ticks,
-                             [(m, cums[m][1]) for m in methods])
-        finals = {m: np.array([c[-1] for c in cums[m][0]]) for m in methods}
+                             [(m, _metrics.aggregate_runs(cums[m]))
+                              for m in methods])
+        finals = {m: np.array([c[-1] for c in cums[m]]) for m in methods}
         summary_rows.append([float(v) for v in (
             (sigma, _metrics._rescaled(np.mean, finals["dasgrad"]),
              _metrics._rescaled(np.mean, finals[baseline]))
@@ -623,14 +672,14 @@ def matching_experiment(seeds, output_dir, **overrides):
     weights against a uniform-sampling AMSGrad baseline, and compare
     balanced-test accuracy; ``overrides`` replace MATCHING_DEFAULTS. The
     regret baseline (tol 1e-6, at most 2000 iterations) is solved in one
-    forked helper while the runs go on (see _run_arms). Writes a trace per
-    completed run and a summary CSV: each arm's mean final accuracy, and
-    the paired CI of the final accuracy gap over the seeds both arms
-    completed. With fewer than two such seeds the gap lines are left out
-    and named in ``skipped``. Raises ValueError before any run on a bad
-    setting (see _protocol_settings), and before output_dir is made or the
-    helper starts when unbalancing leaves a class with no training row, as
-    the balanced target still weighs it (see _run_arms). Returns
+    forked helper, which then shares the runs (see _run_arms). Writes a
+    trace per completed run and a summary CSV: each arm's mean final
+    accuracy, and the paired CI of the final accuracy gap over the seeds
+    both arms completed. With fewer than two such seeds the gap lines are
+    left out and named in ``skipped``. Raises ValueError before any run on
+    a bad setting (see _protocol_settings), and before output_dir is made
+    or the helper starts when unbalancing leaves a class with no training
+    row, as the balanced target still weighs it (see _run_arms). Returns
     (ExperimentResults {arm: [completed RunResult]}, (gap, lo, hi) or
     None)."""
     p, seeds = _protocol_settings(MATCHING_DEFAULTS, overrides, seeds)
@@ -660,7 +709,8 @@ def matching_experiment(seeds, output_dir, **overrides):
                                 reference=(problem, 1e-6, 2000))
     for key, run in runs.items():
         write_trace_csv(os.path.join(output_dir, "matching_trace_%s_%d.csv"
-                                     % key), run, reference.f_star)
+                                     % key), run, reference.f_star,
+                        runs.cum_regret[key])
 
     results = ExperimentResults({name: runs.runs(name) for name in arms},
                                 runs.failures)

@@ -74,6 +74,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, step, message="nonfinite update"):
         super().__init__("%s at step %d" % (message, step))
         self.step = step
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.step, self.message)
 
 
 @dataclass

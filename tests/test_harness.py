@@ -318,7 +318,7 @@ class TestTraceCsv:
         opt = cfg.optimizers["amsgrad"]
         result = O.run(problem, opt, T=20, seed=0, metric_tick=5)
         path = tmp_path / "trace.csv"
-        H.write_trace_csv(path, result, f_star=0.5)
+        H.write_trace_csv(path, result, 0.5, np.cumsum(result.loss - 0.5))
         back = read_trace(path)
         np.testing.assert_array_equal(back["step"], result.ticks)
         np.testing.assert_array_equal(back["loss"], result.loss)
@@ -334,7 +334,7 @@ class TestTraceCsv:
         result = O.run(problem, O.OptimizerConfig(method="sgd", batch_size=2),
                        T=10, seed=0, metric_tick=5)
         path = tmp_path / "trace.csv"
-        H.write_trace_csv(path, result, f_star=0.0)
+        H.write_trace_csv(path, result, 0.0, np.cumsum(result.loss))
         text = path.read_text().splitlines()
         assert text[0] == H.TRACE_HEADER
         assert text[1].split(",")[2] == ""
@@ -1085,6 +1085,88 @@ def call_protocol(protocol, out):
     return H.matching_experiment(range(2), str(out), **SMALL_MATCHING)
 
 
+def call_four_seeds(protocol, out):
+    """One small run_experiment, sweep_variance or matching_experiment call
+    into ``out`` over seeds 0-3; each method's seeds are the tasks of one
+    arm, or of one arm per sigma."""
+    if protocol == "run":
+        return H.run_experiment(H.parse_config_text(TINY_CONFIG.replace(
+            "seeds = 0,1,2", "seeds = 0,1,2,3").format(out=out)))
+    if protocol == "sweep":
+        return H.sweep_variance((0.5, 2.0), range(4), str(out), **SMALL_SWEEP)
+    return H.matching_experiment(range(4), str(out), **SMALL_MATCHING)
+
+
+# (arm, seed) tasks of one call_four_seeds call
+FOUR_SEED_TASKS = {"run": 8, "sweep": 16, "matching": 8}
+
+
+def serial_run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
+                    reference=None, f_stars=None):
+    """_run_arms in one process, into a fresh ``out``: every (arm, seed)
+    through O.run in order, then the reference solve and the regret
+    check."""
+    os.makedirs(out)
+    results = H.ExperimentResults()
+    for name, (problem, config) in arms.items():
+        for seed in seeds:
+            try:
+                results[name, seed] = O.run(problem, config, T, seed,
+                                            metric_tick=metric_tick,
+                                            eval_set=eval_set)
+            except O.DivergenceError as exc:
+                results.failures.append((name, seed, exc.step, str(exc)))
+    solved = M.solve_reference(*reference) if reference else None
+    for (name, seed), run in list(results.items()):
+        f_star = solved.f_star if f_stars is None else f_stars[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.cumsum(run.loss - f_star)
+        finite = np.isfinite(cum)
+        if finite.all():
+            results.cum_regret[name, seed] = cum
+        else:
+            step = int(run.ticks[finite.argmin()])
+            del results[name, seed]
+            results.failures.append(
+                (name, seed, step, "nonfinite regret at step %d" % step))
+    if results.failures:
+        H._write_csv(os.path.join(out, "failures.csv"),
+                     ["optimizer", "seed", "step", "message"],
+                     results.failures)
+    return results, solved
+
+
+def result_order(results):
+    """The keys and run seeds of a protocol's results, in their order, and
+    its failures."""
+    if isinstance(results, tuple):
+        results = results[0]
+
+    def seeds(value):
+        if isinstance(value, O.RunResult):
+            return value.seed
+        if isinstance(value, dict):
+            return [(key, seeds(v)) for key, v in value.items()]
+        return [seeds(v) for v in value]
+    return seeds(results), results.failures
+
+
+def run_from_this_process_only(monkeypatch, helper_run, delay):
+    """Make the forked helper call ``helper_run`` in place of each O.run,
+    and the parent sleep ``delay`` seconds before each, so that the helper
+    takes a task; returns the list of the parent's O.run calls' seeds."""
+    parent, real_run, parent_seeds = os.getpid(), O.run, []
+
+    def run(*args, **kwargs):
+        if os.getpid() != parent:
+            helper_run()
+        parent_seeds.append(args[3])
+        time.sleep(delay)
+        return real_run(*args, **kwargs)
+    monkeypatch.setattr(O, "run", run)
+    return parent_seeds
+
+
 class TestReferenceHelper:
     @pytest.mark.parametrize("make", [
         lambda: D.make_problem(D.synth_classification(
@@ -1096,13 +1178,104 @@ class TestReferenceHelper:
     ], ids=["dense-multiclass", "csr-binary", "centroid"])
     def test_solution_bit_equals_an_in_process_solve(self, make):
         problem = make()
-        with H._reference_helper(problem, 1e-6, 300) as solution:
-            got = solution()
+        with H._forked_helper(None, 0, (problem, 1e-6, 300)) as run_all:
+            got, runs = run_all()
+        assert runs == {}
         want = M.solve_reference(problem, 1e-6, 300)
         assert got.theta_star.tobytes() == want.theta_star.tobytes()
         assert (got.f_star, got.grad_norm_at_star, got.solver_iterations,
                 got.converged) == (want.f_star, want.grad_norm_at_star,
                                    want.solver_iterations, want.converged)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("protocol", ["run", "sweep", "matching"])
+    def test_shared_runs_give_a_serial_loops_bytes(self, tmp_path,
+                                                   monkeypatch, protocol):
+        # the first and the last (arm, seed) task diverge, and so does
+        # every task of their (method, seed) in the other arms
+        first, last = {"run": ("amsgrad", "dasgrad"),
+                       "sweep": ("amsgrad", "dasgrad"),
+                       "matching": ("dasgrad", "amsgrad")}[protocol]
+        diverge_on(monkeypatch, {(first, 0), (last, 3)})
+        pids = tmp_path / "pids"
+        real_run = O.run
+
+        def run(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write("%d\n" % os.getpid())
+            time.sleep(0.1)     # so that both processes take tasks
+            return real_run(*args, **kwargs)
+        monkeypatch.setattr(O, "run", run)
+        shared = call_four_seeds(protocol, tmp_path / "shared")
+        ran = pids.read_text().split()
+        assert len(ran) == FOUR_SEED_TASKS[protocol]
+        assert set(ran) - {str(os.getpid())} != set()
+        monkeypatch.setattr(O, "run", real_run)
+        monkeypatch.setattr(H, "_run_arms", serial_run_arms)
+        serial = call_four_seeds(protocol, tmp_path / "serial")
+
+        assert result_order(shared) == result_order(serial)
+        names = sorted(os.listdir(tmp_path / "serial"))
+        assert sorted(os.listdir(tmp_path / "shared")) == names
+        assert "failures.csv" in names
+        _, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "shared", tmp_path / "serial", names, shallow=False)
+        assert (mismatch, errors) == ([], [])
+        failed = [row[:2] for row in read_rows(tmp_path / "shared"
+                                               / "failures.csv")]
+        assert failed[0][1] == "0" and failed[-1][1] == "3"
+        assert multiprocessing.active_children() == []
+
+    def test_every_task_runs_once_across_both_processes(self, tmp_path,
+                                                        monkeypatch):
+        log = tmp_path / "log"
+
+        def run(problem, config, T, seed, **kwargs):
+            with open(log, "a") as fh:
+                fh.write("%d %s %d\n" % (os.getpid(), config.method, seed))
+            time.sleep(0.001)
+            return O.RunResult(ticks=np.array([1]), loss=np.array([1.0]),
+                               accuracy=None, grad_norm_var=np.array([0.0]),
+                               theta=np.zeros(2), seed=seed)
+        monkeypatch.setattr(O, "run", run)
+        problem = D.make_problem(D.synth_centroid(4, 2, 1.0, 0), P.CENTROID)
+        arms = {m: (problem, O.OptimizerConfig(method=m))
+                for m in ("sgd", "adam")}
+        results, solved = H._run_arms(arms, range(300), 1, 1,
+                                      str(tmp_path / "out"), "none",
+                                      f_stars=dict.fromkeys(arms, 0.0))
+        tasks = [(m, s) for m in arms for s in range(300)]
+        assert solved is None
+        assert list(results) == tasks
+        assert [run.seed for run in results.values()] == list(range(300)) * 2
+        lines = [line.split() for line in log.read_text().splitlines()]
+        assert sorted((m, int(s)) for _, m, s in lines) == sorted(tasks)
+        assert len({pid for pid, _, _ in lines}) == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("protocol", ["run", "sweep", "matching"])
+    def test_helper_run_error_is_raised_and_stops_the_parent(
+            self, tmp_path, monkeypatch, protocol):
+        def helper_run():
+            raise KeyError("not a divergence")
+        parent_seeds = run_from_this_process_only(monkeypatch, helper_run,
+                                                  0.3)
+        with pytest.raises(KeyError, match="not a divergence"):
+            call_four_seeds(protocol, tmp_path / "out")
+        # the helper closed the range, so the parent stopped after the run
+        # it was in, not after every task the helper did not take
+        assert len(parent_seeds) < FOUR_SEED_TASKS[protocol] // 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("protocol", ["run", "sweep", "matching"])
+    def test_helper_exit_during_a_run_names_its_code(
+            self, tmp_path, monkeypatch, protocol):
+        parent_seeds = run_from_this_process_only(
+            monkeypatch, lambda: os._exit(4), 0.05)
+        with pytest.raises(RuntimeError, match="exited with code 4"):
+            call_four_seeds(protocol, tmp_path / "out")
+        # the parent ran every task but the one the helper died in
+        assert len(parent_seeds) == FOUR_SEED_TASKS[protocol] - 1
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("protocol", ["run", "matching"])

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import warnings
 
 import numpy as np
@@ -112,6 +113,12 @@ class TestStepGeneral:
         with pytest.raises(O.DivergenceError, match="nonfinite loss") as err:
             O.run(prob, cfg, T=10, seed=0, metric_tick=5)
         assert err.value.step == 5
+
+    def test_divergence_error_survives_pickling(self):
+        back = pickle.loads(pickle.dumps(O.DivergenceError(5,
+                                                           "nonfinite loss")))
+        assert type(back) is O.DivergenceError
+        assert (back.step, str(back)) == (5, "nonfinite loss at step 5")
 
 
 class TestConfigValidation:

@@ -9,7 +9,8 @@ parameters (a run passes the ticks of one refresh block together), bit for
 bit the values of ``problems.full_objective``, the population variance of
 ``sampling.scores_apsgd`` and ``accuracy`` at each row alone. A logistic
 row takes one pass over X (one margin product); centroid rows form
-theta - X in chunks of about ``_TICK_BYTES`` bytes, one pass per chunk.
+theta - X in chunks of about ``_TICK_BYTES`` bytes, one pass per chunk,
+each a tiled copy of the theta rows minus the flat X.
 """
 
 from __future__ import annotations
@@ -122,11 +123,14 @@ def tick(problem, thetas, eval_set=None):
 
     Centroid problems form diff = theta - X for a chunk of rows at once:
     grad f_i = theta - x_i, so the loss and the gradient norms share the
-    squares of diff. The sums and the variance are the ufunc steps of
-    ``ndarray.sum`` and ``np.var`` taken per row. The logistic kinds tick
-    one row at a time and form its margin product once: its losses give
-    the objective, its residuals the gradient norms (grad f_i is rank one
-    in x_i), and its argmax the training accuracy."""
+    squares of diff. The chunk's diff is one contiguous (k, n * d) buffer:
+    each theta row repeated n times, minus the flat X in place, so the
+    subtraction's inner loop runs n * d long, not d as a (k, 1, d) - (n, d)
+    broadcast would, with the same values. The sums and the variance are
+    the ufunc steps of ``ndarray.sum`` and ``np.var`` taken per row. The
+    logistic kinds tick one row at a time and form its margin product
+    once: its losses give the objective, its residuals the gradient norms
+    (grad f_i is rank one in x_i), and its argmax the training accuracy."""
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or thetas.shape[1] != problem.param_dim:
         raise ValueError("thetas has shape %s, expected (k, %d)"
@@ -135,14 +139,16 @@ def tick(problem, thetas, eval_set=None):
     loss, gvar = np.empty(k), np.empty(k)
     if problem.kind == _problems.CENTROID:
         X = problem.X
+        flat = X.reshape(-1)
         step = max(1, _TICK_BYTES // X.nbytes)
         for lo in range(0, k, step):
             rows = slice(lo, lo + step)
-            sq = thetas[rows, None, :] - X
+            sq = thetas[rows].repeat(n, axis=0).reshape(-1, flat.size)
+            sq -= flat
             sq *= sq
-            loss[rows] = 0.5 * np.add.reduce(sq.reshape(len(sq), -1),
-                                             axis=1) / n
-            norms = np.sqrt(np.add.reduce(sq, axis=2))
+            loss[rows] = 0.5 * np.add.reduce(sq, axis=1) / n
+            norms = np.sqrt(np.add.reduce(sq.reshape(-1, n, X.shape[1]),
+                                          axis=2))
             del sq  # freed before the next chunk's sq is formed
             norms -= np.add.reduce(norms, axis=1, keepdims=True) / n
             norms *= norms

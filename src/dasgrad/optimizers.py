@@ -223,7 +223,12 @@ def step_general(problem, theta, state, batch, config, t):
     """One step of the general method on a drawn batch (X, y, w), as
     ``draw_batch`` returns it: advance the moment state, average the
     importance-weighted per-index directions, and project. Returns the new
-    theta."""
+    theta.
+
+    A theta strictly inside the box (lo < min and max < hi) is returned as
+    the update made it: there ``np.clip`` is the identity and every
+    coordinate is finite, so neither is taken. Any other theta is clipped,
+    and a nonfinite one raises DivergenceError at step t."""
     X, y, w = batch
     G = _problems.batch_gradients(problem, theta, X, y)
     # np.add.reduce(a, axis=0) / len(a) is what a.mean(axis=0) computes,
@@ -264,10 +269,14 @@ def step_general(problem, theta, state, batch, config, t):
         # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the stack
         direction = (beta1_t * w_mean * m_prev
                      + (1.0 - beta1_t) * g_weighted) / denom
-    # OptimizerConfig guarantees lo <= hi
-    new_theta = np.clip(theta - config.alpha / np.sqrt(t) * direction, lo, hi)
-    if not np.isfinite(new_theta).all():
-        raise DivergenceError(t)
+    new_theta = theta - config.alpha / math.sqrt(t) * direction
+    # a NaN fails both tests, as the reductions propagate it
+    if not (lo < np.minimum.reduce(new_theta)
+            and np.maximum.reduce(new_theta) < hi):
+        # OptimizerConfig guarantees lo <= hi
+        new_theta = np.clip(new_theta, lo, hi)
+        if not np.isfinite(new_theta).all():
+            raise DivergenceError(t)
     return new_theta
 
 
@@ -286,7 +295,7 @@ def refresh_probabilities(problem, theta, state, config, tree, t):
     else:
         raise ValueError("method %r does not adapt probabilities"
                          % (config.method,))
-    total = scores.sum()
+    total = np.add.reduce(scores)
     if not math.isfinite(total):
         raise DivergenceError(t, "nonfinite scores")
     tree.set_all(_sampling.normalize_scores(scores, config.epsilon_prob))

@@ -12,6 +12,16 @@ share one rank-one norm routine over the weight rows (one row for
 binary), and the ap-SGD case reads its constant quad term from
 ``Problem.row_sq_norms``. Normalization smooths scores with a small
 epsilon so every example keeps strictly positive probability.
+
+Every refresh and every drawn batch checks its vectors, so each check is
+one pass: ``set_all`` and ``normalize_scores`` test a vector's range with
+one ``np.minimum.reduce``/``np.maximum.reduce`` pair (NaN fails it, as it
+propagates), and take the per-condition tests only to pick the error
+message. ``importance_weight`` and ``target_weight`` skip NaN, as
+``np.any(p <= 0)`` does, through ``np.fmin.reduce``/``np.fmax.reduce``, and
+``leaves(rows)`` tests its rows' least value with one ``np.minimum.reduce``.
+Each accepts and rejects the same inputs, with the same message, as the
+per-condition tests.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ class SamplingTree:
         if rows is None:
             return self._weights.copy()
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and rows.min() < 0:
+        if rows.size and np.minimum.reduce(rows, axis=None) < 0:
             raise IndexError("leaf index out of range")
         return self._weights[rows]  # numpy raises IndexError for a row >= n
 
@@ -58,11 +68,12 @@ class SamplingTree:
         if weights.shape != (self.n,):
             raise ValueError("weights must be a 1-d sequence of length %d"
                              % self.n)
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if not np.any(weights > 0):
+        if not (0.0 <= np.minimum.reduce(weights)
+                and 0.0 < np.maximum.reduce(weights) < np.inf):
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("weights must be finite")
+            if np.any(weights < 0):
+                raise ValueError("weights must be nonnegative")
             raise ValueError("at least one weight must be positive")
         self._commit(weights)
 
@@ -105,13 +116,14 @@ def normalize_scores(scores, epsilon):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a nonempty 1-d sequence")
-    if np.any(scores < 0) or not np.all(np.isfinite(scores)):
+    if not (0.0 <= np.minimum.reduce(scores)
+            and np.maximum.reduce(scores) < np.inf):
         raise ValueError("scores must be finite and nonnegative")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     shifted = scores + epsilon
     with np.errstate(over="ignore"):
-        total = shifted.sum()
+        total = np.add.reduce(shifted)
     if not np.isfinite(total):
         raise ValueError("the total of the scores overflows")
     return shifted / total
@@ -121,7 +133,7 @@ def importance_weight(p_i, n):
     """Weight (1/n)/p_i that unbiases a p-sampled gradient toward the
     uniform training mean. Works elementwise on arrays."""
     p_i = np.asarray(p_i, dtype=np.float64)
-    if np.any(p_i <= 0):
+    if p_i.size and np.fmin.reduce(p_i, axis=None) <= 0:
         raise ValueError("probabilities must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -134,12 +146,13 @@ def target_weight(p_i, label_count, m):
     label distribution: label_count is how often the sampled example's label
     occurs among the m test points."""
     p_i = np.asarray(p_i, dtype=np.float64)
-    if np.any(p_i <= 0):
+    if p_i.size and np.fmin.reduce(p_i, axis=None) <= 0:
         raise ValueError("probabilities must be positive")
     if m < 1:
         raise ValueError("m must be at least 1")
     label_count = np.asarray(label_count, dtype=np.float64)
-    if np.any(label_count < 0) or np.any(label_count > m):
+    if label_count.size and (np.fmin.reduce(label_count, axis=None) < 0
+                             or np.fmax.reduce(label_count, axis=None) > m):
         raise ValueError("label_count must lie in [0, m]")
     out = (label_count / m) / p_i
     return float(out) if out.ndim == 0 else out
@@ -183,7 +196,9 @@ def scores_dasgrad(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
     if problem.kind == _problems.CENTROID:
         diff = ((beta1_t * m_prev + keep * theta)[None, :]
                 - keep * problem.X)
-        return np.linalg.norm(diff / root[None, :], axis=1)
+        q = diff / root[None, :]
+        # what np.linalg.norm(q, axis=1) computes, without its wrapper
+        return np.sqrt(np.add.reduce(q * q, axis=1))
 
     inv_sq = problem.weights_view(1.0 / (root * root))
     return _rank_one_norms(problem, theta, _problems.residuals(problem, theta),

@@ -216,21 +216,22 @@ def test_criterion_6_vhat_monotone_and_projection():
             % elapsed)
 
 
-def test_criterion_7_variance_sweep():
+def test_criterion_7_variance_sweep(tmp_path):
+    # SWEEP_DEFAULTS hold this criterion's settings: n = 200, d = 10, data
+    # seed 11, T = 500, a tick every step, alpha 0.01 and batch 8
     start = time.time()
+    sigmas = (0.1, 1.0, 10.0)
+    results = H.sweep_variance(sigmas, range(100), tmp_path)
+    assert not results.failures
     gaps = []
     ci_sigma10 = None
-    for sigma in (0.1, 1.0, 10.0):
+    for sigma in sigmas:
         ds = D.synth_centroid(200, 10, sigma, 11)
         prob = D.make_problem(ds, P.CENTROID)
         ref = M.solve_reference(prob)
-        finals = {}
-        for method in ("amsgrad", "dasgrad"):
-            cfg = H.convex_preset(method, alpha=0.01, batch_size=8)
-            finals[method] = np.array([
-                np.cumsum(O.run(prob, cfg, 500, s, metric_tick=1).loss
-                          - ref.f_star)[-1]
-                for s in range(100)])
+        finals = {method: np.array([np.cumsum(run.loss - ref.f_star)[-1]
+                                    for run in results[sigma][method]])
+                  for method in ("amsgrad", "dasgrad")}
         gap, lo, hi = M.paired_ci(finals["amsgrad"], finals["dasgrad"])
         gaps.append(gap)
         if sigma == 10.0:

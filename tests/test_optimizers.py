@@ -772,3 +772,68 @@ def test_workload_shaped_runs_are_bit_identical(is_sparse):
     for method in methods:
         cfg = O.OptimizerConfig(method=method, alpha=0.1, batch_size=batch)
         _assert_same_trace(problem, cfg, T, 0, tick, method)
+
+
+def _clipped_step_end(theta, direction, alpha, t, lo, hi):
+    """Test-local copy of how ``step_general`` ended before it returned a
+    theta strictly inside the box unclipped: clip every update, then check
+    that it is finite."""
+    new_theta = np.clip(theta - alpha / np.sqrt(t) * direction, lo, hi)
+    if not np.isfinite(new_theta).all():
+        raise O.DivergenceError(t)
+    return new_theta
+
+
+def _step_coordinates(lo, hi):
+    """The box's bounds and their float neighbours, signed zeros, NaN, the
+    infinities and values inside and outside the box."""
+    values = [lo, hi, -0.0, 0.0, np.nan, np.inf, -np.inf, 0.5, -0.5, 3e6,
+              -3e6, 1e308]
+    for bound in (lo, hi):
+        values += [np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)]
+    return values
+
+
+@pytest.mark.parametrize("box", [(-1e6, 1e6), (0.0, 1.0), (-1.0, -0.0),
+                                 (-0.0, 0.0), (-np.inf, np.inf)])
+def test_step_skips_the_clip_only_where_it_is_the_identity(box):
+    # sgd on one drawn row x: the direction is the mean of theta - x, so
+    # x = theta leaves the update at theta (theta - 0.0 keeps a -0.0), and
+    # the other rows move it by alpha / sqrt(t) times the direction
+    lo, hi = box
+    values = _step_coordinates(lo, hi)
+    problem = centroid_problem(np.zeros((1, 2)))
+    inside = 0.0 if lo < -0.5 < 0.5 < hi else (lo + hi) / 2.0
+    seen = {"kept": 0, "clipped": 0, "diverged": 0}
+    for a, b in itertools.product(values, repeat=2):
+        theta = np.array([a, b])
+        for x, alpha, t in [(theta, 1.0, 1), (theta, 0.25, 4),
+                            (np.array([0.5, -0.5]), 1.0, 1),
+                            (np.array([inside, -1e308]), 1e300, 7)]:
+            cfg = O.OptimizerConfig(method="sgd", alpha=alpha, batch_size=1,
+                                    projection=box)
+            batch = x[None, :], np.zeros(1, dtype=np.int64), None
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the one-row batch's mean gradient, as the step forms it
+                direction = (theta - x[None, :]).mean(axis=0)
+                unclipped = theta - alpha / np.sqrt(t) * direction
+                try:
+                    want = _clipped_step_end(theta, direction, alpha, t,
+                                             lo, hi)
+                except O.DivergenceError as err:
+                    with pytest.raises(O.DivergenceError) as got:
+                        O.step_general(problem, theta, O.MomentState.zeros(2),
+                                       batch, cfg, t)
+                    assert got.value.step == err.step == t
+                    seen["diverged"] += 1
+                    continue
+                got = O.step_general(problem, theta, O.MomentState.zeros(2),
+                                     batch, cfg, t)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                (box, theta, x, alpha, t, got, want)
+            seen["kept" if np.array_equal(unclipped.view(np.int64),
+                                          want.view(np.int64))
+                 else "clipped"] += 1
+    # an unbounded box never clips a finite theta
+    assert seen["diverged"] and seen["kept"], seen
+    assert bool(seen["clipped"]) == (box != (-np.inf, np.inf)), seen

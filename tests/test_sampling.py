@@ -712,3 +712,147 @@ class TestExpectedWeightedSecondMoment:
         with pytest.raises(ValueError):
             S.expected_weighted_second_moment(np.array([0.5, 0.5]),
                                               np.array([1.0]))
+
+
+# Test-local copies of the input checks as they stood before each became
+# one min/max reduce pair: a check that passes them must accept and reject
+# the same inputs, with the same error.
+
+def _per_condition_set_all(n, weights):
+    weights = np.array(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError("weights must be a 1-d sequence of length %d" % n)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    if not np.any(weights > 0):
+        raise ValueError("at least one weight must be positive")
+    with np.errstate(over="ignore"):
+        cdf = np.cumsum(weights)
+    if not np.isfinite(cdf[-1]):
+        raise ValueError("the weights' total overflows")
+    return np.stack([weights, cdf])
+
+
+def _per_condition_normalize_scores(scores, epsilon):
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ValueError("scores must be a nonempty 1-d sequence")
+    if np.any(scores < 0) or not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite and nonnegative")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    shifted = scores + epsilon
+    with np.errstate(over="ignore"):
+        total = shifted.sum()
+    if not np.isfinite(total):
+        raise ValueError("the total of the scores overflows")
+    return shifted / total
+
+
+def _per_condition_leaves(weights, rows):
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size and rows.min() < 0:
+        raise IndexError("leaf index out of range")
+    return weights[rows]
+
+
+def _per_condition_importance_weight(p_i, n):
+    p_i = np.asarray(p_i, dtype=np.float64)
+    if np.any(p_i <= 0):
+        raise ValueError("probabilities must be positive")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    out = (1.0 / n) / p_i
+    return float(out) if out.ndim == 0 else out
+
+
+def _per_condition_target_weight(p_i, label_count, m):
+    p_i = np.asarray(p_i, dtype=np.float64)
+    if np.any(p_i <= 0):
+        raise ValueError("probabilities must be positive")
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    label_count = np.asarray(label_count, dtype=np.float64)
+    if np.any(label_count < 0) or np.any(label_count > m):
+        raise ValueError("label_count must lie in [0, m]")
+    out = (label_count / m) / p_i
+    return float(out) if out.ndim == 0 else out
+
+
+def _outcome(f, *args):
+    """("ok", type, shape, bytes) of what f returns, or (error type,
+    message) of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = f(*args)
+    except (ValueError, IndexError) as err:
+        return type(err), str(err)
+    return "ok", type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+_edge_float = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0,
+                               -1.0, 5e-324, 1e308]) | st.floats()
+
+
+def _edge_vectors(elements=_edge_float):
+    """0-d values and 1-d vectors (empty included) of the elements, all
+    zeros and all NaN among them."""
+    vectors = st.lists(elements, max_size=6).map(np.array)
+    fills = st.tuples(st.integers(1, 4), elements).map(
+        lambda nv: np.full(nv[0], nv[1]))
+    return (elements.map(np.float64).map(np.asarray) | vectors | fills
+            | st.integers(1, 4).map(np.zeros))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=_edge_vectors())
+def test_set_all_check_is_the_per_condition_check(weights):
+    n = max(weights.size, 1)
+    tree = S.SamplingTree(np.ones(n))
+
+    def set_all(w):
+        tree.set_all(w)
+        return np.stack([tree.leaves(), tree.cdf])
+
+    assert _outcome(set_all, weights) == \
+        _outcome(_per_condition_set_all, n, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=_edge_vectors(), eps=_edge_float)
+def test_normalize_scores_check_is_the_per_condition_check(scores, eps):
+    assert _outcome(S.normalize_scores, scores, eps) == \
+        _outcome(_per_condition_normalize_scores, scores, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_edge_vectors(st.integers(-6, 6)), n=st.integers(1, 5))
+def test_leaves_check_is_the_per_condition_check(rows, n):
+    weights = np.arange(1.0, n + 1.0)
+    assert _outcome(S.SamplingTree(weights).leaves, rows) == \
+        _outcome(_per_condition_leaves, weights, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_edge_vectors(), n=st.integers(-1, 3))
+def test_importance_weight_check_is_the_per_condition_check(p, n):
+    assert _outcome(S.importance_weight, p, n) == \
+        _outcome(_per_condition_importance_weight, p, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_target_weight_check_is_the_per_condition_check(data):
+    # a 0-d probability broadcasts over any label counts; a vector takes
+    # one count per probability
+    p = data.draw(_edge_vectors() | st.floats(0.1, 1.0).map(np.asarray),
+                  label="p")
+    counts = data.draw(_edge_vectors() if p.ndim == 0 else
+                       st.lists(_edge_float, min_size=p.size,
+                                max_size=p.size).map(np.array),
+                       label="label_count")
+    m = data.draw(st.integers(-1, 3), label="m")
+    assert _outcome(S.target_weight, p, counts, m) == \
+        _outcome(_per_condition_target_weight, p, counts, m)

@@ -8,29 +8,20 @@ gradients.
 The full protocol (100 seeds) runs via:  dasgrad sweep-variance
 """
 
-import numpy as np
+import csv
+import os
+import tempfile
 
-from dasgrad import (
-    CENTROID, convex_preset, make_problem, run, solve_reference,
-    synth_centroid,
-)
-from dasgrad.metrics import paired_ci
+from dasgrad import sweep_variance
 
 SEEDS = 20
 
+with tempfile.TemporaryDirectory() as out:
+    sweep_variance((0.1, 1.0, 10.0), range(SEEDS), out)
+    with open(os.path.join(out, "sweep_summary.csv")) as fh:
+        summary = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+
 print("sigma   amsgrad regret   dasgrad regret   gap (paired 95% CI)")
-for sigma in (0.1, 1.0, 10.0):
-    dataset = synth_centroid(200, 10, sigma, seed=11)
-    problem = make_problem(dataset, CENTROID)
-    reference = solve_reference(problem)
-    finals = {}
-    for method in ("amsgrad", "dasgrad"):
-        cfg = convex_preset(method, alpha=0.01, batch_size=8)
-        finals[method] = np.array([
-            np.cumsum(r.loss - reference.f_star)[-1]
-            for r in (run(problem, cfg, T=500, seed=s, metric_tick=1)
-                      for s in range(SEEDS))])
-    gap, lo, hi = paired_ci(finals["amsgrad"], finals["dasgrad"])
+for sigma, dasgrad, amsgrad, gap, lo, hi in summary:
     print("%5.1f   %14.3f   %14.3f   %+.3f (%+.3f, %+.3f)"
-          % (sigma, finals["amsgrad"].mean(), finals["dasgrad"].mean(),
-             gap, lo, hi))
+          % (sigma, amsgrad, dasgrad, gap, lo, hi))

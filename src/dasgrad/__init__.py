@@ -64,6 +64,7 @@ from .harness import (
     ProblemSpec,
     convex_preset,
     load_config,
+    matching_datasets,
     matching_experiment,
     parse_config_text,
     run_experiment,

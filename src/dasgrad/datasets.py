@@ -210,8 +210,8 @@ def synth_centroid(n, d, sigma, seed):
     """n i.i.d. Gaussian(0, sigma^2 I_d) feature points, labels all zero."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     X = sigma * box_muller(rng, n * d).reshape(n, d)
     return Dataset(X=X, y=np.zeros(n, dtype=np.int64), num_classes=1,
@@ -226,8 +226,10 @@ def synth_classification(n, d, num_classes, margin=4.0, sparsity=0.0, seed=0):
     are stored sparse."""
     if not n >= num_classes >= 2:
         raise ValueError("need n >= num_classes >= 2")
-    if margin < 0 or not 0.0 <= sparsity <= 1.0:
-        raise ValueError("bad margin or sparsity")
+    if not 0 <= margin < math.inf:
+        raise ValueError("margin must be finite and nonnegative")
+    if not 0.0 <= sparsity <= 1.0:
+        raise ValueError("sparsity must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     centers = box_muller(rng, num_classes * d).reshape(num_classes, d)
     if num_classes > 1 and margin > 0:

@@ -31,7 +31,6 @@ bytes are those of one process making the solve and every run in order.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import multiprocessing
 import os
@@ -155,6 +154,11 @@ def _checked(parse, ok, rule):
     return checked
 
 
+def _finite_nonnegative(key):
+    return _checked(float, lambda v: 0 <= v < math.inf,
+                    key + " must be finite and nonnegative")
+
+
 # config key -> value parser; these are the only keys a config may use
 _GLOBAL_KEYS = {
     "kind": _checked(str, _problems.KINDS.__contains__,
@@ -163,9 +167,13 @@ _GLOBAL_KEYS = {
     "n": _checked(int, lambda n: n >= 1, "n must be at least 1"),
     "d": _checked(int, lambda d: d >= 1, "d must be at least 1"),
     "classes": _checked(int, lambda k: k >= 2, "classes must be at least 2"),
-    "sigma": float, "margin": float, "sparsity": float, "data_seed": int,
-    "lambda": _checked(float, lambda v: 0 <= v < math.inf,
-                       "lambda must be finite and nonnegative"),
+    "sigma": _finite_nonnegative("sigma"),
+    "margin": _finite_nonnegative("margin"),
+    "sparsity": _checked(float, lambda v: 0 <= v <= 1,
+                         "sparsity must lie in [0, 1]"),
+    "data_seed": _checked(int, lambda s: s >= 0,
+                          "data_seed must be nonnegative"),
+    "lambda": _finite_nonnegative("lambda"),
     "T": int, "seeds": _parse_ints, "metric_tick": int, "output_dir": str,
     "reference_tol": float, "reference_max_iters": int,
 }
@@ -334,13 +342,13 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
     tick, is recorded in ``failures``, never raised, and has no entry;
     out/failures.csv lists this call's failures and exists only if any.
     Target label counts that no arm's problem can draw are rejected before
-    out is made or the helper starts. Then removes failures.csv and every
-    file in out whose whole name matches the regular expression ``own``,
-    the form of the call's per-run and per-arm outputs, so that no earlier
-    call's file of those forms survives there, whatever seeds or arms that
-    call ran. No other file is touched.
+    out is made. Then, before the helper is forked, makes out and removes
+    failures.csv and every file in it whose whole name matches the regular
+    expression ``own``, the form of the call's per-run and per-arm outputs,
+    so that no earlier call's file of those forms survives there, whatever
+    seeds or arms that call ran. No other file is touched.
 
-    The runs are shared with one forked helper (see _forked_helper): the
+    The runs are shared with one forked helper (see _share_runs): the
     parent takes (arm, seed) tasks from the back of the list in (arm, seed)
     order and the helper from its front. ``reference``, when given, holds
     the (problem, tol, max_iters) of a ``metrics.solve_reference`` call,
@@ -362,15 +370,14 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
         except _optimizers.DivergenceError as exc:
             return name, seed, exc.step, str(exc)
 
-    with _forked_helper(attempt, len(tasks), reference) as run_all:
-        os.makedirs(out, exist_ok=True)
-        failures_path = os.path.join(out, "failures.csv")
-        for name in os.listdir(out):
-            path = os.path.join(out, name)
-            if (name == "failures.csv" or re.fullmatch(own, name)) \
-                    and os.path.isfile(path):
-                os.remove(path)
-        solved, done = run_all()
+    os.makedirs(out, exist_ok=True)
+    failures_path = os.path.join(out, "failures.csv")
+    for name in os.listdir(out):
+        path = os.path.join(out, name)
+        if (name == "failures.csv" or re.fullmatch(own, name)) \
+                and os.path.isfile(path):
+            os.remove(path)
+    solved, done = _share_runs(attempt, len(tasks), reference)
     results = ExperimentResults()
     for i, key in enumerate(tasks):
         if isinstance(done[i], _optimizers.RunResult):
@@ -395,25 +402,23 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
     return results, solved
 
 
-@contextlib.contextmanager
-def _forked_helper(attempt, count, reference):
-    """Fork one helper on entry that makes ``metrics.solve_reference(
-    *reference)`` if ``reference`` is given and then calls ``attempt(i)``
-    for the task indices it takes from the front of the shared range [0,
-    count), and yield ``run_all`` to the parent. ``run_all()`` calls
-    ``attempt`` for the indices the parent takes from the back of the
-    range until it is empty, waits for the helper's one message and
-    returns (the solution or None, {index: attempt(index)} for every
-    index). The helper inherits ``attempt`` and everything else through
-    the fork, so a module attribute patched in the parent, such as
-    ``_optimizers.run``, is patched in the helper too. It sends its
-    results once at the end, so it never stalls on a full pipe while the
-    parent runs. An exception the helper raises closes the range, so that
-    the parent stops after its current task, and is raised again by
-    ``run_all``; a helper that exits without a message makes ``run_all``
-    raise RuntimeError naming its exit code. On exit the helper is
-    terminated if it still runs, and always joined, so no helper outlives
-    the block. The ``fork`` start method is required."""
+def _share_runs(attempt, count, reference):
+    """Fork one helper that makes ``metrics.solve_reference(*reference)``
+    if ``reference`` is given and then calls ``attempt(i)`` for the task
+    indices it takes from the front of the shared range [0, count), while
+    this process calls ``attempt`` for the indices it takes from the back
+    until the range is empty. Returns (the solution or None, {index:
+    attempt(index)} for every index) once the helper's one message is in.
+    The helper inherits ``attempt`` and everything else through the fork,
+    so a module attribute patched in the parent, such as
+    ``_optimizers.run``, is patched in the helper too. It sends its results
+    once at the end, so it never stalls on a full pipe while the parent
+    runs. An exception the helper raises closes the range, so that the
+    parent stops after its current task, and is raised again here; a
+    helper that exits without a message raises RuntimeError naming its exit
+    code. Before this returns or raises, the helper is terminated if it
+    still runs, and always joined. The ``fork`` start method is
+    required."""
     context = multiprocessing.get_context("fork")
     span = context.Array("q", [0, count])
     receiver, sender = context.Pipe(duplex=False)
@@ -422,9 +427,8 @@ def _forked_helper(attempt, count, reference):
                             daemon=True)
     child.start()
     sender.close()
-
-    def run_all():
-        done = _run_share(span, True, attempt)
+    try:
+        done = _take_tasks(span, True, attempt)
         try:
             message = receiver.recv()
         except EOFError:
@@ -436,16 +440,13 @@ def _forked_helper(attempt, count, reference):
             raise message
         solution, theirs = message
         return solution, {**done, **theirs}
-
-    try:
-        yield run_all
     finally:
         child.terminate()
         child.join()
         receiver.close()
 
 
-def _run_share(span, back, attempt):
+def _take_tasks(span, back, attempt):
     """{index: attempt(index)} for each index taken off the shared range
     [span[0], span[1]) until it is empty: its last one each time when
     ``back``, else its first."""
@@ -468,7 +469,7 @@ def _helper_main(sender, span, attempt, reference):
     try:
         solution = _metrics.solve_reference(*reference) if reference \
             else None
-        message = solution, _run_share(span, False, attempt)
+        message = solution, _take_tasks(span, False, attempt)
     except Exception as exc:
         with span.get_lock():
             span[0] = span[1]
@@ -666,6 +667,24 @@ MATCHING_DEFAULTS = dict(n_train=2000, n_eval=800, d=40, num_classes=4,
                          metric_tick=20, data_seed=23)
 
 
+def matching_datasets(p=MATCHING_DEFAULTS):
+    """The (unbalanced training, balanced evaluation) Datasets that the
+    matching protocol builds from its settings ``p``, MATCHING_DEFAULTS or
+    an updated copy: one synthetic draw split at ``n_train``, whose
+    training part keeps ``keep_fraction`` of each class in
+    ``drop_labels``."""
+    total = _datasets.synth_classification(
+        p["n_train"] + p["n_eval"], p["d"], p["num_classes"],
+        margin=p["margin"], seed=p["data_seed"])
+    split = p["n_train"]
+    train = _datasets.Dataset(total.X[:split], total.y[:split],
+                              total.num_classes, total.provenance + "|train")
+    eval_ds = _datasets.Dataset(total.X[split:], total.y[split:],
+                                total.num_classes, total.provenance + "|eval")
+    return _datasets.unbalance(train, p["drop_labels"], p["keep_fraction"],
+                               p["data_seed"]), eval_ds
+
+
 def matching_experiment(seeds, output_dir, **overrides):
     """Distribution-matching protocol: unbalance two classes of a synthetic
     multiclass problem, train DASGrad with target-distribution importance
@@ -683,16 +702,7 @@ def matching_experiment(seeds, output_dir, **overrides):
     (ExperimentResults {arm: [completed RunResult]}, (gap, lo, hi) or
     None)."""
     p, seeds = _protocol_settings(MATCHING_DEFAULTS, overrides, seeds)
-    total = _datasets.synth_classification(
-        p["n_train"] + p["n_eval"], p["d"], p["num_classes"],
-        margin=p["margin"], seed=p["data_seed"])
-    split = p["n_train"]
-    train = _datasets.Dataset(total.X[:split], total.y[:split],
-                              total.num_classes, total.provenance + "|train")
-    eval_ds = _datasets.Dataset(total.X[split:], total.y[split:],
-                                total.num_classes, total.provenance + "|eval")
-    train = _datasets.unbalance(train, p["drop_labels"], p["keep_fraction"],
-                                p["data_seed"])
+    train, eval_ds = matching_datasets(p)
     problem = _datasets.make_problem(train, _problems.MULTICLASS_LOGISTIC,
                                      p["l2_lambda"])
     arms = {

@@ -189,6 +189,12 @@ class TestSynthCentroid:
         assert a != b
         assert len({a, b, a}) == 2
 
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_rejects_a_sigma_not_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError,
+                           match="sigma must be finite and nonnegative"):
+            D.synth_centroid(10, 3, sigma, seed=1)
+
     def test_box_muller_moments(self):
         rng = np.random.default_rng(4)
         z = D.box_muller(rng, 200_000)
@@ -218,6 +224,18 @@ class TestSynthClassification:
         nnz = np.mean(ds.X.getnnz(axis=1))
         sigma = np.sqrt(d * (1 - rate) * rate / n)
         assert abs(nnz - d * (1 - rate)) <= 4 * sigma
+
+    @pytest.mark.parametrize("margin", [-1.0, np.nan, np.inf])
+    def test_rejects_a_margin_not_finite_and_nonnegative(self, margin):
+        # a NaN margin fails margin > 0 and so left the centers unscaled
+        with pytest.raises(ValueError,
+                           match="margin must be finite and nonnegative"):
+            D.synth_classification(20, 4, 3, margin=margin, seed=8)
+
+    @pytest.mark.parametrize("sparsity", [-0.5, 1.5, np.nan])
+    def test_rejects_a_sparsity_outside_the_unit_interval(self, sparsity):
+        with pytest.raises(ValueError, match=r"sparsity must lie in \[0, 1\]"):
+            D.synth_classification(20, 4, 3, sparsity=sparsity, seed=8)
 
     def test_centers_respect_margin(self):
         ds = D.synth_classification(20, 4, 4, margin=6.0, seed=8)

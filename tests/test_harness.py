@@ -262,6 +262,13 @@ class TestConfigParsing:
         ("d = -2", "d must be at least 1"),
         ("lambda = nan", "lambda must be finite and nonnegative"),
         ("lambda = -1", "lambda must be finite and nonnegative"),
+        ("data_seed = -3", "data_seed must be nonnegative"),
+        ("sigma = -1", "sigma must be finite and nonnegative"),
+        ("sigma = inf", "sigma must be finite and nonnegative"),
+        ("margin = nan", "margin must be finite and nonnegative"),
+        ("margin = -inf", "margin must be finite and nonnegative"),
+        ("sparsity = 1.5", r"sparsity must lie in \[0, 1\]"),
+        ("sparsity = nan", r"sparsity must lie in \[0, 1\]"),
     ])
     def test_bad_problem_key_names_its_line(self, line, message):
         with pytest.raises(ValueError, match="^line 2: " + message):
@@ -720,19 +727,26 @@ class TestRunSettingsRejected:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_nonfinite_lambda_is_a_usage_error(self, tmp_path, capsys,
-                                               monkeypatch):
+    @pytest.mark.parametrize("old, new, message", [
+        ("lambda = 1e-3", "lambda = nan",
+         "lambda must be finite and nonnegative"),
+        # a NaN margin used to leave the class centers unscaled, exit 0
+        ("margin = 3", "margin = nan",
+         "margin must be finite and nonnegative"),
+        ("data_seed = 5", "data_seed = -1", "data_seed must be nonnegative"),
+    ])
+    def test_bad_problem_value_is_a_usage_error_naming_its_line(
+            self, tmp_path, capsys, monkeypatch, old, new, message):
         monkeypatch.setattr(O, "run", None)
         out = tmp_path / "bad"
         cfg_path = tmp_path / "bad.cfg"
-        text = TINY_CONFIG.format(out=out).replace("lambda = 1e-3",
-                                                   "lambda = nan")
+        text = TINY_CONFIG.format(out=out).replace(old, new)
         cfg_path.write_text(text)
-        line = text.splitlines().index("lambda = nan") + 1
+        line = text.splitlines().index(new) + 1
         with pytest.raises(SystemExit) as err:
             C.main(["run", "--config", str(cfg_path)])
         assert err.value.code == 2
-        assert ("line %d: lambda must be finite and nonnegative" % line
+        assert ("line %d: %s" % (line, message)
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -1178,8 +1192,7 @@ class TestReferenceHelper:
     ], ids=["dense-multiclass", "csr-binary", "centroid"])
     def test_solution_bit_equals_an_in_process_solve(self, make):
         problem = make()
-        with H._forked_helper(None, 0, (problem, 1e-6, 300)) as run_all:
-            got, runs = run_all()
+        got, runs = H._share_runs(None, 0, (problem, 1e-6, 300))
         assert runs == {}
         want = M.solve_reference(problem, 1e-6, 300)
         assert got.theta_star.tobytes() == want.theta_star.tobytes()

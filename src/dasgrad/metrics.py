@@ -5,7 +5,7 @@ A trace's regret is its loss minus f_star, summed over the ticks
 
 ``tick`` is what a run records at its metric ticks: the full objective,
 the gradient-norm variance and the accuracy at each row of a stack of
-parameters (a run passes the ticks of one refresh block together), bit for
+parameters (a run passes the ticks of one block together), bit for
 bit the values of ``problems.full_objective``, the population variance of
 ``sampling.scores_apsgd`` and ``accuracy`` at each row alone. A logistic
 row takes one pass over X (one margin product); centroid rows form
@@ -26,7 +26,8 @@ Z_95 = 1.96
 
 # A centroid tick forms theta - X for as many rows of its stack as fit in
 # this many bytes, so that ticking a long block holds no more memory than
-# about this much.
+# about this much; ``optimizers.run`` keeps no more pending tick thetas than
+# fit in it either.
 _TICK_BYTES = 1 << 20
 
 
@@ -119,7 +120,11 @@ def tick(problem, thetas, eval_set=None):
     population variance over examples of the gradient norms
     ``sampling.scores_apsgd``, and ``accuracy`` on the (X, y) pair eval_set
     (the problem's own rows when None), bit-identical to the three separate
-    calls on each row; acc is None for centroid problems.
+    calls on each row; acc is None for centroid problems. ``optimizers.run``
+    passes the ticks of one block: the steps up to the next step where a
+    refresh can happen, or to the end of a run that never refreshes, cut
+    where the densified rows would pass ``optimizers._BLOCK_BYTES`` or the
+    stack of pending thetas ``_TICK_BYTES``.
 
     Centroid problems form diff = theta - X for a chunk of rows at once:
     grad f_i = theta - x_i, so the loss and the gradient norms share the
@@ -127,7 +132,8 @@ def tick(problem, thetas, eval_set=None):
     each theta row repeated n times, minus the flat X in place, so the
     subtraction's inner loop runs n * d long, not d as a (k, 1, d) - (n, d)
     broadcast would, with the same values. The sums and the variance are
-    the ufunc steps of ``ndarray.sum`` and ``np.var`` taken per row. The
+    the ufunc steps of ``ndarray.sum`` and ``np.var`` taken per row, the
+    d-entry sums of the gradient norms through ``problems._row_sum``. The
     logistic kinds tick one row at a time and form its margin product
     once: its losses give the objective, its residuals the gradient norms
     (grad f_i is rank one in x_i), and its argmax the training accuracy."""
@@ -147,8 +153,8 @@ def tick(problem, thetas, eval_set=None):
             sq -= flat
             sq *= sq
             loss[rows] = 0.5 * np.add.reduce(sq, axis=1) / n
-            norms = np.sqrt(np.add.reduce(sq.reshape(-1, n, X.shape[1]),
-                                          axis=2))
+            norms = np.sqrt(_problems._row_sum(sq.reshape(-1, X.shape[1])))
+            norms = norms.reshape(-1, n)
             del sq  # freed before the next chunk's sq is formed
             norms -= np.add.reduce(norms, axis=1, keepdims=True) / n
             norms *= norms

@@ -25,16 +25,18 @@ the weighted mean, which is the estimate of the target-distribution risk
 gradient that the momentum must track. Uniform sampling with unit weights
 reproduces the unweighted methods bit for bit either way.
 
-The distribution changes only at a refresh, so ``run`` works in refresh
-blocks. A block starts at t = 1 and at every multiple of ``refresh_period``
-(the only steps where a refresh can happen). The indices of all its steps
+The distribution changes only at a refresh, so ``run`` works in blocks
+that end at the next step where a refresh can happen: every multiple of
+``refresh_period`` for ap_sgd and dasgrad. A run that never refreshes
+(the other methods, or ``freeze_probabilities``) has no such step, so
+its blocks run to the end of the run. The indices of all a block's steps
 are drawn in one ``sample_many`` call, and their rows gathered (CSR rows
-densified) and weighted once. A block holds at most
-``refresh_period * batch_size`` gathered rows; one of more than
-``_BLOCK_ROWS`` rows is cut into blocks of whole steps. Each step slices
-its own ``batch_size`` rows. One draw of k * batch_size uniforms is the
-same stream as k draws of batch_size, so blocks reproduce per-step
-sampling bit for bit.
+densified) and weighted once. A block whose densified rows would pass
+``_BLOCK_BYTES`` (1 MiB) is cut into blocks of whole steps, never less
+than one, and so is one that would keep more tick thetas pending than fit
+in ``metrics._TICK_BYTES``. Each step slices its own ``batch_size`` rows.
+One draw of k * batch_size uniforms is the same stream as k draws of
+batch_size, so blocks reproduce per-step sampling bit for bit.
 
 Every ``metric_tick`` steps the run records the loss, the gradient-norm
 variance and the accuracy. A block keeps the theta of each of its tick
@@ -237,7 +239,6 @@ def step_general(problem, theta, state, batch, config, t):
     if w is None:
         # w * G would be G and w.mean() one, bit for bit
         g_weighted = g_state = np.add.reduce(G, axis=0) / B
-        w_mean = 1.0
     else:
         g_weighted = np.add.reduce(w[:, None] * G, axis=0) / B
         w_mean = np.add.reduce(w) / B
@@ -266,9 +267,15 @@ def step_general(problem, theta, state, batch, config, t):
         moment_update(state, g_state, beta1_t, config.beta2,
                       method in ("amsgrad", "dasgrad"))
         denom = np.sqrt(state.v_hat) + config.epsilon_div
-        # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the stack
-        direction = (beta1_t * w_mean * m_prev
-                     + (1.0 - beta1_t) * g_weighted) / denom
+        if w is None:
+            # with unit weights the blend below is the new m, bit for bit:
+            # w_mean is 1.0 and g_weighted is g_state
+            direction = state.m / denom
+        else:
+            # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the
+            # stack
+            direction = (beta1_t * w_mean * m_prev
+                         + (1.0 - beta1_t) * g_weighted) / denom
     new_theta = theta - config.alpha / math.sqrt(t) * direction
     # a NaN fails both tests, as the reductions propagate it
     if not (lo < np.minimum.reduce(new_theta)
@@ -311,6 +318,14 @@ def _wants_refresh(config, t):
     return False
 
 
+def _next_refresh(config, t, T):
+    """The first step after t at which ``_wants_refresh`` can hold, or
+    T + 1 when no refresh comes before the run ends."""
+    if config.freeze_probabilities or config.method not in _ADAPTIVE_PROBS:
+        return T + 1
+    return min(t - t % config.refresh_period + config.refresh_period, T + 1)
+
+
 @dataclass
 class RunResult:
     """Trace of one run: metrics on the tick grid and the final theta.
@@ -324,10 +339,11 @@ class RunResult:
     seed: int
 
 
-# A refresh block of more rows than this is cut into blocks of whole steps,
-# so that a long refresh period cannot make one gather arbitrarily large;
-# the cut draws the same stream (see the module docstring).
-_BLOCK_ROWS = 4096
+# A block whose densified rows would pass this many bytes is cut into
+# blocks of whole steps, never less than one, so that a run that never
+# refreshes gathers about this much at most; the cut draws the same stream
+# (see the module docstring).
+_BLOCK_BYTES = 1 << 20
 
 
 def _check_target_counts(problem, counts):
@@ -361,16 +377,20 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
 
     ticks, losses, accs, gvars = [], [], [], []
 
-    period, B = config.refresh_period, config.batch_size
-    max_steps = max(1, _BLOCK_ROWS // B)
+    B = config.batch_size
+    max_steps = max(1, _BLOCK_BYTES // (B * problem.d * 8))
+    # ticks a block may keep pending: their thetas stack to at most
+    # metrics._TICK_BYTES, the bytes a centroid tick forms per chunk
+    max_ticks = max(1, _metrics._TICK_BYTES // (problem.param_dim * 8))
     t = 1
     # an overflow on the way to a divergence is reported by DivergenceError
     # (at a step, a tick or a refresh), never by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         while t <= T:
-            # the block runs up to the next multiple of the period, the
-            # next step where a refresh can happen
-            end = min(t - t % period + period, t + max_steps, T + 1)
+            # the block runs up to the next step where a refresh can
+            # happen, and stops before its (max_ticks + 1)-th tick step
+            end = min(_next_refresh(config, t, T), t + max_steps,
+                      ((t - 1) // metric_tick + max_ticks + 1) * metric_tick)
             if _wants_refresh(config, t):
                 refresh_probabilities(problem, theta, state, config, tree, t)
             X, y, w = draw_batch(problem, tree, rng, config, (end - t) * B)

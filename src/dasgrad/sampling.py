@@ -198,7 +198,7 @@ def scores_dasgrad(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
                 - keep * problem.X)
         q = diff / root[None, :]
         # what np.linalg.norm(q, axis=1) computes, without its wrapper
-        return np.sqrt(np.add.reduce(q * q, axis=1))
+        return np.sqrt(_problems._row_sum(q * q))
 
     inv_sq = problem.weights_view(1.0 / (root * root))
     return _rank_one_norms(problem, theta, _problems.residuals(problem, theta),
@@ -217,7 +217,8 @@ def _rank_one_norms(problem, theta, R, m_prev, inv_sq, beta1_t, quad):
     C = keep * R
     base = float((A * A * inv_sq).sum())
     cross = np.asarray(problem.X @ (A * inv_sq).T)
-    sq = base + 2.0 * (C * cross).sum(axis=1) + (C * C * quad).sum(axis=1)
+    sq = (base + 2.0 * _problems._row_sum(C * cross)
+          + _problems._row_sum(C * C * quad))
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -229,9 +230,14 @@ def expected_weighted_second_moment(probs, norms):
     """
     probs = np.asarray(probs, dtype=np.float64)
     norms = np.asarray(norms, dtype=np.float64)
-    if probs.shape != norms.shape or probs.ndim != 1:
-        raise ValueError("probs and norms must be 1-d and the same length")
-    if np.any(probs <= 0):
-        raise ValueError("probabilities must be positive")
+    if probs.shape != norms.shape or probs.ndim != 1 or probs.size == 0:
+        raise ValueError("probs and norms must be 1-d, nonempty and the same "
+                         "length")
+    if not (0.0 < np.minimum.reduce(probs)
+            and np.maximum.reduce(probs) < np.inf):
+        raise ValueError("probabilities must be finite and positive")
+    if not (0.0 <= np.minimum.reduce(norms)
+            and np.maximum.reduce(norms) < np.inf):
+        raise ValueError("norms must be finite and nonnegative")
     n = probs.size
     return float((norms * norms / probs).sum() / (n * n))

@@ -627,11 +627,8 @@ def test_run_is_bit_identical_to_the_parent_loop(method, kind):
                                eval_set)
 
 
-@pytest.mark.parametrize("method", ["sgd", "ap_sgd", "dasgrad"])
-def test_split_blocks_draw_the_same_stream(method, monkeypatch):
-    # a block of more than _BLOCK_ROWS rows is cut into blocks of whole
-    # steps: here 7-step periods into blocks of 2 steps (10 rows)
-    monkeypatch.setattr(O, "_BLOCK_ROWS", 12)
+def _record_draw_sizes(monkeypatch):
+    """The size of every ``draw_batch`` call ``run`` makes, in order."""
     sizes = []
     draw_batch = O.draw_batch
 
@@ -640,13 +637,58 @@ def test_split_blocks_draw_the_same_stream(method, monkeypatch):
         return draw_batch(problem, tree, rng, config, size)
 
     monkeypatch.setattr(O, "draw_batch", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("method", O.METHODS)
+def test_split_blocks_draw_the_same_stream(method, monkeypatch):
+    # a block whose rows pass _BLOCK_BYTES is cut into blocks of whole
+    # steps: a step's 5 rows of 4 features take 160 bytes, so 400 bytes
+    # hold 2 steps (10 rows). ap_sgd and dasgrad cut their 7-step refresh
+    # blocks; the other methods never refresh and cut the whole run.
+    monkeypatch.setattr(O, "_BLOCK_BYTES", 400)
+    sizes = _record_draw_sizes(monkeypatch)
+    expected = [10, 10, 10] + [10, 10, 10, 5] * 2 + [10, 10] \
+        if method in O._ADAPTIVE_PROBS else [10] * 12
     for is_sparse in (False, True):
         problem = _bit_check_problem(P.MULTICLASS_LOGISTIC, is_sparse)
         cfg = O.OptimizerConfig(method=method, alpha=0.2, batch_size=5,
                                 refresh_period=7)
         sizes.clear()
         _assert_same_trace(problem, cfg, 24, 3, 4, (method, is_sparse))
-        assert sizes == [10, 10, 10] + [10, 10, 10, 5] * 2 + [10, 10]
+        assert sizes == expected
+
+
+# steps per block of a 24-step run ticked every 2 steps with a tick stack of
+# at most two thetas: amsgrad is cut only before each third pending tick
+# step, dasgrad also at its refreshes (7, 14 and 21)
+_TICK_CUT_STEPS = {"amsgrad": [5, 4, 4, 4, 4, 3],
+                   "dasgrad": [5, 1, 5, 2, 4, 3, 4]}
+
+
+@pytest.mark.parametrize("kind", P.KINDS)
+@pytest.mark.parametrize("method", sorted(_TICK_CUT_STEPS))
+def test_blocks_are_cut_at_the_tick_stack_bound(method, kind, monkeypatch):
+    param_dim = _bit_check_problem(kind, False).param_dim
+    monkeypatch.setattr(M, "_TICK_BYTES", 2 * 8 * param_dim + 7)
+    sizes = _record_draw_sizes(monkeypatch)
+    stacks = []
+    tick = M.tick
+
+    def recorded(problem, thetas, eval_set=None):
+        stacks.append(len(thetas))
+        return tick(problem, thetas, eval_set)
+
+    monkeypatch.setattr(M, "tick", recorded)
+    for is_sparse in (False, True):
+        problem = _bit_check_problem(kind, is_sparse)
+        cfg = O.OptimizerConfig(method=method, alpha=0.2, batch_size=5,
+                                refresh_period=7)
+        sizes.clear()
+        stacks.clear()
+        _assert_same_trace(problem, cfg, 24, 3, 2, (method, kind, is_sparse))
+        assert sizes == [5 * k for k in _TICK_CUT_STEPS[method]]
+        assert max(stacks) == 2 and sum(stacks) == 12
 
 
 _DIVERGING_CASES = [(method, 1e200, 24, 5) for method in O.METHODS] + [

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import expit
 
@@ -246,6 +248,89 @@ class TestFullDataRowMax:
             assert np.isnan(L).any() and np.isinf(Z).any()
 
 
+# values that stress a sum's bits: signed zeros, NaN, infinities,
+# subnormals and finite values near the float maximum, whose sums overflow.
+# Which of two NaN payloads an add keeps is not fixed even within numpy
+# (its vector loop keeps the first operand's, its scalar tail the
+# second's), so the one NaN here is the one inf - inf makes, the payload of
+# every NaN a run can meet: a problem's features are finite.
+with np.errstate(invalid="ignore"):
+    _DEFAULT_NAN = np.subtract(np.inf, np.inf)
+_ROW_SUM_SPECIALS = np.array([
+    0.0, -0.0, _DEFAULT_NAN, np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+    -3e-309, np.finfo(np.float64).max, -np.finfo(np.float64).max, 1.5e308,
+    -9e307])
+
+
+def _row_sum_input(rng, n, width, layout, special_share):
+    """An (n, width) float array in the given layout: C-contiguous, a view
+    reshaped from a (k, n * width) stack as the centroid tick passes it,
+    views that skip rows or columns or start inside a row, a Fortran-ordered
+    copy, and views that walk the columns or the rows backwards."""
+    shape = (2 * n, 2 * width + 3)
+    # most rows hold values of one scale, so that the order of the adds
+    # shows in the rounding; a few entries take another scale
+    scales = rng.choice([1.0, 1e-310, 1e307], size=(shape[0], 1))
+    scales = np.where(rng.random(shape) < 0.05,
+                      rng.choice([1.0, 1e-310, 1e307], size=shape), scales)
+    data = rng.standard_normal(shape) * scales
+    special = rng.random(data.shape) < special_share
+    data[special] = rng.choice(_ROW_SUM_SPECIALS, size=int(special.sum()))
+    block = np.ascontiguousarray(data[:n, :width])
+    return {"contiguous": block,
+            "reshaped": block.reshape(1, n * width).reshape(-1, width),
+            "rows": data[::2, :width],
+            "columns": data[:n, :2 * width:2],
+            "offset": data[:n, 3:3 + width],
+            "fortran": np.asfortranarray(block),
+            "reversed": data[:n, width - 1::-1],
+            "flipped": data[n - 1::-1, :width]}[layout]
+
+
+_ROW_SUM_LAYOUTS = ["contiguous", "reshaped", "rows", "columns", "offset",
+                    "fortran", "reversed", "flipped"]
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("layout", _ROW_SUM_LAYOUTS)
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.one_of(st.integers(1, 10), st.sampled_from(
+               list(range(11, 21)) + [127, 128, 129, 130, 300])),
+           rows_per_column=st.one_of(st.integers(1, 63),
+                                     st.integers(64, 100)),
+           special_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_reduce_bit_for_bit(self, layout, width,
+                                            rows_per_column, special_share,
+                                            seed):
+        # from 64 rows per column on, rows of up to 10 entries take the
+        # column passes
+        n = min(rows_per_column * width, 20000 // width)
+        A = _row_sum_input(np.random.default_rng(seed), n, width, layout,
+                           special_share)
+        assert A.shape == (n, width)
+        with np.errstate(all="ignore"):
+            got, want = P._row_sum(A), np.add.reduce(A, axis=1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("layout", _ROW_SUM_LAYOUTS)
+    @pytest.mark.parametrize("width", [2, 8, 10])
+    def test_tall_arrays_match_the_reduce(self, width, layout):
+        # the Fortran-ordered array is summed down its columns by the
+        # reduce, so a pairwise column pass would round it differently
+        A = _row_sum_input(np.random.default_rng(width), 64 * width, width,
+                           layout, 0.0)
+        assert np.array_equal(P._row_sum(A).view(np.int64),
+                              np.add.reduce(A, axis=1).view(np.int64))
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 10])
+    def test_negative_zero_rows_sum_to_positive_zero(self, width):
+        # many rows, so the column passes are taken
+        A = np.full((64 * width, width), -0.0)
+        assert np.array_equal(P._row_sum(A).view(np.int64),
+                              np.zeros(len(A), dtype=np.int64))
+
+
 def _flat_terms(X, y, theta):
     """Binary (loss, residual, margin) with theta a flat vector of d
     weights: z = X theta, s = 2y - 1, r = -s sigmoid(-s z)."""
@@ -270,6 +355,37 @@ def _flat_scores(problem, theta, m_prev, v_hat, beta1_t):
     # here A = 0 gives cross = 0, and any other A a base far above that
     sq = base + 2.0 * C * cross + (C * C) * quad
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _broadcast_batch_gradients(problem, theta, X, y):
+    """``batch_gradients`` of the logistic kinds as one (B, K, d)
+    broadcast for every K, binary (K = 1) included."""
+    r = P._logistic_terms(problem, theta, X, y, want_residuals=True)[1]
+    W = problem.weights_view(theta)
+    G = r[:, :, None] * X[:, None, :] + problem.l2_lambda * W[None, :, :]
+    return G.reshape(len(y), -1)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("kind", [P.BINARY_LOGISTIC, P.MULTICLASS_LOGISTIC])
+def test_batch_gradients_match_the_broadcast_route(kind, storage, lam):
+    # CSR batches are densified by gather_rows; saturated margins give
+    # residuals of exactly 0 and +-1 next to ordinary ones
+    rng = np.random.default_rng(34)
+    n, d = 80, 9
+    X, y = H._gaussian_rows(rng, n, d, 2 if kind == P.BINARY_LOGISTIC else 4)
+    X *= rng.random(X.shape) < 0.6
+    if storage == "csr":
+        X = sparse.csr_matrix(X)
+    prob = P.Problem(X, y, kind, l2_lambda=lam)
+    for scale in (1.0, 900.0):
+        theta = scale * rng.standard_normal(prob.param_dim)
+        for size in (1, 5, 32, 200):
+            Xb, yb = P.gather_rows(prob, rng.integers(0, n, size))
+            assert np.array_equal(
+                _bits(P.batch_gradients(prob, theta, Xb, yb)),
+                _bits(_broadcast_batch_gradients(prob, theta, Xb, yb)))
 
 
 class TestBinaryOneRowLayout:

@@ -713,6 +713,26 @@ class TestExpectedWeightedSecondMoment:
             S.expected_weighted_second_moment(np.array([0.5, 0.5]),
                                               np.array([1.0]))
 
+    @pytest.mark.parametrize("probs, norms, message", [
+        ([0.5, np.inf], [1.0, 1.0], "probabilities must be finite"),
+        ([0.5, np.nan], [1.0, 1.0], "probabilities must be finite"),
+        ([np.nan, 0.5], [1.0, 1.0], "probabilities must be finite"),
+        ([0.5, 0.0], [1.0, 1.0], "probabilities must be finite"),
+        ([0.5, -0.5], [1.0, 1.0], "probabilities must be finite"),
+        ([0.5, 0.5], [1.0, -1.0], "norms must be finite"),
+        ([0.5, 0.5], [np.inf, 1.0], "norms must be finite"),
+        ([0.5, 0.5], [1.0, np.nan], "norms must be finite"),
+        ([], [], "nonempty"),
+    ])
+    def test_bad_input_is_rejected(self, probs, norms, message):
+        with pytest.raises(ValueError, match=message):
+            S.expected_weighted_second_moment(np.array(probs),
+                                              np.array(norms))
+
+    def test_zero_norms_are_accepted(self):
+        assert S.expected_weighted_second_moment(
+            np.array([0.25, 0.75]), np.array([0.0, 0.0])) == 0.0
+
 
 # Test-local copies of the input checks as they stood before each became
 # one min/max reduce pair: a check that passes them must accept and reject

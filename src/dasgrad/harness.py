@@ -93,14 +93,13 @@ class ExperimentConfig:
             raise ValueError("need at least one optimizer")
         if not self.reference_tol > 0:
             raise ValueError("reference_tol must be positive")
-        if self.reference_max_iters < 1:
-            raise ValueError("reference_max_iters must be at least 1")
+        _optimizers._positive_int("reference_max_iters",
+                                  self.reference_max_iters)
 
 
-def _check_run_settings(T, metric_tick, seeds, min_seeds):
-    """The seeds as a tuple. Rejects too few seeds, a negative one, a
-    repeated one (it would count one run twice), a T or tick that ``run``
-    rejects and a tick above T (no trace rows)."""
+def _check_seeds(seeds, min_seeds):
+    """The seeds as a tuple. Rejects too few seeds, a negative one and a
+    repeated one (it would count one run twice)."""
     seeds = tuple(seeds)
     if len(seeds) < min_seeds:
         raise ValueError("need at least %s, got %d"
@@ -109,6 +108,13 @@ def _check_run_settings(T, metric_tick, seeds, min_seeds):
     if min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValueError("seeds must not repeat or be negative, "
                          "got %s" % ",".join(str(s) for s in seeds))
+    return seeds
+
+
+def _check_run_settings(T, metric_tick, seeds, min_seeds):
+    """The seeds as ``_check_seeds`` returns them. Also rejects a T or
+    tick that ``run`` rejects and a tick above T (no trace rows)."""
+    seeds = _check_seeds(seeds, min_seeds)
     T = _optimizers._positive_int("T", T)
     if _optimizers._positive_int("metric_tick", metric_tick) > T:
         raise ValueError("metric_tick must lie in [1, T=%d], got %d"
@@ -159,6 +165,11 @@ def _finite_nonnegative(key):
                     key + " must be finite and nonnegative")
 
 
+def _whole(key):
+    """Parser of a value that must be a whole number of at least 1."""
+    return lambda text: _optimizers._positive_int(key, int(text))
+
+
 # config key -> value parser; these are the only keys a config may use
 _GLOBAL_KEYS = {
     "kind": _checked(str, _problems.KINDS.__contains__,
@@ -174,14 +185,16 @@ _GLOBAL_KEYS = {
     "data_seed": _checked(int, lambda s: s >= 0,
                           "data_seed must be nonnegative"),
     "lambda": _finite_nonnegative("lambda"),
-    "T": int, "seeds": _parse_ints, "metric_tick": int, "output_dir": str,
-    "reference_tol": float, "reference_max_iters": int,
+    "T": _whole("T"), "seeds": lambda text: _check_seeds(_parse_ints(text), 1),
+    "metric_tick": _whole("metric_tick"), "output_dir": str,
+    "reference_tol": _checked(float, lambda v: v > 0,
+                              "reference_tol must be positive"),
+    "reference_max_iters": _whole("reference_max_iters"),
 }
 _OPTIMIZER_KEYS = {
     "method": str, "alpha": float, "beta1": float, "beta2": float,
     "epsilon_div": float, "epsilon_prob": float, "beta1_decay": float,
-    "refresh_period": int, "batch_size": int,
-    "freeze_probabilities": _parse_bool, "box": _parse_box,
+    "refresh_period": int, "batch_size": int, "box": _parse_box,
 }
 # config keys whose dataclass field has another name
 _FIELD_OF_KEY = {"classes": "num_classes", "lambda": "l2_lambda",
@@ -192,13 +205,13 @@ _PROBLEM_FIELDS = {f.name for f in fields(ProblemSpec)}
 def parse_config_text(text, base_dir="."):
     """Parse the flat key = value format into an ExperimentConfig; a
     section's method is its name unless a ``method`` line says otherwise.
-    An unknown key, an unparsable or out-of-range value and a nonzero
-    lambda on a centroid problem raise ValueError naming their line, and a
+    An unknown or repeated key, an unparsable or out-of-range value and a
+    setting at odds with another raise ValueError naming their line, and a
     rejected optimizer section names its header line."""
     globals_kv = {}
     optimizer_kv = {}
     header_line = {}
-    lambda_line = None
+    key_line = {}   # no key is both a global and an optimizer key
     current = globals_kv
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -212,7 +225,7 @@ def parse_config_text(text, base_dir="."):
             if not name or name in optimizer_kv:
                 raise ValueError("line %d: bad or duplicate optimizer name"
                                  % line_no)
-            current = optimizer_kv[name] = {"method": name}
+            current = optimizer_kv[name] = {}
             header_line[name] = line_no
             continue
         if "=" not in line:
@@ -221,23 +234,23 @@ def parse_config_text(text, base_dir="."):
         parsers = _GLOBAL_KEYS if current is globals_kv else _OPTIMIZER_KEYS
         if key not in parsers:
             raise ValueError("line %d: unknown key %r" % (line_no, key))
+        field = _FIELD_OF_KEY.get(key, key)
+        if field in current:
+            raise ValueError("line %d: key %r repeats line %d"
+                             % (line_no, key, key_line[key]))
         try:
-            current[_FIELD_OF_KEY.get(key, key)] = parsers[key](value)
+            current[field] = parsers[key](value)
         except ValueError as exc:
             raise ValueError("line %d: %s" % (line_no, exc)) from None
-        if key == "lambda":
-            lambda_line = line_no
+        key_line[key] = line_no
 
-    if globals_kv.get("kind", _problems.CENTROID) == _problems.CENTROID \
-            and globals_kv.get("l2_lambda", 0.0) != 0.0:
-        raise ValueError("line %d: lambda must be 0 for a centroid problem, "
-                         "whose loss has no L2 term" % lambda_line)
     if not optimizer_kv:
         raise ValueError("config defines no [optimizer.*] section")
     optimizers = {}
     for name, kv in optimizer_kv.items():
         try:
-            optimizers[name] = _optimizers.OptimizerConfig(**kv)
+            optimizers[name] = _optimizers.OptimizerConfig(
+                **{"method": name, **kv})
         except ValueError as exc:
             raise ValueError("line %d: [optimizer.%s]: %s"
                              % (header_line[name], name, exc)) from None
@@ -248,8 +261,27 @@ def parse_config_text(text, base_dir="."):
     path = spec_kv.get("path")
     if path is not None and not os.path.isabs(path):
         spec_kv["path"] = os.path.join(base_dir, path)
-    return ExperimentConfig(problem=ProblemSpec(**spec_kv),
-                            optimizers=optimizers, **globals_kv)
+    spec = ProblemSpec(**spec_kv)
+    T = globals_kv.get("T", ExperimentConfig.T)
+    tick = globals_kv.get("metric_tick", ExperimentConfig.metric_tick)
+    # a setting at odds with another names the first of its keys set
+    for bad, keys, message in [
+            (spec.kind == _problems.CENTROID and spec.l2_lambda != 0.0,
+             ["lambda"], "lambda must be 0 for a centroid problem, whose "
+             "loss has no L2 term"),
+            (spec.kind == _problems.BINARY_LOGISTIC and spec.num_classes != 2,
+             ["classes"], "classes must be 2 for a binary-logistic problem, "
+             "got %d" % spec.num_classes),
+            (spec.kind != _problems.CENTROID and not spec.path
+             and spec.n < spec.num_classes, ["n", "classes"],
+             "n must be at least classes (%d) to synthesize a %s problem, "
+             "got %d" % (spec.num_classes, spec.kind, spec.n)),
+            (tick > T, ["metric_tick", "T"],
+             "metric_tick must lie in [1, T=%d], got %d" % (T, tick))]:
+        if bad:
+            line_no = next(key_line[key] for key in keys if key in key_line)
+            raise ValueError("line %d: %s" % (line_no, message))
+    return ExperimentConfig(problem=spec, optimizers=optimizers, **globals_kv)
 
 
 def load_config(path):

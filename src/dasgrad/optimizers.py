@@ -23,13 +23,15 @@ directions. Without target label counts the moment recursion absorbs the
 raw batch mean of the sampled gradients; with them (target mode) it absorbs
 the weighted mean, which is the estimate of the target-distribution risk
 gradient that the momentum must track. Uniform sampling with unit weights
-reproduces the unweighted methods bit for bit either way.
+reproduces the unweighted methods bit for bit either way: a dasgrad run
+with ``refresh_period`` above T never refreshes and is amsgrad, and ap_sgd
+stepped without its refreshes is sgd.
 
 The distribution changes only at a refresh, so ``run`` works in blocks
 that end at the next step where a refresh can happen: every multiple of
 ``refresh_period`` for ap_sgd and dasgrad. A run that never refreshes
-(the other methods, or ``freeze_probabilities``) has no such step, so
-its blocks run to the end of the run. The indices of all a block's steps
+(the other methods) has no such step, so its blocks run to the end of
+the run. The indices of all a block's steps
 are drawn in one ``sample_many`` call, and their rows gathered (CSR rows
 densified) and weighted once. A block whose densified rows would pass
 ``_BLOCK_BYTES`` (1 MiB) is cut into blocks of whole steps, never less
@@ -113,7 +115,6 @@ class OptimizerConfig:
     # ints; giving them turns target mode on, and m is their total
     target_label_counts: tuple | None = None
     beta1_decay: float = 1.0            # beta1_t = beta1 * decay**(t-1)
-    freeze_probabilities: bool = False  # keep the distribution uniform
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -203,7 +204,7 @@ def _weights_for(problem, indices, tree, config):
     counts = config.target_label_counts
     if counts is None and config.method not in _ADAPTIVE_PROBS:
         return None
-    p = tree.leaves(indices)
+    p = tree.weights[indices]
     if counts is None:
         return _sampling.importance_weight(p, problem.n)
     labels = problem.y[indices]
@@ -309,8 +310,6 @@ def refresh_probabilities(problem, theta, state, config, tree, t):
 
 
 def _wants_refresh(config, t):
-    if config.freeze_probabilities:
-        return False
     if config.method == "dasgrad":
         return t % config.refresh_period == 0
     if config.method == "ap_sgd":
@@ -321,7 +320,7 @@ def _wants_refresh(config, t):
 def _next_refresh(config, t, T):
     """The first step after t at which ``_wants_refresh`` can hold, or
     T + 1 when no refresh comes before the run ends."""
-    if config.freeze_probabilities or config.method not in _ADAPTIVE_PROBS:
+    if config.method not in _ADAPTIVE_PROBS:
         return T + 1
     return min(t - t % config.refresh_period + config.refresh_period, T + 1)
 

@@ -232,16 +232,15 @@ def _logistic_terms(problem, theta, X, y, want_loss=False,
     return L, R, Z
 
 
-def residuals(problem, theta, rows=None):
+def residuals(problem, theta):
     """Residuals r_i with grad f_i = r_i (x) x_i + lambda W, where
     r_i = -s_i sigmoid(-s_i <theta, x_i>) with s_i in {-1, +1} (binary,
-    K = 1) or r_i = softmax(W x_i) - e_{y_i} (multiclass). Returns a (B, K)
-    array for the index array ``rows``, or for every example when rows is
-    None."""
+    K = 1) or r_i = softmax(W x_i) - e_{y_i} (multiclass), for every
+    example: an (n, K) array."""
     if problem.kind == CENTROID:
         raise ValueError("residuals are defined for the logistic kinds")
     theta = _check_theta(problem, theta)
-    return _logistic_terms(problem, theta, *gather_rows(problem, rows),
+    return _logistic_terms(problem, theta, problem.X, problem.y,
                            want_residuals=True)[1]
 
 

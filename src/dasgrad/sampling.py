@@ -1,8 +1,9 @@
 """Adaptive categorical sampling over training indices.
 
-``SamplingTree`` keeps the weights' running sums: a refresh of the
-sampling distribution is one O(n) ``set_all``, and ``sample_many`` draws a
-block of indices with one binary search of the running sums. A single-leaf
+``SamplingTree`` keeps the weights and their running sums as read-only
+arrays: a refresh of the sampling distribution is one O(n) ``set_all``,
+and ``sample_many`` draws a block of indices with one binary search of
+the running sums. A single-leaf
 ``update`` also retakes the running sums in O(n); the optimizers never call
 it, as each refresh replaces the whole distribution.
 ``scores_dasgrad`` is the one score function: per-example norms of the
@@ -18,8 +19,7 @@ one pass: ``set_all`` and ``normalize_scores`` test a vector's range with
 one ``np.minimum.reduce``/``np.maximum.reduce`` pair (NaN fails it, as it
 propagates), and take the per-condition tests only to pick the error
 message. ``importance_weight`` and ``target_weight`` skip NaN, as
-``np.any(p <= 0)`` does, through ``np.fmin.reduce``/``np.fmax.reduce``, and
-``leaves(rows)`` tests its rows' least value with one ``np.minimum.reduce``.
+``np.any(p <= 0)`` does, through ``np.fmin.reduce``/``np.fmax.reduce``.
 Each accepts and rejects the same inputs, with the same message, as the
 per-condition tests.
 """
@@ -35,11 +35,11 @@ class SamplingTree:
     """Categorical distribution over n nonnegative leaf weights.
 
     Holds the weights and their running sums, ``cdf = np.cumsum(weights)``,
-    and nothing else: ``total`` is ``cdf[-1]``, and a draw is one binary
+    as read-only arrays: ``total`` is ``cdf[-1]``, and a draw is one binary
     search of the running sums. Every method that changes a weight takes
-    the running sums afresh in a new array, so ``cdf`` equals
-    ``np.cumsum(leaves())`` to the last bit, and a rejected call changes
-    nothing.
+    its own copy of the weights and the running sums afresh in new arrays,
+    so ``cdf`` equals ``np.cumsum(weights)`` to the last bit, and a rejected
+    call changes nothing.
     """
 
     def __init__(self, weights):
@@ -52,15 +52,6 @@ class SamplingTree:
     @property
     def total(self) -> float:
         return float(self.cdf[-1])
-
-    def leaves(self, rows=None) -> np.ndarray:
-        """Copy of the n leaf weights, or of those at the index array rows."""
-        if rows is None:
-            return self._weights.copy()
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and np.minimum.reduce(rows, axis=None) < 0:
-            raise IndexError("leaf index out of range")
-        return self._weights[rows]  # numpy raises IndexError for a row >= n
 
     def set_all(self, weights) -> None:
         """Replace all n leaf weights, O(n)."""
@@ -84,18 +75,20 @@ class SamplingTree:
             raise IndexError("leaf index out of range")
         if not np.isfinite(w) or w < 0:
             raise ValueError("weight must be finite and nonnegative")
-        weights = self._weights.copy()
+        weights = self.weights.copy()
         weights[i] = w
         self._commit(weights)
 
     def _commit(self, weights):
-        """Keep weights and their running sums unless the total overflows.
-        The running sums are nondecreasing, so only the last can be inf."""
+        """Keep weights, which no caller holds, and their running sums
+        unless the total overflows, both read-only. The running sums are
+        nondecreasing, so only the last can be inf."""
         with np.errstate(over="ignore"):
             cdf = np.cumsum(weights)
         if not np.isfinite(cdf[-1]):
             raise ValueError("the weights' total overflows")
-        self._weights, self.cdf = weights, cdf
+        weights.flags.writeable = cdf.flags.writeable = False
+        self.weights, self.cdf = weights, cdf
 
     def sample_many(self, rng, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. indices: draw i is the first leaf whose

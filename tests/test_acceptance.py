@@ -69,9 +69,9 @@ def test_criterion_2_sampler_law_and_running_sums():
     upd = np.random.default_rng(8)
     for _ in range(10_000):
         tree.update(int(upd.integers(0, 1000)), 0.1 + float(upd.random()))
-    assert np.array_equal(tree.cdf, np.cumsum(tree.leaves()))
+    assert np.array_equal(tree.cdf, np.cumsum(tree.weights))
     assert tree.total == tree.cdf[-1]
-    direct = tree.leaves().sum()
+    direct = tree.weights.sum()
     assert abs(tree.total - direct) <= 1e-9 * direct
     elapsed = time.time() - start
     assert elapsed < 10.0
@@ -134,9 +134,10 @@ def test_criterion_4_weighted_second_moment_optimality():
             % (worst_rel, worst_ident, elapsed))
 
 
-def _lockstep(problem, cfg_a, cfg_b, T, seed):
+def _lockstep(problem, cfg_a, cfg_b, T, seed, refresh=True):
     """Run two configs in lockstep and return the max coordinatewise
-    trajectory gap over all steps."""
+    trajectory gap over all steps. With refresh False neither run
+    refreshes its distribution, which stays uniform."""
     dim = problem.param_dim
     thetas = [np.zeros(dim), np.zeros(dim)]
     states = [O.MomentState.zeros(dim), O.MomentState.zeros(dim)]
@@ -146,7 +147,7 @@ def _lockstep(problem, cfg_a, cfg_b, T, seed):
     worst = 0.0
     for t in range(1, T + 1):
         for j, cfg in enumerate((cfg_a, cfg_b)):
-            if O._wants_refresh(cfg, t):
+            if refresh and O._wants_refresh(cfg, t):
                 O.refresh_probabilities(problem, thetas[j], states[j], cfg,
                                         trees[j], t)
             batch = O.draw_batch(problem, trees[j], rngs[j], cfg,
@@ -163,16 +164,15 @@ def test_criterion_5_collapse_equivalences():
     prob = P.Problem(*H._gaussian_rows(rng, 40, 5, 3), P.MULTICLASS_LOGISTIC,
                      l2_lambda=0.01, num_classes=3)
     kw = dict(alpha=0.05, beta1=0.9, beta2=0.99, batch_size=4)
+    # a refresh period past T: dasgrad's distribution stays uniform
     gap_moment = _lockstep(
-        prob, O.OptimizerConfig(method="dasgrad", freeze_probabilities=True,
-                                **kw),
+        prob, O.OptimizerConfig(method="dasgrad", refresh_period=501, **kw),
         O.OptimizerConfig(method="amsgrad", **kw), 500, seed=42)
+    # ap_sgd refreshes before step 1 whatever its period: step it without
     gap_plain = _lockstep(
-        prob,
-        O.OptimizerConfig(method="ap_sgd", freeze_probabilities=True,
-                          alpha=0.05, batch_size=4),
+        prob, O.OptimizerConfig(method="ap_sgd", alpha=0.05, batch_size=4),
         O.OptimizerConfig(method="sgd", alpha=0.05, batch_size=4),
-        500, seed=42)
+        500, seed=42, refresh=False)
     assert gap_moment <= 1e-12
     assert gap_plain <= 1e-12
     elapsed = time.time() - start

@@ -240,7 +240,7 @@ class TestConfigParsing:
             "[optimizer.a]\nmethod = adam\nalpha = 0.5\nbeta1 = 0.5\n"
             "beta2 = 0.75\nepsilon_div = 1e-6\nepsilon_prob = 1e-4\n"
             "beta1_decay = 0.99\nrefresh_period = 3\nbatch_size = 2\n"
-            "freeze_probabilities = yes\nbox = -2,2\n", base_dir="b")
+            "box = -2,2\n", base_dir="b")
         assert cfg.problem == H.ProblemSpec(
             kind=P.BINARY_LOGISTIC, path=os.path.join("b", "data.csv"),
             sparse=True, n=7, d=3, num_classes=2, sigma=0.5, margin=2.0,
@@ -251,8 +251,7 @@ class TestConfigParsing:
         assert cfg.optimizers["a"] == O.OptimizerConfig(
             method="adam", alpha=0.5, beta1=0.5, beta2=0.75,
             epsilon_div=1e-6, epsilon_prob=1e-4, beta1_decay=0.99,
-            refresh_period=3, batch_size=2, freeze_probabilities=True,
-            projection=(-2.0, 2.0))
+            refresh_period=3, batch_size=2, projection=(-2.0, 2.0))
 
     @pytest.mark.parametrize("line, message", [
         ("kind = foo", "kind must be one of centroid, "),
@@ -273,6 +272,53 @@ class TestConfigParsing:
     def test_bad_problem_key_names_its_line(self, line, message):
         with pytest.raises(ValueError, match="^line 2: " + message):
             H.parse_config_text("T = 5\n" + line + "\n[optimizer.a]\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("T = 20\nT = 30\n[optimizer.a]\n", "line 2: key 'T' repeats line 1"),
+        ("[optimizer.a]\nalpha = 0.1\nbatch_size = 2\nalpha = 0.2\n",
+         "line 4: key 'alpha' repeats line 2"),
+        ("[optimizer.sgd]\nmethod = sgd\nmethod = adam\n",
+         "line 3: key 'method' repeats line 2"),
+    ])
+    def test_repeated_key_names_its_second_line(self, text, message):
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            H.parse_config_text(text)
+
+    def test_a_key_may_appear_once_in_each_section(self):
+        cfg = H.parse_config_text(
+            "T = 20\n[optimizer.a]\nmethod = sgd\nalpha = 0.1\n"
+            "[optimizer.b]\nmethod = sgd\nalpha = 0.2\n")
+        assert cfg.T == 20
+        assert [o.alpha for o in cfg.optimizers.values()] == [0.1, 0.2]
+
+    @pytest.mark.parametrize("text, message", [
+        # a tick above T names the tick's line, else T's
+        ("T = 10\nmetric_tick = 20\n", r"line 2: metric_tick must lie in "
+                                         r"\[1, T=10\], got 20"),
+        ("metric_tick = 20\nT = 10\n", "line 1: metric_tick must lie in"),
+        ("T = 5\n", r"line 1: metric_tick must lie in \[1, T=5\], got 10"),
+        ("kind = binary-logistic\nclasses = 3\n",
+         "line 2: classes must be 2 for a binary-logistic problem, got 3"),
+        ("classes = 3\nkind = binary-logistic\n",
+         "line 1: classes must be 2 for a binary-logistic problem, got 3"),
+        # synthesis needs a row per class: the n line, else the classes line
+        ("kind = multiclass-logistic\nclasses = 5\nn = 3\n",
+         r"line 3: n must be at least classes \(5\) to synthesize a "
+         "multiclass-logistic problem, got 3"),
+        ("kind = multiclass-logistic\nclasses = 300\n",
+         r"line 2: n must be at least classes \(300\) to synthesize"),
+        ("kind = binary-logistic\nn = 1\n",
+         r"line 2: n must be at least classes \(2\)"),
+    ])
+    def test_settings_at_odds_name_a_line(self, text, message):
+        with pytest.raises(ValueError, match="^" + message):
+            H.parse_config_text(text + "[optimizer.sgd]\n")
+
+    def test_rows_per_class_are_not_checked_for_a_data_file(self):
+        cfg = H.parse_config_text("kind = multiclass-logistic\n"
+                                  "path = data.svm\nn = 2\nclasses = 5\n"
+                                  "[optimizer.sgd]\n")
+        assert (cfg.problem.n, cfg.problem.num_classes) == (2, 5)
 
     def test_method_defaults_to_the_section_name(self):
         cfg = H.parse_config_text("[optimizer.dasgrad]\nbatch_size = 2\n"
@@ -550,18 +596,29 @@ batch_size = 2
         assert len((out / "comparison.csv").read_text().splitlines()) == 1
 
 
+# the dasgrad section's alpha line of TINY_CONFIG, with the lines after it
+_DASGRAD_ALPHA = "alpha = 0.05\nbatch_size = 4\nrefresh_period = 5"
+
+
 class TestRunSettingsRejected:
     @pytest.mark.parametrize("old, new, message", [
-        ("metric_tick = 5", "metric_tick = 0", "metric_tick"),
-        ("metric_tick = 5", "metric_tick = -5", "metric_tick"),
-        ("metric_tick = 5", "metric_tick = 31", "metric_tick"),
-        ("seeds = 0,1,2", "seeds = 1,1", "seeds must not repeat"),
-        ("seeds = 0,1,2", "seeds = -1,0", "be negative, got -1,0"),
-        ("T = 30", "T = 0", "T must be at least 1"),
-        ("T = 30", "T = 30\nreference_tol = 0", "reference_tol"),
-        ("T = 30", "T = 30\nreference_max_iters = 0", "reference_max_iters"),
+        ("metric_tick = 5", "metric_tick = 0", "line 12: metric_tick"),
+        ("metric_tick = 5", "metric_tick = -5", "line 12: metric_tick"),
+        ("metric_tick = 5", "metric_tick = 31", "line 12: metric_tick"),
+        ("T = 30", "T = 3", "line 12: metric_tick must lie in [1, T=3]"),
+        ("seeds = 0,1,2", "seeds = 1,1", "line 11: seeds must not repeat"),
+        ("seeds = 0,1,2", "seeds = -1,0", "line 11: seeds must not repeat "
+                                          "or be negative, got -1,0"),
+        ("T = 30", "T = 0", "line 10: T must be at least 1"),
+        ("T = 30", "T = 30\nreference_tol = 0", "line 11: reference_tol"),
+        ("T = 30", "T = 30\nreference_max_iters = 0",
+         "line 11: reference_max_iters"),
+        ("T = 30", "T = 30\nT = 40", "line 11: key 'T' repeats line 10"),
         ("kind = multiclass-logistic\nn = 40\nd = 4",
          "kind = centroid\nn = 40\nd = 0", "line 5: d must be at least 1"),
+        ("kind = multiclass-logistic", "kind = binary-logistic",
+         "line 6: classes must be 2"),
+        ("n = 40", "n = 2", "line 4: n must be at least classes (3)"),
     ])
     def test_cli_run_exits_two_before_the_reference_solve(
             self, tmp_path, capsys, monkeypatch, old, new, message):
@@ -708,9 +765,9 @@ class TestRunSettingsRejected:
         ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = 1.5"),
         ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = -0.5"),
         ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = nan"),
-        ("refresh_period = 5", "refresh_period = 5\nalpha = nan"),
+        (_DASGRAD_ALPHA, _DASGRAD_ALPHA.replace("0.05", "nan")),
         ("refresh_period = 5", "refresh_period = 5\nepsilon_div = nan"),
-        ("refresh_period = 5", "refresh_period = 5\nalpha = -1"),
+        (_DASGRAD_ALPHA, _DASGRAD_ALPHA.replace("0.05", "-1")),
     ])
     def test_bad_optimizer_value_names_its_section_line(
             self, tmp_path, capsys, monkeypatch, old, new):
@@ -753,7 +810,9 @@ class TestRunSettingsRejected:
     @pytest.mark.parametrize("setting, data, message", [
         ("path = data.csv", "0,1\n1,x\n", "data.csv:2: non-numeric field"),
         ("path = missing.csv", None, "missing.csv"),
-        ("n = 1", None, "need n >= num_classes >= 2"),
+        ("classes = 50", None, "line 4: n must be at least classes (50) "
+                               "to synthesize a multiclass-logistic problem, "
+                               "got 40"),
         # a data file of one class bypasses the config's classes >= 2 rule
         ("path = data.csv\nsparse = true",
          "#d=2 #k=1\n0 0:1.0\n0 1:2.0\n0 0:3.0 1:1.0\n",

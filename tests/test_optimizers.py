@@ -222,29 +222,50 @@ class TestConfigValidation:
                               projection=(-np.inf, np.inf))
 
 
-class TestCollapseEquivalences:
-    def test_dasgrad_frozen_uniform_equals_amsgrad(self):
-        rng = np.random.default_rng(4)
-        prob = multiclass_problem(rng, n=20)
-        kw = dict(alpha=0.05, beta1=0.9, beta2=0.99, batch_size=4)
-        das = O.OptimizerConfig(method="dasgrad", freeze_probabilities=True,
-                                **kw)
-        ams = O.OptimizerConfig(method="amsgrad", **kw)
-        r1 = O.run(prob, das, T=100, seed=7, metric_tick=1)
-        r2 = O.run(prob, ams, T=100, seed=7, metric_tick=1)
-        assert np.array_equal(r1.theta, r2.theta)
-        assert np.array_equal(r1.loss, r2.loss)
+def _collapse_config(problem, method, target, **kw):
+    counts = (2, 5, 3)[:problem.num_classes] if target else None
+    return O.OptimizerConfig(method=method, alpha=0.05, batch_size=4,
+                             target_label_counts=counts, **kw)
 
-    def test_apsgd_frozen_uniform_equals_sgd(self):
-        rng = np.random.default_rng(5)
-        prob = multiclass_problem(rng, n=20)
-        kw = dict(alpha=0.05, batch_size=4)
-        ap = O.OptimizerConfig(method="ap_sgd", freeze_probabilities=True, **kw)
-        sgd = O.OptimizerConfig(method="sgd", **kw)
-        r1 = O.run(prob, ap, T=100, seed=3, metric_tick=1)
-        r2 = O.run(prob, sgd, T=100, seed=3, metric_tick=1)
-        assert np.array_equal(r1.theta, r2.theta)
-        assert np.array_equal(r1.loss, r2.loss)
+
+class TestCollapseEquivalences:
+    @pytest.mark.parametrize("target", [False, True])
+    @pytest.mark.parametrize("kind", P.KINDS)
+    def test_dasgrad_that_never_refreshes_is_amsgrad(self, kind, target):
+        # binary on CSR rows, the other kinds dense
+        problem = _bit_check_problem(kind, kind == P.BINARY_LOGISTIC)
+        T = 100
+        das = O.run(problem, _collapse_config(problem, "dasgrad", target,
+                                              refresh_period=T + 1),
+                    T=T, seed=7, metric_tick=1)
+        ams = O.run(problem, _collapse_config(problem, "amsgrad", target),
+                    T=T, seed=7, metric_tick=1)
+        for field in ("ticks", "loss", "accuracy", "grad_norm_var", "theta"):
+            a, b = getattr(das, field), getattr(ams, field)
+            assert (a is b is None) or a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("target", [False, True])
+    @pytest.mark.parametrize("kind", P.KINDS)
+    def test_apsgd_stepped_without_refreshes_is_sgd(self, kind, target):
+        # run() refreshes ap_sgd before its first step, so this loop steps
+        # both methods on the uniform tree it starts from
+        problem = _bit_check_problem(kind, kind == P.BINARY_LOGISTIC)
+        paths = []
+        for method in ("ap_sgd", "sgd"):
+            cfg = _collapse_config(problem, method, target)
+            tree = S.SamplingTree(np.full(problem.n, 1.0 / problem.n))
+            state = O.MomentState.zeros(problem.param_dim)
+            gen = np.random.default_rng(3)
+            theta = np.zeros(problem.param_dim)
+            path = []
+            for t in range(1, 101):
+                theta = O.step_general(
+                    problem, theta, state,
+                    O.draw_batch(problem, tree, gen, cfg, cfg.batch_size),
+                    cfg, t)
+                path.append(theta)
+            paths.append(np.stack(path))
+        assert paths[0].tobytes() == paths[1].tobytes()
 
     def test_rmsprop_equals_adam_beta1_zero(self):
         rng = np.random.default_rng(6)
@@ -290,7 +311,7 @@ class TestRefresh:
         tree = S.SamplingTree(np.full(2, 0.5))
         state = O.MomentState.zeros(1)
         O.refresh_probabilities(prob, np.array([2.0]), state, cfg, tree, 1)
-        np.testing.assert_array_equal(tree.leaves(), [0.5, 0.5])
+        np.testing.assert_array_equal(tree.weights, [0.5, 0.5])
 
     def test_dominant_example_gets_proportional_mass(self):
         prob = centroid_problem([[1.0], [10.0]])
@@ -298,7 +319,7 @@ class TestRefresh:
         tree = S.SamplingTree(np.full(2, 0.5))
         state = O.MomentState.zeros(1)
         O.refresh_probabilities(prob, np.array([0.0]), state, cfg, tree, 1)
-        probs = tree.leaves()
+        probs = tree.weights
         assert probs[1] / probs[0] == pytest.approx(10.0, rel=1e-9)
 
     def test_tree_root_is_one_and_sampling_matches(self):
@@ -309,7 +330,7 @@ class TestRefresh:
         state = O.MomentState.zeros(3)
         O.refresh_probabilities(prob, rng.standard_normal(3), state, cfg,
                                 tree, 1)
-        probs = tree.leaves()
+        probs = tree.weights
         assert abs(tree.total - 1.0) <= 1e-9
         draws = tree.sample_many(np.random.default_rng(8), 100_000)
         freq = np.bincount(draws, minlength=50) / 100_000
@@ -333,7 +354,7 @@ class TestRefresh:
                                   cfg.beta1_at(blend_step),
                                   eps_div=cfg.epsilon_div)
         probs = S.normalize_scores(scores, cfg.epsilon_prob)
-        assert np.array_equal(tree.leaves(), probs)
+        assert np.array_equal(tree.weights, probs)
         assert np.array_equal(tree.cdf, S.SamplingTree(probs).cdf)
 
     def test_schedule(self):
@@ -347,9 +368,9 @@ class TestRefresh:
         assert O._wants_refresh(ap, 1)
         assert O._wants_refresh(ap, 5)
         assert not O._wants_refresh(ap, 3)
-        frozen = O.OptimizerConfig(method="dasgrad", refresh_period=5,
-                                   freeze_probabilities=True)
-        assert not O._wants_refresh(frozen, 5)
+        never = O.OptimizerConfig(method="dasgrad", refresh_period=25)
+        assert not any(O._wants_refresh(never, t) for t in range(1, 25))
+        assert O._next_refresh(never, 1, 24) == 25
 
 
 class TestRun:
@@ -577,8 +598,10 @@ def _bit_check_problem(kind, is_sparse):
 _BIT_CHECK_MODES = [
     {},
     {"target": True},
-    {"freeze_probabilities": True, "beta1_decay": 0.5},
-    {"freeze_probabilities": True, "beta1_decay": 0.5, "target": True},
+    # no refresh in a 24-step run: dasgrad never refreshes, ap_sgd only
+    # before step 1
+    {"refresh_period": 25, "beta1_decay": 0.5},
+    {"refresh_period": 25, "beta1_decay": 0.5, "target": True},
     {"beta1_decay": 0.5, "projection": (-0.05, 0.05)},
     {"eval_set": True},
 ]
@@ -619,9 +642,9 @@ def test_run_is_bit_identical_to_the_parent_loop(method, kind):
             # accuracy on held-out rows, not the training rows
             eval_set = _bit_check_rows(kind, is_sparse, 9, 21)[:2] \
                 if kw.pop("eval_set", False) else None
+            kw.setdefault("refresh_period", period)
             cfg = O.OptimizerConfig(method=method, alpha=0.2,
-                                    batch_size=batch, refresh_period=period,
-                                    **kw)
+                                    batch_size=batch, **kw)
             _assert_same_trace(problem, cfg, 24, 3, 4,
                                (method, kind, is_sparse, period, batch, mode),
                                eval_set)

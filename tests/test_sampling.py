@@ -93,25 +93,18 @@ class TestTreeBuild:
             S.SamplingTree([0.0, 0.0])
 
 
-class TestTreeLeaves:
-    def test_rows_pick_the_same_bits_as_all_leaves(self):
-        weights = np.random.default_rng(3).random(37)
-        tree = S.SamplingTree(weights / weights.sum())
-        rows = np.array([36, 0, 5, 5, 17])
-        assert np.array_equal(tree.leaves(rows), tree.leaves()[rows])
-        assert np.array_equal(tree.leaves(), weights / weights.sum())
-
-    def test_empty_rows(self):
+class TestTreeArrays:
+    @pytest.mark.parametrize("name", ["weights", "cdf"])
+    def test_assigning_into_an_array_raises(self, name):
         tree = S.SamplingTree([1.0, 2.0, 3.0])
-        out = tree.leaves(np.array([], dtype=np.int64))
-        assert out.shape == (0,)
-
-    @pytest.mark.parametrize("row", [-1, 3])
-    def test_out_of_range_row(self, row):
-        # row 3 is one past the last leaf
-        tree = S.SamplingTree([1.0, 2.0, 3.0])
-        with pytest.raises(IndexError):
-            tree.leaves(np.array([0, row]))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tree, name)[0] = 5.0
+        tree.update(1, 4.0)
+        tree.set_all([3.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tree, name)[0] = 5.0
+        assert tree.weights.tolist() == [3.0, 2.0, 1.0]
+        assert tree.cdf.tolist() == [3.0, 5.0, 6.0]
 
 
 class TestTreeUpdate:
@@ -123,7 +116,7 @@ class TestTreeUpdate:
     def test_identity_update_keeps_every_running_sum(self):
         tree = S.SamplingTree([1.0, 2.0, 3.0, 4.0])
         before = tree.cdf.copy()
-        tree.update(2, tree.leaves()[2])
+        tree.update(2, tree.weights[2])
         assert np.array_equal(tree.cdf, before)
 
     def test_many_updates_keep_running_sums_exact(self):
@@ -146,7 +139,7 @@ class TestTreeUpdate:
         with pytest.raises(ValueError):
             tree.update(1, 1e308)
         assert np.array_equal(tree.cdf, before)
-        assert tree.leaves().tolist() == [1e308, 1.0, 3.0]
+        assert tree.weights.tolist() == [1e308, 1.0, 3.0]
 
 
 class TestTreeSetAll:
@@ -155,13 +148,13 @@ class TestTreeSetAll:
         rng = np.random.default_rng(n)
         weights = rng.random(n) + 0.01
         bulk = S.SamplingTree(rng.random(n) + 0.01)
-        per_leaf = S.SamplingTree(np.array(bulk.leaves()))
+        per_leaf = S.SamplingTree(bulk.weights)
         bulk.set_all(weights)
         for i, w in enumerate(weights):
             per_leaf.update(i, w)
         assert np.array_equal(bulk.cdf, S.SamplingTree(weights).cdf)
         assert np.array_equal(bulk.cdf, per_leaf.cdf)
-        assert np.array_equal(bulk.leaves(), weights)
+        assert np.array_equal(bulk.weights, weights)
 
     @pytest.mark.parametrize("bad", [
         [1.0, 2.0],
@@ -177,7 +170,7 @@ class TestTreeSetAll:
         tree = S.SamplingTree([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             tree.set_all(bad)
-        assert tree.leaves().tolist() == [1.0, 2.0, 3.0]
+        assert tree.weights.tolist() == [1.0, 2.0, 3.0]
         assert tree.cdf.tolist() == [1.0, 3.0, 6.0]
 
     def test_keeps_its_own_copy_of_the_weights(self):
@@ -186,8 +179,14 @@ class TestTreeSetAll:
         weights[0] = 100.0
         tree.set_all(weights)
         weights[1] = 100.0
-        assert tree.leaves().tolist() == [100.0, 2.0, 3.0]
+        assert tree.weights.tolist() == [100.0, 2.0, 3.0]
+        assert weights.flags.writeable
         _assert_running_sums_exact(tree)
+        # the tree's own read-only array is copied too
+        other = S.SamplingTree([5.0, 6.0, 7.0])
+        other.set_all(tree.weights)
+        other.update(0, 1.0)
+        assert tree.weights.tolist() == [100.0, 2.0, 3.0]
 
 
 _weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
@@ -214,7 +213,7 @@ def test_mixed_set_all_and_update_keep_running_sums_exact(data):
 
 
 def _assert_running_sums_exact(tree):
-    assert np.array_equal(tree.cdf, np.cumsum(tree.leaves()))
+    assert np.array_equal(tree.cdf, np.cumsum(tree.weights))
     assert tree.total == tree.cdf[-1]
 
 
@@ -771,13 +770,6 @@ def _per_condition_normalize_scores(scores, epsilon):
     return shifted / total
 
 
-def _per_condition_leaves(weights, rows):
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size and rows.min() < 0:
-        raise IndexError("leaf index out of range")
-    return weights[rows]
-
-
 def _per_condition_importance_weight(p_i, n):
     p_i = np.asarray(p_i, dtype=np.float64)
     if np.any(p_i <= 0):
@@ -816,13 +808,13 @@ _edge_float = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0,
                                -1.0, 5e-324, 1e308]) | st.floats()
 
 
-def _edge_vectors(elements=_edge_float):
-    """0-d values and 1-d vectors (empty included) of the elements, all
+def _edge_vectors():
+    """0-d values and 1-d vectors (empty included) of the edge floats, all
     zeros and all NaN among them."""
-    vectors = st.lists(elements, max_size=6).map(np.array)
-    fills = st.tuples(st.integers(1, 4), elements).map(
+    vectors = st.lists(_edge_float, max_size=6).map(np.array)
+    fills = st.tuples(st.integers(1, 4), _edge_float).map(
         lambda nv: np.full(nv[0], nv[1]))
-    return (elements.map(np.float64).map(np.asarray) | vectors | fills
+    return (_edge_float.map(np.float64).map(np.asarray) | vectors | fills
             | st.integers(1, 4).map(np.zeros))
 
 
@@ -834,7 +826,7 @@ def test_set_all_check_is_the_per_condition_check(weights):
 
     def set_all(w):
         tree.set_all(w)
-        return np.stack([tree.leaves(), tree.cdf])
+        return np.stack([tree.weights, tree.cdf])
 
     assert _outcome(set_all, weights) == \
         _outcome(_per_condition_set_all, n, weights)
@@ -845,14 +837,6 @@ def test_set_all_check_is_the_per_condition_check(weights):
 def test_normalize_scores_check_is_the_per_condition_check(scores, eps):
     assert _outcome(S.normalize_scores, scores, eps) == \
         _outcome(_per_condition_normalize_scores, scores, eps)
-
-
-@settings(max_examples=300, deadline=None)
-@given(rows=_edge_vectors(st.integers(-6, 6)), n=st.integers(1, 5))
-def test_leaves_check_is_the_per_condition_check(rows, n):
-    weights = np.arange(1.0, n + 1.0)
-    assert _outcome(S.SamplingTree(weights).leaves, rows) == \
-        _outcome(_per_condition_leaves, weights, rows)
 
 
 @settings(max_examples=300, deadline=None)

@@ -91,8 +91,8 @@ class ExperimentConfig:
             self.T, self.metric_tick, self.seeds, 1))
         if not self.optimizers:
             raise ValueError("need at least one optimizer")
-        if not self.reference_tol > 0:
-            raise ValueError("reference_tol must be positive")
+        if not 0 < self.reference_tol < math.inf:
+            raise ValueError("reference_tol must be finite and positive")
         _optimizers._positive_int("reference_max_iters",
                                   self.reference_max_iters)
 
@@ -174,7 +174,8 @@ def _whole(key):
 _GLOBAL_KEYS = {
     "kind": _checked(str, _problems.KINDS.__contains__,
                      "kind must be one of " + ", ".join(_problems.KINDS)),
-    "path": str, "sparse": _parse_bool,
+    "path": _checked(str, bool, "path must not be empty"),
+    "sparse": _parse_bool,
     "n": _checked(int, lambda n: n >= 1, "n must be at least 1"),
     "d": _checked(int, lambda d: d >= 1, "d must be at least 1"),
     "classes": _checked(int, lambda k: k >= 2, "classes must be at least 2"),
@@ -187,8 +188,8 @@ _GLOBAL_KEYS = {
     "lambda": _finite_nonnegative("lambda"),
     "T": _whole("T"), "seeds": lambda text: _check_seeds(_parse_ints(text), 1),
     "metric_tick": _whole("metric_tick"), "output_dir": str,
-    "reference_tol": _checked(float, lambda v: v > 0,
-                              "reference_tol must be positive"),
+    "reference_tol": _checked(float, lambda v: 0 < v < math.inf,
+                              "reference_tol must be finite and positive"),
     "reference_max_iters": _whole("reference_max_iters"),
 }
 _OPTIMIZER_KEYS = {

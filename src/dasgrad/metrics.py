@@ -5,7 +5,7 @@ A trace's regret is its loss minus f_star, summed over the ticks
 
 ``tick`` is what a run records at its metric ticks: the full objective,
 the gradient-norm variance and the accuracy at each row of a stack of
-parameters (a run passes the ticks of one block together), bit for
+parameters (a run passes its pending ticks together), bit for
 bit the values of ``problems.full_objective``, the population variance of
 ``sampling.scores_apsgd`` and ``accuracy`` at each row alone. A logistic
 row takes one pass over X (one margin product); centroid rows form
@@ -15,6 +15,7 @@ each a tiled copy of the theta rows minus the flat X.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import sampling as _sampling
 Z_95 = 1.96
 
 # A centroid tick forms theta - X for as many rows of its stack as fit in
-# this many bytes, so that ticking a long block holds no more memory than
+# this many bytes, so that ticking a long stack holds no more memory than
 # about this much; ``optimizers.run`` keeps no more pending tick thetas than
 # fit in it either.
 _TICK_BYTES = 1 << 20
@@ -95,8 +96,8 @@ def solve_reference(problem, tol=1e-8, max_iters=5000):
     iterate (flagged unconverged when the cap is hit first). Float overflow
     and invalid values are ignored, as in ``optimizers.run``: data whose
     loss overflows gives f_star = inf, not a numpy warning."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     with np.errstate(over="ignore", invalid="ignore"):
         if problem.kind == _problems.CENTROID:
             theta = problem.X.mean(axis=0)
@@ -121,10 +122,9 @@ def tick(problem, thetas, eval_set=None):
     ``sampling.scores_apsgd``, and ``accuracy`` on the (X, y) pair eval_set
     (the problem's own rows when None), bit-identical to the three separate
     calls on each row; acc is None for centroid problems. ``optimizers.run``
-    passes the ticks of one block: the steps up to the next step where a
-    refresh can happen, or to the end of a run that never refreshes, cut
-    where the densified rows would pass ``optimizers._BLOCK_BYTES`` or the
-    stack of pending thetas ``_TICK_BYTES``.
+    keeps its tick thetas pending across its blocks and passes them once
+    one more would stack past ``_TICK_BYTES``, when the run ends, or when a
+    step or a refresh raises DivergenceError.
 
     Centroid problems form diff = theta - X for a chunk of rows at once:
     grad f_i = theta - x_i, so the loss and the gradient norms share the

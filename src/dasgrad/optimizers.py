@@ -33,23 +33,24 @@ that end at the next step where a refresh can happen: every multiple of
 (the other methods) has no such step, so its blocks run to the end of
 the run. The indices of all a block's steps
 are drawn in one ``sample_many`` call, and their rows gathered (CSR rows
-densified) and weighted once. A block whose densified rows would pass
-``_BLOCK_BYTES`` (1 MiB) is cut into blocks of whole steps, never less
-than one, and so is one that would keep more tick thetas pending than fit
-in ``metrics._TICK_BYTES``. Each step slices its own ``batch_size`` rows.
+densified) and weighted once; the mean weight of every step comes from
+one reduce. A block whose densified rows would pass ``_BLOCK_BYTES``
+(1 MiB) is cut into blocks of whole steps, never less than one. Each step
+slices its own ``batch_size`` rows and updates the moments in place.
 One draw of k * batch_size uniforms is the same stream as k draws of
 batch_size, so blocks reproduce per-step sampling bit for bit.
 
 Every ``metric_tick`` steps the run records the loss, the gradient-norm
-variance and the accuracy. A block keeps the theta of each of its tick
-steps and takes them in one ``metrics.tick`` call on their stack when the
-block ends, the same values as one call per tick step. A diverging run
-raises ``DivergenceError`` at the step that makes theta nonfinite, the
-tick that reads a nonfinite loss or the refresh that reads nonfinite
-scores, whichever comes first: when a step diverges, the block's pending
-ticks are taken first, so a nonfinite loss at an earlier tick is still the
-error raised. ``run`` ignores float overflow and invalid values in its
-whole loop, so nothing in a run raises a numpy warning.
+variance and the accuracy. The theta of each tick step stays pending,
+across blocks, until one more would stack past ``metrics._TICK_BYTES`` or
+the run ends; the pending thetas are taken in one ``metrics.tick`` call
+on their stack, the same values as one call per tick step. A diverging
+run raises ``DivergenceError`` at the step that makes theta nonfinite,
+the tick that reads a nonfinite loss or the refresh that reads nonfinite
+scores, whichever comes first: when a step or a refresh diverges, the
+pending ticks are taken first, so a nonfinite loss at an earlier tick is
+still the error raised. ``run`` ignores float overflow and invalid values
+in its whole loop, so nothing in a run raises a numpy warning.
 """
 
 from __future__ import annotations
@@ -172,22 +173,20 @@ def _positive_int(name, value):
 
 
 def moment_update(state, g, beta1_t, beta2, use_max):
-    """One moment recursion step:
+    """One moment recursion step, in place on the state's arrays:
     m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2, and v_hat keeps the
-    coordinatewise max of v when use_max is set (otherwise it is v: v is
-    rebound here, never changed in place, so the alias is safe)."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != state.m.shape:
-        raise ValueError("gradient shape %s does not match state %s"
-                         % (g.shape, state.m.shape))
-    if not (0.0 <= beta1_t < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError("beta parameters must lie in [0, 1)")
-    state.m = beta1_t * state.m + (1.0 - beta1_t) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
+    coordinatewise max of v when use_max is set (otherwise it is v). g is a
+    float64 vector of m's shape and b1, b2 lie in [0, 1), as
+    ``OptimizerConfig`` guarantees; neither is checked here."""
+    m, v = state.m, state.v
+    m *= beta1_t
+    m += (1.0 - beta1_t) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
     if use_max:
-        state.v_hat = np.maximum(state.v_hat, state.v)
+        np.maximum(state.v_hat, v, out=state.v_hat)
     else:
-        state.v_hat = state.v
+        state.v_hat = v
 
 
 def _weights_for(problem, indices, tree, config):
@@ -226,23 +225,24 @@ def step_general(problem, theta, state, batch, config, t):
     """One step of the general method on a drawn batch (X, y, w), as
     ``draw_batch`` returns it: advance the moment state, average the
     importance-weighted per-index directions, and project. Returns the new
-    theta.
+    theta. A weighted batch may carry a fourth entry, the mean of w, which
+    ``run`` takes for a whole block in one reduce.
 
     A theta strictly inside the box (lo < min and max < hi) is returned as
     the update made it: there ``np.clip`` is the identity and every
     coordinate is finite, so neither is taken. Any other theta is clipped,
     and a nonfinite one raises DivergenceError at step t."""
-    X, y, w = batch
+    X, y, w = batch[:3]
     G = _problems.batch_gradients(problem, theta, X, y)
     # np.add.reduce(a, axis=0) / len(a) is what a.mean(axis=0) computes,
-    # without the Python wrapper it pays on every step
-    B = len(G)
+    # without the Python wrapper it pays on every step; numpy divides by a
+    # float faster than by an int, to the same bits
+    B = float(len(G))
     if w is None:
         # w * G would be G and w.mean() one, bit for bit
         g_weighted = g_state = np.add.reduce(G, axis=0) / B
     else:
         g_weighted = np.add.reduce(w[:, None] * G, axis=0) / B
-        w_mean = np.add.reduce(w) / B
         # Without target counts the recursion takes the raw batch mean of
         # the sampled gradients. Target mode feeds the corrected estimate
         # instead: its weights recenter the stream on the target-distribution
@@ -259,12 +259,16 @@ def step_general(problem, theta, state, batch, config, t):
     if method in ("sgd", "ap_sgd"):
         direction = g_weighted
     elif method == "adagrad":
-        state.v = state.v + g_state * g_state
+        state.v += g_state * g_state
         denom = np.sqrt(state.v / t) + config.epsilon_div
         direction = g_weighted / denom
     else:
         beta1_t = config.beta1_at(t)
-        m_prev = state.m
+        if w is not None:
+            # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the
+            # stack: its m_prev term is taken before the update overwrites m
+            w_mean = batch[3] if len(batch) > 3 else np.add.reduce(w) / B
+            direction = beta1_t * w_mean * state.m
         moment_update(state, g_state, beta1_t, config.beta2,
                       method in ("amsgrad", "dasgrad"))
         denom = np.sqrt(state.v_hat) + config.epsilon_div
@@ -273,10 +277,8 @@ def step_general(problem, theta, state, batch, config, t):
             # w_mean is 1.0 and g_weighted is g_state
             direction = state.m / denom
         else:
-            # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the
-            # stack
-            direction = (beta1_t * w_mean * m_prev
-                         + (1.0 - beta1_t) * g_weighted) / denom
+            direction += (1.0 - beta1_t) * g_weighted
+            direction /= denom
     new_theta = theta - config.alpha / math.sqrt(t) * direction
     # a NaN fails both tests, as the reductions propagate it
     if not (lo < np.minimum.reduce(new_theta)
@@ -374,49 +376,51 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     state = MomentState.zeros(problem.param_dim)
     tree = _sampling.SamplingTree(np.full(problem.n, 1.0 / problem.n))
 
-    ticks, losses, accs, gvars = [], [], [], []
+    trace = ticks, losses, gvars, accs = [], [], [], []
+    due, thetas = [], []    # the pending tick steps and their theta
 
     B = config.batch_size
     max_steps = max(1, _BLOCK_BYTES // (B * problem.d * 8))
-    # ticks a block may keep pending: their thetas stack to at most
+    # pending ticks are taken once their thetas would stack past
     # metrics._TICK_BYTES, the bytes a centroid tick forms per chunk
     max_ticks = max(1, _metrics._TICK_BYTES // (problem.param_dim * 8))
     t = 1
     # an overflow on the way to a divergence is reported by DivergenceError
     # (at a step, a tick or a refresh), never by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        while t <= T:
-            # the block runs up to the next step where a refresh can
-            # happen, and stops before its (max_ticks + 1)-th tick step
-            end = min(_next_refresh(config, t, T), t + max_steps,
-                      ((t - 1) // metric_tick + max_ticks + 1) * metric_tick)
-            if _wants_refresh(config, t):
-                refresh_probabilities(problem, theta, state, config, tree, t)
-            X, y, w = draw_batch(problem, tree, rng, config, (end - t) * B)
-            due, thetas = [], []    # the block's tick steps and their theta
-            try:
-                for lo in range(0, len(y), B):
+        try:
+            while t <= T:
+                # the block runs up to the next step where a refresh can
+                # happen
+                end = min(_next_refresh(config, t, T), t + max_steps)
+                if _wants_refresh(config, t):
+                    refresh_probabilities(problem, theta, state, config, tree,
+                                          t)
+                X, y, w = draw_batch(problem, tree, rng, config,
+                                     (end - t) * B)
+                # each step's mean weight, from one reduce for the block
+                w_means = None if w is None \
+                    else np.add.reduce(w.reshape(-1, B), axis=1) / B
+                for j, lo in enumerate(range(0, len(y), B)):
                     rows = slice(lo, lo + B)
-                    batch = X[rows], y[rows], None if w is None else w[rows]
+                    batch = (X[rows], y[rows], None) if w is None \
+                        else (X[rows], y[rows], w[rows], w_means[j])
                     theta = step_general(problem, theta, state, batch, config,
                                          t)
                     if t % metric_tick == 0:
                         due.append(t)
                         thetas.append(theta)
+                        if len(due) == max_ticks:
+                            _take_ticks(problem, due, thetas, eval_set, trace)
                     t += 1
-            except DivergenceError:
-                # a pending tick comes before the diverging step: its
-                # nonfinite loss is the run's first divergence
-                if due:
-                    _tick_block(problem, due, thetas, eval_set)
-                raise
+        except DivergenceError:
+            # pending ticks come before the failing step or refresh: a
+            # nonfinite loss among them is the run's first divergence
             if due:
-                loss, gvar, acc = _tick_block(problem, due, thetas, eval_set)
-                ticks += due
-                losses.extend(loss)
-                gvars.extend(gvar)
-                if acc is not None:
-                    accs.extend(acc)
+                _take_ticks(problem, due, thetas, eval_set, trace)
+            raise
+        if due:
+            _take_ticks(problem, due, thetas, eval_set, trace)
 
     return RunResult(ticks=np.array(ticks, dtype=np.int64),
                      loss=np.array(losses),
@@ -425,12 +429,20 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
                      grad_norm_var=np.array(gvars), theta=theta, seed=seed)
 
 
-def _tick_block(problem, due, thetas, eval_set):
-    """``metrics.tick`` at the stack of thetas, the parameters after the
-    steps due. The first step whose loss or gradient-norm variance is not
-    finite raises DivergenceError."""
+def _take_ticks(problem, due, thetas, eval_set, trace):
+    """``metrics.tick`` at the stack of pending thetas, the parameters after
+    the steps due, appended to the trace's (ticks, loss, gvar, acc) lists;
+    due and thetas are emptied. The first step whose loss or gradient-norm
+    variance is not finite raises DivergenceError."""
     loss, gvar, acc = _metrics.tick(problem, thetas, eval_set)
     bad = ~(np.isfinite(loss) & np.isfinite(gvar))
+    steps = due[:]
+    del due[:], thetas[:]
     if bad.any():
-        raise DivergenceError(due[bad.argmax()], "nonfinite loss")
-    return loss, gvar, acc
+        raise DivergenceError(steps[bad.argmax()], "nonfinite loss")
+    ticks, losses, gvars, accs = trace
+    ticks += steps
+    losses.extend(loss)
+    gvars.extend(gvar)
+    if acc is not None:
+        accs.extend(acc)

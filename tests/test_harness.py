@@ -611,6 +611,13 @@ class TestRunSettingsRejected:
                                           "or be negative, got -1,0"),
         ("T = 30", "T = 0", "line 10: T must be at least 1"),
         ("T = 30", "T = 30\nreference_tol = 0", "line 11: reference_tol"),
+        # an infinite tolerance would stop the solve at theta = 0 and take
+        # every regret against F(0)
+        ("T = 30", "T = 30\nreference_tol = inf",
+         "line 11: reference_tol must be finite and positive"),
+        ("T = 30", "T = 30\nreference_tol = nan",
+         "line 11: reference_tol must be finite and positive"),
+        ("T = 30", "T = 30\npath =", "line 11: path must not be empty"),
         ("T = 30", "T = 30\nreference_max_iters = 0",
          "line 11: reference_max_iters"),
         ("T = 30", "T = 30\nT = 40", "line 11: key 'T' repeats line 10"),
@@ -706,6 +713,15 @@ class TestRunSettingsRejected:
         assert ("line 6: lambda must be 0 for a centroid problem"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_experiment_config_needs_a_finite_positive_reference_tol(
+            self, tol):
+        with pytest.raises(ValueError, match="reference_tol must be finite "
+                                             "and positive"):
+            H.ExperimentConfig(problem=H.ProblemSpec(kind=P.CENTROID),
+                               optimizers={"sgd": H.convex_preset("sgd")},
+                               reference_tol=tol)
 
     def test_experiment_config_rejects_a_tick_run_rejects(self):
         with pytest.raises(ValueError, match="metric_tick"):

@@ -60,6 +60,14 @@ class TestSolveReference:
         assert ref.f_star == np.inf
         assert ref.converged
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # an infinite tolerance would accept theta = 0 as converged
+        prob = logistic_problem(np.random.default_rng(2))
+        with pytest.raises(ValueError, match="tol must be finite and "
+                                             "positive"):
+            M.solve_reference(prob, tol=tol)
+
     def test_unconverged_is_flagged(self):
         rng = np.random.default_rng(2)
         prob = logistic_problem(rng)

@@ -581,17 +581,17 @@ def _probs_run(problem, config, T, seed, metric_tick, eval_set=None):
             np.array(accs) if accs else None, np.array(gvars), theta)
 
 
-def _bit_check_rows(kind, is_sparse, n, seed):
+def _bit_check_rows(kind, is_sparse, n, seed, d=4):
     rng = np.random.default_rng(seed)
     k = {P.CENTROID: 1, P.BINARY_LOGISTIC: 2, P.MULTICLASS_LOGISTIC: 3}[kind]
-    X, y = H._gaussian_rows(rng, n, 4, k)
+    X, y = H._gaussian_rows(rng, n, d, k)
     if is_sparse:
         X = sparse.csr_matrix(X * (rng.random(X.shape) < 0.6))
     return X, y, k
 
 
-def _bit_check_problem(kind, is_sparse):
-    X, y, k = _bit_check_rows(kind, is_sparse, 24, 20)
+def _bit_check_problem(kind, is_sparse, d=4):
+    X, y, k = _bit_check_rows(kind, is_sparse, 24, 20, d)
     return P.Problem(X, y, kind, l2_lambda=0.01, num_classes=k)
 
 
@@ -624,9 +624,12 @@ def _assert_same_trace(problem, cfg, T, seed, metric_tick, case,
 
 
 # (refresh_period, batch_size) with T = 24: a period that divides T, one
-# step per block, a period that does not divide T with single draws, and a
-# period longer than the run
-_BIT_CHECK_SCHEDULES = [(3, 5), (1, 5), (5, 1), (30, 5)]
+# step per block, a period that does not divide T with single draws, a
+# period longer than the run, and batches of 8, 16 and 17 rows, whose
+# column sums numpy adds pairwise on one-feature rows; a period of 7 puts
+# the ticks of a tick every 4 steps in different refresh blocks
+_BIT_CHECK_SCHEDULES = [(3, 5), (1, 5), (5, 1), (30, 5), (7, 8), (7, 16),
+                        (7, 17)]
 
 
 @pytest.mark.parametrize("kind", P.KINDS)
@@ -648,6 +651,22 @@ def test_run_is_bit_identical_to_the_parent_loop(method, kind):
             _assert_same_trace(problem, cfg, 24, 3, 4,
                                (method, kind, is_sparse, period, batch, mode),
                                eval_set)
+
+
+@pytest.mark.parametrize("method", O.METHODS)
+def test_one_feature_centroid_runs_are_bit_identical(method):
+    # a one-feature batch is a (B, 1) column, which numpy sums pairwise,
+    # where it sums wider batches row by row
+    for is_sparse in (False, True):
+        problem = _bit_check_problem(P.CENTROID, is_sparse, d=1)
+        for (period, batch), target in itertools.product(
+                _BIT_CHECK_SCHEDULES, (False, True)):
+            cfg = O.OptimizerConfig(
+                method=method, alpha=0.2, batch_size=batch,
+                refresh_period=period,
+                target_label_counts=(3,) if target else None)
+            _assert_same_trace(problem, cfg, 24, 3, 4,
+                               (method, is_sparse, period, batch, target))
 
 
 def _record_draw_sizes(monkeypatch):
@@ -682,16 +701,17 @@ def test_split_blocks_draw_the_same_stream(method, monkeypatch):
         assert sizes == expected
 
 
-# steps per block of a 24-step run ticked every 2 steps with a tick stack of
-# at most two thetas: amsgrad is cut only before each third pending tick
-# step, dasgrad also at its refreshes (7, 14 and 21)
-_TICK_CUT_STEPS = {"amsgrad": [5, 4, 4, 4, 4, 3],
-                   "dasgrad": [5, 1, 5, 2, 4, 3, 4]}
+# steps per block of a 24-step run: amsgrad never refreshes, so its one
+# block is the run; dasgrad's blocks end at its refreshes (7, 14 and 21)
+_REFRESH_BLOCK_STEPS = {"amsgrad": [24], "dasgrad": [6, 7, 7, 4]}
 
 
 @pytest.mark.parametrize("kind", P.KINDS)
-@pytest.mark.parametrize("method", sorted(_TICK_CUT_STEPS))
-def test_blocks_are_cut_at_the_tick_stack_bound(method, kind, monkeypatch):
+@pytest.mark.parametrize("method", sorted(_REFRESH_BLOCK_STEPS))
+def test_ticks_are_taken_at_the_tick_stack_bound(method, kind, monkeypatch):
+    # a tick every 2 steps with a tick stack of at most two thetas: the 12
+    # ticks are taken two at a time, and for dasgrad the ticks at 6 and 8,
+    # 14 and 16 span a refresh; the stack bound does not cut the blocks
     param_dim = _bit_check_problem(kind, False).param_dim
     monkeypatch.setattr(M, "_TICK_BYTES", 2 * 8 * param_dim + 7)
     sizes = _record_draw_sizes(monkeypatch)
@@ -710,7 +730,7 @@ def test_blocks_are_cut_at_the_tick_stack_bound(method, kind, monkeypatch):
         sizes.clear()
         stacks.clear()
         _assert_same_trace(problem, cfg, 24, 3, 2, (method, kind, is_sparse))
-        assert sizes == [5 * k for k in _TICK_CUT_STEPS[method]]
+        assert sizes == [5 * k for k in _REFRESH_BLOCK_STEPS[method]]
         assert max(stacks) == 2 and sum(stacks) == 12
 
 
@@ -779,6 +799,32 @@ def test_a_pending_nonfinite_tick_precedes_a_later_step_divergence(
     with pytest.raises(O.DivergenceError,
                        match="^nonfinite loss at step 2$") as err:
         O.run(problem, cfg, T=20, seed=0, metric_tick=2)
+    assert err.value.step == 2
+
+
+def test_a_pending_nonfinite_tick_precedes_a_later_refresh_divergence(
+        monkeypatch):
+    # each row's squared norm, about 1.5e308, is finite, so the gradient
+    # norms ap_sgd samples by are, but the 12 rows' total overflows the
+    # loss at every tick, while the box keeps theta finite; the ticks of the
+    # first refresh block are still pending when the refresh at step 20
+    # fails
+    rng = np.random.default_rng(4)
+    problem = P.Problem(7e153 * np.sign(rng.standard_normal((12, 3))),
+                        np.zeros(12, dtype=np.int64), P.CENTROID)
+    cfg = O.OptimizerConfig(method="ap_sgd", alpha=0.1, batch_size=2,
+                            refresh_period=10)
+    refresh = O.refresh_probabilities
+
+    def failing(problem, theta, state, config, tree, t):
+        if t == 20:
+            raise O.DivergenceError(t, "nonfinite scores")
+        refresh(problem, theta, state, config, tree, t)
+
+    monkeypatch.setattr(O, "refresh_probabilities", failing)
+    with pytest.raises(O.DivergenceError,
+                       match="^nonfinite loss at step 2$") as err:
+        O.run(problem, cfg, T=30, seed=0, metric_tick=2)
     assert err.value.step == 2
 
 

@@ -91,8 +91,7 @@ class ExperimentConfig:
             self.T, self.metric_tick, self.seeds, 1))
         if not self.optimizers:
             raise ValueError("need at least one optimizer")
-        if not 0 < self.reference_tol < math.inf:
-            raise ValueError("reference_tol must be finite and positive")
+        _finite_positive("reference_tol")(self.reference_tol)
         _optimizers._positive_int("reference_max_iters",
                                   self.reference_max_iters)
 
@@ -165,6 +164,11 @@ def _finite_nonnegative(key):
                     key + " must be finite and nonnegative")
 
 
+def _finite_positive(key):
+    return _checked(float, lambda v: 0 < v < math.inf,
+                    key + " must be finite and positive")
+
+
 def _whole(key):
     """Parser of a value that must be a whole number of at least 1."""
     return lambda text: _optimizers._positive_int(key, int(text))
@@ -188,8 +192,7 @@ _GLOBAL_KEYS = {
     "lambda": _finite_nonnegative("lambda"),
     "T": _whole("T"), "seeds": lambda text: _check_seeds(_parse_ints(text), 1),
     "metric_tick": _whole("metric_tick"), "output_dir": str,
-    "reference_tol": _checked(float, lambda v: 0 < v < math.inf,
-                              "reference_tol must be finite and positive"),
+    "reference_tol": _finite_positive("reference_tol"),
     "reference_max_iters": _whole("reference_max_iters"),
 }
 _OPTIMIZER_KEYS = {

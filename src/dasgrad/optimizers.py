@@ -33,10 +33,9 @@ that end at the next step where a refresh can happen: every multiple of
 (the other methods) has no such step, so its blocks run to the end of
 the run. The indices of all a block's steps
 are drawn in one ``sample_many`` call, and their rows gathered (CSR rows
-densified) and weighted once; the mean weight of every step comes from
-one reduce. A block whose densified rows would pass ``_BLOCK_BYTES``
-(1 MiB) is cut into blocks of whole steps, never less than one. Each step
-slices its own ``batch_size`` rows and updates the moments in place.
+densified) and weighted once. A block whose densified rows would pass
+``_BLOCK_BYTES`` (1 MiB) is cut into blocks of whole steps, never less
+than one. Each step slices its own ``batch_size`` rows.
 One draw of k * batch_size uniforms is the same stream as k draws of
 batch_size, so blocks reproduce per-step sampling bit for bit.
 
@@ -173,20 +172,21 @@ def _positive_int(name, value):
 
 
 def moment_update(state, g, beta1_t, beta2, use_max):
-    """One moment recursion step, in place on the state's arrays:
+    """One moment recursion step:
     m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2, and v_hat keeps the
-    coordinatewise max of v when use_max is set (otherwise it is v). g is a
-    float64 vector of m's shape and b1, b2 lie in [0, 1), as
-    ``OptimizerConfig`` guarantees; neither is checked here."""
-    m, v = state.m, state.v
-    m *= beta1_t
-    m += (1.0 - beta1_t) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
+    coordinatewise max of v when use_max is set (otherwise it is v: v is
+    rebound here, never changed in place, so the alias is safe).
+
+    g is a float64 vector of m's shape and b1, b2 lie in [0, 1), as
+    ``OptimizerConfig`` guarantees; neither is checked here. A g of another
+    length raises numpy's broadcast ValueError before the state changes,
+    but a length-1 g broadcasts over every coordinate."""
+    state.m = beta1_t * state.m + (1.0 - beta1_t) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
     if use_max:
-        np.maximum(state.v_hat, v, out=state.v_hat)
+        state.v_hat = np.maximum(state.v_hat, state.v)
     else:
-        state.v_hat = v
+        state.v_hat = state.v
 
 
 def _weights_for(problem, indices, tree, config):
@@ -225,24 +225,23 @@ def step_general(problem, theta, state, batch, config, t):
     """One step of the general method on a drawn batch (X, y, w), as
     ``draw_batch`` returns it: advance the moment state, average the
     importance-weighted per-index directions, and project. Returns the new
-    theta. A weighted batch may carry a fourth entry, the mean of w, which
-    ``run`` takes for a whole block in one reduce.
+    theta.
 
     A theta strictly inside the box (lo < min and max < hi) is returned as
     the update made it: there ``np.clip`` is the identity and every
     coordinate is finite, so neither is taken. Any other theta is clipped,
     and a nonfinite one raises DivergenceError at step t."""
-    X, y, w = batch[:3]
+    X, y, w = batch
     G = _problems.batch_gradients(problem, theta, X, y)
     # np.add.reduce(a, axis=0) / len(a) is what a.mean(axis=0) computes,
-    # without the Python wrapper it pays on every step; numpy divides by a
-    # float faster than by an int, to the same bits
-    B = float(len(G))
+    # without the Python wrapper it pays on every step
+    B = len(G)
     if w is None:
         # w * G would be G and w.mean() one, bit for bit
         g_weighted = g_state = np.add.reduce(G, axis=0) / B
     else:
         g_weighted = np.add.reduce(w[:, None] * G, axis=0) / B
+        w_mean = np.add.reduce(w) / B
         # Without target counts the recursion takes the raw batch mean of
         # the sampled gradients. Target mode feeds the corrected estimate
         # instead: its weights recenter the stream on the target-distribution
@@ -259,16 +258,12 @@ def step_general(problem, theta, state, batch, config, t):
     if method in ("sgd", "ap_sgd"):
         direction = g_weighted
     elif method == "adagrad":
-        state.v += g_state * g_state
+        state.v = state.v + g_state * g_state
         denom = np.sqrt(state.v / t) + config.epsilon_div
         direction = g_weighted / denom
     else:
         beta1_t = config.beta1_at(t)
-        if w is not None:
-            # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the
-            # stack: its m_prev term is taken before the update overwrites m
-            w_mean = batch[3] if len(batch) > 3 else np.add.reduce(w) / B
-            direction = beta1_t * w_mean * state.m
+        m_prev = state.m
         moment_update(state, g_state, beta1_t, config.beta2,
                       method in ("amsgrad", "dasgrad"))
         denom = np.sqrt(state.v_hat) + config.epsilon_div
@@ -277,8 +272,10 @@ def step_general(problem, theta, state, batch, config, t):
             # w_mean is 1.0 and g_weighted is g_state
             direction = state.m / denom
         else:
-            direction += (1.0 - beta1_t) * g_weighted
-            direction /= denom
+            # mean_b w_b (b1 m_prev + (1 - b1) g_b) / denom, without the
+            # stack
+            direction = (beta1_t * w_mean * m_prev
+                         + (1.0 - beta1_t) * g_weighted) / denom
     new_theta = theta - config.alpha / math.sqrt(t) * direction
     # a NaN fails both tests, as the reductions propagate it
     if not (lo < np.minimum.reduce(new_theta)
@@ -398,13 +395,9 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
                                           t)
                 X, y, w = draw_batch(problem, tree, rng, config,
                                      (end - t) * B)
-                # each step's mean weight, from one reduce for the block
-                w_means = None if w is None \
-                    else np.add.reduce(w.reshape(-1, B), axis=1) / B
-                for j, lo in enumerate(range(0, len(y), B)):
+                for lo in range(0, len(y), B):
                     rows = slice(lo, lo + B)
-                    batch = (X[rows], y[rows], None) if w is None \
-                        else (X[rows], y[rows], w[rows], w_means[j])
+                    batch = X[rows], y[rows], None if w is None else w[rows]
                     theta = step_general(problem, theta, state, batch, config,
                                          t)
                     if t % metric_tick == 0:

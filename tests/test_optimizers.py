@@ -47,7 +47,9 @@ class TestMomentUpdate:
     def test_dimension_mismatch(self):
         state = O.MomentState.zeros(2)
         with pytest.raises(ValueError):
-            O.moment_update(state, np.zeros(3), 0.9, 0.99, True)
+            O.moment_update(state, np.ones(3), 0.9, 0.99, True)
+        # the error comes before any moment changes
+        assert not (state.m.any() or state.v.any() or state.v_hat.any())
 
 
 class TestStepGeneral:

@@ -34,6 +34,7 @@ from .optimizers import (
     MomentState,
     OptimizerConfig,
     RunResult,
+    SettingError,
     draw_batch,
     moment_update,
     refresh_probabilities,

@@ -59,6 +59,38 @@ class ProblemSpec:
     data_seed: int = 0
     l2_lambda: float = 0.0
 
+    def __post_init__(self):
+        kinds = _problems.KINDS
+        _optimizers._check_rules(self, [
+            (self.kind in kinds, "kind must be one of " + ", ".join(kinds),
+             "kind"),
+            (self.path != "", "path must not be empty", "path"),
+            (self.n >= 1, "n must be at least 1", "n"),
+            (self.d >= 1, "d must be at least 1", "d"),
+            (self.num_classes >= 2, "classes must be at least 2",
+             "num_classes"),
+            (0 <= self.sigma < math.inf,
+             "sigma must be finite and nonnegative", "sigma"),
+            (0 <= self.margin < math.inf,
+             "margin must be finite and nonnegative", "margin"),
+            (0 <= self.sparsity <= 1, "sparsity must lie in [0, 1]",
+             "sparsity"),
+            (self.data_seed >= 0, "data_seed must be nonnegative",
+             "data_seed"),
+            (0 <= self.l2_lambda < math.inf,
+             "lambda must be finite and nonnegative", "l2_lambda"),
+            # settings at odds with another
+            (self.kind != _problems.CENTROID or self.l2_lambda == 0,
+             "lambda must be 0 for a centroid problem, whose loss has no L2 "
+             "term", "l2_lambda"),
+            (self.kind != _problems.BINARY_LOGISTIC or self.num_classes == 2,
+             "classes must be 2 for a binary-logistic problem",
+             "num_classes"),
+            (self.kind == _problems.CENTROID or self.path
+             or self.n >= self.num_classes,
+             "n must be at least classes (%s) to synthesize a %s problem"
+             % (self.num_classes, self.kind), "n", "num_classes")])
+
     def build(self):
         if self.path:
             loader = _datasets.load_sparse if self.sparse \
@@ -89,35 +121,31 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "seeds", _check_run_settings(
             self.T, self.metric_tick, self.seeds, 1))
-        if not self.optimizers:
-            raise ValueError("need at least one optimizer")
-        _finite_positive("reference_tol")(self.reference_tol)
+        _optimizers._check_rules(self, [
+            (self.optimizers, "need at least one optimizer", "optimizers"),
+            (0 < self.reference_tol < math.inf,
+             "reference_tol must be finite and positive", "reference_tol")])
         _optimizers._positive_int("reference_max_iters",
                                   self.reference_max_iters)
 
 
-def _check_seeds(seeds, min_seeds):
+def _check_run_settings(T, metric_tick, seeds, min_seeds):
     """The seeds as a tuple. Rejects too few seeds, a negative one and a
-    repeated one (it would count one run twice)."""
+    repeated one (it would count one run twice), a T or tick that ``run``
+    rejects and a tick above T (no trace rows)."""
     seeds = tuple(seeds)
     if len(seeds) < min_seeds:
-        raise ValueError("need at least %s, got %d"
-                         % (("one seed", "two seeds")[min_seeds - 1],
-                            len(seeds)))
+        raise _optimizers.SettingError("need at least %s, got %d" % (
+            ("one seed", "two seeds")[min_seeds - 1], len(seeds)), "seeds")
     if min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise ValueError("seeds must not repeat or be negative, "
-                         "got %s" % ",".join(str(s) for s in seeds))
-    return seeds
-
-
-def _check_run_settings(T, metric_tick, seeds, min_seeds):
-    """The seeds as ``_check_seeds`` returns them. Also rejects a T or
-    tick that ``run`` rejects and a tick above T (no trace rows)."""
-    seeds = _check_seeds(seeds, min_seeds)
+        raise _optimizers.SettingError(
+            "seeds must not repeat or be negative, got %s"
+            % ",".join(str(s) for s in seeds), "seeds")
     T = _optimizers._positive_int("T", T)
     if _optimizers._positive_int("metric_tick", metric_tick) > T:
-        raise ValueError("metric_tick must lie in [1, T=%d], got %d"
-                         % (T, metric_tick))
+        raise _optimizers.SettingError(
+            "metric_tick must lie in [1, T=%d], got %d" % (T, metric_tick),
+            "metric_tick", "T")
     return seeds
 
 
@@ -149,51 +177,13 @@ def _parse_ints(text):
     return tuple(int(v) for v in text.split(","))
 
 
-def _checked(parse, ok, rule):
-    """``parse``, then reject a value that fails ``ok``, quoting ``rule``."""
-    def checked(text):
-        value = parse(text)
-        if not ok(value):
-            raise ValueError("%s, got %r" % (rule, text))
-        return value
-    return checked
-
-
-def _finite_nonnegative(key):
-    return _checked(float, lambda v: 0 <= v < math.inf,
-                    key + " must be finite and nonnegative")
-
-
-def _finite_positive(key):
-    return _checked(float, lambda v: 0 < v < math.inf,
-                    key + " must be finite and positive")
-
-
-def _whole(key):
-    """Parser of a value that must be a whole number of at least 1."""
-    return lambda text: _optimizers._positive_int(key, int(text))
-
-
-# config key -> value parser; these are the only keys a config may use
+# config key -> type converter; these are the only keys a config may use
 _GLOBAL_KEYS = {
-    "kind": _checked(str, _problems.KINDS.__contains__,
-                     "kind must be one of " + ", ".join(_problems.KINDS)),
-    "path": _checked(str, bool, "path must not be empty"),
-    "sparse": _parse_bool,
-    "n": _checked(int, lambda n: n >= 1, "n must be at least 1"),
-    "d": _checked(int, lambda d: d >= 1, "d must be at least 1"),
-    "classes": _checked(int, lambda k: k >= 2, "classes must be at least 2"),
-    "sigma": _finite_nonnegative("sigma"),
-    "margin": _finite_nonnegative("margin"),
-    "sparsity": _checked(float, lambda v: 0 <= v <= 1,
-                         "sparsity must lie in [0, 1]"),
-    "data_seed": _checked(int, lambda s: s >= 0,
-                          "data_seed must be nonnegative"),
-    "lambda": _finite_nonnegative("lambda"),
-    "T": _whole("T"), "seeds": lambda text: _check_seeds(_parse_ints(text), 1),
-    "metric_tick": _whole("metric_tick"), "output_dir": str,
-    "reference_tol": _finite_positive("reference_tol"),
-    "reference_max_iters": _whole("reference_max_iters"),
+    "kind": str, "path": str, "sparse": _parse_bool, "n": int, "d": int,
+    "classes": int, "sigma": float, "margin": float, "sparsity": float,
+    "data_seed": int, "lambda": float, "T": int, "seeds": _parse_ints,
+    "metric_tick": int, "output_dir": str, "reference_tol": float,
+    "reference_max_iters": int,
 }
 _OPTIMIZER_KEYS = {
     "method": str, "alpha": float, "beta1": float, "beta2": float,
@@ -209,14 +199,16 @@ _PROBLEM_FIELDS = {f.name for f in fields(ProblemSpec)}
 def parse_config_text(text, base_dir="."):
     """Parse the flat key = value format into an ExperimentConfig; a
     section's method is its name unless a ``method`` line says otherwise.
-    An unknown or repeated key, an unparsable or out-of-range value and a
-    setting at odds with another raise ValueError naming their line, and a
-    rejected optimizer section names its header line."""
-    globals_kv = {}
+    The parser only converts values to their types and builds the
+    ProblemSpec, each OptimizerConfig and the ExperimentConfig, whose rules
+    decide what is accepted. Every error names a line: a bad key or value
+    its own, a SettingError that of the first of its fields that the
+    section sets, else the optimizer section's header line."""
+    globals_kv = current = {}
     optimizer_kv = {}
     header_line = {}
-    key_line = {}   # no key is both a global and an optimizer key
-    current = globals_kv
+    field_line = {}     # (section, field) -> line; section None: globals
+    section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -225,67 +217,53 @@ def parse_config_text(text, base_dir="."):
             if not (line.startswith("[optimizer.") and line.endswith("]")):
                 raise ValueError("line %d: bad section header %r"
                                  % (line_no, line))
-            name = line[len("[optimizer."):-1]
-            if not name or name in optimizer_kv:
+            section = line[len("[optimizer."):-1]
+            if not section or section in optimizer_kv:
                 raise ValueError("line %d: bad or duplicate optimizer name"
                                  % line_no)
-            current = optimizer_kv[name] = {}
-            header_line[name] = line_no
+            current = optimizer_kv[section] = {}
+            header_line[section] = line_no
             continue
         if "=" not in line:
             raise ValueError("line %d: expected key = value" % line_no)
         key, value = (part.strip() for part in line.split("=", 1))
-        parsers = _GLOBAL_KEYS if current is globals_kv else _OPTIMIZER_KEYS
-        if key not in parsers:
+        converters = _GLOBAL_KEYS if section is None else _OPTIMIZER_KEYS
+        if key not in converters:
             raise ValueError("line %d: unknown key %r" % (line_no, key))
         field = _FIELD_OF_KEY.get(key, key)
         if field in current:
             raise ValueError("line %d: key %r repeats line %d"
-                             % (line_no, key, key_line[key]))
+                             % (line_no, key, field_line[section, field]))
         try:
-            current[field] = parsers[key](value)
+            current[field] = converters[key](value)
         except ValueError as exc:
             raise ValueError("line %d: %s" % (line_no, exc)) from None
-        key_line[key] = line_no
+        field_line[section, field] = line_no
 
     if not optimizer_kv:
         raise ValueError("config defines no [optimizer.*] section")
-    optimizers = {}
-    for name, kv in optimizer_kv.items():
+
+    def build(make, section, kv, **rest):
         try:
-            optimizers[name] = _optimizers.OptimizerConfig(
-                **{"method": name, **kv})
-        except ValueError as exc:
-            raise ValueError("line %d: [optimizer.%s]: %s"
-                             % (header_line[name], name, exc)) from None
+            return make(**kv, **rest)
+        except _optimizers.SettingError as exc:
+            line_no = next((field_line[section, f] for f in exc.fields
+                            if (section, f) in field_line),
+                           header_line.get(section))
+            at = "" if section is None else "[optimizer.%s]: " % section
+            raise ValueError("line %d: %s%s" % (line_no, at, exc)) from None
 
     spec_kv = {"kind": _problems.CENTROID}
     for key in _PROBLEM_FIELDS & set(globals_kv):
         spec_kv[key] = globals_kv.pop(key)
-    path = spec_kv.get("path")
-    if path is not None and not os.path.isabs(path):
-        spec_kv["path"] = os.path.join(base_dir, path)
-    spec = ProblemSpec(**spec_kv)
-    T = globals_kv.get("T", ExperimentConfig.T)
-    tick = globals_kv.get("metric_tick", ExperimentConfig.metric_tick)
-    # a setting at odds with another names the first of its keys set
-    for bad, keys, message in [
-            (spec.kind == _problems.CENTROID and spec.l2_lambda != 0.0,
-             ["lambda"], "lambda must be 0 for a centroid problem, whose "
-             "loss has no L2 term"),
-            (spec.kind == _problems.BINARY_LOGISTIC and spec.num_classes != 2,
-             ["classes"], "classes must be 2 for a binary-logistic problem, "
-             "got %d" % spec.num_classes),
-            (spec.kind != _problems.CENTROID and not spec.path
-             and spec.n < spec.num_classes, ["n", "classes"],
-             "n must be at least classes (%d) to synthesize a %s problem, "
-             "got %d" % (spec.num_classes, spec.kind, spec.n)),
-            (tick > T, ["metric_tick", "T"],
-             "metric_tick must lie in [1, T=%d], got %d" % (T, tick))]:
-        if bad:
-            line_no = next(key_line[key] for key in keys if key in key_line)
-            raise ValueError("line %d: %s" % (line_no, message))
-    return ExperimentConfig(problem=spec, optimizers=optimizers, **globals_kv)
+    if spec_kv.get("path"):     # a relative path is read from base_dir
+        spec_kv["path"] = os.path.join(base_dir, spec_kv["path"])
+    spec = build(ProblemSpec, None, spec_kv)
+    optimizers = {name: build(_optimizers.OptimizerConfig, name,
+                              {"method": name, **kv})
+                  for name, kv in optimizer_kv.items()}
+    return build(ExperimentConfig, None, globals_kv, problem=spec,
+                 optimizers=optimizers)
 
 
 def load_config(path):
@@ -654,8 +632,8 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
     arms, per_sigma, f_stars = {}, [], {}
     for sigma in sigmas:
         tag = ("%g" % sigma).replace(".", "p")
-        problem = _datasets.make_problem(_datasets.synth_centroid(
-            p["n"], p["d"], sigma, p["data_seed"]), _problems.CENTROID)
+        _, problem = ProblemSpec(kind=_problems.CENTROID, n=p["n"], d=p["d"],
+                                 sigma=sigma, data_seed=p["data_seed"]).build()
         names = ["%s_sigma%s" % (m, tag) for m in methods]
         f_star = _metrics.solve_reference(problem).f_star
         for name, method in zip(names, methods):

@@ -84,6 +84,16 @@ class DivergenceError(RuntimeError):
         return type(self), (self.step, self.message)
 
 
+class SettingError(ValueError):
+    """Raised when a setting lies outside its range or is at odds with
+    another; ``fields`` names the dataclass fields the rule concerns, the
+    one to blame first."""
+
+    def __init__(self, message, *fields):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass
 class MomentState:
     """Running moment vectors of one optimization run: the momentum m, the
@@ -118,20 +128,23 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError("unknown method %r" % (self.method,))
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be finite and positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.method in ("adam", "amsgrad", "dasgrad"):
-            if self.beta2 == 0.0 or self.beta1 / np.sqrt(self.beta2) >= 1.0:
-                raise ValueError("need beta1 / sqrt(beta2) < 1 for %s"
-                                 % self.method)
-        if not (0 < self.epsilon_div < math.inf
-                and 0 < self.epsilon_prob < math.inf):
-            raise ValueError("epsilons must be finite and positive")
-        if not 0.0 <= self.beta1_decay <= 1.0:
-            raise ValueError("beta1_decay must lie in [0, 1]")
+            raise SettingError("unknown method %r" % (self.method,), "method")
+        moments = self.method in ("adam", "amsgrad", "dasgrad")
+        _check_rules(self, [
+            (0 < self.alpha < math.inf, "alpha must be finite and positive",
+             "alpha"),
+            (0 <= self.beta1 < 1, "beta1 must lie in [0, 1)", "beta1"),
+            (0 <= self.beta2 < 1, "beta2 must lie in [0, 1)", "beta2"),
+            (not moments or 0 < self.beta2
+             and self.beta1 / math.sqrt(self.beta2) < 1,
+             "beta1 / sqrt(beta2) must be below 1 for " + self.method,
+             "beta1", "beta2"),
+            (0 < self.epsilon_div < math.inf,
+             "epsilon_div must be finite and positive", "epsilon_div"),
+            (0 < self.epsilon_prob < math.inf,
+             "epsilon_prob must be finite and positive", "epsilon_prob"),
+            (0 <= self.beta1_decay <= 1, "beta1_decay must lie in [0, 1]",
+             "beta1_decay")])
         for name in ("refresh_period", "batch_size"):
             object.__setattr__(self, name,
                                _positive_int(name, getattr(self, name)))
@@ -140,21 +153,29 @@ class OptimizerConfig:
             ints = tuple(int(c) for c in counts)
             if ints != tuple(counts) or min(ints, default=0) < 0 \
                     or sum(ints) < 1:
-                raise ValueError("target_label_counts must be nonnegative "
-                                 "integers with a positive total")
+                raise SettingError("target_label_counts must be nonnegative "
+                                   "integers with a positive total",
+                                   "target_label_counts")
             object.__setattr__(self, "target_label_counts", ints)
         lo, hi = self.projection
-        if np.ndim(lo) or np.ndim(hi):
-            raise ValueError("projection box bounds must be two scalars")
-        lo, hi = float(lo), float(hi)
-        if not lo <= hi:
-            raise ValueError("projection box needs lo <= hi and no NaN")
-        object.__setattr__(self, "projection", (lo, hi))
+        if np.ndim(lo) or np.ndim(hi) or not float(lo) <= float(hi):
+            raise SettingError("projection box bounds must be two scalars "
+                               "with lo <= hi and no NaN", "projection")
+        object.__setattr__(self, "projection", (float(lo), float(hi)))
 
     def beta1_at(self, t):
         if self.method in ("sgd", "ap_sgd", "adagrad", "rmsprop"):
             return 0.0
         return self.beta1 * self.beta1_decay ** (t - 1)
+
+
+def _check_rules(settings, rules):
+    """Raise SettingError for the first (ok, rule, *fields) of ``rules``
+    whose ``ok`` is false, quoting the value of its first field."""
+    for ok, rule, *fields in rules:
+        if not ok:
+            raise SettingError("%s, got %r"
+                               % (rule, getattr(settings, fields[0])), *fields)
 
 
 def _positive_int(name, value):
@@ -166,8 +187,8 @@ def _positive_int(name, value):
         whole = None
     if isinstance(value, (bool, np.bool_)) or whole is None \
             or whole != value or whole < 1:
-        raise ValueError("%s must be at least 1 and whole, got %r"
-                         % (name, value))
+        raise SettingError("%s must be at least 1 and whole, got %r"
+                           % (name, value), name)
     return whole
 
 

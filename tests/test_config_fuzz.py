@@ -1,9 +1,11 @@
-"""Property test over random experiment configs run through ``cli.main``.
+"""Property tests over random experiment configs.
 
-Every kind and method, steps from tame to far past overflow, random
-refresh periods, batch sizes and boxes: a run either completes with a
-finite trace or is reported in failures.csv, the exit code says which, no
-numpy warning escapes, and a rerun writes the same bytes.
+Run through ``cli.main``, every kind and method, steps from tame to far
+past overflow, random refresh periods, batch sizes and boxes: a run either
+completes with a finite trace or is reported in failures.csv, the exit
+code says which, no numpy warning escapes, and a rerun writes the same
+bytes. Parsed only, a config with one value out of range or unparsable is
+rejected on that value's line.
 """
 
 import filecmp
@@ -13,10 +15,12 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dasgrad import cli as C
+from dasgrad import harness as H
 from dasgrad import optimizers as O
 from dasgrad import problems as P
 
@@ -115,3 +119,46 @@ def test_every_config_exits_cleanly_and_reruns_identically(text):
         match, mismatch, errors = filecmp.cmpfiles(out, again, names,
                                                    shallow=False)
         assert not mismatch and not errors
+
+
+# per config key, values that its converter or its dataclass rejects; every
+# key but output_dir, whose every value names a directory
+_BAD_VALUES = {
+    "kind": ["foo", ""], "path": [""], "sparse": ["maybe"],
+    "n": ["0", "-3"], "d": ["0"], "classes": ["1", "0"],
+    "sigma": ["-1", "inf", "nan"], "margin": ["-0.5", "nan"],
+    "sparsity": ["1.5", "-0.1", "nan"], "data_seed": ["-1"],
+    "lambda": ["-1", "inf", "nan"], "T": ["0", "-5", "2.5"],
+    "seeds": ["-1", "1,1", "0,x"], "metric_tick": ["0", "-1"],
+    "reference_tol": ["0", "-1", "inf", "nan"],
+    "reference_max_iters": ["0", "-1"],
+    "method": ["adamw", ""], "alpha": ["0", "-1", "inf", "nan"],
+    "beta1": ["1", "-0.1", "nan"], "beta2": ["1", "-0.5", "nan"],
+    "epsilon_div": ["0", "inf"], "epsilon_prob": ["-1", "nan"],
+    "beta1_decay": ["1.5", "-0.5", "nan"],
+    "refresh_period": ["0", "-2"], "batch_size": ["0", "1.5"],
+    "box": ["1,-1", "nan,0", "1"],
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(configs(), st.sampled_from(sorted(_BAD_VALUES)), st.data())
+def test_an_out_of_range_value_names_its_line(text, key, data):
+    assert set(_BAD_VALUES) == set(H._GLOBAL_KEYS) - {"output_dir"} \
+        | set(H._OPTIMIZER_KEYS)
+    lines = text.splitlines()
+    headers = [i for i, line in enumerate(lines) if line.startswith("[")]
+    if key in H._GLOBAL_KEYS:
+        start, stop = 0, headers[0]
+    else:
+        start = data.draw(st.sampled_from(headers)) + 1
+        stop = next((i for i in headers if i >= start), len(lines))
+    # the key's line in its section, else a new first line there
+    at = next((i for i in range(start, stop)
+               if lines[i].split(" = ")[0] == key), None)
+    if at is None:
+        at = start
+        lines.insert(at, "")
+    lines[at] = "%s = %s" % (key, data.draw(st.sampled_from(_BAD_VALUES[key])))
+    with pytest.raises(ValueError, match="^line %d: " % (at + 1)):
+        H.parse_config_text("\n".join(lines) + "\n")

@@ -314,6 +314,22 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="^" + message):
             H.parse_config_text(text + "[optimizer.sgd]\n")
 
+    @pytest.mark.parametrize("spec, fields, message", [
+        (dict(kind=P.BINARY_LOGISTIC, num_classes=3), ("num_classes",),
+         "classes must be 2 for a binary-logistic problem, got 3"),
+        (dict(kind=P.MULTICLASS_LOGISTIC, n=2, num_classes=5),
+         ("n", "num_classes"), r"n must be at least classes \(5\) to "
+         "synthesize a multiclass-logistic problem, got 2"),
+        # no centroid loss reads lambda, yet metadata.txt would report it
+        (dict(kind=P.CENTROID, l2_lambda=0.5), ("l2_lambda",),
+         "lambda must be 0 for a centroid problem"),
+    ])
+    def test_problem_spec_rejects_settings_at_odds(self, spec, fields,
+                                                   message):
+        with pytest.raises(O.SettingError, match="^" + message) as err:
+            H.ProblemSpec(**spec)
+        assert err.value.fields == fields
+
     def test_rows_per_class_are_not_checked_for_a_data_file(self):
         cfg = H.parse_config_text("kind = multiclass-logistic\n"
                                   "path = data.svm\nn = 2\nclasses = 5\n"
@@ -777,27 +793,51 @@ class TestRunSettingsRejected:
         assert seen == [{"T": 5}, {"keep_fraction": 5.0}]
 
 
-    @pytest.mark.parametrize("old, new", [
-        ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = 1.5"),
-        ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = -0.5"),
-        ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = nan"),
-        (_DASGRAD_ALPHA, _DASGRAD_ALPHA.replace("0.05", "nan")),
-        ("refresh_period = 5", "refresh_period = 5\nepsilon_div = nan"),
-        (_DASGRAD_ALPHA, _DASGRAD_ALPHA.replace("0.05", "-1")),
+    @pytest.mark.parametrize("old, new, named", [
+        ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = 1.5",
+         "beta1_decay = 1.5"),
+        ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = -0.5",
+         "beta1_decay = -0.5"),
+        ("refresh_period = 5", "refresh_period = 5\nbeta1_decay = nan",
+         "beta1_decay = nan"),
+        (_DASGRAD_ALPHA, _DASGRAD_ALPHA.replace("0.05", "nan"), "alpha = nan"),
+        ("refresh_period = 5", "refresh_period = 5\nepsilon_div = nan",
+         "epsilon_div = nan"),
+        (_DASGRAD_ALPHA, _DASGRAD_ALPHA.replace("0.05", "-1"), "alpha = -1"),
+        # a section that sets none of the rule's fields names its header
+        ("[optimizer.amsgrad]\nmethod = amsgrad", "[optimizer.ams]",
+         "[optimizer.ams]"),
     ])
-    def test_bad_optimizer_value_names_its_section_line(
-            self, tmp_path, capsys, monkeypatch, old, new):
+    def test_bad_optimizer_value_names_its_key_line(
+            self, tmp_path, capsys, monkeypatch, old, new, named):
         monkeypatch.setattr(O, "run", None)
         out = tmp_path / "bad"
         cfg_path = tmp_path / "bad.cfg"
-        text = TINY_CONFIG.format(out=out)
-        header = text.splitlines().index("[optimizer.dasgrad]") + 1
-        cfg_path.write_text(text.replace(old, new))
+        text = TINY_CONFIG.format(out=out).replace(old, new)
+        lines = text.splitlines()
+        line = lines.index(named) + 1
+        header = next(h for h in reversed(lines[:line]) if h.startswith("["))
+        cfg_path.write_text(text)
         with pytest.raises(SystemExit) as err:
             C.main(["run", "--config", str(cfg_path)])
         assert err.value.code == 2
-        assert ("line %d: [optimizer.dasgrad]: " % header
+        assert "line %d: %s: " % (line, header) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["d", "n"])
+    def test_sweep_problem_settings_follow_the_problem_spec(
+            self, tmp_path, capsys, monkeypatch, field):
+        monkeypatch.setattr(O, "run", None)
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as err:
+            C.main(["sweep-variance", "--sigmas", "1", "--seeds", "2",
+                    "--out", str(out), "--" + field, "0"])
+        assert err.value.code == 2
+        assert ("%s must be at least 1, got 0" % field
                 in capsys.readouterr().err)
+        with pytest.raises(O.SettingError) as err:
+            H.sweep_variance([1.0], range(2), str(out), **{field: 0})
+        assert err.value.fields == (field,)
         assert not out.exists()
 
     @pytest.mark.parametrize("old, new, message", [

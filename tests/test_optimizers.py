@@ -160,8 +160,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value, message", [
         ("alpha", np.nan, "alpha"), ("alpha", np.inf, "alpha"),
         ("alpha", 0.0, "alpha"), ("alpha", -0.1, "alpha"),
-        ("epsilon_div", np.nan, "epsilons"),
-        ("epsilon_prob", np.inf, "epsilons"),
+        ("epsilon_div", np.nan, "epsilon_div"),
+        ("epsilon_prob", np.inf, "epsilon_prob"),
         ("beta1_decay", 1.5, "beta1_decay"),
         ("beta1_decay", -0.5, "beta1_decay"),
         ("beta1_decay", np.nan, "beta1_decay"),

@@ -11,7 +11,10 @@ Both loaders reject a malformed row, a nonfinite value included, with its
 line number, and return the rows packed: a dense array or a CSR matrix.
 
 Synthetic generators draw their Gaussians by Box-Muller from the seeded
-uniform stream so the whole pipeline shares one generator family.
+uniform stream so the whole pipeline shares one generator family. They
+write into the array they return, so a draw peaks near 1.5x its dense
+features: ``box_muller`` adds one half-size buffer of cosines, and a sparse
+draw a one-byte mask, 64 KiB of uniforms at a time and its CSR copy.
 """
 
 from __future__ import annotations
@@ -198,11 +201,19 @@ def load_sparse(path):
 def box_muller(rng, size):
     """Standard normals from the uniform stream via Box-Muller."""
     n_pairs = (size + 1) // 2
-    u1 = 1.0 - rng.random(n_pairs)  # (0, 1]: keeps log() finite
-    u2 = rng.random(n_pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2),
-                        r * np.sin(2.0 * np.pi * u2)])
+    z = np.empty(2 * n_pairs)
+    r, angle = z[:n_pairs], z[n_pairs:]
+    rng.random(out=r)
+    rng.random(out=angle)
+    np.subtract(1.0, r, out=r)  # (0, 1]: keeps log() finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle *= 2.0 * np.pi
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= r
+    r *= cos
     return z[:size]
 
 
@@ -213,10 +224,15 @@ def synth_centroid(n, d, sigma, seed):
     if not 0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and nonnegative")
     rng = np.random.default_rng(seed)
-    X = sigma * box_muller(rng, n * d).reshape(n, d)
+    X = box_muller(rng, n * d).reshape(n, d)
+    X *= sigma
     return Dataset(X=X, y=np.zeros(n, dtype=np.int64), num_classes=1,
                    provenance="synth_centroid(n=%d,d=%d,sigma=%g,seed=%d)"
                               % (n, d, sigma, seed))
+
+
+# bytes of uniforms drawn at a time for the sparsity mask
+_MASK_CHUNK_BYTES = 1 << 16
 
 
 def synth_classification(n, d, num_classes, margin=4.0, sparsity=0.0, seed=0):
@@ -243,11 +259,19 @@ def synth_classification(n, d, num_classes, margin=4.0, sparsity=0.0, seed=0):
         centers = centers * (margin / closest)
 
     y = np.arange(n, dtype=np.int64) % num_classes
-    noise = box_muller(rng, n * d).reshape(n, d)
-    X = centers[y] + noise
+    # the noise plus each row's center in place: row i has label i mod K
+    X = box_muller(rng, n * d).reshape(n, d)
+    for k in range(num_classes):
+        X[k::num_classes] += centers[k]
     if sparsity > 0.0:
-        keep = rng.random((n, d)) >= sparsity
-        X = sparse.csr_matrix(X * keep)
+        drop = np.empty((n, d), dtype=bool)
+        rows = max(1, _MASK_CHUNK_BYTES // (8 * d))
+        for lo in range(0, n, rows):
+            np.less(rng.random((min(rows, n - lo), d)), sparsity,
+                    out=drop[lo:lo + rows])
+        X[drop] = 0.0
+        del drop  # freed before the CSR copy
+        X = sparse.csr_matrix(X)
     return Dataset(
         X=X, y=y, num_classes=num_classes,
         provenance="synth_classification(n=%d,d=%d,K=%d,margin=%g,"

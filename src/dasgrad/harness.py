@@ -60,6 +60,12 @@ class ProblemSpec:
     l2_lambda: float = 0.0
 
     def __post_init__(self):
+        for name, key in (("n", "n"), ("d", "d"), ("num_classes", "classes")):
+            whole = _optimizers._whole(getattr(self, name))
+            if whole is None:
+                raise _optimizers.SettingError("%s must be whole, got %r" % (
+                    key, getattr(self, name)), name)
+            object.__setattr__(self, name, whole)
         kinds = _problems.KINDS
         _optimizers._check_rules(self, [
             (self.kind in kinds, "kind must be one of " + ", ".join(kinds),
@@ -686,7 +692,14 @@ def matching_datasets(p=MATCHING_DEFAULTS):
     matching protocol builds from its settings ``p``, MATCHING_DEFAULTS or
     an updated copy: one synthetic draw split at ``n_train``, whose
     training part keeps ``keep_fraction`` of each class in
-    ``drop_labels``."""
+    ``drop_labels``. Raises SettingError, naming the setting, on a problem
+    setting that ProblemSpec rejects and on an empty split."""
+    for name in ("n_train", "n_eval"):
+        _optimizers._positive_int(name, p[name])
+    ProblemSpec(kind=_problems.MULTICLASS_LOGISTIC,
+                n=p["n_train"] + p["n_eval"], d=p["d"],
+                num_classes=p["num_classes"], margin=p["margin"],
+                data_seed=p["data_seed"], l2_lambda=p["l2_lambda"])
     total = _datasets.synth_classification(
         p["n_train"] + p["n_eval"], p["d"], p["num_classes"],
         margin=p["margin"], seed=p["data_seed"])

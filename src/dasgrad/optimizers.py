@@ -178,15 +178,23 @@ def _check_rules(settings, rules):
                                % (rule, getattr(settings, fields[0])), *fields)
 
 
-def _positive_int(name, value):
-    """value as a Python int >= 1. Bools and non-integral numbers are
-    rejected: the block arithmetic of ``run`` needs whole periods."""
+def _whole(value):
+    """value as a Python int, or None for a bool or a non-integral
+    value."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
-        whole = None
-    if isinstance(value, (bool, np.bool_)) or whole is None \
-            or whole != value or whole < 1:
+        return None
+    if isinstance(value, (bool, np.bool_)) or whole != value:
+        return None
+    return whole
+
+
+def _positive_int(name, value):
+    """value as a Python int >= 1. Bools and non-integral numbers are
+    rejected: the block arithmetic of ``run`` needs whole periods."""
+    whole = _whole(value)
+    if whole is None or whole < 1:
         raise SettingError("%s must be at least 1 and whole, got %r"
                            % (name, value), name)
     return whole

@@ -105,12 +105,17 @@ class Problem:
         # and its products with a unit preconditioner: the squared row
         # norms, one column per weight row, that every ap-SGD score and
         # metric tick reads
-        self.X_sq = self.row_sq_norms = None
+        self.X_sq = self.row_sq_norms = self.XT = None
         if kind != CENTROID:
             self.X_sq = (self.X.multiply(self.X).tocsr() if self.is_sparse
                          else self.X**2)
             self.row_sq_norms = np.asarray(
                 self.X_sq @ self.weights_view(np.ones(self.param_dim)).T)
+        if self.is_sparse:
+            # the transpose as its own CSR: the full gradient's product
+            # X^T R then walks its rows, the same sums in the same order
+            # as R^T X at half the cost
+            self.XT = self.X.T.tocsr()
 
     @property
     def param_dim(self) -> int:
@@ -312,7 +317,8 @@ def objective_and_gradient(problem, theta):
         return full_objective(problem, theta), theta - problem.X.mean(axis=0)
     L, R, _ = _logistic_terms(problem, theta, problem.X, problem.y,
                               want_loss=True, want_residuals=True)
-    G = np.asarray(R.T @ problem.X) / problem.n
+    G = (problem.XT @ R).T if problem.is_sparse else R.T @ problem.X
+    G = np.asarray(G) / problem.n
     g = (G + problem.l2_lambda * problem.weights_view(theta)).ravel()
     return _mean_objective(problem, theta, L), g
 

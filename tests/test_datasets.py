@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from dasgrad import datasets as D
 from dasgrad import metrics as M
@@ -246,6 +249,93 @@ class TestSynthClassification:
             for b in range(a + 1, 4):
                 assert np.linalg.norm(means[a] - means[b]) > 3.0
 
+
+
+# The allocating generators the in-place ones replaced, kept as the bit
+# reference: every output of the library's must equal theirs.
+def _reference_box_muller(rng, size):
+    n_pairs = (size + 1) // 2
+    u1 = 1.0 - rng.random(n_pairs)
+    u2 = rng.random(n_pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2.0 * np.pi * u2),
+                        r * np.sin(2.0 * np.pi * u2)])
+    return z[:size]
+
+
+def _reference_synth_classification(n, d, num_classes, margin, sparsity,
+                                    seed):
+    rng = np.random.default_rng(seed)
+    centers = _reference_box_muller(rng, num_classes * d).reshape(
+        num_classes, d)
+    if margin > 0:
+        closest = min(np.linalg.norm(centers[a] - centers[b])
+                      for a in range(num_classes)
+                      for b in range(a + 1, num_classes))
+        centers = centers * (margin / closest)
+    y = np.arange(n, dtype=np.int64) % num_classes
+    X = centers[y] + _reference_box_muller(rng, n * d).reshape(n, d)
+    if sparsity > 0.0:
+        X = sparse.csr_matrix(X * (rng.random((n, d)) >= sparsity))
+    return X, y
+
+
+def _bytes(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestInPlaceSynthesis:
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 1000, 200_001])
+    def test_box_muller_bits(self, size):
+        assert _bytes(D.box_muller(np.random.default_rng(size), size)) \
+            == _bytes(_reference_box_muller(np.random.default_rng(size),
+                                            size))
+
+    @pytest.mark.parametrize("n, d, sigma", [(1, 1, 1.0), (201, 7, 2.5),
+                                             (4, 3, 0.0)])
+    def test_synth_centroid_bits(self, n, d, sigma):
+        X = D.synth_centroid(n, d, sigma, seed=n).X
+        ref = sigma * _reference_box_muller(np.random.default_rng(n), n * d)
+        assert _bytes(X) == _bytes(ref.reshape(n, d))
+
+    # the mask is drawn in chunks of 8192 uniforms: two chunks of whole
+    # rows at (301, 40), one row per chunk at d = 9000
+    @pytest.mark.parametrize("n, d", [(7, 3), (301, 40), (5, 9000)])
+    @pytest.mark.parametrize("num_classes", [2, 3, 10])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5, 0.9, 1.0])
+    def test_synth_classification_bits(self, n, d, num_classes, sparsity):
+        n = max(n, num_classes)
+        ds = D.synth_classification(n, d, num_classes, margin=3.0,
+                                    sparsity=sparsity, seed=d + num_classes)
+        X, y = _reference_synth_classification(n, d, num_classes, 3.0,
+                                               sparsity, d + num_classes)
+        assert _bytes(ds.y) == _bytes(y)
+        if sparsity == 0.0:
+            assert _bytes(ds.X) == _bytes(X)
+            return
+        assert ds.X.shape == X.shape
+        for part in ("data", "indices", "indptr"):
+            assert _bytes(getattr(ds.X, part)) == _bytes(getattr(X, part))
+
+    def test_synth_classification_peak_memory(self):
+        n, d = 20_000, 100
+        tracemalloc.start()
+        try:
+            D.synth_classification(n, d, 2, sparsity=0.9, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * n * d * 8
+
+    def test_box_muller_peak_memory(self):
+        size = 1_000_000
+        tracemalloc.start()
+        try:
+            D.box_muller(np.random.default_rng(0), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * size * 8
 
 class TestUnbalance:
     def test_identity_when_keep_is_one(self):

@@ -330,6 +330,22 @@ class TestConfigParsing:
             H.ProblemSpec(**spec)
         assert err.value.fields == fields
 
+    @pytest.mark.parametrize("field, key, value", [
+        ("n", "n", 2.5), ("d", "d", True), ("num_classes", "classes", 3.5)])
+    def test_problem_spec_rejects_a_count_that_is_not_whole(self, field,
+                                                            key, value):
+        with pytest.raises(O.SettingError,
+                           match="^%s must be whole, got %r$" % (key, value)
+                           ) as err:
+            H.ProblemSpec(kind=P.MULTICLASS_LOGISTIC, **{field: value})
+        assert err.value.fields == (field,)
+
+    def test_problem_spec_keeps_a_whole_count_as_an_int(self):
+        spec = H.ProblemSpec(kind=P.CENTROID, n=np.int64(6), d=3.0)
+        assert (spec.n, spec.d) == (6, 3)
+        assert type(spec.n) is int and type(spec.d) is int
+        assert spec.build()[0].X.shape == (6, 3)
+
     def test_rows_per_class_are_not_checked_for_a_data_file(self):
         cfg = H.parse_config_text("kind = multiclass-logistic\n"
                                   "path = data.svm\nn = 2\nclasses = 5\n"
@@ -765,6 +781,22 @@ class TestRunSettingsRejected:
                     "--keep-fraction", "0", "--out", str(out)])
         assert err.value.code == 2
         assert "keep_fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, field, message", [
+        (dict(d=0), "d", "d must be at least 1, got 0"),
+        (dict(data_seed=-1), "data_seed", "data_seed must be nonnegative"),
+        (dict(n_eval=0), "n_eval", "n_eval must be at least 1"),
+        (dict(n_train=0), "n_train", "n_train must be at least 1"),
+    ])
+    def test_matching_problem_settings_name_their_setting(
+            self, tmp_path, monkeypatch, settings, field, message):
+        monkeypatch.setattr(O, "run", None)
+        monkeypatch.setattr(M, "solve_reference", None)
+        out = tmp_path / "m"
+        with pytest.raises(O.SettingError, match="^" + message) as err:
+            H.matching_experiment(range(2), str(out), **settings)
+        assert err.value.fields == (field,)
         assert not out.exists()
 
     def test_unknown_protocol_setting_is_named(self, tmp_path, monkeypatch):

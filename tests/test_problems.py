@@ -198,6 +198,30 @@ class TestObjectiveAndGradient:
         with pytest.raises(ValueError):
             P.objective_and_gradient(prob, np.zeros(3))
 
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_csr_gradient_bits_equal_the_product_with_x(self, K):
+        # the CSR gradient walks the rows of the stored transpose; its
+        # bits must equal R^T X's, the product with X itself
+        rng = np.random.default_rng(15 + K)
+        kind = P.BINARY_LOGISTIC if K == 1 else P.MULTICLASS_LOGISTIC
+        for _ in range(40):
+            n, d = (int(v) for v in rng.integers(1, 60, 2))
+            X = rng.standard_normal((n, d))
+            X[rng.random((n, d)) < rng.random()] = 0.0
+            # whole empty rows and columns
+            X[rng.random(n) < 0.2] = 0.0
+            X[:, rng.random(d) < 0.2] = 0.0
+            y = rng.integers(0, max(K, 2), n)
+            lam = float(rng.choice([0.0, 0.1]))
+            prob = P.Problem(sparse.csr_matrix(X), y, kind, l2_lambda=lam,
+                             num_classes=max(K, 2))
+            theta = rng.standard_normal(prob.param_dim)
+            R = P.residuals(prob, theta)
+            G = np.asarray(R.T @ prob.X) / n
+            expected = (G + lam * prob.weights_view(theta)).ravel()
+            _, g = P.objective_and_gradient(prob, theta)
+            assert np.array_equal(_bits(g), _bits(expected))
+
 
 def _reduce_max_terms(problem, theta):
     """The softmax (L, R) of the full data with the max shift taken by

@@ -7,7 +7,8 @@ Subcommands::
     dasgrad matching --seeds 20 --out matching_out
     dasgrad check
 
-Exit codes: 0 success, 1 failed check or run, 2 usage error.
+Exit codes: 0 success, 1 failed check or run (or a forked helper that
+died), 2 usage error.
 """
 
 from __future__ import annotations
@@ -68,11 +69,12 @@ def main(argv=None):
     # bad input (a config, a data file, synthesis or protocol settings) is
     # rejected before any run writes, as a usage error: one line, exit 2
     settings = vars(args)
-    command, gap = settings.pop("command"), None
+    command, gap, tol = settings.pop("command"), None, _harness.REFERENCE_TOL
     try:
         if command == "run":
             config = _harness.load_config(settings["config"])
             results, out = _harness.run_experiment(config), config.output_dir
+            tol = config.reference_tol
         else:
             seeds, out = range(settings.pop("seeds")), settings.pop("out")
             if command == "sweep-variance":
@@ -81,11 +83,21 @@ def main(argv=None):
             else:
                 results, gap = _harness.matching_experiment(
                     seeds, out, **settings)
+    except _harness.HelperExitError as exc:
+        print("dasgrad: error: %s" % exc, file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     if gap is not None:
         print("balanced-accuracy gap %.4f (95%% CI [%.4f, %.4f])" % gap)
     print("results written to %s" % out)
+    # one solution per problem; the arms of a problem share it
+    for ref in {id(r): r for r in results.reference.values()}.values():
+        if not ref.converged:
+            print("reference solve unconverged after %d iteration(s): "
+                  "||grad F|| = %.3g > tol %g; regret is taken against its "
+                  "f*" % (ref.solver_iterations, ref.grad_norm_at_star, tol),
+                  file=sys.stderr)
     if results.skipped:
         print("fewer than two completed or paired seeds, not written: %s"
               % ", ".join(results.skipped), file=sys.stderr)

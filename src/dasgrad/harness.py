@@ -19,14 +19,13 @@ Config files are flat ``key = value`` lines with ``#`` comments; each
 
 Every protocol call forks one helper process (the ``fork`` start method
 is required) once its settings are accepted, so at most two processes
-run per call. ``run_experiment`` and ``matching_experiment`` regret
-against the reference solve of ``metrics.solve_reference``, which the
-helper makes first; ``sweep_variance`` solves its centroid problems in
-closed form in the parent. The helper and the parent then share the
-call's (arm, seed) runs, taking them off the two ends of one list. The
-helper's solution and runs come back pickled over a pipe in one message,
-and the parent puts every run back in (arm, seed) order, so the written
-bytes are those of one process making the solve and every run in order.
+run per call. Every protocol regrets against ``metrics.solve_reference``,
+one solve per distinct problem of the call. The solves and then the
+call's (arm, seed) runs form one task list, which the helper takes from
+the front (so it makes the solves first) and the parent from the back.
+The helper's results come back pickled over a pipe in one message, and
+the parent puts every task back in list order, so the written bytes are
+those of one process making every solve and then every run in order.
 """
 
 from __future__ import annotations
@@ -113,6 +112,10 @@ class ProblemSpec:
                                                self.l2_lambda)
 
 
+# the reference solve's settings in matching_experiment; a config's defaults
+REFERENCE_TOL, REFERENCE_MAX_ITERS = 1e-6, 2000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemSpec
@@ -121,8 +124,8 @@ class ExperimentConfig:
     seeds: tuple = (0, 1)
     metric_tick: int = 10
     output_dir: str = "out"
-    reference_tol: float = 1e-6
-    reference_max_iters: int = 2000
+    reference_tol: float = REFERENCE_TOL
+    reference_max_iters: int = REFERENCE_MAX_ITERS
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", _check_run_settings(
@@ -333,13 +336,15 @@ class ExperimentResults(dict):
     seed). A diverged run has no entry: ``failures`` lists it as (arm, seed,
     step, message), as in failures.csv. ``skipped`` names the outputs left
     out because fewer than two seeds completed or paired. ``cum_regret``
-    maps the runner's key of a completed run to its cumulative regret."""
+    maps the runner's key of a completed run to its cumulative regret and
+    ``reference`` each arm to the ReferenceSolution of its problem."""
 
     def __init__(self, items=(), failures=()):
         super().__init__(items)
         self.failures = list(failures)
         self.skipped = []
         self.cum_regret = {}
+        self.reference = {}
 
     def runs(self, name):
         """The completed runs of arm ``name``, in seed order."""
@@ -354,34 +359,37 @@ class ExperimentResults(dict):
                 for name in names]
 
 
-def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
-              reference=None, f_stars=None):
-    """Run every (arm, seed) of ``arms``, name -> (problem, OptimizerConfig).
-    A run that diverged, or whose cumulative regret against
-    ``f_stars[arm]`` (default: the reference's f_star) is not finite at a
-    tick, is recorded in ``failures``, never raised, and has no entry;
-    out/failures.csv lists this call's failures and exists only if any.
-    Target label counts that no arm's problem can draw are rejected before
-    out is made. Then, before the helper is forked, makes out and removes
+def _run_arms(arms, seeds, T, metric_tick, out, own, trace=None,
+              eval_set=None, tol=REFERENCE_TOL, max_iters=REFERENCE_MAX_ITERS):
+    """Make one ``metrics.solve_reference(problem, tol, max_iters)`` per
+    distinct problem of ``arms``, name -> (problem, OptimizerConfig), and
+    every (arm, seed) run. A run that diverged, or whose cumulative regret
+    against its problem's f_star is not finite at a tick, is recorded in
+    ``failures``, never raised, and has no entry; out/failures.csv lists
+    this call's failures and exists only if any. Each completed run's trace
+    is written to out/(trace % (arm, seed)) when ``trace`` is given. Target
+    label counts that no arm's problem can draw are rejected before out is
+    made. Then, before the helper is forked, makes out and removes
     failures.csv and every file in it whose whole name matches the regular
     expression ``own``, the form of the call's per-run and per-arm outputs,
     so that no earlier call's file of those forms survives there, whatever
     seeds or arms that call ran. No other file is touched.
 
-    The runs are shared with one forked helper (see _share_runs): the
-    parent takes (arm, seed) tasks from the back of the list in (arm, seed)
-    order and the helper from its front. ``reference``, when given, holds
-    the (problem, tol, max_iters) of a ``metrics.solve_reference`` call,
-    which the helper makes before it takes a task. The results and
-    failures are rebuilt in (arm, seed) order, so every output byte is
-    that of one process running the list in order. Returns
-    (ExperimentResults, that call's ReferenceSolution or None); the
-    results' ``cum_regret`` holds each completed run's cumulative regret."""
+    The solves, in arm order, then the (arm, seed) runs form one task list
+    shared with one forked helper (see _share_runs), which takes tasks from
+    its front while the parent takes them from its back. Results are
+    rebuilt in list order, so every output byte is that of one process
+    making every task in order. The returned ExperimentResults'
+    ``cum_regret`` holds each completed run's cumulative regret and its
+    ``reference`` each arm's ReferenceSolution."""
     for problem, config in arms.values():
         _optimizers._check_target_counts(problem, config.target_label_counts)
-    tasks = [(name, seed) for name in arms for seed in seeds]
+    problems = list(dict.fromkeys(p for p, _ in arms.values()))
+    tasks = problems + [(name, seed) for name in arms for seed in seeds]
 
     def attempt(i):
+        if i < len(problems):
+            return _metrics.solve_reference(problems[i], tol, max_iters)
         name, seed = tasks[i]
         problem, config = arms[name]
         try:
@@ -391,23 +399,22 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
             return name, seed, exc.step, str(exc)
 
     os.makedirs(out, exist_ok=True)
-    failures_path = os.path.join(out, "failures.csv")
     for name in os.listdir(out):
         path = os.path.join(out, name)
         if (name == "failures.csv" or re.fullmatch(own, name)) \
                 and os.path.isfile(path):
             os.remove(path)
-    solved, done = _share_runs(attempt, len(tasks), reference)
+    done = _share_runs(attempt, len(tasks))
     results = ExperimentResults()
-    for i, key in enumerate(tasks):
+    results.reference = {n: done[problems.index(arms[n][0])] for n in arms}
+    for i in range(len(problems), len(tasks)):
         if isinstance(done[i], _optimizers.RunResult):
-            results[key] = done[i]
+            results[tasks[i]] = done[i]
         else:
             results.failures.append(done[i])
     for (name, seed), run in list(results.items()):
-        f_star = solved.f_star if f_stars is None else f_stars[name]
         with np.errstate(over="ignore", invalid="ignore"):
-            cum = np.cumsum(run.loss - f_star)
+            cum = np.cumsum(run.loss - results.reference[name].f_star)
         finite = np.isfinite(cum)
         if finite.all():
             results.cum_regret[name, seed] = cum
@@ -417,33 +424,37 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
         results.failures.append(
             (name, seed, step, "nonfinite regret at step %d" % step))
     if results.failures:
-        _write_csv(failures_path, ["optimizer", "seed", "step", "message"],
-                   results.failures)
-    return results, solved
+        _write_csv(os.path.join(out, "failures.csv"),
+                   ["optimizer", "seed", "step", "message"], results.failures)
+    for key, run in results.items() if trace else ():
+        write_trace_csv(os.path.join(out, trace % key), run,
+                        results.reference[key[0]].f_star,
+                        results.cum_regret[key])
+    return results
 
 
-def _share_runs(attempt, count, reference):
-    """Fork one helper that makes ``metrics.solve_reference(*reference)``
-    if ``reference`` is given and then calls ``attempt(i)`` for the task
-    indices it takes from the front of the shared range [0, count), while
-    this process calls ``attempt`` for the indices it takes from the back
-    until the range is empty. Returns (the solution or None, {index:
-    attempt(index)} for every index) once the helper's one message is in.
-    The helper inherits ``attempt`` and everything else through the fork,
-    so a module attribute patched in the parent, such as
-    ``_optimizers.run``, is patched in the helper too. It sends its results
-    once at the end, so it never stalls on a full pipe while the parent
-    runs. An exception the helper raises closes the range, so that the
-    parent stops after its current task, and is raised again here; a
-    helper that exits without a message raises RuntimeError naming its exit
-    code. Before this returns or raises, the helper is terminated if it
-    still runs, and always joined. The ``fork`` start method is
-    required."""
+class HelperExitError(RuntimeError):
+    """A protocol call's forked helper exited without sending its result."""
+
+
+def _share_runs(attempt, count):
+    """Fork one helper that calls ``attempt(i)`` for the task indices it
+    takes from the front of the shared range [0, count), while this
+    process calls ``attempt`` for those it takes from the back until the
+    range is empty; return {index: attempt(index)} for every index once the
+    helper's one message is in. The helper inherits ``attempt`` and all
+    else through the fork, so a module attribute patched in the parent,
+    such as ``_optimizers.run``, is patched in the helper too. It sends its
+    results once at the end, so it never stalls on a full pipe while the
+    parent runs. An exception the helper raises closes the range, so that
+    the parent stops after its current task, and is raised again here; a
+    helper that exits without a message raises HelperExitError naming its
+    exit code. Before this returns or raises, the helper is terminated if
+    it still runs, and always joined (``fork`` start method required)."""
     context = multiprocessing.get_context("fork")
     span = context.Array("q", [0, count])
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_helper_main,
-                            args=(sender, span, attempt, reference),
+    child = context.Process(target=_helper_main, args=(sender, span, attempt),
                             daemon=True)
     child.start()
     sender.close()
@@ -453,13 +464,12 @@ def _share_runs(attempt, count, reference):
             message = receiver.recv()
         except EOFError:
             child.join()
-            raise RuntimeError("the forked helper exited with code %s and "
-                               "sent no result" % child.exitcode) from None
+            raise HelperExitError("the forked helper exited with code %s and "
+                                  "sent no result" % child.exitcode) from None
         child.join()
         if isinstance(message, Exception):
             raise message
-        solution, theirs = message
-        return solution, {**done, **theirs}
+        return {**done, **message}
     finally:
         child.terminate()
         child.join()
@@ -483,13 +493,10 @@ def _take_tasks(span, back, attempt):
         done[i] = attempt(i)
 
 
-def _helper_main(sender, span, attempt, reference):
-    """The helper's body: solve, run tasks off the front of ``span``, and
-    send (solution, results), or the exception raised, to the parent."""
+def _helper_main(sender, span, attempt):
+    """Take tasks off ``span``'s front; send their results or the error."""
     try:
-        solution = _metrics.solve_reference(*reference) if reference \
-            else None
-        message = solution, _take_tasks(span, False, attempt)
+        message = _take_tasks(span, False, attempt)
     except Exception as exc:
         with span.get_lock():
             span[0] = span[1]
@@ -498,23 +505,21 @@ def _helper_main(sender, span, attempt, reference):
 
 
 def run_experiment(config):
-    """Execute every (optimizer, seed) run, shared with one forked helper
-    that first solves the reference (see _run_arms), then write per-seed
-    traces, one aggregate CSV per optimizer, a dasgrad-vs-baseline
-    comparison CSV, and a metadata file. Returns the in-memory
-    ExperimentResults of this call."""
+    """Solve the reference and execute every (optimizer, seed) run, shared
+    with one forked helper, writing per-seed traces (see _run_arms); then
+    write one aggregate CSV per optimizer, a dasgrad-vs-baseline comparison
+    CSV, and a metadata file. Returns the in-memory ExperimentResults of
+    this call."""
     dataset, problem = config.problem.build()
     out = config.output_dir
     names = sorted(config.optimizers)
     # the centroid solve is closed-form and ignores tol and max_iters
-    results, reference = _run_arms(
+    results = _run_arms(
         {n: (problem, config.optimizers[n]) for n in names}, config.seeds,
         config.T, config.metric_tick, out,
         r"trace_.+_\d+\.csv|aggregate_.+\.csv|comparison\.csv",
-        reference=(problem, config.reference_tol, config.reference_max_iters))
-    for key, run in results.items():
-        write_trace_csv(os.path.join(out, "trace_%s_%d.csv" % key), run,
-                        reference.f_star, results.cum_regret[key])
+        trace="trace_%s_%d.csv", tol=config.reference_tol,
+        max_iters=config.reference_max_iters)
 
     aggregated = []
     for name in names:
@@ -540,7 +545,7 @@ def run_experiment(config):
         results.skipped.append("comparison.csv")
 
     _write_metadata(os.path.join(out, "metadata.txt"), config, dataset,
-                    problem, reference)
+                    problem, results.reference[names[0]])
     return results
 
 
@@ -635,23 +640,21 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
         raise ValueError("the sweep compares dasgrad against a baseline")
     baseline = next(m for m in methods if m != "dasgrad")
 
-    arms, per_sigma, f_stars = {}, [], {}
+    arms, per_sigma = {}, []
     for sigma in sigmas:
         tag = ("%g" % sigma).replace(".", "p")
         _, problem = ProblemSpec(kind=_problems.CENTROID, n=p["n"], d=p["d"],
                                  sigma=sigma, data_seed=p["data_seed"]).build()
         names = ["%s_sigma%s" % (m, tag) for m in methods]
-        f_star = _metrics.solve_reference(problem).f_star
         for name, method in zip(names, methods):
             arms[name] = (problem, convex_preset(
                 method, alpha=p["alpha"], batch_size=p["batch_size"]))
-        f_stars.update(dict.fromkeys(names, f_star))
         per_sigma.append((sigma, tag, names))
     if len(arms) < len(sigmas) * len(methods):
         raise ValueError("methods and sigma tags (6 significant digits) "
                          "must not repeat")
-    runs, _ = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                        r"sweep_aggregate_sigma.+\.csv", f_stars=f_stars)
+    runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
+                     r"sweep_aggregate_sigma.+\.csv")
 
     results = ExperimentResults(failures=runs.failures)
     summary_rows = []
@@ -717,12 +720,12 @@ def matching_experiment(seeds, output_dir, **overrides):
     multiclass problem, train DASGrad with target-distribution importance
     weights against a uniform-sampling AMSGrad baseline, and compare
     balanced-test accuracy; ``overrides`` replace MATCHING_DEFAULTS. The
-    regret baseline (tol 1e-6, at most 2000 iterations) is solved in one
-    forked helper, which then shares the runs (see _run_arms). Writes a
-    trace per completed run and a summary CSV: each arm's mean final
-    accuracy, and the paired CI of the final accuracy gap over the seeds
-    both arms completed. With fewer than two such seeds the gap lines are
-    left out and named in ``skipped``. Raises ValueError before any run on
+    regret baseline is solved to REFERENCE_TOL in at most
+    REFERENCE_MAX_ITERS iterations (see _run_arms). Writes a trace per
+    completed run and a summary CSV: each arm's mean final accuracy, and
+    the paired CI of the final accuracy gap over the seeds both arms
+    completed. With fewer than two such seeds the gap lines are left out
+    and named in ``skipped``. Raises ValueError before any run on
     a bad setting (see _protocol_settings), and before output_dir is made
     or the helper starts when unbalancing leaves a class with no training
     row, as the balanced target still weighs it (see _run_arms). Returns
@@ -740,17 +743,13 @@ def matching_experiment(seeds, output_dir, **overrides):
             "amsgrad", alpha=p["alpha"], batch_size=p["batch_size"])),
     }
 
-    runs, reference = _run_arms(arms, seeds, p["T"], p["metric_tick"],
-                                output_dir, r"matching_trace_.+_\d+\.csv",
-                                eval_set=(eval_ds.X, eval_ds.y),
-                                reference=(problem, 1e-6, 2000))
-    for key, run in runs.items():
-        write_trace_csv(os.path.join(output_dir, "matching_trace_%s_%d.csv"
-                                     % key), run, reference.f_star,
-                        runs.cum_regret[key])
-
+    runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
+                     r"matching_trace_.+_\d+\.csv",
+                     trace="matching_trace_%s_%d.csv",
+                     eval_set=(eval_ds.X, eval_ds.y))
     results = ExperimentResults({name: runs.runs(name) for name in arms},
                                 runs.failures)
+    results.reference = runs.reference
     paired = runs.paired("dasgrad_target", "amsgrad_uniform",
                          value=lambda r: r.accuracy[-1])
     gap = _metrics.paired_ci(*paired) if len(paired[0]) >= 2 else None

@@ -158,6 +158,21 @@ REGRET_OVERFLOW_CONFIG = MEAN_OVERFLOW_CONFIG.replace(
     "sigma = 7e154", "sigma = 6e154").replace("T = 5", "T = 20").replace(
     "seeds = 0,1,2", "seeds = 0,1")
 
+# a reference solve cut off after its first iteration, far from converged
+UNCONVERGED_CONFIG = """
+kind = binary-logistic
+n = 40
+d = 3
+lambda = 0.01
+T = 20
+metric_tick = 10
+seeds = 0,1
+reference_max_iters = 1
+output_dir = {out}
+[optimizer.sgd]
+batch_size = 2
+"""
+
 # a dense CSV of 23 one-dimensional rows at 0 and one at 1
 PARTIAL_DIVERGENCE_DATA = "0,0\n" * 23 + "0,1\n"
 
@@ -1124,8 +1139,8 @@ class TestSweepAndMatching:
     def test_matching_reports_an_overflowing_regret_sum(self, tmp_path,
                                                         monkeypatch):
         # f_star = -1e308 makes each tick's regret about 1e308, so the sum
-        # of the first two ticks (steps 10 and 20) overflows; the forked
-        # helper solves with this patch
+        # of the first two ticks (steps 10 and 20) overflows; whichever
+        # process solves does so with this patch
         solve = M.solve_reference
         monkeypatch.setattr(M, "solve_reference", lambda *args: (
             dataclasses.replace(solve(*args), f_star=-1e308)))
@@ -1262,13 +1277,20 @@ def call_four_seeds(protocol, out):
 FOUR_SEED_TASKS = {"run": 8, "sweep": 16, "matching": 8}
 
 
-def serial_run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
-                    reference=None, f_stars=None):
-    """_run_arms in one process, into a fresh ``out``: every (arm, seed)
-    through O.run in order, then the reference solve and the regret
-    check."""
+def serial_run_arms(arms, seeds, T, metric_tick, out, own, trace=None,
+                    eval_set=None, tol=H.REFERENCE_TOL,
+                    max_iters=H.REFERENCE_MAX_ITERS):
+    """_run_arms in one process, into a fresh ``out``: one reference solve
+    per distinct problem, every (arm, seed) through O.run in order, the
+    regret check and the traces."""
     os.makedirs(out)
+    solved = {}
+    for problem, _ in arms.values():
+        if id(problem) not in solved:
+            solved[id(problem)] = M.solve_reference(problem, tol, max_iters)
     results = H.ExperimentResults()
+    results.reference = {name: solved[id(problem)]
+                         for name, (problem, _) in arms.items()}
     for name, (problem, config) in arms.items():
         for seed in seeds:
             try:
@@ -1277,9 +1299,8 @@ def serial_run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
                                             eval_set=eval_set)
             except O.DivergenceError as exc:
                 results.failures.append((name, seed, exc.step, str(exc)))
-    solved = M.solve_reference(*reference) if reference else None
     for (name, seed), run in list(results.items()):
-        f_star = solved.f_star if f_stars is None else f_stars[name]
+        f_star = results.reference[name].f_star
         with np.errstate(over="ignore", invalid="ignore"):
             cum = np.cumsum(run.loss - f_star)
         finite = np.isfinite(cum)
@@ -1294,7 +1315,11 @@ def serial_run_arms(arms, seeds, T, metric_tick, out, own, eval_set=None,
         H._write_csv(os.path.join(out, "failures.csv"),
                      ["optimizer", "seed", "step", "message"],
                      results.failures)
-    return results, solved
+    for (name, seed), run in results.items() if trace else ():
+        H.write_trace_csv(os.path.join(out, trace % (name, seed)), run,
+                          results.reference[name].f_star,
+                          results.cum_regret[name, seed])
+    return results
 
 
 def result_order(results):
@@ -1328,6 +1353,31 @@ def run_from_this_process_only(monkeypatch, helper_run, delay):
     return parent_seeds
 
 
+def helper_makes_the_solves(monkeypatch, log, helper_solve=None):
+    """Make each solve_reference call append its process id to ``log`` and
+    then, in any process but this one, call ``helper_solve`` when given;
+    and make each O.run of this process wait, for 30 s at most, until
+    ``log`` exists. This process takes the solves only after every run, so
+    the forked helper makes the first solve while this process waits."""
+    parent, solve, real_run = os.getpid(), M.solve_reference, O.run
+
+    def logged_solve(*args):
+        with open(log, "a") as fh:
+            fh.write("%d\n" % os.getpid())
+        if helper_solve is not None and os.getpid() != parent:
+            return helper_solve(*args)
+        return solve(*args)
+
+    def run(*args, **kwargs):
+        deadline = time.monotonic() + 30
+        while os.getpid() == parent and not log.exists() \
+                and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return real_run(*args, **kwargs)
+    monkeypatch.setattr(M, "solve_reference", logged_solve)
+    monkeypatch.setattr(O, "run", run)
+
+
 class TestReferenceHelper:
     @pytest.mark.parametrize("make", [
         lambda: D.make_problem(D.synth_classification(
@@ -1337,11 +1387,18 @@ class TestReferenceHelper:
             P.BINARY_LOGISTIC, 1e-3),
         lambda: D.make_problem(D.synth_centroid(30, 4, 1.0, 3), P.CENTROID),
     ], ids=["dense-multiclass", "csr-binary", "centroid"])
-    def test_solution_bit_equals_an_in_process_solve(self, make):
+    def test_solution_bit_equals_an_in_process_solve(self, tmp_path,
+                                                     monkeypatch, make):
         problem = make()
-        got, runs = H._share_runs(None, 0, (problem, 1e-6, 300))
-        assert runs == {}
         want = M.solve_reference(problem, 1e-6, 300)
+        log = tmp_path / "solves"
+        helper_makes_the_solves(monkeypatch, log)
+        results = H._run_arms({"sgd": (problem, H.convex_preset("sgd"))},
+                              range(2), 1, 1, str(tmp_path / "out"), "none",
+                              tol=1e-6, max_iters=300)
+        solvers = log.read_text().split()
+        assert len(solvers) == 1 and solvers[0] != str(os.getpid())
+        got = results.reference["sgd"]
         assert got.theta_star.tobytes() == want.theta_star.tobytes()
         assert (got.f_star, got.grad_norm_at_star, got.solver_iterations,
                 got.converged) == (want.f_star, want.grad_norm_at_star,
@@ -1389,6 +1446,12 @@ class TestReferenceHelper:
     def test_every_task_runs_once_across_both_processes(self, tmp_path,
                                                         monkeypatch):
         log = tmp_path / "log"
+        solve = M.solve_reference
+
+        def logged_solve(problem, tol, max_iters):
+            with open(log, "a") as fh:
+                fh.write("%d solve %d\n" % (os.getpid(), problem.n))
+            return solve(problem, tol, max_iters)
 
         def run(problem, config, T, seed, **kwargs):
             with open(log, "a") as fh:
@@ -1397,19 +1460,23 @@ class TestReferenceHelper:
             return O.RunResult(ticks=np.array([1]), loss=np.array([1.0]),
                                accuracy=None, grad_norm_var=np.array([0.0]),
                                theta=np.zeros(2), seed=seed)
+        monkeypatch.setattr(M, "solve_reference", logged_solve)
         monkeypatch.setattr(O, "run", run)
-        problem = D.make_problem(D.synth_centroid(4, 2, 1.0, 0), P.CENTROID)
-        arms = {m: (problem, O.OptimizerConfig(method=m))
-                for m in ("sgd", "adam")}
-        results, solved = H._run_arms(arms, range(300), 1, 1,
-                                      str(tmp_path / "out"), "none",
-                                      f_stars=dict.fromkeys(arms, 0.0))
-        tasks = [(m, s) for m in arms for s in range(300)]
-        assert solved is None
+        # one problem of 4 rows for two arms, one of 5 rows for the third
+        four, five = (D.make_problem(D.synth_centroid(n, 2, 1.0, 0),
+                                     P.CENTROID) for n in (4, 5))
+        arms = {m: (problem, O.OptimizerConfig(method=m)) for m, problem
+                in (("sgd", four), ("adam", five), ("amsgrad", four))}
+        results = H._run_arms(arms, range(200), 1, 1, str(tmp_path / "out"),
+                              "none")
+        tasks = [(m, s) for m in arms for s in range(200)]
         assert list(results) == tasks
-        assert [run.seed for run in results.values()] == list(range(300)) * 2
+        assert [run.seed for run in results.values()] == list(range(200)) * 3
+        assert {m: ref.f_star for m, ref in results.reference.items()} == {
+            m: solve(problem).f_star for m, (problem, _) in arms.items()}
         lines = [line.split() for line in log.read_text().splitlines()]
-        assert sorted((m, int(s)) for _, m, s in lines) == sorted(tasks)
+        assert sorted((m, int(s)) for _, m, s in lines) == sorted(
+            tasks + [("solve", 4), ("solve", 5)])
         assert len({pid for pid, _, _ in lines}) == 2
         assert multiprocessing.active_children() == []
 
@@ -1432,18 +1499,28 @@ class TestReferenceHelper:
             self, tmp_path, monkeypatch, protocol):
         parent_seeds = run_from_this_process_only(
             monkeypatch, lambda: os._exit(4), 0.05)
-        with pytest.raises(RuntimeError, match="exited with code 4"):
+        with pytest.raises(H.HelperExitError, match="exited with code 4"):
             call_four_seeds(protocol, tmp_path / "out")
         # the parent ran every task but the one the helper died in
         assert len(parent_seeds) == FOUR_SEED_TASKS[protocol] - 1
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("protocol, solves", [
+        ("run", 1), ("sweep", 2), ("matching", 1)])
+    def test_a_call_solves_each_distinct_problem_once(
+            self, tmp_path, monkeypatch, protocol, solves):
+        log = tmp_path / "solves"
+        helper_makes_the_solves(monkeypatch, log)
+        call_four_seeds(protocol, tmp_path / "out")
+        assert len(log.read_text().split()) == solves
+
     @pytest.mark.parametrize("protocol", ["run", "matching"])
     def test_run_error_propagates_and_stops_the_helper(
             self, tmp_path, monkeypatch, protocol):
-        solve = M.solve_reference
+        # the parent's first task is a run, so only the helper can sleep
+        parent, solve = os.getpid(), M.solve_reference
         monkeypatch.setattr(M, "solve_reference", lambda *args: (
-            time.sleep(60), solve(*args))[1])
+            os.getpid() != parent and time.sleep(60), solve(*args))[1])
 
         def run(*args, **kwargs):
             raise KeyError("not a divergence")
@@ -1458,9 +1535,12 @@ class TestReferenceHelper:
     @pytest.mark.parametrize("protocol", ["run", "matching"])
     def test_helper_exit_without_a_result_names_its_code(
             self, tmp_path, monkeypatch, protocol):
-        monkeypatch.setattr(M, "solve_reference", lambda *args: os._exit(3))
-        with pytest.raises(RuntimeError, match="exited with code 3"):
+        log = tmp_path / "solves"
+        helper_makes_the_solves(monkeypatch, log,
+                                helper_solve=lambda *args: os._exit(3))
+        with pytest.raises(H.HelperExitError, match="exited with code 3"):
             call_protocol(protocol, tmp_path / "out")
+        assert str(os.getpid()) not in log.read_text().split()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("protocol", ["run", "matching"])
@@ -1641,6 +1721,43 @@ class TestSelfCheckAndCli:
                      "comparison.csv"):
             assert name in err
         assert (tmp_path / "one" / "trace_dasgrad_0.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "matching"])
+    def test_cli_notes_an_unconverged_reference_solve(
+            self, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "unc"
+        if command == "run":
+            cfg_path = tmp_path / "unc.cfg"
+            cfg_path.write_text(UNCONVERGED_CONFIG.format(out=out))
+            argv = ["run", "--config", str(cfg_path)]
+            note = "after 1 iteration(s): ||grad F|| = 0.247 > tol 1e-06;"
+        else:
+            solve = M.solve_reference
+            monkeypatch.setattr(M, "solve_reference", lambda *args: (
+                dataclasses.replace(solve(*args), converged=False)))
+            argv = ["matching", "--seeds", "2", "--T", "40", "--out", str(out)]
+            note = "> tol 1e-06;"
+        assert C.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("results written to %s\n" % out)
+        [line] = captured.err.splitlines()
+        assert line.startswith("reference solve unconverged ")
+        assert note in line
+        assert line.endswith("regret is taken against its f*")
+        if command == "run":
+            assert "reference_converged = false" in (
+                out / "metadata.txt").read_text().splitlines()
+
+    def test_cli_reports_a_dead_helper_in_one_line(self, tmp_path, capsys,
+                                                   monkeypatch):
+        run_from_this_process_only(monkeypatch, lambda: os._exit(9), 0.05)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG.format(out=tmp_path / "out"))
+        assert C.main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr() == ("", "dasgrad: error: the forked helper "
+                                       "exited with code 9 and sent no "
+                                       "result\n")
+        assert multiprocessing.active_children() == []
 
     def test_cli_run_and_sweep(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -17,6 +17,7 @@ import argparse
 import sys
 
 from . import harness as _harness
+from . import metrics as _metrics
 
 
 def numbers(text):
@@ -69,7 +70,7 @@ def main(argv=None):
     # bad input (a config, a data file, synthesis or protocol settings) is
     # rejected before any run writes, as a usage error: one line, exit 2
     settings = vars(args)
-    command, gap, tol = settings.pop("command"), None, _harness.REFERENCE_TOL
+    command, gap, tol = settings.pop("command"), None, _metrics.REFERENCE_TOL
     try:
         if command == "run":
             config = _harness.load_config(settings["config"])

@@ -96,24 +96,23 @@ class ProblemSpec:
              "n must be at least classes (%s) to synthesize a %s problem"
              % (self.num_classes, self.kind), "n", "num_classes")])
 
-    def build(self):
+    def dataset(self):
+        """The spec's Dataset: its file loaded, or its synthetic draw."""
         if self.path:
             loader = _datasets.load_sparse if self.sparse \
                 else _datasets.load_dense_csv
-            dataset = loader(self.path)
-        elif self.kind == _problems.CENTROID:
-            dataset = _datasets.synth_centroid(self.n, self.d, self.sigma,
-                                               self.data_seed)
-        else:
-            dataset = _datasets.synth_classification(
-                self.n, self.d, self.num_classes, margin=self.margin,
-                sparsity=self.sparsity, seed=self.data_seed)
+            return loader(self.path)
+        if self.kind == _problems.CENTROID:
+            return _datasets.synth_centroid(self.n, self.d, self.sigma,
+                                            self.data_seed)
+        return _datasets.synth_classification(
+            self.n, self.d, self.num_classes, margin=self.margin,
+            sparsity=self.sparsity, seed=self.data_seed)
+
+    def build(self):
+        dataset = self.dataset()
         return dataset, _datasets.make_problem(dataset, self.kind,
                                                self.l2_lambda)
-
-
-# the reference solve's settings in matching_experiment; a config's defaults
-REFERENCE_TOL, REFERENCE_MAX_ITERS = 1e-6, 2000
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,8 @@ class ExperimentConfig:
     seeds: tuple = (0, 1)
     metric_tick: int = 10
     output_dir: str = "out"
-    reference_tol: float = REFERENCE_TOL
-    reference_max_iters: int = REFERENCE_MAX_ITERS
+    reference_tol: float = _metrics.REFERENCE_TOL
+    reference_max_iters: int = _metrics.REFERENCE_MAX_ITERS
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", _check_run_settings(
@@ -139,10 +138,15 @@ class ExperimentConfig:
 
 
 def _check_run_settings(T, metric_tick, seeds, min_seeds):
-    """The seeds as a tuple. Rejects too few seeds, a negative one and a
-    repeated one (it would count one run twice), a T or tick that ``run``
-    rejects and a tick above T (no trace rows)."""
-    seeds = tuple(seeds)
+    """The seeds as a tuple of ints. Rejects a bool or non-integral seed,
+    too few seeds, a negative one and a repeated one (it would count one
+    run twice), a T or tick that ``run`` rejects and a tick above T (no
+    trace rows)."""
+    given = tuple(seeds)
+    seeds = tuple(map(_optimizers._whole, given))
+    if None in seeds:
+        raise _optimizers.SettingError(
+            "seeds must be whole, got %s" % ",".join(map(str, given)), "seeds")
     if len(seeds) < min_seeds:
         raise _optimizers.SettingError("need at least %s, got %d" % (
             ("one seed", "two seeds")[min_seeds - 1], len(seeds)), "seeds")
@@ -359,21 +363,24 @@ class ExperimentResults(dict):
                 for name in names]
 
 
-def _run_arms(arms, seeds, T, metric_tick, out, own, trace=None,
-              eval_set=None, tol=REFERENCE_TOL, max_iters=REFERENCE_MAX_ITERS):
+def _run_arms(arms, seeds, T, metric_tick, out, own, writes, trace=None,
+              eval_set=None, tol=_metrics.REFERENCE_TOL,
+              max_iters=_metrics.REFERENCE_MAX_ITERS):
     """Make one ``metrics.solve_reference(problem, tol, max_iters)`` per
     distinct problem of ``arms``, name -> (problem, OptimizerConfig), and
     every (arm, seed) run. A run that diverged, or whose cumulative regret
     against its problem's f_star is not finite at a tick, is recorded in
     ``failures``, never raised, and has no entry; out/failures.csv lists
     this call's failures and exists only if any. Each completed run's trace
-    is written to out/(trace % (arm, seed)) when ``trace`` is given. Target
-    label counts that no arm's problem can draw are rejected before out is
-    made. Then, before the helper is forked, makes out and removes
-    failures.csv and every file in it whose whole name matches the regular
-    expression ``own``, the form of the call's per-run and per-arm outputs,
-    so that no earlier call's file of those forms survives there, whatever
-    seeds or arms that call ran. No other file is touched.
+    is written to out/(trace % (arm, seed)) when ``trace`` is given; the
+    caller writes the names ``writes`` in out afterwards. Target label
+    counts that no arm's problem can draw, and a directory at any name the
+    call writes in out, raise ValueError before out is made. Then, before
+    the helper is forked, makes out and removes failures.csv and every
+    file in it whose whole name matches the regular expression ``own``,
+    the form of the call's per-run and per-arm outputs, so that no earlier
+    call's file of those forms survives there, whatever seeds or arms that
+    call ran. No other file is touched.
 
     The solves, in arm order, then the (arm, seed) runs form one task list
     shared with one forked helper (see _share_runs), which takes tasks from
@@ -386,6 +393,11 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, trace=None,
         _optimizers._check_target_counts(problem, config.target_label_counts)
     problems = list(dict.fromkeys(p for p, _ in arms.values()))
     tasks = problems + [(name, seed) for name in arms for seed in seeds]
+    written = ["failures.csv", *writes]
+    written += [trace % key for key in tasks[len(problems):]] if trace else []
+    for path in (os.path.join(out, name) for name in written):
+        if os.path.isdir(path):
+            raise ValueError("output %s is a directory" % path)
 
     def attempt(i):
         if i < len(problems):
@@ -518,6 +530,8 @@ def run_experiment(config):
         {n: (problem, config.optimizers[n]) for n in names}, config.seeds,
         config.T, config.metric_tick, out,
         r"trace_.+_\d+\.csv|aggregate_.+\.csv|comparison\.csv",
+        ["aggregate_%s.csv" % n for n in names]
+        + ["comparison.csv", "metadata.txt"],
         trace="trace_%s_%d.csv", tol=config.reference_tol,
         max_iters=config.reference_max_iters)
 
@@ -654,7 +668,9 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
         raise ValueError("methods and sigma tags (6 significant digits) "
                          "must not repeat")
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                     r"sweep_aggregate_sigma.+\.csv")
+                     r"sweep_aggregate_sigma.+\.csv",
+                     ["sweep_aggregate_sigma%s.csv" % tag
+                      for _, tag, _ in per_sigma] + ["sweep_summary.csv"])
 
     results = ExperimentResults(failures=runs.failures)
     summary_rows = []
@@ -699,13 +715,11 @@ def matching_datasets(p=MATCHING_DEFAULTS):
     setting that ProblemSpec rejects and on an empty split."""
     for name in ("n_train", "n_eval"):
         _optimizers._positive_int(name, p[name])
-    ProblemSpec(kind=_problems.MULTICLASS_LOGISTIC,
-                n=p["n_train"] + p["n_eval"], d=p["d"],
-                num_classes=p["num_classes"], margin=p["margin"],
-                data_seed=p["data_seed"], l2_lambda=p["l2_lambda"])
-    total = _datasets.synth_classification(
-        p["n_train"] + p["n_eval"], p["d"], p["num_classes"],
-        margin=p["margin"], seed=p["data_seed"])
+    total = ProblemSpec(kind=_problems.MULTICLASS_LOGISTIC,
+                        n=p["n_train"] + p["n_eval"], d=p["d"],
+                        num_classes=p["num_classes"], margin=p["margin"],
+                        data_seed=p["data_seed"],
+                        l2_lambda=p["l2_lambda"]).dataset()
     split = p["n_train"]
     train = _datasets.Dataset(total.X[:split], total.y[:split],
                               total.num_classes, total.provenance + "|train")
@@ -720,8 +734,8 @@ def matching_experiment(seeds, output_dir, **overrides):
     multiclass problem, train DASGrad with target-distribution importance
     weights against a uniform-sampling AMSGrad baseline, and compare
     balanced-test accuracy; ``overrides`` replace MATCHING_DEFAULTS. The
-    regret baseline is solved to REFERENCE_TOL in at most
-    REFERENCE_MAX_ITERS iterations (see _run_arms). Writes a trace per
+    regret baseline is solved at ``metrics.solve_reference``'s defaults
+    (see _run_arms). Writes a trace per
     completed run and a summary CSV: each arm's mean final accuracy, and
     the paired CI of the final accuracy gap over the seeds both arms
     completed. With fewer than two such seeds the gap lines are left out
@@ -744,7 +758,7 @@ def matching_experiment(seeds, output_dir, **overrides):
     }
 
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                     r"matching_trace_.+_\d+\.csv",
+                     r"matching_trace_.+_\d+\.csv", ["matching_summary.csv"],
                      trace="matching_trace_%s_%d.csv",
                      eval_set=(eval_ds.X, eval_ds.y))
     results = ExperimentResults({name: runs.runs(name) for name in arms},

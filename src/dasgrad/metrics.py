@@ -31,6 +31,8 @@ Z_95 = 1.96
 # fit in it either.
 _TICK_BYTES = 1 << 20
 
+REFERENCE_TOL, REFERENCE_MAX_ITERS = 1e-6, 2000
+
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -90,7 +92,8 @@ def backtracking_gradient_descent(problem, tol, max_iters):
     return best_theta, best_f, iterations, converged
 
 
-def solve_reference(problem, tol=1e-8, max_iters=5000):
+def solve_reference(problem, tol=REFERENCE_TOL,
+                    max_iters=REFERENCE_MAX_ITERS):
     """Reference optimum. Centroid has the closed form theta* = mean(x);
     logistic problems run backtracking gradient descent and return the best
     iterate (flagged unconverged when the cap is hit first). Float overflow

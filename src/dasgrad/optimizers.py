@@ -28,10 +28,10 @@ with ``refresh_period`` above T never refreshes and is amsgrad, and ap_sgd
 stepped without its refreshes is sgd.
 
 The distribution changes only at a refresh, so ``run`` works in blocks
-that end at the next step where a refresh can happen: every multiple of
-``refresh_period`` for ap_sgd and dasgrad. A run that never refreshes
-(the other methods) has no such step, so its blocks run to the end of
-the run. The indices of all a block's steps
+that end at the next refresh. ap_sgd refreshes before step 1 and dasgrad
+first before step ``refresh_period``; each then refreshes at every
+multiple of the period. The other methods never refresh, so their blocks
+run to the end of the run. The indices of all a block's steps
 are drawn in one ``sample_many`` call, and their rows gathered (CSR rows
 densified) and weighted once. A block whose densified rows would pass
 ``_BLOCK_BYTES`` (1 MiB) is cut into blocks of whole steps, never less
@@ -337,22 +337,6 @@ def refresh_probabilities(problem, theta, state, config, tree, t):
     tree.set_all(_sampling.normalize_scores(scores, config.epsilon_prob))
 
 
-def _wants_refresh(config, t):
-    if config.method == "dasgrad":
-        return t % config.refresh_period == 0
-    if config.method == "ap_sgd":
-        return t == 1 or t % config.refresh_period == 0
-    return False
-
-
-def _next_refresh(config, t, T):
-    """The first step after t at which ``_wants_refresh`` can hold, or
-    T + 1 when no refresh comes before the run ends."""
-    if config.method not in _ADAPTIVE_PROBS:
-        return T + 1
-    return min(t - t % config.refresh_period + config.refresh_period, T + 1)
-
-
 @dataclass
 class RunResult:
     """Trace of one run: metrics on the tick grid and the final theta.
@@ -405,8 +389,10 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     trace = ticks, losses, gvars, accs = [], [], [], []
     due, thetas = [], []    # the pending tick steps and their theta
 
-    B = config.batch_size
+    B, period = config.batch_size, config.refresh_period
     max_steps = max(1, _BLOCK_BYTES // (B * problem.d * 8))
+    # the step of the next refresh (see the module docstring)
+    refresh_at = {"ap_sgd": 1, "dasgrad": period}.get(config.method, T + 1)
     # pending ticks are taken once their thetas would stack past
     # metrics._TICK_BYTES, the bytes a centroid tick forms per chunk
     max_ticks = max(1, _metrics._TICK_BYTES // (problem.param_dim * 8))
@@ -416,12 +402,11 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             while t <= T:
-                # the block runs up to the next step where a refresh can
-                # happen
-                end = min(_next_refresh(config, t, T), t + max_steps)
-                if _wants_refresh(config, t):
+                if t == refresh_at:
                     refresh_probabilities(problem, theta, state, config, tree,
                                           t)
+                    refresh_at = t - t % period + period
+                end = min(refresh_at, T + 1, t + max_steps)
                 X, y, w = draw_batch(problem, tree, rng, config,
                                      (end - t) * B)
                 for lo in range(0, len(y), B):

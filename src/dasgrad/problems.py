@@ -257,10 +257,6 @@ def batch_gradients(problem, theta, X, y):
         return theta[None, :] - X
     r = _logistic_terms(problem, theta, X, y, want_residuals=True)[1]
     W = problem.weights_view(theta)
-    if len(W) == 1:
-        # one weight row: the (B, d) products and sums of the broadcast
-        # below without its (B, 1, d) shapes
-        return r * X + problem.l2_lambda * W
     G = r[:, :, None] * X[:, None, :] + problem.l2_lambda * W[None, :, :]
     return G.reshape(len(y), -1)
 

@@ -134,6 +134,16 @@ def test_criterion_4_weighted_second_moment_optimality():
             % (worst_rel, worst_ident, elapsed))
 
 
+def _refreshes(config, t):
+    """The paper's schedule: dasgrad refreshes before every step that is a
+    multiple of refresh_period, ap_sgd also before step 1, and the other
+    methods never."""
+    if config.method not in ("ap_sgd", "dasgrad"):
+        return False
+    return t % config.refresh_period == 0 or config.method == "ap_sgd" \
+        and t == 1
+
+
 def _lockstep(problem, cfg_a, cfg_b, T, seed, refresh=True):
     """Run two configs in lockstep and return the max coordinatewise
     trajectory gap over all steps. With refresh False neither run
@@ -147,7 +157,7 @@ def _lockstep(problem, cfg_a, cfg_b, T, seed, refresh=True):
     worst = 0.0
     for t in range(1, T + 1):
         for j, cfg in enumerate((cfg_a, cfg_b)):
-            if refresh and O._wants_refresh(cfg, t):
+            if refresh and _refreshes(cfg, t):
                 O.refresh_probabilities(problem, thetas[j], states[j], cfg,
                                         trees[j], t)
             batch = O.draw_batch(problem, trees[j], rngs[j], cfg,
@@ -196,7 +206,7 @@ def test_criterion_6_vhat_monotone_and_projection():
         theta = np.zeros(5)
         prev = np.zeros(5)
         for t in range(1, 10_001):
-            if O._wants_refresh(cfg, t):
+            if _refreshes(cfg, t):
                 O.refresh_probabilities(prob, theta, state, cfg, tree, t)
             theta = O.step_general(prob, theta, state,
                                    O.draw_batch(prob, tree, gen, cfg, 2),

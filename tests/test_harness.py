@@ -404,6 +404,14 @@ class TestPresets:
         assert cfg.batch_size == 32
         assert cfg.refresh_period == 10
 
+    def test_experiment_config_solves_at_the_library_defaults(self):
+        # a config's reference solve, the protocols' and a direct
+        # solve_reference call share one pair of settings
+        config = H.ExperimentConfig(problem=H.ProblemSpec(kind=P.CENTROID),
+                                    optimizers={"sgd": H.convex_preset("sgd")})
+        assert (config.reference_tol, config.reference_max_iters) == (
+            M.REFERENCE_TOL, M.REFERENCE_MAX_ITERS)
+
 
 def read_trace(path):
     """A trace CSV as a structured array of float columns (NaN for a blank
@@ -735,6 +743,32 @@ class TestRunSettingsRejected:
         assert solves == [] and forks == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("protocol", ["run", "sweep", "matching"])
+    def test_seeds_must_be_whole(self, tmp_path, protocol):
+        def call(seeds, out):
+            if protocol == "run":
+                return H.run_experiment(dataclasses.replace(
+                    H.parse_config_text(OWNED_CONFIG.format(out=out,
+                                                            seeds="0,1")),
+                    seeds=seeds))
+            if protocol == "sweep":
+                return H.sweep_variance([1.0], seeds, str(out), **SMALL_SWEEP)
+            return H.matching_experiment(seeds, str(out), **SMALL_MATCHING)
+
+        for bad in ([0.5, 2], [True, 2]):
+            with pytest.raises(O.SettingError, match="seeds must be whole, "
+                                                     "got " + str(bad[0])):
+                call(bad, tmp_path / "bad")
+            assert not (tmp_path / "bad").exists()
+        # a whole float is its int
+        call([1.0, 2], tmp_path / "float")
+        call([1, 2], tmp_path / "int")
+        match = filecmp.dircmp(tmp_path / "float", tmp_path / "int")
+        assert match.left_only == match.right_only == []
+        assert filecmp.cmpfiles(tmp_path / "float", tmp_path / "int",
+                                match.common_files, shallow=False)[1:] \
+            == ([], [])
+
     def test_experiment_config_keeps_a_one_shot_iterable_of_seeds(
             self, tmp_path):
         out = tmp_path / "gen"
@@ -1064,6 +1098,35 @@ class TestOutputOwnership:
                        for arm in ("amsgrad_uniform", "dasgrad_target")
                        for s in (0, 1)], planted)
 
+    @pytest.mark.parametrize("argv, name", [
+        (["run", "--config", "{cfg}"], "trace_sgd_1.csv"),
+        (["run", "--config", "{cfg}"], "aggregate_dasgrad.csv"),
+        (["run", "--config", "{cfg}"], "metadata.txt"),
+        (["sweep-variance", "--sigmas", "0.5,2", "--seeds", "2", "--n", "20",
+          "--out", "{out}"], "sweep_aggregate_sigma2.csv"),
+        (["matching", "--seeds", "2", "--out", "{out}"], "failures.csv"),
+        (["matching", "--seeds", "2", "--out", "{out}"],
+         "matching_trace_amsgrad_uniform_1.csv"),
+    ])
+    def test_a_directory_at_an_output_name_fails_before_any_run(
+            self, tmp_path, capsys, monkeypatch, argv, name):
+        monkeypatch.setattr(O, "run", None)
+        monkeypatch.setattr(M, "solve_reference", None)
+        out, cfg = tmp_path / "o", tmp_path / "c.cfg"
+        cfg.write_text(OWNED_CONFIG.format(out=out, seeds="0,1"))
+        out.mkdir()
+        (out / name).mkdir()
+        # files the call would remove or overwrite
+        planted = plant(out, *{"failures.csv", "trace_sgd_5.csv",
+                               "sweep_summary.csv",
+                               "matching_summary.csv"} - {name})
+        with pytest.raises(SystemExit) as err:
+            C.main([arg.format(cfg=cfg, out=out) for arg in argv])
+        assert err.value.code == 2
+        assert "output %s is a directory" % (out / name) \
+            in capsys.readouterr().err
+        assert_only(out, [name], planted)
+
 
 class TestSweepAndMatching:
     def test_sweep_emits_manifest(self, tmp_path):
@@ -1277,9 +1340,9 @@ def call_four_seeds(protocol, out):
 FOUR_SEED_TASKS = {"run": 8, "sweep": 16, "matching": 8}
 
 
-def serial_run_arms(arms, seeds, T, metric_tick, out, own, trace=None,
-                    eval_set=None, tol=H.REFERENCE_TOL,
-                    max_iters=H.REFERENCE_MAX_ITERS):
+def serial_run_arms(arms, seeds, T, metric_tick, out, own, writes,
+                    trace=None, eval_set=None, tol=M.REFERENCE_TOL,
+                    max_iters=M.REFERENCE_MAX_ITERS):
     """_run_arms in one process, into a fresh ``out``: one reference solve
     per distinct problem, every (arm, seed) through O.run in order, the
     regret check and the traces."""
@@ -1395,7 +1458,7 @@ class TestReferenceHelper:
         helper_makes_the_solves(monkeypatch, log)
         results = H._run_arms({"sgd": (problem, H.convex_preset("sgd"))},
                               range(2), 1, 1, str(tmp_path / "out"), "none",
-                              tol=1e-6, max_iters=300)
+                              (), tol=1e-6, max_iters=300)
         solvers = log.read_text().split()
         assert len(solvers) == 1 and solvers[0] != str(os.getpid())
         got = results.reference["sgd"]
@@ -1468,7 +1531,7 @@ class TestReferenceHelper:
         arms = {m: (problem, O.OptimizerConfig(method=m)) for m, problem
                 in (("sgd", four), ("adam", five), ("amsgrad", four))}
         results = H._run_arms(arms, range(200), 1, 1, str(tmp_path / "out"),
-                              "none")
+                              "none", ())
         tasks = [(m, s) for m in arms for s in range(200)]
         assert list(results) == tasks
         assert [run.seed for run in results.values()] == list(range(200)) * 3

@@ -359,20 +359,27 @@ class TestRefresh:
         assert np.array_equal(tree.weights, probs)
         assert np.array_equal(tree.cdf, S.SamplingTree(probs).cdf)
 
-    def test_schedule(self):
+    def test_schedule(self, monkeypatch):
+        # the steps t of every refresh a T = 24 run makes, against the
+        # paper's schedule
         rng = np.random.default_rng(9)
         prob = centroid_problem(rng.standard_normal((10, 2)))
-        cfg = O.OptimizerConfig(method="dasgrad", refresh_period=5,
-                                batch_size=1)
-        assert not O._wants_refresh(cfg, 1)
-        assert O._wants_refresh(cfg, 5)
-        ap = O.OptimizerConfig(method="ap_sgd", refresh_period=5)
-        assert O._wants_refresh(ap, 1)
-        assert O._wants_refresh(ap, 5)
-        assert not O._wants_refresh(ap, 3)
-        never = O.OptimizerConfig(method="dasgrad", refresh_period=25)
-        assert not any(O._wants_refresh(never, t) for t in range(1, 25))
-        assert O._next_refresh(never, 1, 24) == 25
+        refresh = O.refresh_probabilities
+        steps = []
+
+        def recording(problem, theta, state, config, tree, t):
+            steps.append(t)
+            refresh(problem, theta, state, config, tree, t)
+
+        monkeypatch.setattr(O, "refresh_probabilities", recording)
+        for method in ("ap_sgd", "dasgrad", "amsgrad"):
+            for period in (1, 3, 7, 25):
+                cfg = O.OptimizerConfig(method=method, refresh_period=period,
+                                        batch_size=1)
+                del steps[:]
+                O.run(prob, cfg, T=24, seed=0, metric_tick=24)
+                assert steps == [t for t in range(1, 25)
+                                 if _refreshes(cfg, t)], (method, period)
 
 
 class TestRun:
@@ -478,6 +485,16 @@ class TestRun:
 # which does these once per refresh block, must reproduce its traces and
 # its divergences bit for bit.
 
+def _refreshes(config, t):
+    """The paper's schedule, stated apart from ``run``: dasgrad refreshes
+    before every step that is a multiple of refresh_period, ap_sgd also
+    before step 1, and the other methods never."""
+    if config.method not in ("ap_sgd", "dasgrad"):
+        return False
+    return t % config.refresh_period == 0 or config.method == "ap_sgd" \
+        and t == 1
+
+
 class _CountingState:
     def __init__(self, dim):
         self.m, self.v, self.v_hat = np.zeros(dim), np.zeros(dim), np.zeros(dim)
@@ -565,7 +582,7 @@ def _probs_run(problem, config, T, seed, metric_tick, eval_set=None):
     tree = S.SamplingTree(probs)
     ticks, losses, accs, gvars = [], [], [], []
     for t in range(1, T + 1):
-        if O._wants_refresh(config, t):
+        if _refreshes(config, t):
             probs = _probs_refresh(problem, theta, state, config, tree)
         theta = _probs_step(problem, theta, state, probs, tree, rng, config, t)
         if t % metric_tick == 0:

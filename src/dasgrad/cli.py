@@ -18,6 +18,7 @@ import sys
 
 from . import harness as _harness
 from . import metrics as _metrics
+from . import sharing as _sharing
 
 
 def numbers(text):
@@ -84,7 +85,7 @@ def main(argv=None):
             else:
                 results, gap = _harness.matching_experiment(
                     seeds, out, **settings)
-    except _harness.HelperExitError as exc:
+    except _sharing.HelperExitError as exc:
         print("dasgrad: error: %s" % exc, file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

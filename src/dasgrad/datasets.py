@@ -9,6 +9,10 @@ File formats:
 
 Both loaders reject a malformed row, a nonfinite value included, with its
 line number, and return the rows packed: a dense array or a CSR matrix.
+The sparse loader parses a long file in two processes: it cuts the rows
+into fixed-size chunks, which it shares with one forked helper, and puts
+the chunks back in file order. The earliest chunk's error wins, so a file
+gives the arrays, or the error, of one pass over its rows.
 
 Synthetic generators draw their Gaussians by Box-Muller from the seeded
 uniform stream so the whole pipeline shares one generator family. They
@@ -27,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
+from . import sharing as _sharing
 from .problems import Problem
 
 
@@ -94,7 +99,12 @@ class DatasetFormatError(ValueError):
 
     def __init__(self, path, line_no, message):
         super().__init__("%s:%d: %s" % (path, line_no, message))
+        self.path = path
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.path, self.line_no, self.message)
 
 
 def load_dense_csv(path):
@@ -139,9 +149,18 @@ def load_dense_csv(path):
 _SPARSE_HEADER = re.compile(r"^#d=(\d+)\s+#k=(\d+)\s*$")
 
 
+# rows of a sparse file per parse task; a file of more rows is parsed in
+# chunks of this many, shared with one forked helper
+_SPARSE_CHUNK_ROWS = 2500
+
+
 def load_sparse(path):
-    """Parse a sparse dataset (header ``#d=<dim> #k=<classes>``)."""
-    labels, indices, values, indptr = [], [], [], [0]
+    """Parse a sparse dataset (header ``#d=<dim> #k=<classes>``). A file of
+    more than _SPARSE_CHUNK_ROWS rows is parsed in chunks of that many rows
+    by this process and one forked helper (see sharing._share_runs), joined
+    before this returns. The chunks are put together in file order and the
+    earliest chunk's error is raised, so the result, or the error, is that
+    of one pass over the rows."""
     with open(path) as fh:
         header = fh.readline()
         m = _SPARSE_HEADER.match(header.strip())
@@ -151,51 +170,79 @@ def load_sparse(path):
         d, k = int(m.group(1)), int(m.group(2))
         if d < 1:
             raise DatasetFormatError(path, 1, "d must be at least 1")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
+        rows = fh.readlines()
+    size = _SPARSE_CHUNK_ROWS
+    if len(rows) <= size:
+        chunks = [_parse_sparse_rows(path, rows, 2, d, k)]
+    else:
+        def attempt(i):
             try:
-                label = int(fields[0])
+                return _parse_sparse_rows(path, rows[i * size:(i + 1) * size],
+                                          2 + i * size, d, k)
+            except DatasetFormatError as exc:
+                return exc
+        done = _sharing._share_runs(attempt, -(-len(rows) // size))
+        chunks = [done[i] for i in range(len(done))]
+        for chunk in chunks:
+            if isinstance(chunk, DatasetFormatError):
+                raise chunk
+    del rows  # freed before the chunks are joined
+    labels, indices, values, counts = map(np.concatenate, zip(*chunks))
+    if not labels.size:
+        raise DatasetFormatError(path, 1, "empty dataset file")
+    indptr = np.zeros(labels.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    X = sparse.csr_matrix((values, indices, indptr), shape=(labels.size, d))
+    return Dataset(X=X, y=labels, num_classes=k, provenance=str(path))
+
+
+def _parse_sparse_rows(path, lines, first_line_no, d, k):
+    """(labels, indices, values, per-row stored counts) as int64, int64,
+    float64 and int64 arrays of the sparse rows ``lines``, the first of
+    which is line ``first_line_no`` of ``path``; a zero value is not
+    stored. Raises DatasetFormatError naming the first malformed row."""
+    labels, indices, values, indptr = [], [], [], [0]
+    for line_no, line in enumerate(lines, start=first_line_no):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split()
+        try:
+            label = int(fields[0])
+        except ValueError:
+            raise DatasetFormatError(path, line_no,
+                                     "non-numeric label") from None
+        if not 0 <= label < k:
+            raise DatasetFormatError(path, line_no, "label out of range")
+        last = -1
+        for tok in fields[1:]:
+            try:
+                idx_s, val_s = tok.split(":")
+                idx, val = int(idx_s), float(val_s)
             except ValueError:
                 raise DatasetFormatError(path, line_no,
-                                         "non-numeric label") from None
-            if not 0 <= label < k:
-                raise DatasetFormatError(path, line_no, "label out of range")
-            last = -1
-            for tok in fields[1:]:
-                try:
-                    idx_s, val_s = tok.split(":")
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise DatasetFormatError(path, line_no,
-                                             "malformed idx:val token %r"
-                                             % tok) from None
-                if idx < 0 or idx >= d:
-                    raise DatasetFormatError(path, line_no,
-                                             "index %d out of range" % idx)
-                if idx <= last:
-                    raise DatasetFormatError(
-                        path, line_no, "indices must be strictly increasing")
-                if not math.isfinite(val):
-                    raise DatasetFormatError(path, line_no,
-                                             "nonfinite value in token %r"
-                                             % tok)
-                last = idx
-                if val != 0.0:
-                    indices.append(idx)
-                    values.append(val)
-            labels.append(label)
-            indptr.append(len(indices))
-    if not labels:
-        raise DatasetFormatError(path, 1, "empty dataset file")
-    X = sparse.csr_matrix((np.array(values, dtype=np.float64),
-                           np.array(indices, dtype=np.int64),
-                           np.array(indptr, dtype=np.int64)),
-                          shape=(len(labels), d))
-    return Dataset(X=X, y=np.array(labels, dtype=np.int64), num_classes=k,
-                   provenance=str(path))
+                                         "malformed idx:val token %r"
+                                         % tok) from None
+            if idx < 0 or idx >= d:
+                raise DatasetFormatError(path, line_no,
+                                         "index %d out of range" % idx)
+            if idx <= last:
+                raise DatasetFormatError(
+                    path, line_no, "indices must be strictly increasing")
+            if not math.isfinite(val):
+                raise DatasetFormatError(path, line_no,
+                                         "nonfinite value in token %r"
+                                         % tok)
+            last = idx
+            if val != 0.0:
+                indices.append(idx)
+                values.append(val)
+        labels.append(label)
+        indptr.append(len(indices))
+    return (np.array(labels, dtype=np.int64),
+            np.array(indices, dtype=np.int64),
+            np.array(values, dtype=np.float64),
+            np.diff(np.array(indptr, dtype=np.int64)))
 
 
 def box_muller(rng, size):

@@ -18,9 +18,12 @@ Config files are flat ``key = value`` lines with ``#`` comments; each
 ``configs/`` for working examples.
 
 Every protocol call forks one helper process (the ``fork`` start method
-is required) once its settings are accepted, so at most two processes
-run per call. Every protocol regrets against ``metrics.solve_reference``,
-one solve per distinct problem of the call. The solves and then the
+is required) once its settings are accepted, through
+``sharing._share_runs``. A sparse data file of more than one chunk is
+parsed before that with a helper of its own, which ``datasets.load_sparse``
+joins before it returns, so at most two processes run per call. Every
+protocol regrets against ``metrics.solve_reference``, one solve per
+distinct problem of the call. The solves and then the
 call's (arm, seed) runs form one task list, which the helper takes from
 the front (so it makes the solves first) and the parent from the back.
 The helper's results come back pickled over a pipe in one message, and
@@ -31,7 +34,6 @@ those of one process making every solve and then every run in order.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import re
 from dataclasses import dataclass, fields
@@ -43,6 +45,7 @@ from . import metrics as _metrics
 from . import optimizers as _optimizers
 from . import problems as _problems
 from . import sampling as _sampling
+from . import sharing as _sharing
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -383,9 +386,9 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, writes, trace=None,
     call ran. No other file is touched.
 
     The solves, in arm order, then the (arm, seed) runs form one task list
-    shared with one forked helper (see _share_runs), which takes tasks from
-    its front while the parent takes them from its back. Results are
-    rebuilt in list order, so every output byte is that of one process
+    shared with one forked helper (see sharing._share_runs), which takes
+    tasks from its front while the parent takes them from its back. Results
+    are rebuilt in list order, so every output byte is that of one process
     making every task in order. The returned ExperimentResults'
     ``cum_regret`` holds each completed run's cumulative regret and its
     ``reference`` each arm's ReferenceSolution."""
@@ -416,7 +419,7 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, writes, trace=None,
         if (name == "failures.csv" or re.fullmatch(own, name)) \
                 and os.path.isfile(path):
             os.remove(path)
-    done = _share_runs(attempt, len(tasks))
+    done = _sharing._share_runs(attempt, len(tasks))
     results = ExperimentResults()
     results.reference = {n: done[problems.index(arms[n][0])] for n in arms}
     for i in range(len(problems), len(tasks)):
@@ -443,77 +446,6 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, writes, trace=None,
                         results.reference[key[0]].f_star,
                         results.cum_regret[key])
     return results
-
-
-class HelperExitError(RuntimeError):
-    """A protocol call's forked helper exited without sending its result."""
-
-
-def _share_runs(attempt, count):
-    """Fork one helper that calls ``attempt(i)`` for the task indices it
-    takes from the front of the shared range [0, count), while this
-    process calls ``attempt`` for those it takes from the back until the
-    range is empty; return {index: attempt(index)} for every index once the
-    helper's one message is in. The helper inherits ``attempt`` and all
-    else through the fork, so a module attribute patched in the parent,
-    such as ``_optimizers.run``, is patched in the helper too. It sends its
-    results once at the end, so it never stalls on a full pipe while the
-    parent runs. An exception the helper raises closes the range, so that
-    the parent stops after its current task, and is raised again here; a
-    helper that exits without a message raises HelperExitError naming its
-    exit code. Before this returns or raises, the helper is terminated if
-    it still runs, and always joined (``fork`` start method required)."""
-    context = multiprocessing.get_context("fork")
-    span = context.Array("q", [0, count])
-    receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_helper_main, args=(sender, span, attempt),
-                            daemon=True)
-    child.start()
-    sender.close()
-    try:
-        done = _take_tasks(span, True, attempt)
-        try:
-            message = receiver.recv()
-        except EOFError:
-            child.join()
-            raise HelperExitError("the forked helper exited with code %s and "
-                                  "sent no result" % child.exitcode) from None
-        child.join()
-        if isinstance(message, Exception):
-            raise message
-        return {**done, **message}
-    finally:
-        child.terminate()
-        child.join()
-        receiver.close()
-
-
-def _take_tasks(span, back, attempt):
-    """{index: attempt(index)} for each index taken off the shared range
-    [span[0], span[1]) until it is empty: its last one each time when
-    ``back``, else its first."""
-    done = {}
-    while True:
-        with span.get_lock():
-            lo, hi = span[:]
-            if lo == hi:
-                return done
-            if back:
-                i = span[1] = hi - 1
-            else:
-                i, span[0] = lo, lo + 1
-        done[i] = attempt(i)
-
-
-def _helper_main(sender, span, attempt):
-    """Take tasks off ``span``'s front; send their results or the error."""
-    try:
-        message = _take_tasks(span, False, attempt)
-    except Exception as exc:
-        with span.get_lock():
-            span[0] = span[1]
-        message = exc
-    sender.send(message)
 
 
 def run_experiment(config):

@@ -1,13 +1,19 @@
+import multiprocessing
+import os
+import pickle
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from dasgrad import cli as C
 from dasgrad import datasets as D
 from dasgrad import metrics as M
 from dasgrad import problems as P
 from dasgrad import sampling as S
+from dasgrad import sharing as SH
 
 
 class TestDenseCsv:
@@ -145,6 +151,171 @@ class TestSparseFile:
                                           row[a.features.indices])
             np.testing.assert_array_equal(b.features, row)
             assert a.label == b.label
+
+    def test_format_error_survives_pickling(self):
+        # a chunk's error crosses from the forked helper pickled
+        err = pickle.loads(pickle.dumps(D.DatasetFormatError("p", 3, "bad")))
+        assert type(err) is D.DatasetFormatError
+        assert str(err) == "p:3: bad" and err.line_no == 3
+
+
+def _csr_parts(ds):
+    return [_bytes(a) for a in (ds.X.data, ds.X.indices, ds.X.indptr, ds.y)] \
+        + [ds.num_classes, ds.X.shape]
+
+
+def _sparse_lines(rng, count, d=6, k=3):
+    """``count`` rows of a ``#d=6 #k=3`` file: blank ones, rows with no
+    feature written ``label `` with a trailing space, and rows whose
+    values are drawn from normals, zeros and negative zeros."""
+    lines = []
+    for _ in range(count):
+        label = int(rng.integers(k))
+        kind = int(rng.integers(6))
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append("%d " % label)
+        else:
+            idx = np.flatnonzero(rng.random(d) < 0.5)
+            values = [format(v, ".17g") for v in rng.standard_normal(idx.size)]
+            for j in np.flatnonzero(rng.random(idx.size) < 0.3):
+                values[j] = ("0.0", "-0", "0")[j % 3]
+            lines.append(" ".join(["%d" % label] + ["%d:%s" % pair for pair
+                                                    in zip(idx, values)]))
+    return lines
+
+
+def _sparse_file(path, lines, end="\n", last_end=True):
+    path.write_bytes(("#d=6 #k=3" + end + end.join(lines)
+                      + (end if last_end else "")).encode())
+    return path
+
+
+def _chunks_of(monkeypatch, rows):
+    monkeypatch.setattr(D, "_SPARSE_CHUNK_ROWS", rows)
+
+
+def _split_parse(monkeypatch, log, delay, helper=None):
+    """Log each _parse_sparse_rows call's process id and first line to
+    ``log``; make this process sleep ``delay`` seconds before each of its
+    chunks, so that the forked helper takes the front ones, and the helper
+    call ``helper`` when given."""
+    parent, parse = os.getpid(), D._parse_sparse_rows
+
+    def logged(path, lines, first_line_no, d, k):
+        with open(log, "a") as fh:
+            fh.write("%d %d\n" % (os.getpid(), first_line_no))
+        if os.getpid() == parent:
+            time.sleep(delay)
+        elif helper is not None:
+            helper()
+        return parse(path, lines, first_line_no, d, k)
+    monkeypatch.setattr(D, "_parse_sparse_rows", logged)
+
+
+def _parsed_by(log):
+    """{first line of a chunk: True when this process parsed it}."""
+    return {int(first): int(pid) == os.getpid() for pid, first
+            in (line.split() for line in log.read_text().splitlines())}
+
+
+class TestChunkedSparseParse:
+    @pytest.mark.parametrize("end, last_end", [
+        ("\n", True), ("\r\n", True), ("\n", False), ("\r\n", False)])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_same_arrays_as_one_chunk(self, tmp_path, monkeypatch, end,
+                                      last_end, rows):
+        lines = _sparse_lines(np.random.default_rng(rows), 40)
+        # blank lines on both sides of the 3-row chunk boundaries from row
+        # 12, a chunk of blank lines at rows 24-26, and a featureless row
+        for i in range(12, 30):
+            if i % 3 != 1 or 24 <= i < 27:
+                lines[i] = ""
+        lines[31] = "2 "
+        path = _sparse_file(tmp_path / "rows.sparse", lines, end, last_end)
+        _chunks_of(monkeypatch, 10**6)
+        whole = D.load_sparse(path)
+        assert whole.n == sum(map(bool, lines))
+        _chunks_of(monkeypatch, rows)
+        assert _csr_parts(D.load_sparse(path)) == _csr_parts(whole)
+        assert multiprocessing.active_children() == []
+
+    def test_a_file_of_one_chunk_is_parsed_without_a_fork(self, tmp_path,
+                                                          monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: (forks.append(1), fork())[1])
+        path = _sparse_file(tmp_path / "rows.sparse",
+                            _sparse_lines(np.random.default_rng(0), 6))
+        _chunks_of(monkeypatch, 6)
+        D.load_sparse(path)
+        assert forks == []
+        _chunks_of(monkeypatch, 5)
+        D.load_sparse(path)
+        assert forks == [1]
+
+    @pytest.mark.parametrize("bad", [(4,), (8,), (4, 8)])
+    def test_the_earliest_error_is_raised(self, tmp_path, monkeypatch, bad):
+        # four chunks of two rows, lines 2-3, 4-5, 6-7 and 8-9: the helper
+        # takes the front three while this process sleeps on the last
+        lines = ["1 0:1.0"] * 8
+        for line_no in bad:
+            lines[line_no - 2] = "1 0:1.0 %d:2.0" % (10 + line_no)
+        path = _sparse_file(tmp_path / "bad.sparse", lines)
+        with pytest.raises(D.DatasetFormatError) as one_chunk:
+            D.load_sparse(path)
+        log = tmp_path / "log"
+        _split_parse(monkeypatch, log, 0.2)
+        _chunks_of(monkeypatch, 2)
+        with pytest.raises(D.DatasetFormatError) as chunked:
+            D.load_sparse(path)
+        assert _parsed_by(log) == {2: False, 4: False, 6: False, 8: True}
+        assert chunked.value.line_no == bad[0]
+        assert str(chunked.value) == str(one_chunk.value) \
+            == "%s:%d: index %d out of range" % (path, bad[0], 10 + bad[0])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("row, message", [
+        ("x 0:1.0", "non-numeric label"),
+        ("3 0:1.0", "label out of range"),
+        ("1 0:1.0 2-1.0", "malformed idx:val token '2-1.0'"),
+        ("1 -1:1.0", "index -1 out of range"),
+        ("1 2:1.0 2:3.0", "indices must be strictly increasing"),
+        ("1 0:1.0 1:nan", "nonfinite value in token '1:nan'"),
+    ])
+    def test_a_later_chunk_names_its_own_line(self, tmp_path, monkeypatch,
+                                              row, message):
+        lines = _sparse_lines(np.random.default_rng(1), 20)
+        lines[13] = row     # line 15, the second row of the fourth chunk
+        path = _sparse_file(tmp_path / "bad.sparse", lines)
+        _chunks_of(monkeypatch, 4)
+        with pytest.raises(D.DatasetFormatError) as err:
+            D.load_sparse(path)
+        assert err.value.line_no == 15
+        assert str(err.value) == "%s:15: %s" % (path, message)
+
+    def test_a_helper_that_dies_mid_load_names_its_code(self, tmp_path,
+                                                        monkeypatch, capsys):
+        path = _sparse_file(tmp_path / "rows.sparse", ["1 0:1.0"] * 9)
+        _split_parse(monkeypatch, tmp_path / "log", 0.05,
+                     helper=lambda: os._exit(6))
+        _chunks_of(monkeypatch, 3)
+        with pytest.raises(SH.HelperExitError, match="exited with code 6"):
+            D.load_sparse(path)
+        assert multiprocessing.active_children() == []
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            "kind = multiclass-logistic\npath = %s\nsparse = true\n"
+            "classes = 3\nT = 10\nmetric_tick = 5\nseeds = 0,1\n"
+            "output_dir = %s\n[optimizer.sgd]\nbatch_size = 2\n"
+            % (path, out))
+        assert C.main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr() == ("", "dasgrad: error: the forked helper "
+                                       "exited with code 6 and sent no "
+                                       "result\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestExamples:

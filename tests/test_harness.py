@@ -16,6 +16,7 @@ from dasgrad import harness as H
 from dasgrad import metrics as M
 from dasgrad import optimizers as O
 from dasgrad import problems as P
+from dasgrad import sharing as SH
 
 TINY_CONFIG = """
 # small multiclass experiment
@@ -1562,7 +1563,7 @@ class TestReferenceHelper:
             self, tmp_path, monkeypatch, protocol):
         parent_seeds = run_from_this_process_only(
             monkeypatch, lambda: os._exit(4), 0.05)
-        with pytest.raises(H.HelperExitError, match="exited with code 4"):
+        with pytest.raises(SH.HelperExitError, match="exited with code 4"):
             call_four_seeds(protocol, tmp_path / "out")
         # the parent ran every task but the one the helper died in
         assert len(parent_seeds) == FOUR_SEED_TASKS[protocol] - 1
@@ -1601,7 +1602,7 @@ class TestReferenceHelper:
         log = tmp_path / "solves"
         helper_makes_the_solves(monkeypatch, log,
                                 helper_solve=lambda *args: os._exit(3))
-        with pytest.raises(H.HelperExitError, match="exited with code 3"):
+        with pytest.raises(SH.HelperExitError, match="exited with code 3"):
             call_protocol(protocol, tmp_path / "out")
         assert str(os.getpid()) not in log.read_text().split()
         assert multiprocessing.active_children() == []

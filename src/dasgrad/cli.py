@@ -8,7 +8,8 @@ Subcommands::
     dasgrad check
 
 Exit codes: 0 success, 1 failed check or run (or a forked helper that
-died), 2 usage error.
+died, or an output file that could not be written after the runs), 2
+usage error.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def main(argv=None):
             else:
                 results, gap = _harness.matching_experiment(
                     seeds, out, **settings)
-    except _sharing.HelperExitError as exc:
+    except (_sharing.HelperExitError, _harness.OutputWriteError) as exc:
         print("dasgrad: error: %s" % exc, file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

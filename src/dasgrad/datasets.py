@@ -7,8 +7,9 @@ File formats:
 * Sparse -- a header line ``#d=<dim> #k=<classes>`` followed by rows
   ``label idx:val idx:val ...`` with 0-based strictly increasing indices.
 
-Both loaders reject a malformed row, a nonfinite value included, with its
-line number, and return the rows packed: a dense array or a CSR matrix.
+Both loaders read the file as UTF-8 and reject a malformed row, a
+nonfinite value or a byte that is not UTF-8 included, with its line
+number, and return the rows packed: a dense array or a CSR matrix.
 The sparse loader parses a long file in two processes: it cuts the rows
 into fixed-size chunks, which it shares with one forked helper, and puts
 the chunks back in file order. The earliest chunk's error wins, so a file
@@ -112,7 +113,7 @@ def load_dense_csv(path):
     malformed row."""
     values, labels = [], []
     d = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -161,7 +162,7 @@ def load_sparse(path):
     before this returns. The chunks are put together in file order and the
     earliest chunk's error is raised, so the result, or the error, is that
     of one pass over the rows."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
         m = _SPARSE_HEADER.match(header.strip())
         if not m:

@@ -283,7 +283,10 @@ def parse_config_text(text, base_dir="."):
 
 
 def load_config(path):
-    with open(path) as fh:
+    """Parse the config file ``path``, read as UTF-8. A byte that is not
+    UTF-8 is kept as is: a comment may hold one, and a number that holds
+    one fails, naming its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_config_text(fh.read(), base_dir=os.path.dirname(path) or ".")
 
 
@@ -305,12 +308,29 @@ def _cell(x):
     return format(float(x), ".17g")
 
 
+class OutputWriteError(RuntimeError):
+    """An output file that could not be written once the runs were made,
+    so not a usage error."""
+
+
+def _write_lines(path, lines):
+    """Write each of ``lines`` and a newline to ``path`` as UTF-8, an input
+    byte that is not UTF-8 as itself; every output file of the harness is
+    written here. Raises OutputWriteError on an OSError."""
+    try:
+        with open(path, "w", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise OutputWriteError("cannot write %s: %s"
+                               % (path, exc.strerror or exc)) from None
+
+
 def _write_csv(path, header, rows):
     """Write the ``header`` names and then each row, one comma-joined line
-    of cells apiece; every CSV file of the harness is written here."""
-    with open(path, "w") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(map(_cell, row)) + "\n")
+    of cells apiece."""
+    _write_lines(path, (",".join(map(_cell, row)) for row in [header, *rows]))
 
 
 def write_trace_csv(path, result, f_star, cum_regret):
@@ -366,7 +386,7 @@ class ExperimentResults(dict):
                 for name in names]
 
 
-def _run_arms(arms, seeds, T, metric_tick, out, own, writes, trace=None,
+def _run_arms(arms, seeds, T, metric_tick, out, own, trace=None,
               eval_set=None, tol=_metrics.REFERENCE_TOL,
               max_iters=_metrics.REFERENCE_MAX_ITERS):
     """Make one ``metrics.solve_reference(problem, tol, max_iters)`` per
@@ -375,15 +395,14 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, writes, trace=None,
     against its problem's f_star is not finite at a tick, is recorded in
     ``failures``, never raised, and has no entry; out/failures.csv lists
     this call's failures and exists only if any. Each completed run's trace
-    is written to out/(trace % (arm, seed)) when ``trace`` is given; the
-    caller writes the names ``writes`` in out afterwards. Target label
-    counts that no arm's problem can draw, and a directory at any name the
-    call writes in out, raise ValueError before out is made. Then, before
-    the helper is forked, makes out and removes failures.csv and every
-    file in it whose whole name matches the regular expression ``own``,
-    the form of the call's per-run and per-arm outputs, so that no earlier
-    call's file of those forms survives there, whatever seeds or arms that
-    call ran. No other file is touched.
+    is written to out/(trace % (arm, seed)) when ``trace`` is given.
+    ``own`` is a regular expression that the whole name of every other
+    file the call writes in out matches. Target label counts that no arm's
+    problem can draw, and a directory in out at failures.csv or at a name
+    ``own`` matches, raise ValueError before out is made. Then, before the
+    helper is forked, makes out and removes those files, so that no
+    earlier call's file of those forms survives there, whatever seeds or
+    arms that call ran. No other file is touched.
 
     The solves, in arm order, then the (arm, seed) runs form one task list
     shared with one forked helper (see sharing._share_runs), which takes
@@ -396,9 +415,10 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, writes, trace=None,
         _optimizers._check_target_counts(problem, config.target_label_counts)
     problems = list(dict.fromkeys(p for p, _ in arms.values()))
     tasks = problems + [(name, seed) for name in arms for seed in seeds]
-    written = ["failures.csv", *writes]
-    written += [trace % key for key in tasks[len(problems):]] if trace else []
-    for path in (os.path.join(out, name) for name in written):
+    owned = [os.path.join(out, name)
+             for name in (os.listdir(out) if os.path.isdir(out) else ())
+             if name == "failures.csv" or re.fullmatch(own, name)]
+    for path in owned:
         if os.path.isdir(path):
             raise ValueError("output %s is a directory" % path)
 
@@ -414,11 +434,8 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, writes, trace=None,
             return name, seed, exc.step, str(exc)
 
     os.makedirs(out, exist_ok=True)
-    for name in os.listdir(out):
-        path = os.path.join(out, name)
-        if (name == "failures.csv" or re.fullmatch(own, name)) \
-                and os.path.isfile(path):
-            os.remove(path)
+    for path in owned:
+        os.remove(path)
     done = _sharing._share_runs(attempt, len(tasks))
     results = ExperimentResults()
     results.reference = {n: done[problems.index(arms[n][0])] for n in arms}
@@ -461,9 +478,7 @@ def run_experiment(config):
     results = _run_arms(
         {n: (problem, config.optimizers[n]) for n in names}, config.seeds,
         config.T, config.metric_tick, out,
-        r"trace_.+_\d+\.csv|aggregate_.+\.csv|comparison\.csv",
-        ["aggregate_%s.csv" % n for n in names]
-        + ["comparison.csv", "metadata.txt"],
+        r"trace_.+_\d+\.csv|aggregate_.+\.csv|comparison\.csv|metadata\.txt",
         trace="trace_%s_%d.csv", tol=config.reference_tol,
         max_iters=config.reference_max_iters)
 
@@ -548,8 +563,7 @@ def _write_metadata(path, config, dataset, problem, reference):
     if dataset.provenance.startswith("synth"):
         lines.append("note = synthetic stand-in dataset; real corpora enter "
                      "via the CSV/sparse loaders")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +614,7 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
         raise ValueError("methods and sigma tags (6 significant digits) "
                          "must not repeat")
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                     r"sweep_aggregate_sigma.+\.csv",
-                     ["sweep_aggregate_sigma%s.csv" % tag
-                      for _, tag, _ in per_sigma] + ["sweep_summary.csv"])
+                     r"sweep_aggregate_sigma.+\.csv|sweep_summary\.csv")
 
     results = ExperimentResults(failures=runs.failures)
     summary_rows = []
@@ -690,7 +702,7 @@ def matching_experiment(seeds, output_dir, **overrides):
     }
 
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,
-                     r"matching_trace_.+_\d+\.csv", ["matching_summary.csv"],
+                     r"matching_trace_.+_\d+\.csv|matching_summary\.csv",
                      trace="matching_trace_%s_%d.csv",
                      eval_set=(eval_ds.X, eval_ds.y))
     results = ExperimentResults({name: runs.runs(name) for name in arms},

@@ -78,6 +78,13 @@ class TestDenseCsv:
             D.load_dense_csv(path)
         assert err.value.line_no == 3
 
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_bytes(b"0,1\n1,\xff\n")
+        with pytest.raises(D.DatasetFormatError) as err:
+            D.load_dense_csv(str(path))
+        assert str(err.value).startswith("%s:2: non-numeric field (" % path)
+
 
 class TestSparseFile:
     def test_single_row_parse(self, tmp_path):
@@ -151,6 +158,14 @@ class TestSparseFile:
                                           row[a.features.indices])
             np.testing.assert_array_equal(b.features, row)
             assert a.label == b.label
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "u.svm"
+        path.write_bytes(b"#d=2 #k=2\n0 0:1.0\n1 1:\xff\n")
+        with pytest.raises(D.DatasetFormatError) as err:
+            D.load_sparse(str(path))
+        assert str(err.value) \
+            == "%s:3: malformed idx:val token '1:\\udcff'" % path
 
     def test_format_error_survives_pickling(self):
         # a chunk's error crosses from the forked helper pickled
@@ -293,6 +308,23 @@ class TestChunkedSparseParse:
             D.load_sparse(path)
         assert err.value.line_no == 15
         assert str(err.value) == "%s:15: %s" % (path, message)
+
+    def test_a_byte_that_is_not_utf8_in_a_helper_chunk_names_its_line(
+            self, tmp_path, monkeypatch):
+        # chunks of two rows, lines 2-3, 4-5, 6-7 and 8-9: the helper takes
+        # the front three, so it parses line 5
+        path = tmp_path / "u.svm"
+        path.write_bytes(b"#d=2 #k=2\n" + b"0 0:1.0\n" * 3 + b"1 1:\xff\n"
+                         + b"0 0:1.0\n" * 4)
+        log = tmp_path / "log"
+        _split_parse(monkeypatch, log, 0.2)
+        _chunks_of(monkeypatch, 2)
+        with pytest.raises(D.DatasetFormatError) as err:
+            D.load_sparse(str(path))
+        assert _parsed_by(log)[4] is False
+        assert str(err.value) \
+            == "%s:5: malformed idx:val token '1:\\udcff'" % path
+        assert multiprocessing.active_children() == []
 
     def test_a_helper_that_dies_mid_load_names_its_code(self, tmp_path,
                                                         monkeypatch, capsys):

@@ -389,6 +389,20 @@ class TestConfigParsing:
                                   + "[optimizer.sgd]\n")
         assert cfg.problem.l2_lambda == 0.0
 
+    def test_a_byte_that_is_not_utf8_in_a_value_names_its_line(self,
+                                                              tmp_path):
+        path = tmp_path / "u.cfg"
+        path.write_bytes(b"kind = centroid\nT = 2\xff0\n[optimizer.sgd]\n")
+        with pytest.raises(ValueError, match=r"^line 2: invalid literal .*"
+                           r"'2\\udcff0'$"):
+            H.load_config(str(path))
+
+    def test_a_comment_may_hold_a_latin1_byte(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"# caf\xe9 au lait\nT = 20\n[optimizer.sgd]\n")
+        cfg = H.load_config(str(path))
+        assert cfg.T == 20 and set(cfg.optimizers) == {"sgd"}
+
     def test_repo_configs_use_only_known_keys(self):
         root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
         for name in sorted(os.listdir(root)):
@@ -1048,8 +1062,8 @@ def assert_only(out, written, planted):
 
 class TestOutputOwnership:
     """A rerun into the same directory removes every file whose name has
-    the form of one of its protocol's per-run or per-arm outputs, whatever
-    seeds, arms or sigmas the earlier call ran, and no other file."""
+    the form of one of its protocol's outputs, whatever seeds, arms or
+    sigmas the earlier call ran, and no other file."""
 
     def run(self, out, seeds, drop_sgd=False):
         text = OWNED_CONFIG.format(out=out, seeds=seeds)
@@ -1103,11 +1117,18 @@ class TestOutputOwnership:
         (["run", "--config", "{cfg}"], "trace_sgd_1.csv"),
         (["run", "--config", "{cfg}"], "aggregate_dasgrad.csv"),
         (["run", "--config", "{cfg}"], "metadata.txt"),
+        # names of the call's forms that it would not write
+        (["run", "--config", "{cfg}"], "trace_sgd_7.csv"),
+        (["run", "--config", "{cfg}"], "aggregate_gone.csv"),
         (["sweep-variance", "--sigmas", "0.5,2", "--seeds", "2", "--n", "20",
           "--out", "{out}"], "sweep_aggregate_sigma2.csv"),
+        (["sweep-variance", "--sigmas", "0.5,2", "--seeds", "2", "--n", "20",
+          "--out", "{out}"], "sweep_summary.csv"),
         (["matching", "--seeds", "2", "--out", "{out}"], "failures.csv"),
         (["matching", "--seeds", "2", "--out", "{out}"],
          "matching_trace_amsgrad_uniform_1.csv"),
+        (["matching", "--seeds", "2", "--out", "{out}"],
+         "matching_summary.csv"),
     ])
     def test_a_directory_at_an_output_name_fails_before_any_run(
             self, tmp_path, capsys, monkeypatch, argv, name):
@@ -1127,6 +1148,20 @@ class TestOutputOwnership:
         assert "output %s is a directory" % (out / name) \
             in capsys.readouterr().err
         assert_only(out, [name], planted)
+
+    @pytest.mark.parametrize("protocol", ["run", "sweep", "matching"])
+    def test_a_call_that_dies_leaves_no_earlier_output(self, tmp_path,
+                                                       monkeypatch, protocol):
+        out = tmp_path / "o"
+        call_four_seeds(protocol, out)
+        planted = plant(out, "notes.csv")
+
+        def die(attempt, count):
+            raise RuntimeError("died")
+        monkeypatch.setattr(SH, "_share_runs", die)
+        with pytest.raises(RuntimeError, match="died"):
+            call_four_seeds(protocol, out)
+        assert_only(out, [], planted)
 
 
 class TestSweepAndMatching:
@@ -1341,8 +1376,8 @@ def call_four_seeds(protocol, out):
 FOUR_SEED_TASKS = {"run": 8, "sweep": 16, "matching": 8}
 
 
-def serial_run_arms(arms, seeds, T, metric_tick, out, own, writes,
-                    trace=None, eval_set=None, tol=M.REFERENCE_TOL,
+def serial_run_arms(arms, seeds, T, metric_tick, out, own, trace=None,
+                    eval_set=None, tol=M.REFERENCE_TOL,
                     max_iters=M.REFERENCE_MAX_ITERS):
     """_run_arms in one process, into a fresh ``out``: one reference solve
     per distinct problem, every (arm, seed) through O.run in order, the
@@ -1459,7 +1494,7 @@ class TestReferenceHelper:
         helper_makes_the_solves(monkeypatch, log)
         results = H._run_arms({"sgd": (problem, H.convex_preset("sgd"))},
                               range(2), 1, 1, str(tmp_path / "out"), "none",
-                              (), tol=1e-6, max_iters=300)
+                              tol=1e-6, max_iters=300)
         solvers = log.read_text().split()
         assert len(solvers) == 1 and solvers[0] != str(os.getpid())
         got = results.reference["sgd"]
@@ -1532,7 +1567,7 @@ class TestReferenceHelper:
         arms = {m: (problem, O.OptimizerConfig(method=m)) for m, problem
                 in (("sgd", four), ("adam", five), ("amsgrad", four))}
         results = H._run_arms(arms, range(200), 1, 1, str(tmp_path / "out"),
-                              "none", ())
+                              "none")
         tasks = [(m, s) for m in arms for s in range(200)]
         assert list(results) == tasks
         assert [run.seed for run in results.values()] == list(range(200)) * 3
@@ -1822,6 +1857,26 @@ class TestSelfCheckAndCli:
                                        "exited with code 9 and sent no "
                                        "result\n")
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("k, name", [(1, "trace_dasgrad_0.csv"),
+                                         (8, "metadata.txt")])
+    def test_cli_reports_a_failed_output_write_in_one_line(
+            self, tmp_path, capsys, monkeypatch, k, name):
+        writes = []
+
+        def failing_open(path, mode="r", **kwargs):
+            if "w" in mode:
+                writes.append(path)
+                if len(writes) == k:
+                    raise OSError("disk full")
+            return open(path, mode, **kwargs)
+        monkeypatch.setattr(H, "open", failing_open, raising=False)
+        out, cfg_path = tmp_path / "o", tmp_path / "c.cfg"
+        cfg_path.write_text(OWNED_CONFIG.format(out=out, seeds="0,1"))
+        assert C.main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr() == (
+            "", "dasgrad: error: cannot write %s: disk full\n" % (out / name))
+        assert len(writes) == k
 
     def test_cli_run_and_sweep(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

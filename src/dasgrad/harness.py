@@ -14,7 +14,9 @@ integer in decimal and any other number with 17 significant digits
 identical.
 
 Config files are flat ``key = value`` lines with ``#`` comments; each
-``[optimizer.<name>]`` section header starts one optimizer block. See
+``[optimizer.<name>]`` section header starts one optimizer block, whose
+name may hold only letters, digits, ``_``, ``-`` and ``.``. A config
+takes ``path`` (and ``sparse``) or the synthesis keys, not both. See
 ``configs/`` for working examples.
 
 Every protocol call forks one helper process (the ``fork`` start method
@@ -47,8 +49,20 @@ from . import problems as _problems
 from . import sampling as _sampling
 from . import sharing as _sharing
 
+# field -> config key of the problem settings that only synthesis reads; a
+# data file decides them
+_SYNTHESIS_KEYS = {"n": "n", "d": "d", "num_classes": "classes",
+                   "sigma": "sigma", "margin": "margin",
+                   "sparsity": "sparsity", "data_seed": "data_seed"}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
+    """The problem of an experiment: the data file at ``path``, read in the
+    sparse format when ``sparse``, or else a synthetic draw from the
+    synthesis settings (``_SYNTHESIS_KEYS``), which keep their defaults
+    beside a path; ``l2_lambda`` applies to both."""
+
     kind: str
     path: str | None = None
     sparse: bool = False
@@ -62,12 +76,13 @@ class ProblemSpec:
     l2_lambda: float = 0.0
 
     def __post_init__(self):
-        for name, key in (("n", "n"), ("d", "d"), ("num_classes", "classes")):
+        for name in ("n", "d", "num_classes"):
             whole = _optimizers._whole(getattr(self, name))
             if whole is None:
                 raise _optimizers.SettingError("%s must be whole, got %r" % (
-                    key, getattr(self, name)), name)
+                    _SYNTHESIS_KEYS[name], getattr(self, name)), name)
             object.__setattr__(self, name, whole)
+        defaults = {f.name: f.default for f in fields(self)}
         kinds = _problems.KINDS
         _optimizers._check_rules(self, [
             (self.kind in kinds, "kind must be one of " + ", ".join(kinds),
@@ -88,14 +103,17 @@ class ProblemSpec:
             (0 <= self.l2_lambda < math.inf,
              "lambda must be finite and nonnegative", "l2_lambda"),
             # settings at odds with another
+            (self.path or not self.sparse, "sparse needs a path", "sparse"),
+            *((not self.path or getattr(self, name) == defaults[name],
+               "%s applies only without a path, whose file decides it" % key,
+               name) for name, key in _SYNTHESIS_KEYS.items()),
             (self.kind != _problems.CENTROID or self.l2_lambda == 0,
              "lambda must be 0 for a centroid problem, whose loss has no L2 "
              "term", "l2_lambda"),
             (self.kind != _problems.BINARY_LOGISTIC or self.num_classes == 2,
              "classes must be 2 for a binary-logistic problem",
              "num_classes"),
-            (self.kind == _problems.CENTROID or self.path
-             or self.n >= self.num_classes,
+            (self.kind == _problems.CENTROID or self.n >= self.num_classes,
              "n must be at least classes (%s) to synthesize a %s problem"
              % (self.num_classes, self.kind), "n", "num_classes")])
 
@@ -132,6 +150,15 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "seeds", _check_run_settings(
             self.T, self.metric_tick, self.seeds, 1))
+        # a name is part of output file names and of comparison.csv cells;
+        # the error's second field is the name, whose header line the
+        # config parser names
+        for name in self.optimizers:
+            if not (isinstance(name, str)
+                    and re.fullmatch(r"[A-Za-z0-9_.-]+", name)):
+                raise _optimizers.SettingError(
+                    "optimizer names may hold only letters, digits, _, - "
+                    "and ., got %r" % (name,), "optimizers", name)
         _optimizers._check_rules(self, [
             (self.optimizers, "need at least one optimizer", "optimizers"),
             (0 < self.reference_tol < math.inf,
@@ -219,7 +246,8 @@ def parse_config_text(text, base_dir="."):
     ProblemSpec, each OptimizerConfig and the ExperimentConfig, whose rules
     decide what is accepted. Every error names a line: a bad key or value
     its own, a SettingError that of the first of its fields that the
-    section sets, else the optimizer section's header line."""
+    section sets, else the optimizer section's header line, as it does for
+    a section name that ExperimentConfig rejects."""
     globals_kv = current = {}
     optimizer_kv = {}
     header_line = {}
@@ -234,8 +262,8 @@ def parse_config_text(text, base_dir="."):
                 raise ValueError("line %d: bad section header %r"
                                  % (line_no, line))
             section = line[len("[optimizer."):-1]
-            if not section or section in optimizer_kv:
-                raise ValueError("line %d: bad or duplicate optimizer name"
+            if section in optimizer_kv:
+                raise ValueError("line %d: duplicate optimizer name"
                                  % line_no)
             current = optimizer_kv[section] = {}
             header_line[section] = line_no
@@ -263,6 +291,8 @@ def parse_config_text(text, base_dir="."):
         try:
             return make(**kv, **rest)
         except _optimizers.SettingError as exc:
+            if exc.fields[0] == "optimizers" and len(exc.fields) > 1:
+                section = exc.fields[1]     # a rule on one section's name
             line_no = next((field_line[section, f] for f in exc.fields
                             if (section, f) in field_line),
                            header_line.get(section))
@@ -593,9 +623,12 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
     the paired CI of the final-regret gap (first baseline minus dasgrad).
     failures.csv names a diverged run <method>_sigma<tag>; a sigma left with
     fewer than two seeds gets neither and is named in ``skipped``. Raises
-    ValueError before any run on a bad setting (see _protocol_settings).
-    Returns ExperimentResults {sigma: {method: [completed RunResult]}}."""
+    ValueError before any run on a bad setting (see _protocol_settings)
+    and on no sigma. Returns ExperimentResults {sigma: {method: [completed
+    RunResult]}}."""
     p, seeds = _protocol_settings(SWEEP_DEFAULTS, overrides, seeds)
+    if len(sigmas) == 0:
+        raise _optimizers.SettingError("need at least one sigma", "sigmas")
     if "dasgrad" not in methods or len(methods) < 2:
         raise ValueError("the sweep compares dasgrad against a baseline")
     baseline = next(m for m in methods if m != "dasgrad")
@@ -643,43 +676,46 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
     return results
 
 
-# calibrated desk-scale defaults for the distribution-matching experiment
-MATCHING_DEFAULTS = dict(n_train=2000, n_eval=800, d=40, num_classes=4,
-                         margin=3.0, drop_labels=(1, 3), keep_fraction=0.1,
-                         l2_lambda=1e-3, T=2000, alpha=0.01, batch_size=32,
-                         metric_tick=20, data_seed=23)
+# the distribution-matching experiment's fixed design: a four-class problem
+# whose classes 1 and 3 keep ``keep_fraction`` of their training rows
+MATCHING_DESIGN = dict(num_classes=4, margin=3.0, drop_labels=(1, 3),
+                       l2_lambda=1e-3)
+# its calibrated desk-scale settings, the ones a caller may override
+MATCHING_DEFAULTS = dict(n_train=2000, n_eval=800, d=40, keep_fraction=0.1,
+                         T=2000, metric_tick=20, data_seed=23)
 
 
 def matching_datasets(p=MATCHING_DEFAULTS):
     """The (unbalanced training, balanced evaluation) Datasets that the
     matching protocol builds from its settings ``p``, MATCHING_DEFAULTS or
-    an updated copy: one synthetic draw split at ``n_train``, whose
-    training part keeps ``keep_fraction`` of each class in
-    ``drop_labels``. Raises SettingError, naming the setting, on a problem
-    setting that ProblemSpec rejects and on an empty split."""
+    an updated copy, and MATCHING_DESIGN: one synthetic draw split at
+    ``n_train``, whose training part keeps ``keep_fraction`` of each class
+    in ``drop_labels``. Raises SettingError, naming the setting, on a
+    problem setting that ProblemSpec rejects and on an empty split."""
     for name in ("n_train", "n_eval"):
         _optimizers._positive_int(name, p[name])
     total = ProblemSpec(kind=_problems.MULTICLASS_LOGISTIC,
                         n=p["n_train"] + p["n_eval"], d=p["d"],
-                        num_classes=p["num_classes"], margin=p["margin"],
-                        data_seed=p["data_seed"],
-                        l2_lambda=p["l2_lambda"]).dataset()
+                        num_classes=MATCHING_DESIGN["num_classes"],
+                        margin=MATCHING_DESIGN["margin"],
+                        data_seed=p["data_seed"]).dataset()
     split = p["n_train"]
     train = _datasets.Dataset(total.X[:split], total.y[:split],
                               total.num_classes, total.provenance + "|train")
     eval_ds = _datasets.Dataset(total.X[split:], total.y[split:],
                                 total.num_classes, total.provenance + "|eval")
-    return _datasets.unbalance(train, p["drop_labels"], p["keep_fraction"],
-                               p["data_seed"]), eval_ds
+    return _datasets.unbalance(train, MATCHING_DESIGN["drop_labels"],
+                               p["keep_fraction"], p["data_seed"]), eval_ds
 
 
 def matching_experiment(seeds, output_dir, **overrides):
     """Distribution-matching protocol: unbalance two classes of a synthetic
     multiclass problem, train DASGrad with target-distribution importance
-    weights against a uniform-sampling AMSGrad baseline, and compare
-    balanced-test accuracy; ``overrides`` replace MATCHING_DEFAULTS. The
-    regret baseline is solved at ``metrics.solve_reference``'s defaults
-    (see _run_arms). Writes a trace per
+    weights against a uniform-sampling AMSGrad baseline, both at the convex
+    preset, and compare balanced-test accuracy; ``overrides`` replace
+    MATCHING_DEFAULTS, and MATCHING_DESIGN is fixed. The regret baseline is
+    solved at ``metrics.solve_reference``'s defaults (see _run_arms).
+    Writes a trace per
     completed run and a summary CSV: each arm's mean final accuracy, and
     the paired CI of the final accuracy gap over the seeds both arms
     completed. With fewer than two such seeds the gap lines are left out
@@ -692,13 +728,11 @@ def matching_experiment(seeds, output_dir, **overrides):
     p, seeds = _protocol_settings(MATCHING_DEFAULTS, overrides, seeds)
     train, eval_ds = matching_datasets(p)
     problem = _datasets.make_problem(train, _problems.MULTICLASS_LOGISTIC,
-                                     p["l2_lambda"])
+                                     MATCHING_DESIGN["l2_lambda"])
     arms = {
         "dasgrad_target": (problem, convex_preset(
-            "dasgrad", alpha=p["alpha"], batch_size=p["batch_size"],
-            target_label_counts=eval_ds.label_counts())),
-        "amsgrad_uniform": (problem, convex_preset(
-            "amsgrad", alpha=p["alpha"], batch_size=p["batch_size"])),
+            "dasgrad", target_label_counts=eval_ds.label_counts())),
+        "amsgrad_uniform": (problem, convex_preset("amsgrad")),
     }
 
     runs = _run_arms(arms, seeds, p["T"], p["metric_tick"], output_dir,

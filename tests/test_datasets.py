@@ -339,7 +339,7 @@ class TestChunkedSparseParse:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(
             "kind = multiclass-logistic\npath = %s\nsparse = true\n"
-            "classes = 3\nT = 10\nmetric_tick = 5\nseeds = 0,1\n"
+            "T = 10\nmetric_tick = 5\nseeds = 0,1\n"
             "output_dir = %s\n[optimizer.sgd]\nbatch_size = 2\n"
             % (path, out))
         assert C.main(["run", "--config", str(cfg_path)]) == 1

@@ -3,6 +3,7 @@ import filecmp
 import math
 import multiprocessing
 import os
+import re
 import time
 import warnings
 from types import SimpleNamespace
@@ -247,27 +248,34 @@ class TestConfigParsing:
             H.parse_config_text("[optimizer.a]\nbox = 1\n")
 
     def test_every_key_reaches_its_field(self):
-        cfg = H.parse_config_text(
-            "kind = binary-logistic\npath = data.csv\nsparse = true\n"
-            "n = 7\nd = 3\nclasses = 2\nsigma = 0.5\nmargin = 2\n"
-            "sparsity = 0.25\ndata_seed = 4\nlambda = 0.125\nT = 9\n"
-            "seeds = 3,1\nmetric_tick = 3\noutput_dir = o\n"
-            "reference_tol = 1e-4\nreference_max_iters = 50\n"
-            "[optimizer.a]\nmethod = adam\nalpha = 0.5\nbeta1 = 0.5\n"
-            "beta2 = 0.75\nepsilon_div = 1e-6\nepsilon_prob = 1e-4\n"
-            "beta1_decay = 0.99\nrefresh_period = 3\nbatch_size = 2\n"
-            "box = -2,2\n", base_dir="b")
-        assert cfg.problem == H.ProblemSpec(
+        rest = ("lambda = 0.125\nT = 9\nseeds = 3,1\nmetric_tick = 3\n"
+                "output_dir = o\nreference_tol = 1e-4\n"
+                "reference_max_iters = 50\n"
+                "[optimizer.a]\nmethod = adam\nalpha = 0.5\nbeta1 = 0.5\n"
+                "beta2 = 0.75\nepsilon_div = 1e-6\nepsilon_prob = 1e-4\n"
+                "beta1_decay = 0.99\nrefresh_period = 3\nbatch_size = 2\n"
+                "box = -2,2\n")
+        synthetic = H.parse_config_text(
+            "kind = binary-logistic\nn = 7\nd = 3\nclasses = 2\n"
+            "sigma = 0.5\nmargin = 2\nsparsity = 0.25\ndata_seed = 4\n"
+            + rest, base_dir="b")
+        from_file = H.parse_config_text(
+            "kind = binary-logistic\npath = data.csv\nsparse = true\n" + rest,
+            base_dir="b")
+        assert synthetic.problem == H.ProblemSpec(
+            kind=P.BINARY_LOGISTIC, n=7, d=3, num_classes=2, sigma=0.5,
+            margin=2.0, sparsity=0.25, data_seed=4, l2_lambda=0.125)
+        assert from_file.problem == H.ProblemSpec(
             kind=P.BINARY_LOGISTIC, path=os.path.join("b", "data.csv"),
-            sparse=True, n=7, d=3, num_classes=2, sigma=0.5, margin=2.0,
-            sparsity=0.25, data_seed=4, l2_lambda=0.125)
-        assert (cfg.T, cfg.seeds, cfg.metric_tick, cfg.output_dir,
-                cfg.reference_tol, cfg.reference_max_iters) == (
-            9, (3, 1), 3, "o", 1e-4, 50)
-        assert cfg.optimizers["a"] == O.OptimizerConfig(
-            method="adam", alpha=0.5, beta1=0.5, beta2=0.75,
-            epsilon_div=1e-6, epsilon_prob=1e-4, beta1_decay=0.99,
-            refresh_period=3, batch_size=2, projection=(-2.0, 2.0))
+            sparse=True, l2_lambda=0.125)
+        for cfg in (synthetic, from_file):
+            assert (cfg.T, cfg.seeds, cfg.metric_tick, cfg.output_dir,
+                    cfg.reference_tol, cfg.reference_max_iters) == (
+                9, (3, 1), 3, "o", 1e-4, 50)
+            assert cfg.optimizers["a"] == O.OptimizerConfig(
+                method="adam", alpha=0.5, beta1=0.5, beta2=0.75,
+                epsilon_div=1e-6, epsilon_prob=1e-4, beta1_decay=0.99,
+                refresh_period=3, batch_size=2, projection=(-2.0, 2.0))
 
     @pytest.mark.parametrize("line, message", [
         ("kind = foo", "kind must be one of centroid, "),
@@ -325,6 +333,13 @@ class TestConfigParsing:
          r"line 2: n must be at least classes \(300\) to synthesize"),
         ("kind = binary-logistic\nn = 1\n",
          r"line 2: n must be at least classes \(2\)"),
+        # a data file decides what each synthesis key would set
+        *(("kind = multiclass-logistic\npath = d.csv\n%s\n" % line,
+           "line 3: %s applies only without a path, whose file decides it, "
+           "got %s$" % tuple(line.split(" = ")))
+          for line in ("n = 7", "d = 3", "classes = 5", "sigma = 0.5",
+                       "margin = 2.5", "sparsity = 0.5", "data_seed = 4")),
+        ("T = 20\nsparse = true\n", "line 2: sparse needs a path, got True$"),
     ])
     def test_settings_at_odds_name_a_line(self, text, message):
         with pytest.raises(ValueError, match="^" + message):
@@ -339,6 +354,15 @@ class TestConfigParsing:
         # no centroid loss reads lambda, yet metadata.txt would report it
         (dict(kind=P.CENTROID, l2_lambda=0.5), ("l2_lambda",),
          "lambda must be 0 for a centroid problem"),
+        # one source of data: a file, else synthesis
+        (dict(kind=P.MULTICLASS_LOGISTIC, path="d.csv", num_classes=5),
+         ("num_classes",), "classes applies only without a path, whose file "
+         "decides it, got 5"),
+        (dict(kind=P.BINARY_LOGISTIC, path="d.csv", sparse=True,
+              data_seed=1), ("data_seed",),
+         "data_seed applies only without a path"),
+        (dict(kind=P.CENTROID, sparse=True), ("sparse",),
+         "sparse needs a path, got True"),
     ])
     def test_problem_spec_rejects_settings_at_odds(self, spec, fields,
                                                    message):
@@ -362,11 +386,31 @@ class TestConfigParsing:
         assert type(spec.n) is int and type(spec.d) is int
         assert spec.build()[0].X.shape == (6, 3)
 
-    def test_rows_per_class_are_not_checked_for_a_data_file(self):
-        cfg = H.parse_config_text("kind = multiclass-logistic\n"
-                                  "path = data.svm\nn = 2\nclasses = 5\n"
-                                  "[optimizer.sgd]\n")
-        assert (cfg.problem.n, cfg.problem.num_classes) == (2, 5)
+    def test_rows_per_class_beside_a_data_file_are_rejected(self):
+        # the file decides both; the first field that differs is named
+        for keys, line in (("n = 2\nclasses = 5\n", 3),
+                           ("classes = 5\nn = 2\n", 4)):
+            with pytest.raises(ValueError, match="^line %d: n applies only "
+                               "without a path, whose file decides it, got 2$"
+                               % line):
+                H.parse_config_text("kind = multiclass-logistic\n"
+                                    "path = data.svm\n" + keys
+                                    + "[optimizer.sgd]\n")
+
+    @pytest.mark.parametrize("name", ["a/b", "a,b", "a b", "x\udcff", ""])
+    def test_a_section_name_outside_its_alphabet_names_its_header(self,
+                                                                   name):
+        message = ("line 3: [optimizer.%s]: optimizer names may hold only "
+                   "letters, digits, _, - and ., got %r" % (name, name))
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            H.parse_config_text("T = 20\n[optimizer.sgd]\n[optimizer.%s]\n"
+                                "method = sgd\n" % name)
+        spec = H.ProblemSpec(kind=P.CENTROID)
+        with pytest.raises(O.SettingError) as err:
+            H.ExperimentConfig(spec, {name: H.convex_preset("sgd")})
+        assert err.value.fields == ("optimizers", name)
+        cfg = H.ExperimentConfig(spec, {"Az09_-.x": H.convex_preset("sgd")})
+        assert list(cfg.optimizers) == ["Az09_-.x"]
 
     def test_method_defaults_to_the_section_name(self):
         cfg = H.parse_config_text("[optimizer.dasgrad]\nbatch_size = 2\n"
@@ -872,6 +916,30 @@ class TestRunSettingsRejected:
             H.sweep_variance([1.0], range(2), str(out), batchsize=4)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("num_classes", 3), ("margin", 2.0), ("drop_labels", (1,)),
+        ("l2_lambda", 0.0), ("alpha", 0.01), ("batch_size", 32)])
+    def test_matching_design_is_not_a_setting(self, tmp_path, monkeypatch,
+                                              name, value):
+        monkeypatch.setattr(O, "run", None)
+        monkeypatch.setattr(M, "solve_reference", None)
+        out = tmp_path / "m"
+        with pytest.raises(ValueError,
+                           match=r"^unknown setting\(s\): %s$" % name):
+            H.matching_experiment(range(2), str(out), **{name: value})
+        assert not out.exists()
+        assert len(H.MATCHING_DEFAULTS) == 7
+
+    def test_sweep_rejects_no_sigma_before_any_fork(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(os, "fork", None)
+        out = tmp_path / "sweep"
+        with pytest.raises(O.SettingError,
+                           match="^need at least one sigma$") as err:
+            H.sweep_variance([], range(2), str(out), **SMALL_SWEEP)
+        assert err.value.fields == ("sigmas",)
+        assert not out.exists()
+
     def test_cli_passes_only_the_given_protocol_flags(self, tmp_path,
                                                       monkeypatch):
         seen = []
@@ -980,8 +1048,13 @@ class TestRunSettingsRejected:
         cfg_path = tmp_path / "bad.cfg"
         if data is not None:
             (tmp_path / "data.csv").write_text(data)
-        cfg_path.write_text(TINY_CONFIG.format(out=out).replace(
-            "classes = 3", setting))
+        lines = TINY_CONFIG.format(out=out).replace(
+            "classes = 3", setting).splitlines()
+        if "path" in setting:   # the file decides what synthesis keys set
+            lines = [line for line in lines
+                     if line.split(" = ")[0] not in ("n", "d", "margin",
+                                                     "data_seed")]
+        cfg_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SystemExit) as err:
             C.main(["run", "--config", str(cfg_path)])
         assert err.value.code == 2
@@ -990,6 +1063,38 @@ class TestRunSettingsRejected:
                   if line.startswith("dasgrad: error:")]
         assert len(errors) == 1 and message in errors[0]
         assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, line, message", [
+        # a key the data file decides
+        ("kind = binary-logistic\npath = two.csv\nn = 7", 4,
+         "n applies only without a path, whose file decides it, got 7"),
+        # used to run and write classes = 2 to metadata.txt
+        ("kind = multiclass-logistic\npath = two.csv\nclasses = 5", 4,
+         "classes applies only without a path, whose file decides it, "
+         "got 5"),
+        ("kind = centroid\nsparse = true", 3, "sparse needs a path, got True"),
+        # used to run, then fail writing out/trace_a/b_0.csv
+        ("kind = centroid\n[optimizer.a/b]\nmethod = sgd", 3,
+         "[optimizer.a/b]: optimizer names may hold only letters, digits, "
+         "_, - and ., got 'a/b'"),
+        # used to run and split its comparison.csv baseline cell
+        ("kind = centroid\n[optimizer.a,b]\nmethod = sgd", 3,
+         "[optimizer.a,b]: optimizer names may hold only"),
+    ])
+    def test_a_rejected_source_or_section_name_names_its_line(
+            self, tmp_path, capsys, monkeypatch, lines, line, message):
+        monkeypatch.setattr(O, "run", None)
+        monkeypatch.setattr(M, "solve_reference", None)
+        (tmp_path / "two.csv").write_text("0,1.0\n1,2.0\n0,3.0\n")
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("output_dir = %s\n%s\n[optimizer.dasgrad]\n"
+                            % (out, lines))
+        with pytest.raises(SystemExit) as err:
+            C.main(["run", "--config", str(cfg_path)])
+        assert err.value.code == 2
+        assert "line %d: %s" % (line, message) in capsys.readouterr().err
         assert not out.exists()
 
 

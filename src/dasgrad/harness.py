@@ -16,7 +16,8 @@ identical.
 Config files are flat ``key = value`` lines with ``#`` comments; each
 ``[optimizer.<name>]`` section header starts one optimizer block, whose
 name may hold only letters, digits, ``_``, ``-`` and ``.``. A config
-takes ``path`` (and ``sparse``) or the synthesis keys, not both. See
+takes ``path`` (and ``sparse``) or the synthesis keys its kind reads
+(``ProblemSpec.READS``), not both. See
 ``configs/`` for working examples.
 
 Every protocol call forks one helper process (the ``fork`` start method
@@ -39,6 +40,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,19 +51,21 @@ from . import problems as _problems
 from . import sampling as _sampling
 from . import sharing as _sharing
 
-# field -> config key of the problem settings that only synthesis reads; a
-# data file decides them
-_SYNTHESIS_KEYS = {"n": "n", "d": "d", "num_classes": "classes",
-                   "sigma": "sigma", "margin": "margin",
-                   "sparsity": "sparsity", "data_seed": "data_seed"}
+# field -> config key of the problem settings that a source of data may
+# read: a synthetic draw reads its kind's row of ProblemSpec.READS, and a
+# data file decides them all
+_DATA_KEYS = {"n": "n", "d": "d", "num_classes": "classes", "sigma": "sigma",
+              "margin": "margin", "sparsity": "sparsity",
+              "data_seed": "data_seed"}
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """The problem of an experiment: the data file at ``path``, read in the
-    sparse format when ``sparse``, or else a synthetic draw from the
-    synthesis settings (``_SYNTHESIS_KEYS``), which keep their defaults
-    beside a path; ``l2_lambda`` applies to both."""
+    sparse format when ``sparse``, or else a synthetic draw of its kind;
+    ``l2_lambda`` applies to both. ``READS`` lists, for each source of data
+    (a file, else the kind's synthesis), the settings of ``_DATA_KEYS``
+    that it reads; every other one must keep its default."""
 
     kind: str
     path: str | None = None
@@ -75,15 +79,27 @@ class ProblemSpec:
     data_seed: int = 0
     l2_lambda: float = 0.0
 
+    READS: ClassVar[dict] = {
+        "file": (),
+        _problems.CENTROID: ("n", "d", "sigma", "data_seed"),
+        _problems.BINARY_LOGISTIC: ("n", "d", "num_classes", "margin",
+                                    "sparsity", "data_seed"),
+        _problems.MULTICLASS_LOGISTIC: ("n", "d", "num_classes", "margin",
+                                        "sparsity", "data_seed")}
+
     def __post_init__(self):
         for name in ("n", "d", "num_classes"):
             whole = _optimizers._whole(getattr(self, name))
             if whole is None:
                 raise _optimizers.SettingError("%s must be whole, got %r" % (
-                    _SYNTHESIS_KEYS[name], getattr(self, name)), name)
+                    _DATA_KEYS[name], getattr(self, name)), name)
             object.__setattr__(self, name, whole)
         defaults = {f.name: f.default for f in fields(self)}
         kinds = _problems.KINDS
+        source = "file" if self.path else self.kind
+        # an unknown kind reads every setting: its own rule names it
+        reads = (self.READS[source] if source in tuple(self.READS)
+                 else _DATA_KEYS)
         _optimizers._check_rules(self, [
             (self.kind in kinds, "kind must be one of " + ", ".join(kinds),
              "kind"),
@@ -104,9 +120,11 @@ class ProblemSpec:
              "lambda must be finite and nonnegative", "l2_lambda"),
             # settings at odds with another
             (self.path or not self.sparse, "sparse needs a path", "sparse"),
-            *((not self.path or getattr(self, name) == defaults[name],
-               "%s applies only without a path, whose file decides it" % key,
-               name) for name, key in _SYNTHESIS_KEYS.items()),
+            *((name in reads or getattr(self, name) == defaults[name],
+               "%s applies only without a path, whose file decides it" % key
+               if self.path else "%s does not apply to a synthetic %s "
+               "problem" % (key, self.kind), name)
+              for name, key in _DATA_KEYS.items()),
             (self.kind != _problems.CENTROID or self.l2_lambda == 0,
              "lambda must be 0 for a centroid problem, whose loss has no L2 "
              "term", "l2_lambda"),

@@ -7,7 +7,15 @@ sampling scores all come from them. ``batch_gradients`` takes rows as
 ``gather_rows`` returns them; the optimizer gathers a refresh block's rows
 once and calls ``batch_gradients`` on each step's slice of them. Only the
 logistic kinds keep a CSR X; a centroid ``Problem`` holds its X dense, so
-``gather_rows`` is the one place CSR rows are densified.
+``gather_rows`` is the one place CSR rows are densified. A logistic
+``Problem`` holds a CSR X by columns (CSC) too, ``X_cols``, and every
+product of the full data with X goes through it: the margins of a solve, a
+tick or a refresh and the scores' cross term; ``X_sq``, read by the quad
+term and ``row_sq_norms``, is held by columns only. The column walk adds
+each row's terms in column order, the CSR row walk's order when the row's
+indices are sorted, so it gives the CSR product's bits in less time; a
+CSR X with unsorted indices is held as a sorted copy. ``XT``, the
+transpose the full gradient reads, is ``X_cols``'s arrays seen as CSR.
 ``objective_and_gradient`` returns the full objective and the full
 gradient together from one pass over X (one margin product, and for
 softmax one exp pass, shared by both); the reference solve calls it once
@@ -52,9 +60,10 @@ KINDS = (CENTROID, BINARY_LOGISTIC, MULTICLASS_LOGISTIC)
 class Problem:
     """Immutable objective over a feature matrix X (dense float64 ndarray
     or CSR, one row per example) and int64 labels y. The arrays are held as
-    given, not copied (a CSR centroid X is held dense), and must not be
-    modified afterwards. All operations below are pure reads and safe to
-    call concurrently.
+    given, not copied (a CSR centroid X is held dense, and a CSR X whose
+    row indices are not sorted as a sorted copy), and must not be modified
+    afterwards. All operations below are pure reads and safe to call
+    concurrently.
     """
 
     def __init__(self, X, y, kind, l2_lambda=0.0, num_classes=None):
@@ -64,9 +73,12 @@ class Problem:
             raise ValueError("l2_lambda must be finite and nonnegative")
         if sparse.issparse(X):
             X = X.tocsr().astype(np.float64, copy=False)
-            values = X.data
             if kind == CENTROID:
-                X = values = X.toarray()
+                X = X.toarray()
+            elif not X.has_sorted_indices:
+                # a copy: the caller's matrix stays as it was
+                X = X.sorted_indices()
+            values = X.data if sparse.issparse(X) else X
         else:
             X = values = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -101,21 +113,28 @@ class Problem:
         self.class_counts = np.bincount(self.y, minlength=self.num_classes)
 
         self.is_sparse = sparse.issparse(self.X)
-        # X squared elementwise, read by the logistic score computations,
-        # and its products with a unit preconditioner: the squared row
-        # norms, one column per weight row, that every ap-SGD score and
-        # metric tick reads
-        self.X_sq = self.row_sq_norms = self.XT = None
+        # every product of the full data with X goes through X_cols: a CSR
+        # X by columns (CSC), the CSR product's bits in less time (see the
+        # module docstring), else X itself. XT is the same arrays seen as
+        # CSR: the full gradient's X^T R walks its rows, the same sums in
+        # the same order as R^T X at half the cost
+        self.X_cols, self.XT = self.X, None
+        if self.is_sparse:
+            self.X_cols = self.X.tocsc()
+            self.XT = self.X_cols.T
+        # X squared elementwise (by columns for a CSR X), read by the
+        # logistic score computations, and its products with a unit
+        # preconditioner: the squared row norms, one column per weight
+        # row, that every ap-SGD score and metric tick reads
+        self.X_sq = self.row_sq_norms = None
         if kind != CENTROID:
-            self.X_sq = (self.X.multiply(self.X).tocsr() if self.is_sparse
+            self.X_sq = (self.X_cols.multiply(self.X_cols) if self.is_sparse
                          else self.X**2)
             self.row_sq_norms = np.asarray(
                 self.X_sq @ self.weights_view(np.ones(self.param_dim)).T)
-        if self.is_sparse:
-            # the transpose as its own CSR: the full gradient's product
-            # X^T R then walks its rows, the same sums in the same order
-            # as R^T X at half the cost
-            self.XT = self.X.T.tocsr()
+        # the binary labels' signs negated, taken once for the full data
+        self.neg_s = (_neg_signs(self.y) if kind == BINARY_LOGISTIC
+                      else None)
 
     @property
     def param_dim(self) -> int:
@@ -204,27 +223,38 @@ def _row_sum(A):
     return total
 
 
+def _neg_signs(y):
+    """The (len(y), 1) column -s of the binary labels y in {0, 1}, whose
+    signs are s = 2y - 1."""
+    return -(2.0 * y - 1.0)[:, None]
+
+
 def _logistic_terms(problem, theta, X, y, want_loss=False,
                     want_residuals=False):
     """(L, R, Z): per-example data losses and (n, K) residuals of the
     logistic kinds from one margin product Z = X W^T (and, for softmax, one
     exp pass), and Z itself, with W = ``weights_view(theta)``: K = 1 for
-    binary. L and R are None unless asked for. The sigmoid and softmax loss
-    and residual formulas are written only here."""
+    binary. L and R are None unless asked for. The full data (X is
+    ``problem.X``, with y ``problem.y``) takes its product through
+    ``problem.X_cols`` and its label signs from ``problem.neg_s``. The
+    sigmoid and softmax loss and residual formulas are written only
+    here."""
     L = R = None
-    Z = np.asarray(X @ problem.weights_view(theta).T)
+    full = X is problem.X
+    Z = np.asarray((problem.X_cols if full else X)
+                   @ problem.weights_view(theta).T)
     if problem.kind == BINARY_LOGISTIC:
-        s = (2.0 * y - 1.0)[:, None]
-        m = -s * Z
+        neg_s = problem.neg_s if full else _neg_signs(y)
+        m = neg_s * Z
         if want_loss:
             L = np.logaddexp(0.0, m).ravel()
         if want_residuals:
-            R = -s * expit(m)
+            R = neg_s * expit(m)
         return L, R, Z
     # max-shift keeps exp() in range for any magnitude of scores; the
     # column loop pays off on full data, a batch of a few rows keeps the
     # reduce
-    top = _row_max(Z) if X is problem.X else Z.max(axis=1, keepdims=True)
+    top = _row_max(Z) if full else Z.max(axis=1, keepdims=True)
     shifted = Z - top
     E = np.exp(shifted)
     row_sums = _row_sum(E)

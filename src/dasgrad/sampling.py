@@ -209,7 +209,7 @@ def _rank_one_norms(problem, theta, R, m_prev, inv_sq, beta1_t, quad):
     A = beta1_t * W(m_prev) + keep * (problem.l2_lambda * W(theta))
     C = keep * R
     base = float((A * A * inv_sq).sum())
-    cross = np.asarray(problem.X @ (A * inv_sq).T)
+    cross = np.asarray(problem.X_cols @ (A * inv_sq).T)
     sq = (base + 2.0 * _problems._row_sum(C * cross)
           + _problems._row_sum(C * C * quad))
     return np.sqrt(np.maximum(sq, 0.0))

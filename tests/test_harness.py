@@ -257,14 +257,18 @@ class TestConfigParsing:
                 "box = -2,2\n")
         synthetic = H.parse_config_text(
             "kind = binary-logistic\nn = 7\nd = 3\nclasses = 2\n"
-            "sigma = 0.5\nmargin = 2\nsparsity = 0.25\ndata_seed = 4\n"
+            "margin = 2\nsparsity = 0.25\ndata_seed = 4\n"
             + rest, base_dir="b")
         from_file = H.parse_config_text(
             "kind = binary-logistic\npath = data.csv\nsparse = true\n" + rest,
             base_dir="b")
         assert synthetic.problem == H.ProblemSpec(
-            kind=P.BINARY_LOGISTIC, n=7, d=3, num_classes=2, sigma=0.5,
+            kind=P.BINARY_LOGISTIC, n=7, d=3, num_classes=2,
             margin=2.0, sparsity=0.25, data_seed=4, l2_lambda=0.125)
+        # sigma is read by the centroid draw only
+        assert H.parse_config_text(
+            "kind = centroid\nsigma = 0.5\n[optimizer.sgd]\n").problem == \
+            H.ProblemSpec(kind=P.CENTROID, sigma=0.5)
         assert from_file.problem == H.ProblemSpec(
             kind=P.BINARY_LOGISTIC, path=os.path.join("b", "data.csv"),
             sparse=True, l2_lambda=0.125)
@@ -369,6 +373,31 @@ class TestConfigParsing:
         with pytest.raises(O.SettingError, match="^" + message) as err:
             H.ProblemSpec(**spec)
         assert err.value.fields == fields
+
+    @pytest.mark.parametrize("kind, field, key, value", [
+        (P.CENTROID, "num_classes", "classes", 5),
+        (P.CENTROID, "margin", "margin", 9.0),
+        (P.CENTROID, "sparsity", "sparsity", 0.5),
+        (P.BINARY_LOGISTIC, "sigma", "sigma", 2.0),
+        (P.MULTICLASS_LOGISTIC, "sigma", "sigma", 2.0),
+    ])
+    def test_a_synthetic_draw_rejects_a_setting_it_does_not_read(
+            self, kind, field, key, value):
+        message = "%s does not apply to a synthetic %s problem, got %r" % (
+            key, kind, value)
+        with pytest.raises(O.SettingError, match="^%s$" % re.escape(message)
+                           ) as err:
+            H.ProblemSpec(kind=kind, **{field: value})
+        assert err.value.fields == (field,)
+        with pytest.raises(ValueError,
+                           match="^line 3: %s$" % re.escape(message)):
+            H.parse_config_text("kind = %s\nT = 20\n%s = %s\n"
+                                "[optimizer.sgd]\n" % (kind, key, value))
+        # at its default the setting changes nothing, so it is accepted
+        default = H.ProblemSpec(kind=kind)
+        assert H.parse_config_text(
+            "kind = %s\n%s = %s\n[optimizer.sgd]\n"
+            % (kind, key, getattr(default, field))).problem == default
 
     @pytest.mark.parametrize("field, key, value", [
         ("n", "n", 2.5), ("d", "d", True), ("num_classes", "classes", 3.5)])

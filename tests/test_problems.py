@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -355,6 +356,13 @@ class TestRowSum:
                               np.zeros(len(A), dtype=np.int64))
 
 
+def _csr_sq(X):
+    """X squared elementwise, as sorted CSR rows for a sparse X: the
+    reference route of the quad term, which ``Problem.X_sq`` takes by
+    columns."""
+    return X.multiply(X).sorted_indices() if sparse.issparse(X) else X**2
+
+
 def _flat_terms(X, y, theta):
     """Binary (loss, residual, margin) with theta a flat vector of d
     weights: z = X theta, s = 2y - 1, r = -s sigmoid(-s z)."""
@@ -374,7 +382,7 @@ def _flat_scores(problem, theta, m_prev, v_hat, beta1_t):
     C = keep * _flat_terms(problem.X, problem.y, theta)[1]
     base = float((A * A * inv_sq).sum())
     cross = np.asarray(problem.X @ (A * inv_sq)).ravel()
-    quad = np.asarray(problem.X_sq @ inv_sq).ravel()
+    quad = np.asarray(_csr_sq(problem.X) @ inv_sq).ravel()
     # (2C) cross and 2 (C cross) differ only where C cross is subnormal;
     # here A = 0 gives cross = 0, and any other A a base far above that
     sq = base + 2.0 * C * cross + (C * C) * quad
@@ -535,6 +543,120 @@ class TestSparse:
         np.testing.assert_allclose(P.example_gradient(sparse_prob, 3, theta),
                                    P.example_gradient(dense_prob, 3, theta),
                                    atol=1e-14)
+
+
+def _random_csr(rng, n, d, density, duplicates):
+    """An (n, d) CSR matrix with sorted row indices: about ``density`` of
+    its entries set, every third row empty, values of either sign spanning
+    six decades and, with ``duplicates``, about one entry in four stored
+    twice (the copies side by side, with their own values)."""
+    indices, data, indptr = [], [], [0]
+    for i in range(n):
+        cols = [] if i % 3 == 1 else \
+            np.flatnonzero(rng.random(d) < density).tolist()
+        if duplicates:
+            cols = sorted(cols + [c for c in cols if rng.random() < 0.25])
+        indices += cols
+        data += (rng.choice([-1.0, 1.0], len(cols))
+                 * 10.0 ** rng.uniform(-3.0, 3.0, len(cols))).tolist()
+        indptr.append(len(indices))
+    return sparse.csr_matrix((np.array(data), np.array(indices, np.int32),
+                              np.array(indptr, np.int32)), shape=(n, d))
+
+
+def _csr_route_twin(problem):
+    """The problem with every product of the full data with X taken as an
+    explicit CSR product: the margins and cross term through the CSR X,
+    and the quad term and ``row_sq_norms`` through ``_csr_sq``."""
+    twin = copy.copy(problem)
+    twin.X_cols = problem.X.tocsr()
+    twin.X_sq = _csr_sq(problem.X)
+    twin.XT = problem.X.T.tocsr()
+    twin.row_sq_norms = np.asarray(
+        twin.X_sq @ problem.weights_view(np.ones(problem.param_dim)).T)
+    return twin
+
+
+def _full_data_outputs(problem, rng):
+    """Every output of the full data that takes a product with X, at a
+    random theta and preconditioner: the objective and gradient, the
+    residuals, both score functions, a metric tick of two rows and
+    ``row_sq_norms``."""
+    dim = problem.param_dim
+    theta, m_prev = rng.standard_normal(dim), rng.standard_normal(dim)
+    v_hat = rng.random(dim)
+    v_hat[::4] = 0.0
+    thetas = rng.standard_normal((2, dim))
+    return (*P.objective_and_gradient(problem, theta),
+            P.residuals(problem, theta),
+            S.scores_dasgrad(problem, theta, m_prev, v_hat, 0.6),
+            S.scores_apsgd(problem, theta),
+            *M.tick(problem, thetas), problem.row_sq_norms)
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+class TestColumnRoute:
+    """A CSR X takes its full-data products by columns; each must give the
+    bits of the explicit CSR product."""
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    @pytest.mark.parametrize("density", [0.01, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("kind",
+                             [P.BINARY_LOGISTIC, P.MULTICLASS_LOGISTIC])
+    def test_bit_identical_to_the_csr_products(self, kind, density,
+                                               duplicates):
+        rng = np.random.default_rng([int(density * 100), duplicates])
+        for n, d in ((1, 1), (7, 3), (60, 25), (300, 40)):
+            k = 2 if kind == P.BINARY_LOGISTIC else int(rng.integers(2, 12))
+            X = _random_csr(rng, n, d, density, duplicates)
+            problem = P.Problem(X, rng.integers(0, k, n), kind,
+                                l2_lambda=1e-3, num_classes=k)
+            assert problem.X is X and problem.X_cols.format == "csc"
+            seed = int(rng.integers(1 << 30))
+            _assert_same_bits(
+                _full_data_outputs(problem, np.random.default_rng(seed)),
+                _full_data_outputs(_csr_route_twin(problem),
+                                   np.random.default_rng(seed)))
+
+    def test_column_form_shares_the_transpose(self):
+        problem = P.Problem(_random_csr(np.random.default_rng(3), 20, 6, 0.5,
+                                        True),
+                            np.arange(20) % 2, P.BINARY_LOGISTIC)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(problem.XT, name),
+                                    getattr(problem.X_cols, name))
+        assert problem.X_sq.format == "csc"
+
+    @pytest.mark.parametrize("kind",
+                             [P.BINARY_LOGISTIC, P.MULTICLASS_LOGISTIC])
+    def test_unsorted_indices_give_the_sorted_twin(self, kind):
+        rng = np.random.default_rng(4)
+        X = _random_csr(rng, 50, 12, 0.4, False)
+        shuffled = X.copy()
+        for a, b in zip(X.indptr[:-1], X.indptr[1:]):
+            order = a + rng.permutation(b - a)
+            shuffled.indices[a:b] = X.indices[order]
+            shuffled.data[a:b] = X.data[order]
+        shuffled.has_sorted_indices = False
+        assert not shuffled.has_sorted_indices
+        given = [a.copy() for a in (shuffled.data, shuffled.indices,
+                                    shuffled.indptr)]
+        y = rng.integers(0, 3, 50) % (2 if kind == P.BINARY_LOGISTIC else 3)
+        problem = P.Problem(shuffled, y, kind, l2_lambda=1e-3)
+        twin = P.Problem(X, y, kind, l2_lambda=1e-3)
+        _assert_same_bits(
+            _full_data_outputs(problem, np.random.default_rng(5)),
+            _full_data_outputs(twin, np.random.default_rng(5)))
+        # the caller's matrix is left as it was
+        assert problem.X is not shuffled
+        for kept, now in zip(given, (shuffled.data, shuffled.indices,
+                                     shuffled.indptr)):
+            assert np.array_equal(kept, now)
 
 
 class TestValidation:

@@ -621,6 +621,9 @@ def two_pass_scores(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
     root = np.where(v_hat > 0, np.sqrt(np.sqrt(v_hat)), np.sqrt(eps_div))
     keep = 1.0 - beta1_t
     X = problem.X
+    # X squared by rows: the reference route of the quad term, which
+    # Problem.X_sq takes by columns
+    X_sq = X.multiply(X).tocsr() if problem.is_sparse else X**2
     inv_sq = 1.0 / (root * root)
     if problem.kind == P.CENTROID:
         const, coef = beta1_t * m_prev + keep * theta, -keep
@@ -634,7 +637,7 @@ def two_pass_scores(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
         C = keep * P.residuals(problem, theta).ravel()
         base = float((A * A * inv_sq).sum())
         cross = np.asarray(X @ (A * inv_sq)).ravel()
-        quad = np.asarray(problem.X_sq @ inv_sq).ravel()
+        quad = np.asarray(X_sq @ inv_sq).ravel()
         sq = base + 2.0 * C * cross + (C * C) * quad
         return np.sqrt(np.maximum(sq, 0.0))
     A = (beta1_t * problem.weights_view(m_prev)
@@ -643,7 +646,7 @@ def two_pass_scores(problem, theta, m_prev, v_hat, beta1_t, eps_div=1e-8):
     inv_sq = inv_sq.reshape(A.shape)
     base = float((A * A * inv_sq).sum())
     cross = np.asarray(X @ (A * inv_sq).T)
-    quad = np.asarray(problem.X_sq @ inv_sq.T)
+    quad = np.asarray(X_sq @ inv_sq.T)
     sq = base + 2.0 * (C * cross).sum(axis=1) + (C * C * quad).sum(axis=1)
     return np.sqrt(np.maximum(sq, 0.0))
 

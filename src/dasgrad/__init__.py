@@ -30,11 +30,8 @@ from .sampling import (
 )
 from .optimizers import (
     DivergenceError,
-    METHODS,
     MomentState,
-    OptimizerConfig,
     RunResult,
-    SettingError,
     draw_batch,
     moment_update,
     refresh_probabilities,
@@ -59,15 +56,20 @@ from .datasets import (
     synth_classification,
     unbalance,
 )
-from .harness import (
+from .config import (
+    METHODS,
     ExperimentConfig,
-    ExperimentResults,
+    OptimizerConfig,
     ProblemSpec,
+    SettingError,
     convex_preset,
     load_config,
+    parse_config_text,
+)
+from .harness import (
+    ExperimentResults,
     matching_datasets,
     matching_experiment,
-    parse_config_text,
     run_experiment,
     self_check,
     sweep_variance,

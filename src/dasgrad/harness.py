@@ -1,5 +1,5 @@
-"""Experiment harness: config files, trace/aggregate/comparison CSV
-emission, and the desk-scale experiment protocols.
+"""Experiment harness: CSV emission and the desk-scale experiment
+protocols, whose settings and config format are ``config``'s.
 
 Trace CSV schema (one row per metric tick)::
 
@@ -12,13 +12,6 @@ Every CSV cell is written by one rule: a string as is, None blank, an
 integer in decimal and any other number with 17 significant digits
 (``format(float(x), ".17g")``), so reruns of the same config are byte
 identical.
-
-Config files are flat ``key = value`` lines with ``#`` comments; each
-``[optimizer.<name>]`` section header starts one optimizer block, whose
-name may hold only letters, digits, ``_``, ``-`` and ``.``. A config
-takes ``path`` (and ``sparse``) or the synthesis keys its kind reads
-(``ProblemSpec.READS``), not both. See
-``configs/`` for working examples.
 
 Every protocol call forks one helper process (the ``fork`` start method
 is required) once its settings are accepted, through
@@ -36,307 +29,21 @@ those of one process making every solve and then every run in order.
 
 from __future__ import annotations
 
-import math
 import os
 import re
-from dataclasses import dataclass, fields
-from typing import ClassVar
 
 import numpy as np
 
+from . import config as _config
 from . import datasets as _datasets
 from . import metrics as _metrics
 from . import optimizers as _optimizers
 from . import problems as _problems
 from . import sampling as _sampling
 from . import sharing as _sharing
-
-# field -> config key of the problem settings that a source of data may
-# read: a synthetic draw reads its kind's row of ProblemSpec.READS, and a
-# data file decides them all
-_DATA_KEYS = {"n": "n", "d": "d", "num_classes": "classes", "sigma": "sigma",
-              "margin": "margin", "sparsity": "sparsity",
-              "data_seed": "data_seed"}
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """The problem of an experiment: the data file at ``path``, read in the
-    sparse format when ``sparse``, or else a synthetic draw of its kind;
-    ``l2_lambda`` applies to both. ``READS`` lists, for each source of data
-    (a file, else the kind's synthesis), the settings of ``_DATA_KEYS``
-    that it reads; every other one must keep its default."""
-
-    kind: str
-    path: str | None = None
-    sparse: bool = False
-    n: int = 200
-    d: int = 10
-    num_classes: int = 2
-    sigma: float = 1.0
-    margin: float = 4.0
-    sparsity: float = 0.0
-    data_seed: int = 0
-    l2_lambda: float = 0.0
-
-    READS: ClassVar[dict] = {
-        "file": (),
-        _problems.CENTROID: ("n", "d", "sigma", "data_seed"),
-        _problems.BINARY_LOGISTIC: ("n", "d", "num_classes", "margin",
-                                    "sparsity", "data_seed"),
-        _problems.MULTICLASS_LOGISTIC: ("n", "d", "num_classes", "margin",
-                                        "sparsity", "data_seed")}
-
-    def __post_init__(self):
-        for name in ("n", "d", "num_classes"):
-            whole = _optimizers._whole(getattr(self, name))
-            if whole is None:
-                raise _optimizers.SettingError("%s must be whole, got %r" % (
-                    _DATA_KEYS[name], getattr(self, name)), name)
-            object.__setattr__(self, name, whole)
-        defaults = {f.name: f.default for f in fields(self)}
-        kinds = _problems.KINDS
-        source = "file" if self.path else self.kind
-        # an unknown kind reads every setting: its own rule names it
-        reads = (self.READS[source] if source in tuple(self.READS)
-                 else _DATA_KEYS)
-        _optimizers._check_rules(self, [
-            (self.kind in kinds, "kind must be one of " + ", ".join(kinds),
-             "kind"),
-            (self.path != "", "path must not be empty", "path"),
-            (self.n >= 1, "n must be at least 1", "n"),
-            (self.d >= 1, "d must be at least 1", "d"),
-            (self.num_classes >= 2, "classes must be at least 2",
-             "num_classes"),
-            (0 <= self.sigma < math.inf,
-             "sigma must be finite and nonnegative", "sigma"),
-            (0 <= self.margin < math.inf,
-             "margin must be finite and nonnegative", "margin"),
-            (0 <= self.sparsity <= 1, "sparsity must lie in [0, 1]",
-             "sparsity"),
-            (self.data_seed >= 0, "data_seed must be nonnegative",
-             "data_seed"),
-            (0 <= self.l2_lambda < math.inf,
-             "lambda must be finite and nonnegative", "l2_lambda"),
-            # settings at odds with another
-            (self.path or not self.sparse, "sparse needs a path", "sparse"),
-            *((name in reads or getattr(self, name) == defaults[name],
-               "%s applies only without a path, whose file decides it" % key
-               if self.path else "%s does not apply to a synthetic %s "
-               "problem" % (key, self.kind), name)
-              for name, key in _DATA_KEYS.items()),
-            (self.kind != _problems.CENTROID or self.l2_lambda == 0,
-             "lambda must be 0 for a centroid problem, whose loss has no L2 "
-             "term", "l2_lambda"),
-            (self.kind != _problems.BINARY_LOGISTIC or self.num_classes == 2,
-             "classes must be 2 for a binary-logistic problem",
-             "num_classes"),
-            (self.kind == _problems.CENTROID or self.n >= self.num_classes,
-             "n must be at least classes (%s) to synthesize a %s problem"
-             % (self.num_classes, self.kind), "n", "num_classes")])
-
-    def dataset(self):
-        """The spec's Dataset: its file loaded, or its synthetic draw."""
-        if self.path:
-            loader = _datasets.load_sparse if self.sparse \
-                else _datasets.load_dense_csv
-            return loader(self.path)
-        if self.kind == _problems.CENTROID:
-            return _datasets.synth_centroid(self.n, self.d, self.sigma,
-                                            self.data_seed)
-        return _datasets.synth_classification(
-            self.n, self.d, self.num_classes, margin=self.margin,
-            sparsity=self.sparsity, seed=self.data_seed)
-
-    def build(self):
-        dataset = self.dataset()
-        return dataset, _datasets.make_problem(dataset, self.kind,
-                                               self.l2_lambda)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    problem: ProblemSpec
-    optimizers: dict            # name -> OptimizerConfig
-    T: int = 500
-    seeds: tuple = (0, 1)
-    metric_tick: int = 10
-    output_dir: str = "out"
-    reference_tol: float = _metrics.REFERENCE_TOL
-    reference_max_iters: int = _metrics.REFERENCE_MAX_ITERS
-
-    def __post_init__(self):
-        object.__setattr__(self, "seeds", _check_run_settings(
-            self.T, self.metric_tick, self.seeds, 1))
-        # a name is part of output file names and of comparison.csv cells;
-        # the error's second field is the name, whose header line the
-        # config parser names
-        for name in self.optimizers:
-            if not (isinstance(name, str)
-                    and re.fullmatch(r"[A-Za-z0-9_.-]+", name)):
-                raise _optimizers.SettingError(
-                    "optimizer names may hold only letters, digits, _, - "
-                    "and ., got %r" % (name,), "optimizers", name)
-        _optimizers._check_rules(self, [
-            (self.optimizers, "need at least one optimizer", "optimizers"),
-            (0 < self.reference_tol < math.inf,
-             "reference_tol must be finite and positive", "reference_tol")])
-        _optimizers._positive_int("reference_max_iters",
-                                  self.reference_max_iters)
-
-
-def _check_run_settings(T, metric_tick, seeds, min_seeds):
-    """The seeds as a tuple of ints. Rejects a bool or non-integral seed,
-    too few seeds, a negative one and a repeated one (it would count one
-    run twice), a T or tick that ``run`` rejects and a tick above T (no
-    trace rows)."""
-    given = tuple(seeds)
-    seeds = tuple(map(_optimizers._whole, given))
-    if None in seeds:
-        raise _optimizers.SettingError(
-            "seeds must be whole, got %s" % ",".join(map(str, given)), "seeds")
-    if len(seeds) < min_seeds:
-        raise _optimizers.SettingError("need at least %s, got %d" % (
-            ("one seed", "two seeds")[min_seeds - 1], len(seeds)), "seeds")
-    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise _optimizers.SettingError(
-            "seeds must not repeat or be negative, got %s"
-            % ",".join(str(s) for s in seeds), "seeds")
-    T = _optimizers._positive_int("T", T)
-    if _optimizers._positive_int("metric_tick", metric_tick) > T:
-        raise _optimizers.SettingError(
-            "metric_tick must lie in [1, T=%d], got %d" % (T, metric_tick),
-            "metric_tick", "T")
-    return seeds
-
-
-def convex_preset(method, **overrides):
-    """OptimizerConfig with the convex-experiment hyperparameters (alpha
-    0.01, beta1 0.9, beta2 0.99, batch 32, refresh 10), which are its
-    defaults."""
-    return _optimizers.OptimizerConfig(method=method, **overrides)
-
-
-# ---------------------------------------------------------------------------
-# config file parsing
-
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError("expected a boolean, got %r" % text)
-
-
-def _parse_box(text):
-    lo, hi = (float(v) for v in text.split(","))
-    return lo, hi
-
-
-def _parse_ints(text):
-    return tuple(int(v) for v in text.split(","))
-
-
-# config key -> type converter; these are the only keys a config may use
-_GLOBAL_KEYS = {
-    "kind": str, "path": str, "sparse": _parse_bool, "n": int, "d": int,
-    "classes": int, "sigma": float, "margin": float, "sparsity": float,
-    "data_seed": int, "lambda": float, "T": int, "seeds": _parse_ints,
-    "metric_tick": int, "output_dir": str, "reference_tol": float,
-    "reference_max_iters": int,
-}
-_OPTIMIZER_KEYS = {
-    "method": str, "alpha": float, "beta1": float, "beta2": float,
-    "epsilon_div": float, "epsilon_prob": float, "beta1_decay": float,
-    "refresh_period": int, "batch_size": int, "box": _parse_box,
-}
-# config keys whose dataclass field has another name
-_FIELD_OF_KEY = {"classes": "num_classes", "lambda": "l2_lambda",
-                 "box": "projection"}
-_PROBLEM_FIELDS = {f.name for f in fields(ProblemSpec)}
-
-
-def parse_config_text(text, base_dir="."):
-    """Parse the flat key = value format into an ExperimentConfig; a
-    section's method is its name unless a ``method`` line says otherwise.
-    The parser only converts values to their types and builds the
-    ProblemSpec, each OptimizerConfig and the ExperimentConfig, whose rules
-    decide what is accepted. Every error names a line: a bad key or value
-    its own, a SettingError that of the first of its fields that the
-    section sets, else the optimizer section's header line, as it does for
-    a section name that ExperimentConfig rejects."""
-    globals_kv = current = {}
-    optimizer_kv = {}
-    header_line = {}
-    field_line = {}     # (section, field) -> line; section None: globals
-    section = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not (line.startswith("[optimizer.") and line.endswith("]")):
-                raise ValueError("line %d: bad section header %r"
-                                 % (line_no, line))
-            section = line[len("[optimizer."):-1]
-            if section in optimizer_kv:
-                raise ValueError("line %d: duplicate optimizer name"
-                                 % line_no)
-            current = optimizer_kv[section] = {}
-            header_line[section] = line_no
-            continue
-        if "=" not in line:
-            raise ValueError("line %d: expected key = value" % line_no)
-        key, value = (part.strip() for part in line.split("=", 1))
-        converters = _GLOBAL_KEYS if section is None else _OPTIMIZER_KEYS
-        if key not in converters:
-            raise ValueError("line %d: unknown key %r" % (line_no, key))
-        field = _FIELD_OF_KEY.get(key, key)
-        if field in current:
-            raise ValueError("line %d: key %r repeats line %d"
-                             % (line_no, key, field_line[section, field]))
-        try:
-            current[field] = converters[key](value)
-        except ValueError as exc:
-            raise ValueError("line %d: %s" % (line_no, exc)) from None
-        field_line[section, field] = line_no
-
-    if not optimizer_kv:
-        raise ValueError("config defines no [optimizer.*] section")
-
-    def build(make, section, kv, **rest):
-        try:
-            return make(**kv, **rest)
-        except _optimizers.SettingError as exc:
-            if exc.fields[0] == "optimizers" and len(exc.fields) > 1:
-                section = exc.fields[1]     # a rule on one section's name
-            line_no = next((field_line[section, f] for f in exc.fields
-                            if (section, f) in field_line),
-                           header_line.get(section))
-            at = "" if section is None else "[optimizer.%s]: " % section
-            raise ValueError("line %d: %s%s" % (line_no, at, exc)) from None
-
-    spec_kv = {"kind": _problems.CENTROID}
-    for key in _PROBLEM_FIELDS & set(globals_kv):
-        spec_kv[key] = globals_kv.pop(key)
-    if spec_kv.get("path"):     # a relative path is read from base_dir
-        spec_kv["path"] = os.path.join(base_dir, spec_kv["path"])
-    spec = build(ProblemSpec, None, spec_kv)
-    optimizers = {name: build(_optimizers.OptimizerConfig, name,
-                              {"method": name, **kv})
-                  for name, kv in optimizer_kv.items()}
-    return build(ExperimentConfig, None, globals_kv, problem=spec,
-                 optimizers=optimizers)
-
-
-def load_config(path):
-    """Parse the config file ``path``, read as UTF-8. A byte that is not
-    UTF-8 is kept as is: a comment may hold one, and a number that holds
-    one fails, naming its line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_config_text(fh.read(), base_dir=os.path.dirname(path) or ".")
-
+# the settings the protocols take, also read as harness attributes
+from .config import (ExperimentConfig, ProblemSpec,  # noqa: F401
+                     convex_preset, load_config)
 
 # ---------------------------------------------------------------------------
 # CSV emission
@@ -460,7 +167,7 @@ def _run_arms(arms, seeds, T, metric_tick, out, own, trace=None,
     ``cum_regret`` holds each completed run's cumulative regret and its
     ``reference`` each arm's ReferenceSolution."""
     for problem, config in arms.values():
-        _optimizers._check_target_counts(problem, config.target_label_counts)
+        _config._check_target_counts(problem, config.target_label_counts)
     problems = list(dict.fromkeys(p for p, _ in arms.values()))
     tasks = problems + [(name, seed) for name in arms for seed in seeds]
     owned = [os.path.join(out, name)
@@ -622,17 +329,6 @@ SWEEP_DEFAULTS = dict(n=200, d=10, T=500, batch_size=8, alpha=0.01,
                       metric_tick=1, data_seed=11)
 
 
-def _protocol_settings(defaults, overrides, seeds):
-    """(``defaults`` updated by ``overrides``, seeds as a tuple). Raises
-    ValueError on an unknown setting and on what _check_run_settings
-    rejects, with two seeds at least: the paired CIs need them."""
-    unknown = sorted(set(overrides) - set(defaults))
-    if unknown:
-        raise ValueError("unknown setting(s): %s" % ", ".join(unknown))
-    p = {**defaults, **overrides}
-    return p, _check_run_settings(p["T"], p["metric_tick"], seeds, 2)
-
-
 def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
                    **overrides):
     """Centroid variance sweep over ``sigmas``; ``overrides`` replace
@@ -641,12 +337,12 @@ def sweep_variance(sigmas, seeds, output_dir, methods=("amsgrad", "dasgrad"),
     the paired CI of the final-regret gap (first baseline minus dasgrad).
     failures.csv names a diverged run <method>_sigma<tag>; a sigma left with
     fewer than two seeds gets neither and is named in ``skipped``. Raises
-    ValueError before any run on a bad setting (see _protocol_settings)
-    and on no sigma. Returns ExperimentResults {sigma: {method: [completed
-    RunResult]}}."""
-    p, seeds = _protocol_settings(SWEEP_DEFAULTS, overrides, seeds)
+    ValueError before any run on a bad setting (see
+    config._protocol_settings) and on no sigma. Returns ExperimentResults
+    {sigma: {method: [completed RunResult]}}."""
+    p, seeds = _config._protocol_settings(SWEEP_DEFAULTS, overrides, seeds)
     if len(sigmas) == 0:
-        raise _optimizers.SettingError("need at least one sigma", "sigmas")
+        raise _config.SettingError("need at least one sigma", "sigmas")
     if "dasgrad" not in methods or len(methods) < 2:
         raise ValueError("the sweep compares dasgrad against a baseline")
     baseline = next(m for m in methods if m != "dasgrad")
@@ -710,20 +406,19 @@ def matching_datasets(p=MATCHING_DEFAULTS):
     ``n_train``, whose training part keeps ``keep_fraction`` of each class
     in ``drop_labels``. Raises SettingError, naming the setting, on a
     problem setting that ProblemSpec rejects and on an empty split."""
-    for name in ("n_train", "n_eval"):
-        _optimizers._positive_int(name, p[name])
-    total = ProblemSpec(kind=_problems.MULTICLASS_LOGISTIC,
-                        n=p["n_train"] + p["n_eval"], d=p["d"],
-                        num_classes=MATCHING_DESIGN["num_classes"],
-                        margin=MATCHING_DESIGN["margin"],
-                        data_seed=p["data_seed"]).dataset()
-    split = p["n_train"]
+    split, n_eval = (_config._positive_int(name, p[name])
+                     for name in ("n_train", "n_eval"))
+    spec = ProblemSpec(kind=_problems.MULTICLASS_LOGISTIC, n=split + n_eval,
+                       d=p["d"], num_classes=MATCHING_DESIGN["num_classes"],
+                       margin=MATCHING_DESIGN["margin"],
+                       data_seed=p["data_seed"])
+    total = spec.dataset()
     train = _datasets.Dataset(total.X[:split], total.y[:split],
                               total.num_classes, total.provenance + "|train")
     eval_ds = _datasets.Dataset(total.X[split:], total.y[split:],
                                 total.num_classes, total.provenance + "|eval")
     return _datasets.unbalance(train, MATCHING_DESIGN["drop_labels"],
-                               p["keep_fraction"], p["data_seed"]), eval_ds
+                               p["keep_fraction"], spec.data_seed), eval_ds
 
 
 def matching_experiment(seeds, output_dir, **overrides):
@@ -733,17 +428,17 @@ def matching_experiment(seeds, output_dir, **overrides):
     preset, and compare balanced-test accuracy; ``overrides`` replace
     MATCHING_DEFAULTS, and MATCHING_DESIGN is fixed. The regret baseline is
     solved at ``metrics.solve_reference``'s defaults (see _run_arms).
-    Writes a trace per
-    completed run and a summary CSV: each arm's mean final accuracy, and
-    the paired CI of the final accuracy gap over the seeds both arms
-    completed. With fewer than two such seeds the gap lines are left out
-    and named in ``skipped``. Raises ValueError before any run on
-    a bad setting (see _protocol_settings), and before output_dir is made
-    or the helper starts when unbalancing leaves a class with no training
-    row, as the balanced target still weighs it (see _run_arms). Returns
+    Writes a trace per completed run and a summary CSV: each arm's mean
+    final accuracy, and the paired CI of the final accuracy gap over the
+    seeds both arms completed. With fewer than two such seeds the gap lines
+    are left out and named in ``skipped``. Raises ValueError before any run
+    on a bad setting (see config._protocol_settings), and before output_dir
+    is made or the helper starts when unbalancing leaves a class with no
+    training row, as the balanced target still weighs it (see _run_arms).
+    Returns
     (ExperimentResults {arm: [completed RunResult]}, (gap, lo, hi) or
     None)."""
-    p, seeds = _protocol_settings(MATCHING_DEFAULTS, overrides, seeds)
+    p, seeds = _config._protocol_settings(MATCHING_DEFAULTS, overrides, seeds)
     train, eval_ds = matching_datasets(p)
     problem = _datasets.make_problem(train, _problems.MULTICLASS_LOGISTIC,
                                      MATCHING_DESIGN["l2_lambda"])

@@ -1,4 +1,4 @@
-"""Stepping engine for the stochastic gradient family.
+"""Stepping engine for the stochastic gradient family (settings: config).
 
 One engine drives all seven methods; they differ only in the momentum blend,
 the diagonal preconditioner, and whether the sampling distribution adapts:
@@ -59,15 +59,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config as _config
 from . import metrics as _metrics
 from . import problems as _problems
 from . import sampling as _sampling
 
-METHODS = ("sgd", "ap_sgd", "adagrad", "rmsprop", "adam", "amsgrad", "dasgrad")
 _ADAPTIVE_PROBS = ("ap_sgd", "dasgrad")
-
-# effectively unconstrained unless the caller configures a real box
-DEFAULT_BOX = (-1e6, 1e6)
 
 
 class DivergenceError(RuntimeError):
@@ -84,16 +81,6 @@ class DivergenceError(RuntimeError):
         return type(self), (self.step, self.message)
 
 
-class SettingError(ValueError):
-    """Raised when a setting lies outside its range or is at odds with
-    another; ``fields`` names the dataclass fields the rule concerns, the
-    one to blame first."""
-
-    def __init__(self, message, *fields):
-        super().__init__(message)
-        self.fields = fields
-
-
 @dataclass
 class MomentState:
     """Running moment vectors of one optimization run: the momentum m, the
@@ -108,96 +95,6 @@ class MomentState:
     @classmethod
     def zeros(cls, dim):
         return cls(m=np.zeros(dim), v=np.zeros(dim), v_hat=np.zeros(dim))
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    method: str
-    alpha: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.99
-    epsilon_div: float = 1e-8
-    epsilon_prob: float = 1e-8
-    refresh_period: int = 10
-    batch_size: int = 32
-    projection: tuple = DEFAULT_BOX
-    # per-class counts of the target (test) labels, stored as a tuple of
-    # ints; giving them turns target mode on, and m is their total
-    target_label_counts: tuple | None = None
-    beta1_decay: float = 1.0            # beta1_t = beta1 * decay**(t-1)
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise SettingError("unknown method %r" % (self.method,), "method")
-        moments = self.method in ("adam", "amsgrad", "dasgrad")
-        _check_rules(self, [
-            (0 < self.alpha < math.inf, "alpha must be finite and positive",
-             "alpha"),
-            (0 <= self.beta1 < 1, "beta1 must lie in [0, 1)", "beta1"),
-            (0 <= self.beta2 < 1, "beta2 must lie in [0, 1)", "beta2"),
-            (not moments or 0 < self.beta2
-             and self.beta1 / math.sqrt(self.beta2) < 1,
-             "beta1 / sqrt(beta2) must be below 1 for " + self.method,
-             "beta1", "beta2"),
-            (0 < self.epsilon_div < math.inf,
-             "epsilon_div must be finite and positive", "epsilon_div"),
-            (0 < self.epsilon_prob < math.inf,
-             "epsilon_prob must be finite and positive", "epsilon_prob"),
-            (0 <= self.beta1_decay <= 1, "beta1_decay must lie in [0, 1]",
-             "beta1_decay")])
-        for name in ("refresh_period", "batch_size"):
-            object.__setattr__(self, name,
-                               _positive_int(name, getattr(self, name)))
-        counts = self.target_label_counts
-        if counts is not None:
-            ints = tuple(int(c) for c in counts)
-            if ints != tuple(counts) or min(ints, default=0) < 0 \
-                    or sum(ints) < 1:
-                raise SettingError("target_label_counts must be nonnegative "
-                                   "integers with a positive total",
-                                   "target_label_counts")
-            object.__setattr__(self, "target_label_counts", ints)
-        lo, hi = self.projection
-        if np.ndim(lo) or np.ndim(hi) or not float(lo) <= float(hi):
-            raise SettingError("projection box bounds must be two scalars "
-                               "with lo <= hi and no NaN", "projection")
-        object.__setattr__(self, "projection", (float(lo), float(hi)))
-
-    def beta1_at(self, t):
-        if self.method in ("sgd", "ap_sgd", "adagrad", "rmsprop"):
-            return 0.0
-        return self.beta1 * self.beta1_decay ** (t - 1)
-
-
-def _check_rules(settings, rules):
-    """Raise SettingError for the first (ok, rule, *fields) of ``rules``
-    whose ``ok`` is false, quoting the value of its first field."""
-    for ok, rule, *fields in rules:
-        if not ok:
-            raise SettingError("%s, got %r"
-                               % (rule, getattr(settings, fields[0])), *fields)
-
-
-def _whole(value):
-    """value as a Python int, or None for a bool or a non-integral
-    value."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if isinstance(value, (bool, np.bool_)) or whole != value:
-        return None
-    return whole
-
-
-def _positive_int(name, value):
-    """value as a Python int >= 1. Bools and non-integral numbers are
-    rejected: the block arithmetic of ``run`` needs whole periods."""
-    whole = _whole(value)
-    if whole is None or whole < 1:
-        raise SettingError("%s must be at least 1 and whole, got %r"
-                           % (name, value), name)
-    return whole
 
 
 def moment_update(state, g, beta1_t, beta2, use_max):
@@ -357,30 +254,14 @@ class RunResult:
 _BLOCK_BYTES = 1 << 20
 
 
-def _check_target_counts(problem, counts):
-    """Target label counts, when given, need one count per class of the
-    problem, and none positive on a class with no training row: no draw
-    reaches such a class, so the weighted estimator would miss its mass."""
-    if counts is None:
-        return
-    if len(counts) != problem.num_classes:
-        raise ValueError("need one target label count per class (%d), got %d"
-                         % (problem.num_classes, len(counts)))
-    unreachable = [str(k) for k, c in enumerate(counts)
-                   if c > 0 and problem.class_counts[k] == 0]
-    if unreachable:
-        raise ValueError("positive target label count on class(es) with no "
-                         "training row: %s" % ", ".join(unreachable))
-
-
 def run(problem, config, T, seed, metric_tick=10, eval_set=None):
     """Run T steps from theta = 0. Deterministic given (config, seed).
     Metrics are recorded whenever t % metric_tick == 0; accuracy is
     computed on the (X, y) pair eval_set when given, else on the problem's
     own rows."""
-    T = _positive_int("T", T)
-    metric_tick = _positive_int("metric_tick", metric_tick)
-    _check_target_counts(problem, config.target_label_counts)
+    T = _config._positive_int("T", T)
+    metric_tick = _config._positive_int("metric_tick", metric_tick)
+    _config._check_target_counts(problem, config.target_label_counts)
     rng = np.random.default_rng(seed)
     theta = np.zeros(problem.param_dim)
     state = MomentState.zeros(problem.param_dim)

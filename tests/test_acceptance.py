@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from dasgrad import config as CF
 from dasgrad import datasets as D
 from dasgrad import harness as H
 from dasgrad import metrics as M
@@ -176,12 +177,12 @@ def test_criterion_5_collapse_equivalences():
     kw = dict(alpha=0.05, beta1=0.9, beta2=0.99, batch_size=4)
     # a refresh period past T: dasgrad's distribution stays uniform
     gap_moment = _lockstep(
-        prob, O.OptimizerConfig(method="dasgrad", refresh_period=501, **kw),
-        O.OptimizerConfig(method="amsgrad", **kw), 500, seed=42)
+        prob, CF.OptimizerConfig(method="dasgrad", refresh_period=501, **kw),
+        CF.OptimizerConfig(method="amsgrad", **kw), 500, seed=42)
     # ap_sgd refreshes before step 1 whatever its period: step it without
     gap_plain = _lockstep(
-        prob, O.OptimizerConfig(method="ap_sgd", alpha=0.05, batch_size=4),
-        O.OptimizerConfig(method="sgd", alpha=0.05, batch_size=4),
+        prob, CF.OptimizerConfig(method="ap_sgd", alpha=0.05, batch_size=4),
+        CF.OptimizerConfig(method="sgd", alpha=0.05, batch_size=4),
         500, seed=42, refresh=False)
     assert gap_moment <= 1e-12
     assert gap_plain <= 1e-12
@@ -199,7 +200,7 @@ def test_criterion_6_vhat_monotone_and_projection():
     ds = D.synth_centroid(20, 5, 1.0, seed=0)
     prob = D.make_problem(ds, P.CENTROID)
     for method in ("amsgrad", "dasgrad"):
-        cfg = H.convex_preset(method, alpha=0.05, batch_size=2)
+        cfg = CF.convex_preset(method, alpha=0.05, batch_size=2)
         state = O.MomentState.zeros(5)
         tree = S.SamplingTree(np.full(20, 1.0 / 20))
         gen = np.random.default_rng(1)
@@ -269,7 +270,7 @@ def test_criterion_8_logistic_comparison():
     prob = D.make_problem(ds, P.MULTICLASS_LOGISTIC, 1e-3)
     finals = {}
     for method in ("adam", "amsgrad", "dasgrad"):
-        cfg = H.convex_preset(method, alpha=0.1, batch_size=4)
+        cfg = CF.convex_preset(method, alpha=0.1, batch_size=4)
         finals[method] = np.array([
             O.run(prob, cfg, 2000, s, metric_tick=2000).loss[-1]
             for s in range(10)])
@@ -289,14 +290,14 @@ def test_criterion_9_sublinear_regret_signature(tmp_path):
     # the variance sweep's settings at sigma = 1, for every method
     start = time.time()
     results = H.sweep_variance((1.0,), range(20), tmp_path,
-                               methods=O.METHODS)
+                               methods=CF.METHODS)
     assert not results.failures
     rows = _csv_rows(tmp_path / "sweep_aggregate_sigma1.csv")
     ticks = np.array([int(row["step"]) for row in rows])
     assert np.array_equal(ticks, np.arange(1, 501))
     half = ticks >= 250
     slopes = {}
-    for method in O.METHODS:
+    for method in CF.METHODS:
         mean_cum = np.array([float(row[method + "_mean"]) for row in rows])
         avg = mean_cum / ticks
         slopes[method] = float(np.polyfit(ticks[half], avg[half], 1)[0])
@@ -354,7 +355,7 @@ def test_criterion_11_determinism(tmp_path):
     start = time.time()
     dirs = [tmp_path / "first", tmp_path / "second"]
     for out in dirs:
-        cfg = H.parse_config_text(EXPERIMENT_CONFIG.format(out=out))
+        cfg = CF.parse_config_text(EXPERIMENT_CONFIG.format(out=out))
         H.run_experiment(cfg)
     names = sorted(os.listdir(dirs[0]))
     assert names == sorted(os.listdir(dirs[1]))

@@ -20,8 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dasgrad import cli as C
-from dasgrad import harness as H
-from dasgrad import optimizers as O
+from dasgrad import config as CF
 from dasgrad import problems as P
 
 _box = st.one_of(
@@ -46,7 +45,7 @@ def configs(draw):
              "T = %d" % T, "metric_tick = %d" % draw(st.integers(1, T)),
              "seeds = %s" % draw(st.sampled_from(["0", "0,1", "2,0,1"])),
              "reference_max_iters = 20", "output_dir = {out}"]
-    for method in draw(st.lists(st.sampled_from(O.METHODS), min_size=1,
+    for method in draw(st.lists(st.sampled_from(CF.METHODS), min_size=1,
                                 max_size=2, unique=True)):
         lines += ["[optimizer.%s]" % method, "method = %s" % method,
                   "alpha = %r" % 10.0 ** draw(st.floats(-3.0, 300.0)),
@@ -144,11 +143,11 @@ _BAD_VALUES = {
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(configs(), st.sampled_from(sorted(_BAD_VALUES)), st.data())
 def test_an_out_of_range_value_names_its_line(text, key, data):
-    assert set(_BAD_VALUES) == set(H._GLOBAL_KEYS) - {"output_dir"} \
-        | set(H._OPTIMIZER_KEYS)
+    assert set(_BAD_VALUES) == set(CF._PROBLEM_KEYS) \
+        | set(CF._RUN_KEYS) - {"output_dir"} | set(CF._OPTIMIZER_KEYS)
     lines = text.splitlines()
     headers = [i for i, line in enumerate(lines) if line.startswith("[")]
-    if key in H._GLOBAL_KEYS:
+    if key not in CF._OPTIMIZER_KEYS:
         start, stop = 0, headers[0]
     else:
         start = data.draw(st.sampled_from(headers)) + 1
@@ -161,4 +160,4 @@ def test_an_out_of_range_value_names_its_line(text, key, data):
         lines.insert(at, "")
     lines[at] = "%s = %s" % (key, data.draw(st.sampled_from(_BAD_VALUES[key])))
     with pytest.raises(ValueError, match="^line %d: " % (at + 1)):
-        H.parse_config_text("\n".join(lines) + "\n")
+        CF.parse_config_text("\n".join(lines) + "\n")

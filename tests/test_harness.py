@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dasgrad import cli as C
+from dasgrad import config as CF
 from dasgrad import datasets as D
 from dasgrad import harness as H
 from dasgrad import metrics as M
@@ -203,7 +204,7 @@ batch_size = 1
 
 class TestConfigParsing:
     def test_full_config(self, tmp_path):
-        cfg = H.parse_config_text(TINY_CONFIG.format(out=tmp_path / "o"))
+        cfg = CF.parse_config_text(TINY_CONFIG.format(out=tmp_path / "o"))
         assert cfg.T == 30
         assert cfg.seeds == (0, 1, 2)
         assert set(cfg.optimizers) == {"dasgrad", "amsgrad"}
@@ -213,39 +214,44 @@ class TestConfigParsing:
 
     def test_bad_section(self):
         with pytest.raises(ValueError):
-            H.parse_config_text("[optimizers.x]\nmethod = sgd\n")
+            CF.parse_config_text("[optimizers.x]\nmethod = sgd\n")
 
     def test_duplicate_optimizer(self):
         with pytest.raises(ValueError):
-            H.parse_config_text(
+            CF.parse_config_text(
                 "[optimizer.a]\nmethod = sgd\n[optimizer.a]\nmethod = sgd\n")
 
     def test_requires_an_optimizer(self):
         with pytest.raises(ValueError):
-            H.parse_config_text("T = 5\nseeds = 0,1\n")
+            CF.parse_config_text("T = 5\nseeds = 0,1\n")
 
     def test_bad_line(self):
         with pytest.raises(ValueError):
-            H.parse_config_text("just words\n[optimizer.a]\nmethod = sgd\n")
+            CF.parse_config_text("just words\n[optimizer.a]\nmethod = sgd\n")
 
-    def test_unknown_global_key_names_its_line(self):
-        with pytest.raises(ValueError, match="^line 2: unknown key 'seed'$"):
-            H.parse_config_text("T = 5\nseed = 3\n[optimizer.a]\n"
-                                "method = sgd\n")
+    @pytest.mark.parametrize("key", ["seed", "alpha"])
+    def test_unknown_global_key_names_its_line(self, key):
+        # an optimizer key before any section is not a key of the top
+        with pytest.raises(ValueError,
+                           match="^line 2: unknown key '%s'$" % key):
+            CF.parse_config_text("T = 5\n%s = 3\n[optimizer.a]\n"
+                                 "method = sgd\n" % key)
 
-    @pytest.mark.parametrize("key", ["alpah", "weight_mode", "score_mode"])
+    # T and classes are keys of the top, not of an optimizer section
+    @pytest.mark.parametrize("key", ["alpah", "weight_mode", "score_mode",
+                                     "T", "classes"])
     def test_unknown_optimizer_key_names_its_line(self, key):
         text = "T = 5\n\n[optimizer.a]\nmethod = sgd\n%s = 5\n" % key
         with pytest.raises(ValueError,
                            match="^line 5: unknown key '%s'$" % key):
-            H.parse_config_text(text)
+            CF.parse_config_text(text)
 
     def test_bad_value_names_its_line(self):
         with pytest.raises(ValueError, match="^line 3: "):
-            H.parse_config_text("[optimizer.a]\nmethod = sgd\n"
-                                "batch_size = four\n")
+            CF.parse_config_text("[optimizer.a]\nmethod = sgd\n"
+                                 "batch_size = four\n")
         with pytest.raises(ValueError, match="^line 2: "):
-            H.parse_config_text("[optimizer.a]\nbox = 1\n")
+            CF.parse_config_text("[optimizer.a]\nbox = 1\n")
 
     def test_every_key_reaches_its_field(self):
         rest = ("lambda = 0.125\nT = 9\nseeds = 3,1\nmetric_tick = 3\n"
@@ -255,28 +261,28 @@ class TestConfigParsing:
                 "beta2 = 0.75\nepsilon_div = 1e-6\nepsilon_prob = 1e-4\n"
                 "beta1_decay = 0.99\nrefresh_period = 3\nbatch_size = 2\n"
                 "box = -2,2\n")
-        synthetic = H.parse_config_text(
+        synthetic = CF.parse_config_text(
             "kind = binary-logistic\nn = 7\nd = 3\nclasses = 2\n"
             "margin = 2\nsparsity = 0.25\ndata_seed = 4\n"
             + rest, base_dir="b")
-        from_file = H.parse_config_text(
+        from_file = CF.parse_config_text(
             "kind = binary-logistic\npath = data.csv\nsparse = true\n" + rest,
             base_dir="b")
-        assert synthetic.problem == H.ProblemSpec(
+        assert synthetic.problem == CF.ProblemSpec(
             kind=P.BINARY_LOGISTIC, n=7, d=3, num_classes=2,
             margin=2.0, sparsity=0.25, data_seed=4, l2_lambda=0.125)
         # sigma is read by the centroid draw only
-        assert H.parse_config_text(
+        assert CF.parse_config_text(
             "kind = centroid\nsigma = 0.5\n[optimizer.sgd]\n").problem == \
-            H.ProblemSpec(kind=P.CENTROID, sigma=0.5)
-        assert from_file.problem == H.ProblemSpec(
+            CF.ProblemSpec(kind=P.CENTROID, sigma=0.5)
+        assert from_file.problem == CF.ProblemSpec(
             kind=P.BINARY_LOGISTIC, path=os.path.join("b", "data.csv"),
             sparse=True, l2_lambda=0.125)
         for cfg in (synthetic, from_file):
             assert (cfg.T, cfg.seeds, cfg.metric_tick, cfg.output_dir,
                     cfg.reference_tol, cfg.reference_max_iters) == (
                 9, (3, 1), 3, "o", 1e-4, 50)
-            assert cfg.optimizers["a"] == O.OptimizerConfig(
+            assert cfg.optimizers["a"] == CF.OptimizerConfig(
                 method="adam", alpha=0.5, beta1=0.5, beta2=0.75,
                 epsilon_div=1e-6, epsilon_prob=1e-4, beta1_decay=0.99,
                 refresh_period=3, batch_size=2, projection=(-2.0, 2.0))
@@ -299,7 +305,7 @@ class TestConfigParsing:
     ])
     def test_bad_problem_key_names_its_line(self, line, message):
         with pytest.raises(ValueError, match="^line 2: " + message):
-            H.parse_config_text("T = 5\n" + line + "\n[optimizer.a]\n")
+            CF.parse_config_text("T = 5\n" + line + "\n[optimizer.a]\n")
 
     @pytest.mark.parametrize("text, message", [
         ("T = 20\nT = 30\n[optimizer.a]\n", "line 2: key 'T' repeats line 1"),
@@ -310,10 +316,10 @@ class TestConfigParsing:
     ])
     def test_repeated_key_names_its_second_line(self, text, message):
         with pytest.raises(ValueError, match="^" + message + "$"):
-            H.parse_config_text(text)
+            CF.parse_config_text(text)
 
     def test_a_key_may_appear_once_in_each_section(self):
-        cfg = H.parse_config_text(
+        cfg = CF.parse_config_text(
             "T = 20\n[optimizer.a]\nmethod = sgd\nalpha = 0.1\n"
             "[optimizer.b]\nmethod = sgd\nalpha = 0.2\n")
         assert cfg.T == 20
@@ -347,7 +353,7 @@ class TestConfigParsing:
     ])
     def test_settings_at_odds_name_a_line(self, text, message):
         with pytest.raises(ValueError, match="^" + message):
-            H.parse_config_text(text + "[optimizer.sgd]\n")
+            CF.parse_config_text(text + "[optimizer.sgd]\n")
 
     @pytest.mark.parametrize("spec, fields, message", [
         (dict(kind=P.BINARY_LOGISTIC, num_classes=3), ("num_classes",),
@@ -370,8 +376,8 @@ class TestConfigParsing:
     ])
     def test_problem_spec_rejects_settings_at_odds(self, spec, fields,
                                                    message):
-        with pytest.raises(O.SettingError, match="^" + message) as err:
-            H.ProblemSpec(**spec)
+        with pytest.raises(CF.SettingError, match="^" + message) as err:
+            CF.ProblemSpec(**spec)
         assert err.value.fields == fields
 
     @pytest.mark.parametrize("kind, field, key, value", [
@@ -385,35 +391,63 @@ class TestConfigParsing:
             self, kind, field, key, value):
         message = "%s does not apply to a synthetic %s problem, got %r" % (
             key, kind, value)
-        with pytest.raises(O.SettingError, match="^%s$" % re.escape(message)
+        with pytest.raises(CF.SettingError, match="^%s$" % re.escape(message)
                            ) as err:
-            H.ProblemSpec(kind=kind, **{field: value})
+            CF.ProblemSpec(kind=kind, **{field: value})
         assert err.value.fields == (field,)
         with pytest.raises(ValueError,
                            match="^line 3: %s$" % re.escape(message)):
-            H.parse_config_text("kind = %s\nT = 20\n%s = %s\n"
-                                "[optimizer.sgd]\n" % (kind, key, value))
+            CF.parse_config_text("kind = %s\nT = 20\n%s = %s\n"
+                                 "[optimizer.sgd]\n" % (kind, key, value))
         # at its default the setting changes nothing, so it is accepted
-        default = H.ProblemSpec(kind=kind)
-        assert H.parse_config_text(
+        default = CF.ProblemSpec(kind=kind)
+        assert CF.parse_config_text(
             "kind = %s\n%s = %s\n[optimizer.sgd]\n"
             % (kind, key, getattr(default, field))).problem == default
 
     @pytest.mark.parametrize("field, key, value", [
-        ("n", "n", 2.5), ("d", "d", True), ("num_classes", "classes", 3.5)])
+        ("n", "n", 2.5), ("d", "d", True), ("num_classes", "classes", 3.5),
+        ("data_seed", "data_seed", 1.5), ("data_seed", "data_seed", True)])
     def test_problem_spec_rejects_a_count_that_is_not_whole(self, field,
                                                             key, value):
-        with pytest.raises(O.SettingError,
+        with pytest.raises(CF.SettingError,
                            match="^%s must be whole, got %r$" % (key, value)
                            ) as err:
-            H.ProblemSpec(kind=P.MULTICLASS_LOGISTIC, **{field: value})
+            CF.ProblemSpec(kind=P.MULTICLASS_LOGISTIC, **{field: value})
         assert err.value.fields == (field,)
 
     def test_problem_spec_keeps_a_whole_count_as_an_int(self):
-        spec = H.ProblemSpec(kind=P.CENTROID, n=np.int64(6), d=3.0)
+        spec = CF.ProblemSpec(kind=P.CENTROID, n=np.int64(6), d=3.0)
         assert (spec.n, spec.d) == (6, 3)
         assert type(spec.n) is int and type(spec.d) is int
         assert spec.build()[0].X.shape == (6, 3)
+
+    @pytest.mark.parametrize("spec, call", [
+        (dict(kind=P.CENTROID, n=7, d=3, sigma=0.5, data_seed=4),
+         ("synth_centroid", 7, 3, 0.5, 4)),
+        (dict(kind=P.BINARY_LOGISTIC, n=7, d=3, margin=2.0, sparsity=0.25,
+              data_seed=4), ("synth_classification", 7, 3, 2, 2.0, 0.25, 4)),
+        (dict(kind=P.MULTICLASS_LOGISTIC, n=9, d=3, num_classes=3,
+              margin=2.5, sparsity=0.5, data_seed=5, l2_lambda=0.5),
+         ("synth_classification", 9, 3, 3, 2.5, 0.5, 5)),
+        (dict(kind=P.BINARY_LOGISTIC, path="d.svm", sparse=True,
+              l2_lambda=0.25), ("load_sparse", "d.svm")),
+        (dict(kind=P.MULTICLASS_LOGISTIC, path="d.csv"),
+         ("load_dense_csv", "d.csv")),
+    ])
+    def test_build_calls_datasets_through_the_module(self, monkeypatch,
+                                                     spec, call):
+        # each function is looked up on the module when called, so a
+        # wrapper set on the module attribute sees every load and draw
+        calls = []
+        for name in ("synth_centroid", "synth_classification", "load_sparse",
+                     "load_dense_csv", "make_problem"):
+            monkeypatch.setattr(D, name, lambda *args, name=name: (
+                calls.append((name, *args)) or name))
+        spec = CF.ProblemSpec(**spec)
+        assert spec.build() == (call[0], "make_problem")
+        assert calls == [call, ("make_problem", call[0], spec.kind,
+                                spec.l2_lambda)]
 
     def test_rows_per_class_beside_a_data_file_are_rejected(self):
         # the file decides both; the first field that differs is named
@@ -422,9 +456,9 @@ class TestConfigParsing:
             with pytest.raises(ValueError, match="^line %d: n applies only "
                                "without a path, whose file decides it, got 2$"
                                % line):
-                H.parse_config_text("kind = multiclass-logistic\n"
-                                    "path = data.svm\n" + keys
-                                    + "[optimizer.sgd]\n")
+                CF.parse_config_text("kind = multiclass-logistic\n"
+                                     "path = data.svm\n" + keys
+                                     + "[optimizer.sgd]\n")
 
     @pytest.mark.parametrize("name", ["a/b", "a,b", "a b", "x\udcff", ""])
     def test_a_section_name_outside_its_alphabet_names_its_header(self,
@@ -432,34 +466,34 @@ class TestConfigParsing:
         message = ("line 3: [optimizer.%s]: optimizer names may hold only "
                    "letters, digits, _, - and ., got %r" % (name, name))
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-            H.parse_config_text("T = 20\n[optimizer.sgd]\n[optimizer.%s]\n"
-                                "method = sgd\n" % name)
-        spec = H.ProblemSpec(kind=P.CENTROID)
-        with pytest.raises(O.SettingError) as err:
-            H.ExperimentConfig(spec, {name: H.convex_preset("sgd")})
+            CF.parse_config_text("T = 20\n[optimizer.sgd]\n[optimizer.%s]\n"
+                                 "method = sgd\n" % name)
+        spec = CF.ProblemSpec(kind=P.CENTROID)
+        with pytest.raises(CF.SettingError) as err:
+            CF.ExperimentConfig(spec, {name: CF.convex_preset("sgd")})
         assert err.value.fields == ("optimizers", name)
-        cfg = H.ExperimentConfig(spec, {"Az09_-.x": H.convex_preset("sgd")})
+        cfg = CF.ExperimentConfig(spec, {"Az09_-.x": CF.convex_preset("sgd")})
         assert list(cfg.optimizers) == ["Az09_-.x"]
 
     def test_method_defaults_to_the_section_name(self):
-        cfg = H.parse_config_text("[optimizer.dasgrad]\nbatch_size = 2\n"
-                                  "[optimizer.fast]\nmethod = sgd\n")
+        cfg = CF.parse_config_text("[optimizer.dasgrad]\nbatch_size = 2\n"
+                                   "[optimizer.fast]\nmethod = sgd\n")
         assert cfg.optimizers["dasgrad"].method == "dasgrad"
         assert cfg.optimizers["fast"].method == "sgd"
 
     def test_section_named_for_no_method_needs_a_method_line(self):
         with pytest.raises(ValueError, match=r"^line 2: \[optimizer\.fast\]: "
                                              r"unknown method 'fast'$"):
-            H.parse_config_text("T = 5\n[optimizer.fast]\nbatch_size = 2\n")
+            CF.parse_config_text("T = 5\n[optimizer.fast]\nbatch_size = 2\n")
 
     @pytest.mark.parametrize("kind", ["", "kind = centroid\n"])
     def test_lambda_on_a_centroid_problem_names_its_line(self, kind):
         with pytest.raises(ValueError, match="^line 2: lambda must be 0 "
                                              "for a centroid problem"):
-            H.parse_config_text("T = 10\nlambda = 0.5\n" + kind
-                                + "[optimizer.sgd]\n")
-        cfg = H.parse_config_text("T = 10\nlambda = 0\n" + kind
-                                  + "[optimizer.sgd]\n")
+            CF.parse_config_text("T = 10\nlambda = 0.5\n" + kind
+                                 + "[optimizer.sgd]\n")
+        cfg = CF.parse_config_text("T = 10\nlambda = 0\n" + kind
+                                   + "[optimizer.sgd]\n")
         assert cfg.problem.l2_lambda == 0.0
 
     def test_a_byte_that_is_not_utf8_in_a_value_names_its_line(self,
@@ -468,24 +502,24 @@ class TestConfigParsing:
         path.write_bytes(b"kind = centroid\nT = 2\xff0\n[optimizer.sgd]\n")
         with pytest.raises(ValueError, match=r"^line 2: invalid literal .*"
                            r"'2\\udcff0'$"):
-            H.load_config(str(path))
+            CF.load_config(str(path))
 
     def test_a_comment_may_hold_a_latin1_byte(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_bytes(b"# caf\xe9 au lait\nT = 20\n[optimizer.sgd]\n")
-        cfg = H.load_config(str(path))
+        cfg = CF.load_config(str(path))
         assert cfg.T == 20 and set(cfg.optimizers) == {"sgd"}
 
     def test_repo_configs_use_only_known_keys(self):
         root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
         for name in sorted(os.listdir(root)):
             if name.endswith(".cfg"):
-                H.load_config(os.path.join(root, name))
+                CF.load_config(os.path.join(root, name))
 
 
 class TestPresets:
     def test_convex_preset_carries_footnote_hyperparameters(self):
-        cfg = H.convex_preset("dasgrad")
+        cfg = CF.convex_preset("dasgrad")
         assert cfg.alpha == 0.01
         assert cfg.beta1 == 0.9
         assert cfg.beta2 == 0.99
@@ -495,10 +529,25 @@ class TestPresets:
     def test_experiment_config_solves_at_the_library_defaults(self):
         # a config's reference solve, the protocols' and a direct
         # solve_reference call share one pair of settings
-        config = H.ExperimentConfig(problem=H.ProblemSpec(kind=P.CENTROID),
-                                    optimizers={"sgd": H.convex_preset("sgd")})
+        config = CF.ExperimentConfig(
+            problem=CF.ProblemSpec(kind=P.CENTROID),
+            optimizers={"sgd": CF.convex_preset("sgd")})
         assert (config.reference_tol, config.reference_max_iters) == (
             M.REFERENCE_TOL, M.REFERENCE_MAX_ITERS)
+
+    def test_experiment_config_keeps_a_whole_cap_as_an_int(self):
+        # solve_reference counts its iterations in a range
+        config = CF.ExperimentConfig(
+            problem=CF.ProblemSpec(kind=P.CENTROID),
+            optimizers={"sgd": CF.convex_preset("sgd")},
+            reference_max_iters=50.0)
+        assert type(config.reference_max_iters) is int
+        assert config.reference_max_iters == 50
+
+    @pytest.mark.parametrize("name", ["load_config", "ExperimentConfig",
+                                      "ProblemSpec", "convex_preset"])
+    def test_the_harness_still_provides_the_settings_it_takes(self, name):
+        assert getattr(H, name) is getattr(CF, name)
 
 
 def read_trace(path):
@@ -509,7 +558,7 @@ def read_trace(path):
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
-        cfg = H.parse_config_text(TINY_CONFIG.format(out=tmp_path / "o"))
+        cfg = CF.parse_config_text(TINY_CONFIG.format(out=tmp_path / "o"))
         _, problem = cfg.problem.build()
         opt = cfg.optimizers["amsgrad"]
         result = O.run(problem, opt, T=20, seed=0, metric_tick=5)
@@ -527,7 +576,7 @@ class TestTraceCsv:
         from dasgrad import datasets as D
         ds = D.synth_centroid(10, 2, 1.0, seed=0)
         problem = D.make_problem(ds, P.CENTROID)
-        result = O.run(problem, O.OptimizerConfig(method="sgd", batch_size=2),
+        result = O.run(problem, CF.OptimizerConfig(method="sgd", batch_size=2),
                        T=10, seed=0, metric_tick=5)
         path = tmp_path / "trace.csv"
         H.write_trace_csv(path, result, 0.0, np.cumsum(result.loss))
@@ -571,7 +620,7 @@ output_dir = {out}
 method = sgd
 batch_size = 2
 """.format(out=tmp_path / "single")
-        cfg = H.parse_config_text(text)
+        cfg = CF.parse_config_text(text)
         H.run_experiment(cfg)
         trace = (tmp_path / "single" / "trace_sgd_0.csv").read_text()
         assert len(trace.splitlines()) == 11  # header + 10 ticks
@@ -579,7 +628,7 @@ batch_size = 2
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            cfg = H.parse_config_text(TINY_CONFIG.format(out=out))
+            cfg = CF.parse_config_text(TINY_CONFIG.format(out=out))
             H.run_experiment(cfg)
         names = sorted(os.listdir(out_a))
         assert names == sorted(os.listdir(out_b))
@@ -589,7 +638,7 @@ batch_size = 2
 
     def test_outputs_exist_and_aggregate_matches_traces(self, tmp_path):
         out = tmp_path / "exp"
-        cfg = H.parse_config_text(TINY_CONFIG.format(out=out))
+        cfg = CF.parse_config_text(TINY_CONFIG.format(out=out))
         H.run_experiment(cfg)
         for name in ("trace_dasgrad_0.csv", "trace_amsgrad_2.csv",
                      "aggregate_dasgrad.csv", "aggregate_amsgrad.csv",
@@ -608,7 +657,7 @@ batch_size = 2
 
     def test_comparison_recomputable_from_traces(self, tmp_path):
         out = tmp_path / "cmp"
-        cfg = H.parse_config_text(TINY_CONFIG.format(out=out))
+        cfg = CF.parse_config_text(TINY_CONFIG.format(out=out))
         H.run_experiment(cfg)
         das = [read_trace(out / ("trace_dasgrad_%d.csv" % s))
                for s in (0, 1, 2)]
@@ -630,7 +679,7 @@ batch_size = 2
 
     def test_divergence_recorded_not_fatal(self, tmp_path):
         out = tmp_path / "div"
-        cfg = H.parse_config_text(DIVERGING_CONFIG.format(out=out))
+        cfg = CF.parse_config_text(DIVERGING_CONFIG.format(out=out))
         results = H.run_experiment(cfg)
         assert set(results) == {("tame", 0), ("tame", 1)}
         assert [run[:2] for run in results.failures] == [("wild", 0),
@@ -643,7 +692,7 @@ batch_size = 2
         out = tmp_path / "partial"
         data = tmp_path / "partial.csv"
         data.write_text(PARTIAL_DIVERGENCE_DATA)
-        cfg = H.parse_config_text(PARTIAL_DIVERGENCE_CONFIG.format(
+        cfg = CF.parse_config_text(PARTIAL_DIVERGENCE_CONFIG.format(
             out=out, data=data))
         results = H.run_experiment(cfg)
         assert sorted(s for name, s in results if name == "dasgrad") == [
@@ -663,7 +712,7 @@ batch_size = 2
     def test_diverging_runs_raise_no_numpy_warnings(self, tmp_path):
         data = tmp_path / "partial.csv"
         data.write_text(PARTIAL_DIVERGENCE_DATA)
-        cfg = H.parse_config_text(PARTIAL_DIVERGENCE_CONFIG.format(
+        cfg = CF.parse_config_text(PARTIAL_DIVERGENCE_CONFIG.format(
             out=tmp_path / "partial", data=data))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -672,7 +721,7 @@ batch_size = 2
 
     def test_one_seed_skips_aggregates_and_comparison(self, tmp_path):
         out = tmp_path / "one"
-        cfg = H.parse_config_text(TINY_CONFIG.format(out=out).replace(
+        cfg = CF.parse_config_text(TINY_CONFIG.format(out=out).replace(
             "seeds = 0,1,2", "seeds = 4"))
         results = H.run_experiment(cfg)
         assert results.skipped == ["aggregate_amsgrad.csv",
@@ -682,7 +731,7 @@ batch_size = 2
 
     def test_rerun_removes_the_outputs_it_leaves_unwritten(self, tmp_path,
                                                            monkeypatch):
-        cfg = H.parse_config_text(TINY_CONFIG.format(out=tmp_path / "o"))
+        cfg = CF.parse_config_text(TINY_CONFIG.format(out=tmp_path / "o"))
         H.run_experiment(cfg)
         diverge_on(monkeypatch, {("dasgrad", 0), ("dasgrad", 1),
                                  ("dasgrad", 2)})
@@ -696,7 +745,7 @@ batch_size = 2
     def test_comparison_pairs_runs_by_seed(self, tmp_path, monkeypatch):
         diverge_on(monkeypatch, {("dasgrad", 0)})
         out = tmp_path / "paired"
-        H.run_experiment(H.parse_config_text(TINY_CONFIG.format(out=out)))
+        H.run_experiment(CF.parse_config_text(TINY_CONFIG.format(out=out)))
         trace = {(name, s): read_trace(
             out / ("trace_%s_%d.csv" % (name, s)))
             for name in ("dasgrad", "amsgrad") for s in (0, 1, 2)
@@ -732,7 +781,7 @@ batch_size = 2
                                  ("amsgrad", 2), ("amsgrad", 3)})
         out = tmp_path / "disjoint"
         text = TINY_CONFIG.replace("seeds = 0,1,2", "seeds = 0,1,2,3")
-        results = H.run_experiment(H.parse_config_text(text.format(out=out)))
+        results = H.run_experiment(CF.parse_config_text(text.format(out=out)))
         assert len(results) == 4
         assert (out / "aggregate_dasgrad.csv").exists()
         assert (out / "aggregate_amsgrad.csv").exists()
@@ -817,10 +866,10 @@ class TestRunSettingsRejected:
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="target label count"):
             if protocol == "run":
-                config = H.parse_config_text(TINY_CONFIG.format(out=out))
+                config = CF.parse_config_text(TINY_CONFIG.format(out=out))
                 # two counts for the config's three classes
                 H.run_experiment(dataclasses.replace(config, optimizers={
-                    "dasgrad": H.convex_preset(
+                    "dasgrad": CF.convex_preset(
                         "dasgrad", target_label_counts=[1, 2])}))
             else:
                 # keep_fraction 0.0005 leaves classes 1 and 3 no training
@@ -836,15 +885,15 @@ class TestRunSettingsRejected:
         def call(seeds, out):
             if protocol == "run":
                 return H.run_experiment(dataclasses.replace(
-                    H.parse_config_text(OWNED_CONFIG.format(out=out,
-                                                            seeds="0,1")),
+                    CF.parse_config_text(OWNED_CONFIG.format(out=out,
+                                                             seeds="0,1")),
                     seeds=seeds))
             if protocol == "sweep":
                 return H.sweep_variance([1.0], seeds, str(out), **SMALL_SWEEP)
             return H.matching_experiment(seeds, str(out), **SMALL_MATCHING)
 
         for bad in ([0.5, 2], [True, 2]):
-            with pytest.raises(O.SettingError, match="seeds must be whole, "
+            with pytest.raises(CF.SettingError, match="seeds must be whole, "
                                                      "got " + str(bad[0])):
                 call(bad, tmp_path / "bad")
             assert not (tmp_path / "bad").exists()
@@ -860,9 +909,9 @@ class TestRunSettingsRejected:
     def test_experiment_config_keeps_a_one_shot_iterable_of_seeds(
             self, tmp_path):
         out = tmp_path / "gen"
-        config = H.ExperimentConfig(
-            problem=H.ProblemSpec(kind=P.CENTROID, n=10, d=2),
-            optimizers={"sgd": H.convex_preset("sgd", batch_size=2)},
+        config = CF.ExperimentConfig(
+            problem=CF.ProblemSpec(kind=P.CENTROID, n=10, d=2),
+            optimizers={"sgd": CF.convex_preset("sgd", batch_size=2)},
             T=10, seeds=(s for s in (0, 1)), metric_tick=5,
             output_dir=str(out))
         assert config.seeds == (0, 1)
@@ -888,15 +937,15 @@ class TestRunSettingsRejected:
             self, tol):
         with pytest.raises(ValueError, match="reference_tol must be finite "
                                              "and positive"):
-            H.ExperimentConfig(problem=H.ProblemSpec(kind=P.CENTROID),
-                               optimizers={"sgd": H.convex_preset("sgd")},
-                               reference_tol=tol)
+            CF.ExperimentConfig(problem=CF.ProblemSpec(kind=P.CENTROID),
+                                optimizers={"sgd": CF.convex_preset("sgd")},
+                                reference_tol=tol)
 
     def test_experiment_config_rejects_a_tick_run_rejects(self):
         with pytest.raises(ValueError, match="metric_tick"):
-            H.ExperimentConfig(problem=H.ProblemSpec(kind=P.CENTROID),
-                               optimizers={"sgd": H.convex_preset("sgd")},
-                               metric_tick=True)
+            CF.ExperimentConfig(problem=CF.ProblemSpec(kind=P.CENTROID),
+                                optimizers={"sgd": CF.convex_preset("sgd")},
+                                metric_tick=True)
 
     @pytest.mark.parametrize("sigmas, methods", [
         ([0.1, 0.1000001], ("amsgrad", "dasgrad")),
@@ -925,16 +974,26 @@ class TestRunSettingsRejected:
         (dict(data_seed=-1), "data_seed", "data_seed must be nonnegative"),
         (dict(n_eval=0), "n_eval", "n_eval must be at least 1"),
         (dict(n_train=0), "n_train", "n_train must be at least 1"),
+        (dict(data_seed=1.5), "data_seed", "data_seed must be whole, got 1.5"),
     ])
     def test_matching_problem_settings_name_their_setting(
             self, tmp_path, monkeypatch, settings, field, message):
         monkeypatch.setattr(O, "run", None)
         monkeypatch.setattr(M, "solve_reference", None)
         out = tmp_path / "m"
-        with pytest.raises(O.SettingError, match="^" + message) as err:
+        with pytest.raises(CF.SettingError, match="^" + message) as err:
             H.matching_experiment(range(2), str(out), **settings)
         assert err.value.fields == (field,)
         assert not out.exists()
+
+    def test_matching_takes_a_whole_float_setting_as_its_int(self):
+        small = dict(H.MATCHING_DEFAULTS, n_train=60, n_eval=20, d=3)
+        floats = dict(small, n_train=60.0, n_eval=20.0, data_seed=23.0)
+        for got, want in zip(H.matching_datasets(floats),
+                             H.matching_datasets(small)):
+            assert got.provenance == want.provenance
+            assert np.array_equal(got.X, want.X)
+            assert np.array_equal(got.y, want.y)
 
     def test_unknown_protocol_setting_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setattr(O, "run", None)
@@ -963,7 +1022,7 @@ class TestRunSettingsRejected:
                                                     monkeypatch):
         monkeypatch.setattr(os, "fork", None)
         out = tmp_path / "sweep"
-        with pytest.raises(O.SettingError,
+        with pytest.raises(CF.SettingError,
                            match="^need at least one sigma$") as err:
             H.sweep_variance([], range(2), str(out), **SMALL_SWEEP)
         assert err.value.fields == ("sigmas",)
@@ -1028,7 +1087,7 @@ class TestRunSettingsRejected:
         assert err.value.code == 2
         assert ("%s must be at least 1, got 0" % field
                 in capsys.readouterr().err)
-        with pytest.raises(O.SettingError) as err:
+        with pytest.raises(CF.SettingError) as err:
             H.sweep_variance([1.0], range(2), str(out), **{field: 0})
         assert err.value.fields == (field,)
         assert not out.exists()
@@ -1201,7 +1260,7 @@ class TestOutputOwnership:
 
     def run(self, out, seeds, drop_sgd=False):
         text = OWNED_CONFIG.format(out=out, seeds=seeds)
-        H.run_experiment(H.parse_config_text(
+        H.run_experiment(CF.parse_config_text(
             text.replace(SGD_SECTION, "") if drop_sgd else text))
 
     def test_run_with_fewer_seeds(self, tmp_path):
@@ -1489,7 +1548,7 @@ class TestSweepAndMatching:
 def call_protocol(protocol, out):
     """One small run_experiment or matching_experiment call into ``out``."""
     if protocol == "run":
-        return H.run_experiment(H.parse_config_text(TINY_CONFIG.format(
+        return H.run_experiment(CF.parse_config_text(TINY_CONFIG.format(
             out=out)))
     return H.matching_experiment(range(2), str(out), **SMALL_MATCHING)
 
@@ -1499,7 +1558,7 @@ def call_four_seeds(protocol, out):
     into ``out`` over seeds 0-3; each method's seeds are the tasks of one
     arm, or of one arm per sigma."""
     if protocol == "run":
-        return H.run_experiment(H.parse_config_text(TINY_CONFIG.replace(
+        return H.run_experiment(CF.parse_config_text(TINY_CONFIG.replace(
             "seeds = 0,1,2", "seeds = 0,1,2,3").format(out=out)))
     if protocol == "sweep":
         return H.sweep_variance((0.5, 2.0), range(4), str(out), **SMALL_SWEEP)
@@ -1626,7 +1685,7 @@ class TestReferenceHelper:
         want = M.solve_reference(problem, 1e-6, 300)
         log = tmp_path / "solves"
         helper_makes_the_solves(monkeypatch, log)
-        results = H._run_arms({"sgd": (problem, H.convex_preset("sgd"))},
+        results = H._run_arms({"sgd": (problem, CF.convex_preset("sgd"))},
                               range(2), 1, 1, str(tmp_path / "out"), "none",
                               tol=1e-6, max_iters=300)
         solvers = log.read_text().split()
@@ -1698,7 +1757,7 @@ class TestReferenceHelper:
         # one problem of 4 rows for two arms, one of 5 rows for the third
         four, five = (D.make_problem(D.synth_centroid(n, 2, 1.0, 0),
                                      P.CENTROID) for n in (4, 5))
-        arms = {m: (problem, O.OptimizerConfig(method=m)) for m, problem
+        arms = {m: (problem, CF.OptimizerConfig(method=m)) for m, problem
                 in (("sgd", four), ("adam", five), ("amsgrad", four))}
         results = H._run_arms(arms, range(200), 1, 1, str(tmp_path / "out"),
                               "none")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from dasgrad import config as CF
 from dasgrad import datasets as D
 from dasgrad import harness as H
 from dasgrad import metrics as M
@@ -56,7 +57,7 @@ class TestStepGeneral:
     def test_one_step_hand_computation(self):
         # sgd, alpha=1, t=1, forced draw of example 1: theta' = 0 - (0 - 4) = 4
         prob = centroid_problem([[0.0], [4.0]])
-        cfg = O.OptimizerConfig(method="sgd", alpha=1.0, batch_size=1)
+        cfg = CF.OptimizerConfig(method="sgd", alpha=1.0, batch_size=1)
         tree = S.SamplingTree([0.0, 1.0])  # all mass on index 1
         state = O.MomentState.zeros(1)
         batch = O.draw_batch(prob, tree, np.random.default_rng(0), cfg, 1)
@@ -83,7 +84,7 @@ class TestStepGeneral:
         prob = multiclass_problem(rng, n=24, k=3)
         counts = np.array([10, 30, 20])
         m = counts.sum()
-        cfg = O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
+        cfg = CF.OptimizerConfig(method="dasgrad", target_label_counts=counts)
         theta = rng.standard_normal(prob.param_dim)
         probs = S.normalize_scores(rng.random(prob.n), 1e-3)
         tree = S.SamplingTree(probs)
@@ -101,8 +102,8 @@ class TestStepGeneral:
 
     def test_divergence_detected(self):
         prob = centroid_problem([[1.0], [3.0]])
-        cfg = O.OptimizerConfig(method="sgd", alpha=1e200, batch_size=1,
-                                projection=(-np.inf, np.inf))
+        cfg = CF.OptimizerConfig(method="sgd", alpha=1e200, batch_size=1,
+                                 projection=(-np.inf, np.inf))
         with pytest.raises(O.DivergenceError) as err:
             O.run(prob, cfg, T=10, seed=0, metric_tick=100)
         assert err.value.step >= 1
@@ -111,7 +112,7 @@ class TestStepGeneral:
         # theta stays in [-1e200, 1e200], but the loss 0.5 (theta - x)^2
         # overflows at the first tick
         prob = centroid_problem([[1e200], [-1e200]])
-        cfg = O.OptimizerConfig(method="sgd", alpha=0.1, batch_size=1)
+        cfg = CF.OptimizerConfig(method="sgd", alpha=0.1, batch_size=1)
         with pytest.raises(O.DivergenceError, match="nonfinite loss") as err:
             O.run(prob, cfg, T=10, seed=0, metric_tick=5)
         assert err.value.step == 5
@@ -126,35 +127,35 @@ class TestStepGeneral:
 class TestConfigValidation:
     def test_gamma_guard(self):
         with pytest.raises(ValueError):
-            O.OptimizerConfig(method="amsgrad", beta1=0.99, beta2=0.5)
+            CF.OptimizerConfig(method="amsgrad", beta1=0.99, beta2=0.5)
         # fine for sgd, which has no moment recursion
-        O.OptimizerConfig(method="sgd", beta1=0.99, beta2=0.5)
+        CF.OptimizerConfig(method="sgd", beta1=0.99, beta2=0.5)
 
     @pytest.mark.parametrize("counts", [
         [], [0, 0], [3, -1], [1.5, 2], ["1", "2"]])
     def test_target_mode_needs_counts(self, counts):
         with pytest.raises(ValueError, match="target_label_counts"):
-            O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
+            CF.OptimizerConfig(method="dasgrad", target_label_counts=counts)
 
     def test_target_counts_are_a_tuple_of_ints(self):
         counts = np.array([1, 2])
-        a = O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
-        b = O.OptimizerConfig(method="dasgrad", target_label_counts=[1, 2])
+        a = CF.OptimizerConfig(method="dasgrad", target_label_counts=counts)
+        b = CF.OptimizerConfig(method="dasgrad", target_label_counts=[1, 2])
         assert a == b and hash(a) == hash(b)
         counts[0] = 99
         assert a.target_label_counts == (1, 2)
         assert type(a.target_label_counts[0]) is int
-        assert O.OptimizerConfig(method="sgd").target_label_counts is None
+        assert CF.OptimizerConfig(method="sgd").target_label_counts is None
 
     def test_projection_is_two_floats(self):
-        a = O.OptimizerConfig(method="dasgrad", projection=(-1, 1))
-        b = O.OptimizerConfig(method="dasgrad", projection=(-1.0, 1.0))
+        a = CF.OptimizerConfig(method="dasgrad", projection=(-1, 1))
+        b = CF.OptimizerConfig(method="dasgrad", projection=(-1.0, 1.0))
         assert a == b and hash(a) == hash(b)
         assert all(type(bound) is float for bound in a.projection)
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
-            O.OptimizerConfig(method="adamw")
+            CF.OptimizerConfig(method="adamw")
 
 
     @pytest.mark.parametrize("field, value, message", [
@@ -176,7 +177,7 @@ class TestConfigValidation:
     def test_rejects_nonfinite_or_out_of_range_values(self, field, value,
                                                       message):
         with pytest.raises(ValueError, match=message):
-            O.OptimizerConfig(method="dasgrad", **{field: value})
+            CF.OptimizerConfig(method="dasgrad", **{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 2.5), ("batch_size", True), ("batch_size", 0),
@@ -185,26 +186,26 @@ class TestConfigValidation:
         ("refresh_period", np.inf)])
     def test_sizes_must_be_whole_numbers(self, field, value):
         with pytest.raises(ValueError, match=field):
-            O.OptimizerConfig(method="dasgrad", **{field: value})
+            CF.OptimizerConfig(method="dasgrad", **{field: value})
 
     def test_sizes_are_stored_as_ints(self):
-        cfg = O.OptimizerConfig(method="dasgrad", batch_size=np.int64(4),
-                                refresh_period=5.0)
+        cfg = CF.OptimizerConfig(method="dasgrad", batch_size=np.int64(4),
+                                 refresh_period=5.0)
         assert (cfg.batch_size, cfg.refresh_period) == (4, 5)
         assert type(cfg.batch_size) is int
         assert type(cfg.refresh_period) is int
 
     @pytest.mark.parametrize("method", ["adam", "amsgrad", "dasgrad"])
     def test_beta1_decays_geometrically(self, method):
-        cfg = O.OptimizerConfig(method=method, beta1=0.8, beta1_decay=0.5)
+        cfg = CF.OptimizerConfig(method=method, beta1=0.8, beta1_decay=0.5)
         for t in (1, 2, 5):
             assert cfg.beta1_at(t) == 0.8 * 0.5 ** (t - 1)
 
     def test_step_blends_moments_with_the_decayed_beta1(self):
         rng = np.random.default_rng(16)
         prob = multiclass_problem(rng, n=12)
-        cfg = O.OptimizerConfig(method="amsgrad", beta1=0.8,
-                                beta1_decay=0.5, batch_size=3)
+        cfg = CF.OptimizerConfig(method="amsgrad", beta1=0.8,
+                                 beta1_decay=0.5, batch_size=3)
         state = O.MomentState.zeros(prob.param_dim)
         state.m = rng.standard_normal(prob.param_dim)
         m_prev = state.m.copy()
@@ -220,14 +221,14 @@ class TestConfigValidation:
 
     def test_unbounded_box_and_closed_decay_range_are_legal(self):
         for decay in (0.0, 1.0):
-            O.OptimizerConfig(method="dasgrad", beta1_decay=decay,
-                              projection=(-np.inf, np.inf))
+            CF.OptimizerConfig(method="dasgrad", beta1_decay=decay,
+                               projection=(-np.inf, np.inf))
 
 
 def _collapse_config(problem, method, target, **kw):
     counts = (2, 5, 3)[:problem.num_classes] if target else None
-    return O.OptimizerConfig(method=method, alpha=0.05, batch_size=4,
-                             target_label_counts=counts, **kw)
+    return CF.OptimizerConfig(method=method, alpha=0.05, batch_size=4,
+                              target_label_counts=counts, **kw)
 
 
 class TestCollapseEquivalences:
@@ -272,10 +273,10 @@ class TestCollapseEquivalences:
     def test_rmsprop_equals_adam_beta1_zero(self):
         rng = np.random.default_rng(6)
         prob = multiclass_problem(rng, n=20)
-        rms = O.OptimizerConfig(method="rmsprop", alpha=0.05, beta1=0.5,
-                                beta2=0.9, batch_size=4)
-        adam = O.OptimizerConfig(method="adam", alpha=0.05, beta1=0.0,
+        rms = CF.OptimizerConfig(method="rmsprop", alpha=0.05, beta1=0.5,
                                  beta2=0.9, batch_size=4)
+        adam = CF.OptimizerConfig(method="adam", alpha=0.05, beta1=0.0,
+                                  beta2=0.9, batch_size=4)
         r1 = O.run(prob, rms, T=80, seed=1, metric_tick=1)
         r2 = O.run(prob, adam, T=80, seed=1, metric_tick=1)
         assert np.array_equal(r1.theta, r2.theta)
@@ -286,8 +287,8 @@ class TestCollapseEquivalences:
         # in amsgrad never binds
         prob = centroid_problem([[2.0, -1.0]])
         kw = dict(alpha=1e-4, beta1=0.9, beta2=0.99, batch_size=1)
-        adam = O.OptimizerConfig(method="adam", **kw)
-        ams = O.OptimizerConfig(method="amsgrad", **kw)
+        adam = CF.OptimizerConfig(method="adam", **kw)
+        ams = CF.OptimizerConfig(method="amsgrad", **kw)
         state = O.MomentState.zeros(2)
         tree = S.SamplingTree([1.0])
         rng = np.random.default_rng(11)
@@ -309,7 +310,7 @@ class TestRefresh:
     def test_equal_scores_give_uniform(self):
         prob = centroid_problem([[1.0], [3.0]])
         # theta = 2 is equidistant from both examples
-        cfg = O.OptimizerConfig(method="ap_sgd")
+        cfg = CF.OptimizerConfig(method="ap_sgd")
         tree = S.SamplingTree(np.full(2, 0.5))
         state = O.MomentState.zeros(1)
         O.refresh_probabilities(prob, np.array([2.0]), state, cfg, tree, 1)
@@ -317,7 +318,7 @@ class TestRefresh:
 
     def test_dominant_example_gets_proportional_mass(self):
         prob = centroid_problem([[1.0], [10.0]])
-        cfg = O.OptimizerConfig(method="ap_sgd", epsilon_prob=1e-12)
+        cfg = CF.OptimizerConfig(method="ap_sgd", epsilon_prob=1e-12)
         tree = S.SamplingTree(np.full(2, 0.5))
         state = O.MomentState.zeros(1)
         O.refresh_probabilities(prob, np.array([0.0]), state, cfg, tree, 1)
@@ -327,7 +328,7 @@ class TestRefresh:
     def test_tree_root_is_one_and_sampling_matches(self):
         rng = np.random.default_rng(7)
         prob = centroid_problem(rng.standard_normal((50, 3)))
-        cfg = O.OptimizerConfig(method="ap_sgd")
+        cfg = CF.OptimizerConfig(method="ap_sgd")
         tree = S.SamplingTree(np.full(50, 1.0 / 50))
         state = O.MomentState.zeros(3)
         O.refresh_probabilities(prob, rng.standard_normal(3), state, cfg,
@@ -344,8 +345,8 @@ class TestRefresh:
         # the refresh before step t blends with beta1 of the step before it
         rng = np.random.default_rng(14)
         prob = multiclass_problem(rng, n=37)
-        cfg = O.OptimizerConfig(method="dasgrad", batch_size=4,
-                                beta1_decay=0.5)
+        cfg = CF.OptimizerConfig(method="dasgrad", batch_size=4,
+                                 beta1_decay=0.5)
         tree = S.SamplingTree(np.full(prob.n, 1.0 / prob.n))
         state = O.MomentState.zeros(prob.param_dim)
         state.m = rng.standard_normal(prob.param_dim)
@@ -374,8 +375,8 @@ class TestRefresh:
         monkeypatch.setattr(O, "refresh_probabilities", recording)
         for method in ("ap_sgd", "dasgrad", "amsgrad"):
             for period in (1, 3, 7, 25):
-                cfg = O.OptimizerConfig(method=method, refresh_period=period,
-                                        batch_size=1)
+                cfg = CF.OptimizerConfig(method=method, refresh_period=period,
+                                         batch_size=1)
                 del steps[:]
                 O.run(prob, cfg, T=24, seed=0, metric_tick=24)
                 assert steps == [t for t in range(1, 25)
@@ -386,7 +387,7 @@ class TestRun:
     def test_single_step_equals_step_general(self):
         rng = np.random.default_rng(10)
         prob = multiclass_problem(rng, n=10)
-        cfg = O.OptimizerConfig(method="amsgrad", batch_size=3)
+        cfg = CF.OptimizerConfig(method="amsgrad", batch_size=3)
         result = O.run(prob, cfg, T=1, seed=5, metric_tick=1)
         state = O.MomentState.zeros(prob.param_dim)
         tree = S.SamplingTree(np.full(prob.n, 1.0 / prob.n))
@@ -398,8 +399,8 @@ class TestRun:
     def test_identical_seeds_identical_traces(self):
         rng = np.random.default_rng(11)
         prob = multiclass_problem(rng, n=15)
-        cfg = O.OptimizerConfig(method="dasgrad", batch_size=4,
-                                refresh_period=3)
+        cfg = CF.OptimizerConfig(method="dasgrad", batch_size=4,
+                                 refresh_period=3)
         r1 = O.run(prob, cfg, T=60, seed=42, metric_tick=5)
         r2 = O.run(prob, cfg, T=60, seed=42, metric_tick=5)
         assert np.array_equal(r1.theta, r2.theta)
@@ -409,8 +410,8 @@ class TestRun:
         rng = np.random.default_rng(15)
         prob = multiclass_problem(rng, n=20)
         held_out = multiclass_problem(rng, n=9)
-        cfg = O.OptimizerConfig(method="dasgrad", batch_size=4,
-                                refresh_period=3)
+        cfg = CF.OptimizerConfig(method="dasgrad", batch_size=4,
+                                 refresh_period=3)
         result = O.run(prob, cfg, T=20, seed=3, metric_tick=10,
                        eval_set=(held_out.X, held_out.y))
         assert result.accuracy[-1] == M.accuracy(prob, result.theta,
@@ -419,7 +420,7 @@ class TestRun:
     def test_centroid_sgd_converges(self):
         rng = np.random.default_rng(12)
         prob = centroid_problem(rng.standard_normal((40, 3)))
-        cfg = O.OptimizerConfig(method="sgd", alpha=0.3, batch_size=8)
+        cfg = CF.OptimizerConfig(method="sgd", alpha=0.3, batch_size=8)
         result = O.run(prob, cfg, T=3000, seed=0, metric_tick=3000)
         reference = M.solve_reference(prob)
         assert result.loss[-1] - reference.f_star < 1e-3
@@ -427,7 +428,7 @@ class TestRun:
     def test_vhat_monotone_along_run(self):
         rng = np.random.default_rng(13)
         prob = centroid_problem(rng.standard_normal((8, 3)))
-        cfg = O.OptimizerConfig(method="amsgrad", alpha=0.2, batch_size=2)
+        cfg = CF.OptimizerConfig(method="amsgrad", alpha=0.2, batch_size=2)
         state = O.MomentState.zeros(3)
         tree = S.SamplingTree(np.full(8, 1.0 / 8))
         gen = np.random.default_rng(1)
@@ -443,7 +444,7 @@ class TestRun:
     def test_target_counts_need_one_count_per_class(self):
         rng = np.random.default_rng(17)
         prob = multiclass_problem(rng, n=12, k=3)
-        cfg = O.OptimizerConfig(method="dasgrad", target_label_counts=[1, 2])
+        cfg = CF.OptimizerConfig(method="dasgrad", target_label_counts=[1, 2])
         with pytest.raises(ValueError, match="per class"):
             O.run(prob, cfg, T=4, seed=0)
 
@@ -452,19 +453,19 @@ class TestRun:
         X, _ = H._gaussian_rows(rng, 12, 4, 1)
         prob = P.Problem(X, np.arange(12) % 2 * 2, P.MULTICLASS_LOGISTIC,
                          num_classes=3)   # labels 0 and 2 only
-        cfg = O.OptimizerConfig(method="dasgrad",
-                                target_label_counts=[1, 2, 1])
+        cfg = CF.OptimizerConfig(method="dasgrad",
+                                 target_label_counts=[1, 2, 1])
         with pytest.raises(ValueError, match="no training row: 1$"):
             O.run(prob, cfg, T=4, seed=0)
         # a class with no row and no target mass is fine
-        cfg = O.OptimizerConfig(method="dasgrad",
-                                target_label_counts=[1, 0, 1])
+        cfg = CF.OptimizerConfig(method="dasgrad",
+                                 target_label_counts=[1, 0, 1])
         assert len(O.run(prob, cfg, T=4, seed=0, metric_tick=2).loss) == 2
 
     @pytest.mark.parametrize("tick", [0, -2])
     def test_tick_below_one_rejected(self, tick):
         prob = centroid_problem([[1.0], [3.0]])
-        cfg = O.OptimizerConfig(method="sgd", batch_size=1)
+        cfg = CF.OptimizerConfig(method="sgd", batch_size=1)
         with pytest.raises(ValueError, match="metric_tick"):
             O.run(prob, cfg, T=4, seed=0, metric_tick=tick)
 
@@ -473,7 +474,7 @@ class TestRun:
         (7.5, 1, "T"), (np.False_, 1, "T")])
     def test_non_integral_T_or_tick_rejected(self, T, tick, field):
         prob = centroid_problem([[1.0], [3.0]])
-        cfg = O.OptimizerConfig(method="sgd", batch_size=1)
+        cfg = CF.OptimizerConfig(method="sgd", batch_size=1)
         with pytest.raises(ValueError, match=field):
             O.run(prob, cfg, T=T, seed=0, metric_tick=tick)
 
@@ -652,7 +653,7 @@ _BIT_CHECK_SCHEDULES = [(3, 5), (1, 5), (5, 1), (30, 5), (7, 8), (7, 16),
 
 
 @pytest.mark.parametrize("kind", P.KINDS)
-@pytest.mark.parametrize("method", O.METHODS)
+@pytest.mark.parametrize("method", CF.METHODS)
 def test_run_is_bit_identical_to_the_parent_loop(method, kind):
     for is_sparse in (False, True):
         problem = _bit_check_problem(kind, is_sparse)
@@ -665,14 +666,14 @@ def test_run_is_bit_identical_to_the_parent_loop(method, kind):
             eval_set = _bit_check_rows(kind, is_sparse, 9, 21)[:2] \
                 if kw.pop("eval_set", False) else None
             kw.setdefault("refresh_period", period)
-            cfg = O.OptimizerConfig(method=method, alpha=0.2,
-                                    batch_size=batch, **kw)
+            cfg = CF.OptimizerConfig(method=method, alpha=0.2,
+                                     batch_size=batch, **kw)
             _assert_same_trace(problem, cfg, 24, 3, 4,
                                (method, kind, is_sparse, period, batch, mode),
                                eval_set)
 
 
-@pytest.mark.parametrize("method", O.METHODS)
+@pytest.mark.parametrize("method", CF.METHODS)
 def test_one_feature_centroid_runs_are_bit_identical(method):
     # a one-feature batch is a (B, 1) column, which numpy sums pairwise,
     # where it sums wider batches row by row
@@ -680,7 +681,7 @@ def test_one_feature_centroid_runs_are_bit_identical(method):
         problem = _bit_check_problem(P.CENTROID, is_sparse, d=1)
         for (period, batch), target in itertools.product(
                 _BIT_CHECK_SCHEDULES, (False, True)):
-            cfg = O.OptimizerConfig(
+            cfg = CF.OptimizerConfig(
                 method=method, alpha=0.2, batch_size=batch,
                 refresh_period=period,
                 target_label_counts=(3,) if target else None)
@@ -701,7 +702,7 @@ def _record_draw_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("method", O.METHODS)
+@pytest.mark.parametrize("method", CF.METHODS)
 def test_split_blocks_draw_the_same_stream(method, monkeypatch):
     # a block whose rows pass _BLOCK_BYTES is cut into blocks of whole
     # steps: a step's 5 rows of 4 features take 160 bytes, so 400 bytes
@@ -713,8 +714,8 @@ def test_split_blocks_draw_the_same_stream(method, monkeypatch):
         if method in O._ADAPTIVE_PROBS else [10] * 12
     for is_sparse in (False, True):
         problem = _bit_check_problem(P.MULTICLASS_LOGISTIC, is_sparse)
-        cfg = O.OptimizerConfig(method=method, alpha=0.2, batch_size=5,
-                                refresh_period=7)
+        cfg = CF.OptimizerConfig(method=method, alpha=0.2, batch_size=5,
+                                 refresh_period=7)
         sizes.clear()
         _assert_same_trace(problem, cfg, 24, 3, 4, (method, is_sparse))
         assert sizes == expected
@@ -744,8 +745,8 @@ def test_ticks_are_taken_at_the_tick_stack_bound(method, kind, monkeypatch):
     monkeypatch.setattr(M, "tick", recorded)
     for is_sparse in (False, True):
         problem = _bit_check_problem(kind, is_sparse)
-        cfg = O.OptimizerConfig(method=method, alpha=0.2, batch_size=5,
-                                refresh_period=7)
+        cfg = CF.OptimizerConfig(method=method, alpha=0.2, batch_size=5,
+                                 refresh_period=7)
         sizes.clear()
         stacks.clear()
         _assert_same_trace(problem, cfg, 24, 3, 2, (method, kind, is_sparse))
@@ -753,7 +754,7 @@ def test_ticks_are_taken_at_the_tick_stack_bound(method, kind, monkeypatch):
         assert max(stacks) == 2 and sum(stacks) == 12
 
 
-_DIVERGING_CASES = [(method, 1e200, 24, 5) for method in O.METHODS] + [
+_DIVERGING_CASES = [(method, 1e200, 24, 5) for method in CF.METHODS] + [
     ("sgd", 1000.0, 100, 1), ("ap_sgd", 1000.0, 100, 1)]
 
 
@@ -765,8 +766,8 @@ def test_divergence_is_raised_at_the_parent_loops_step(method, alpha, T,
     # loss at the first tick for the others; alpha = 1000 lets theta grow
     # for some 60 steps and diverge inside a refresh block
     problem = _bit_check_problem(P.CENTROID, is_sparse)
-    cfg = O.OptimizerConfig(method=method, alpha=alpha, batch_size=2,
-                            refresh_period=3, projection=(-np.inf, np.inf))
+    cfg = CF.OptimizerConfig(method=method, alpha=alpha, batch_size=2,
+                             refresh_period=3, projection=(-np.inf, np.inf))
     # the overflow warnings on the way to a divergence are not under test
     with np.errstate(all="ignore"):
         with pytest.raises(O.DivergenceError) as parent:
@@ -786,8 +787,8 @@ def test_block_ticks_are_the_parent_loops_ticks(method, kind, metric_tick):
     for is_sparse in (False, True):
         problem = _bit_check_problem(kind, is_sparse)
         for period, batch in _BIT_CHECK_SCHEDULES:
-            cfg = O.OptimizerConfig(method=method, alpha=0.2,
-                                    batch_size=batch, refresh_period=period)
+            cfg = CF.OptimizerConfig(method=method, alpha=0.2,
+                                     batch_size=batch, refresh_period=period)
             _assert_same_trace(problem, cfg, 24, 3, metric_tick,
                                (method, kind, is_sparse, period, batch))
 
@@ -812,8 +813,8 @@ def test_a_pending_nonfinite_tick_precedes_a_later_step_divergence(
     rng = np.random.default_rng(4)
     problem = P.Problem(1e200 * rng.standard_normal((12, 3)),
                         np.zeros(12, dtype=np.int64), P.CENTROID)
-    cfg = O.OptimizerConfig(method="sgd", alpha=0.1, batch_size=2,
-                            refresh_period=10)
+    cfg = CF.OptimizerConfig(method="sgd", alpha=0.1, batch_size=2,
+                             refresh_period=10)
     _diverge_at(monkeypatch, 5)
     with pytest.raises(O.DivergenceError,
                        match="^nonfinite loss at step 2$") as err:
@@ -831,8 +832,8 @@ def test_a_pending_nonfinite_tick_precedes_a_later_refresh_divergence(
     rng = np.random.default_rng(4)
     problem = P.Problem(7e153 * np.sign(rng.standard_normal((12, 3))),
                         np.zeros(12, dtype=np.int64), P.CENTROID)
-    cfg = O.OptimizerConfig(method="ap_sgd", alpha=0.1, batch_size=2,
-                            refresh_period=10)
+    cfg = CF.OptimizerConfig(method="ap_sgd", alpha=0.1, batch_size=2,
+                             refresh_period=10)
     refresh = O.refresh_probabilities
 
     def failing(problem, theta, state, config, tree, t):
@@ -850,8 +851,8 @@ def test_a_pending_nonfinite_tick_precedes_a_later_refresh_divergence(
 def test_a_step_divergence_after_finite_pending_ticks_is_reported(
         monkeypatch):
     problem = _bit_check_problem(P.CENTROID, False)
-    cfg = O.OptimizerConfig(method="amsgrad", alpha=0.2, batch_size=2,
-                            refresh_period=10)
+    cfg = CF.OptimizerConfig(method="amsgrad", alpha=0.2, batch_size=2,
+                             refresh_period=10)
     _diverge_at(monkeypatch, 5)
     with pytest.raises(O.DivergenceError,
                        match="^nonfinite update at step 5$") as err:
@@ -863,8 +864,8 @@ def test_a_step_divergence_after_finite_pending_ticks_is_reported(
 def test_a_run_ending_mid_block_records_its_last_ticks(kind):
     # the last block holds steps 10-13 of a 10-step period
     problem = _bit_check_problem(kind, False)
-    cfg = O.OptimizerConfig(method="dasgrad", alpha=0.2, batch_size=2,
-                            refresh_period=10)
+    cfg = CF.OptimizerConfig(method="dasgrad", alpha=0.2, batch_size=2,
+                             refresh_period=10)
     result = O.run(problem, cfg, T=13, seed=3, metric_tick=2)
     assert result.ticks.tolist() == [2, 4, 6, 8, 10, 12]
     _assert_same_trace(problem, cfg, 13, 3, 2, kind)
@@ -876,8 +877,8 @@ def test_moment_overflow_diverges_without_a_warning(method):
     # g * g overflows in the moment update (adagrad: its running sum)
     # before the first tick reads a nonfinite loss
     problem = _bit_check_problem(P.CENTROID, False)
-    cfg = O.OptimizerConfig(method=method, alpha=1e300,
-                            projection=(-np.inf, np.inf))
+    cfg = CF.OptimizerConfig(method=method, alpha=1e300,
+                             projection=(-np.inf, np.inf))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(O.DivergenceError, match="nonfinite loss at "
@@ -900,7 +901,7 @@ def test_workload_shaped_runs_are_bit_identical(is_sparse):
         methods, batch, T, tick = ("adam", "amsgrad", "dasgrad"), 4, 60, 20
     assert problem.is_sparse == is_sparse
     for method in methods:
-        cfg = O.OptimizerConfig(method=method, alpha=0.1, batch_size=batch)
+        cfg = CF.OptimizerConfig(method=method, alpha=0.1, batch_size=batch)
         _assert_same_trace(problem, cfg, T, 0, tick, method)
 
 
@@ -940,8 +941,8 @@ def test_step_skips_the_clip_only_where_it_is_the_identity(box):
         for x, alpha, t in [(theta, 1.0, 1), (theta, 0.25, 4),
                             (np.array([0.5, -0.5]), 1.0, 1),
                             (np.array([inside, -1e308]), 1e300, 7)]:
-            cfg = O.OptimizerConfig(method="sgd", alpha=alpha, batch_size=1,
-                                    projection=box)
+            cfg = CF.OptimizerConfig(method="sgd", alpha=alpha, batch_size=1,
+                                     projection=box)
             batch = x[None, :], np.zeros(1, dtype=np.int64), None
             with np.errstate(over="ignore", invalid="ignore"):
                 # the one-row batch's mean gradient, as the step forms it

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from dasgrad import config as CF
 from dasgrad import harness as H
 from dasgrad import optimizers as O
 from dasgrad import problems as P
@@ -463,7 +464,7 @@ def test_target_weights_are_unbiased_for_the_class_reweighted_mean(data):
     g = rng.standard_normal((n, 3))
     prob = P.Problem(np.zeros((n, 1)), y, P.MULTICLASS_LOGISTIC,
                      num_classes=k)
-    cfg = O.OptimizerConfig(method="dasgrad", target_label_counts=counts)
+    cfg = CF.OptimizerConfig(method="dasgrad", target_label_counts=counts)
     w = O._weights_for(prob, np.arange(n), S.SamplingTree(probs), cfg)
     lhs = (probs[:, None] * w[:, None] * g).sum(axis=0)
     rhs = sum(counts[c] / m * g[y == c].mean(axis=0) for c in range(k))

@@ -1,10 +1,10 @@
 """The adaptive sampling machinery: draws from running sums, score
 normalization, and importance weights.
 
-Shows that draws follow the leaf weights, that a single-leaf update and a
-full refresh (set_all) each retake the running sums in O(n), and that the
-importance weights make the weighted estimator unbiased regardless of how
-skewed the sampling is.
+Shows that draws follow the leaf weights, that a new distribution is a
+new tree, built with its running sums in O(n) while the old one stays as
+it was, and that the importance weights make the weighted estimator
+unbiased regardless of how skewed the sampling is.
 """
 
 import numpy as np
@@ -24,18 +24,12 @@ freq = np.bincount(draws, minlength=4) / len(draws)
 print("leaf weights      ", weights / weights.sum())
 print("observed frequency", np.round(freq, 4))
 
-# --- a single-leaf update reshapes the distribution --------------------------
-tree.update(0, 10.0)
-print("after update(0, 10): total =", tree.total)
-draws = tree.sample_many(rng, 200_000)
-print("index 0 now drawn %.1f%% of the time (10/19 = %.1f%%)"
-      % (100 * np.mean(draws == 0), 100 * 10 / 19))
-
-# --- a full refresh replaces every leaf in one O(n) pass ---------------------
-tree.set_all([4.0, 3.0, 2.0, 1.0])
-draws = tree.sample_many(rng, 200_000)
-print("after set_all([4, 3, 2, 1]): observed frequency",
+# --- a refresh builds a new tree in one O(n) pass ----------------------------
+refreshed = SamplingTree([4.0, 3.0, 2.0, 1.0])
+draws = refreshed.sample_many(rng, 200_000)
+print("new tree [4, 3, 2, 1]: observed frequency",
       np.round(np.bincount(draws, minlength=4) / len(draws), 4))
+print("the first tree still holds", tree.weights)
 
 # --- epsilon smoothing keeps every example alive -----------------------------
 scores = np.array([0.0, 0.0, 5.0, 1.0])

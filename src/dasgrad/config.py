@@ -144,9 +144,8 @@ class OptimizerConfig:
                                _positive_int(name, getattr(self, name)))
         counts = self.target_label_counts
         if counts is not None:
-            ints = tuple(int(c) for c in counts)
-            if ints != tuple(counts) or min(ints, default=0) < 0 \
-                    or sum(ints) < 1:
+            ints = tuple(map(_whole, counts))
+            if None in ints or min(ints, default=0) < 0 or sum(ints) < 1:
                 raise SettingError("target_label_counts must be nonnegative "
                                    "integers with a positive total",
                                    "target_label_counts")
@@ -289,8 +288,9 @@ class ExperimentConfig:
     reference_max_iters: int = _metrics.REFERENCE_MAX_ITERS
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", _check_run_settings(
-            self.T, self.metric_tick, self.seeds, 1))
+        checked = _check_run_settings(self.T, self.metric_tick, self.seeds, 1)
+        for name, value in zip(("T", "metric_tick", "seeds"), checked):
+            object.__setattr__(self, name, value)
         # a name is part of output file names and of comparison.csv cells;
         # the error's second field is the name, whose header the parser names
         for name in self.optimizers:
@@ -308,10 +308,10 @@ class ExperimentConfig:
 
 
 def _check_run_settings(T, metric_tick, seeds, min_seeds):
-    """The seeds as a tuple of ints. Rejects a bool or non-integral seed,
-    too few seeds, a negative one and a repeated one (it would count one
-    run twice), a T or tick that ``optimizers.run`` rejects and a tick above
-    T (no trace rows)."""
+    """(T, metric_tick, seeds): two ints and a tuple of ints. Rejects a
+    bool or non-integral seed, too few seeds, a negative one and a repeated
+    one (it would count one run twice), a T or tick that ``optimizers.run``
+    rejects and a tick above T (no trace rows)."""
     given = tuple(seeds)
     seeds = tuple(map(_whole, given))
     if None in seeds:
@@ -325,22 +325,26 @@ def _check_run_settings(T, metric_tick, seeds, min_seeds):
             "seeds must not repeat or be negative, got %s"
             % ",".join(str(s) for s in seeds), "seeds")
     T = _positive_int("T", T)
-    if _positive_int("metric_tick", metric_tick) > T:
+    metric_tick = _positive_int("metric_tick", metric_tick)
+    if metric_tick > T:
         raise SettingError(
             "metric_tick must lie in [1, T=%d], got %d" % (T, metric_tick),
             "metric_tick", "T")
-    return seeds
+    return T, metric_tick, seeds
 
 
 def _protocol_settings(defaults, overrides, seeds):
-    """(``defaults`` updated by ``overrides``, seeds as a tuple). Raises
-    ValueError on an unknown setting and on what _check_run_settings
-    rejects, with two seeds at least: the paired CIs need them."""
+    """(``defaults`` updated by ``overrides``, T and metric_tick as ints,
+    seeds as a tuple). Raises ValueError on an unknown setting and on what
+    _check_run_settings rejects, with two seeds at least: the paired CIs
+    need them."""
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ValueError("unknown setting(s): %s" % ", ".join(unknown))
     p = {**defaults, **overrides}
-    return p, _check_run_settings(p["T"], p["metric_tick"], seeds, 2)
+    p["T"], p["metric_tick"], seeds = _check_run_settings(
+        p["T"], p["metric_tick"], seeds, 2)
+    return p, seeds
 
 
 def parse_config_text(text, base_dir="."):

@@ -14,8 +14,10 @@ the diagonal preconditioner, and whether the sampling distribution adapts:
   candidate-direction norms, refreshed every ``refresh_period`` steps.
 
 A run's state is theta, the moments (m, v, v_hat) and the SamplingTree,
-which holds the sampling distribution and its running sums. v is the one
-second-moment statistic: the EMA of g^2, or adagrad's running sum of g^2.
+which holds the sampling distribution and its running sums. A refresh is a
+function of that state: it returns a new tree, which ``run`` rebinds, and
+no tree is changed after it is built. v is the one second-moment
+statistic: the EMA of g^2, or adagrad's running sum of g^2.
 
 Every step samples ``batch_size`` indices i.i.d. with replacement from the
 current distribution and averages the importance-weighted per-index
@@ -213,11 +215,11 @@ def step_general(problem, theta, state, batch, config, t):
     return new_theta
 
 
-def refresh_probabilities(problem, theta, state, config, tree, t):
-    """Recompute the sampling distribution from the current scores before
-    step t and load it into the tree in one O(n) rebuild. Scores whose
-    total is not finite raise DivergenceError: an overflow in them belongs
-    to a diverging run, not to bad input."""
+def refresh_probabilities(problem, theta, state, config, t):
+    """The sampling distribution for the steps from t on: a new tree,
+    built in O(n), of the normalized scores at theta and the moment state
+    before step t. Scores whose total is not finite raise DivergenceError:
+    an overflow in them belongs to a diverging run, not to bad input."""
     if config.method == "ap_sgd":
         scores = _sampling.scores_apsgd(problem, theta)
     elif config.method == "dasgrad":
@@ -231,7 +233,8 @@ def refresh_probabilities(problem, theta, state, config, tree, t):
     total = np.add.reduce(scores)
     if not math.isfinite(total):
         raise DivergenceError(t, "nonfinite scores")
-    tree.set_all(_sampling.normalize_scores(scores, config.epsilon_prob))
+    return _sampling.SamplingTree(
+        _sampling.normalize_scores(scores, config.epsilon_prob))
 
 
 @dataclass
@@ -284,8 +287,8 @@ def run(problem, config, T, seed, metric_tick=10, eval_set=None):
         try:
             while t <= T:
                 if t == refresh_at:
-                    refresh_probabilities(problem, theta, state, config, tree,
-                                          t)
+                    tree = refresh_probabilities(problem, theta, state,
+                                                 config, t)
                     refresh_at = t - t % period + period
                 end = min(refresh_at, T + 1, t + max_steps)
                 X, y, w = draw_batch(problem, tree, rng, config,

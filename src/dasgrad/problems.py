@@ -71,6 +71,9 @@ class Problem:
             raise ValueError("unknown problem kind: %r" % (kind,))
         if not 0 <= l2_lambda < np.inf:
             raise ValueError("l2_lambda must be finite and nonnegative")
+        if kind == CENTROID and l2_lambda:
+            raise ValueError("lambda must be 0 for a centroid problem, whose "
+                             "loss has no L2 term")
         if sparse.issparse(X):
             X = X.tocsr().astype(np.float64, copy=False)
             if kind == CENTROID:

@@ -1,11 +1,12 @@
 """Adaptive categorical sampling over training indices.
 
-``SamplingTree`` keeps the weights and their running sums as read-only
-arrays: a refresh of the sampling distribution is one O(n) ``set_all``,
-and ``sample_many`` draws a block of indices with one binary search of
-the running sums. A single-leaf
-``update`` also retakes the running sums in O(n); the optimizers never call
-it, as each refresh replaces the whole distribution.
+A ``SamplingTree`` is a value: its constructor checks the weights and
+takes their running sums, both kept as read-only arrays, and nothing
+changes them afterwards. A refresh of the sampling distribution builds a
+new tree in O(n), and ``sample_many`` draws a block of indices with one
+binary search of the running sums. ``update`` returns a new tree with one
+leaf changed, also in O(n); the optimizers never call it, as each refresh
+replaces the whole distribution.
 ``scores_dasgrad`` is the one score function: per-example norms of the
 preconditioned candidate direction, of which ``scores_apsgd`` (gradient
 norms) is the v_hat = 1, no-momentum case; for the logistic kinds both
@@ -15,9 +16,9 @@ binary), and the ap-SGD case reads its constant quad term from
 epsilon so every example keeps strictly positive probability.
 
 Every refresh and every drawn batch checks its vectors, so each check is
-one pass: ``set_all`` and ``normalize_scores`` test a vector's range with
-one ``np.minimum.reduce``/``np.maximum.reduce`` pair (NaN fails it, as it
-propagates), and take the per-condition tests only to pick the error
+one pass: ``SamplingTree`` and ``normalize_scores`` test a vector's range
+with one ``np.minimum.reduce``/``np.maximum.reduce`` pair (NaN fails it,
+as it propagates), and take the per-condition tests only to pick the error
 message. ``importance_weight`` and ``target_weight`` skip NaN, as
 ``np.any(p <= 0)`` does, through ``np.fmin.reduce``/``np.fmax.reduce``.
 Each accepts and rejects the same inputs, with the same message, as the
@@ -32,33 +33,20 @@ from . import problems as _problems
 
 
 class SamplingTree:
-    """Categorical distribution over n nonnegative leaf weights.
+    """Categorical distribution over n nonnegative leaf weights, at least
+    one of them positive.
 
-    Holds the weights and their running sums, ``cdf = np.cumsum(weights)``,
-    as read-only arrays: ``total`` is ``cdf[-1]``, and a draw is one binary
-    search of the running sums. Every method that changes a weight takes
-    its own copy of the weights and the running sums afresh in new arrays,
-    so ``cdf`` equals ``np.cumsum(weights)`` to the last bit, and a rejected
-    call changes nothing.
+    Holds its own copy of the weights and their running sums,
+    ``cdf = np.cumsum(weights)``, as read-only arrays: ``total`` is
+    ``cdf[-1]``, and a draw is one binary search of the running sums. A
+    tree is built once and never changed, so ``cdf`` equals
+    ``np.cumsum(weights)`` to the last bit.
     """
 
     def __init__(self, weights):
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
-        self.n = int(weights.size)
-        self.set_all(weights)
-
-    @property
-    def total(self) -> float:
-        return float(self.cdf[-1])
-
-    def set_all(self, weights) -> None:
-        """Replace all n leaf weights, O(n)."""
-        weights = np.array(weights, dtype=np.float64)
-        if weights.shape != (self.n,):
-            raise ValueError("weights must be a 1-d sequence of length %d"
-                             % self.n)
         if not (0.0 <= np.minimum.reduce(weights)
                 and 0.0 < np.maximum.reduce(weights) < np.inf):
             if not np.all(np.isfinite(weights)):
@@ -66,38 +54,33 @@ class SamplingTree:
             if np.any(weights < 0):
                 raise ValueError("weights must be nonnegative")
             raise ValueError("at least one weight must be positive")
-        self._commit(weights)
-
-    def update(self, i: int, w: float) -> None:
-        """Set leaf i to w, O(n). The weights may all be zero afterwards;
-        ``sample_many`` rejects that."""
-        if not 0 <= i < self.n:
-            raise IndexError("leaf index out of range")
-        if not np.isfinite(w) or w < 0:
-            raise ValueError("weight must be finite and nonnegative")
-        weights = self.weights.copy()
-        weights[i] = w
-        self._commit(weights)
-
-    def _commit(self, weights):
-        """Keep weights, which no caller holds, and their running sums
-        unless the total overflows, both read-only. The running sums are
-        nondecreasing, so only the last can be inf."""
+        # the running sums are nondecreasing, so only the last can be inf
         with np.errstate(over="ignore"):
             cdf = np.cumsum(weights)
         if not np.isfinite(cdf[-1]):
             raise ValueError("the weights' total overflows")
         weights.flags.writeable = cdf.flags.writeable = False
+        self.n = int(weights.size)
         self.weights, self.cdf = weights, cdf
+
+    @property
+    def total(self) -> float:
+        return float(self.cdf[-1])
+
+    def update(self, i: int, w: float) -> SamplingTree:
+        """A new tree with leaf i set to w, O(n); this one is unchanged.
+        No library code calls it; perfbench's tracer counts its calls."""
+        if not 0 <= i < self.n:
+            raise IndexError("leaf index out of range")
+        weights = self.weights.copy()
+        weights[i] = w
+        return SamplingTree(weights)
 
     def sample_many(self, rng, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. indices: draw i is the first leaf whose
         running sum exceeds u_i = rng.random() * total, so a u on an edge
         goes right, past any empty leaves."""
-        total = self.total
-        if total <= 0:
-            raise ValueError("cannot sample from an all-zero tree")
-        u = rng.random(size) * total
+        u = rng.random(size) * self.total
         # u rounds up to total at most; that draw takes the last leaf
         return np.minimum(np.searchsorted(self.cdf, u, side="right"),
                           self.n - 1)

@@ -69,7 +69,8 @@ def test_criterion_2_sampler_law_and_running_sums():
 
     upd = np.random.default_rng(8)
     for _ in range(10_000):
-        tree.update(int(upd.integers(0, 1000)), 0.1 + float(upd.random()))
+        tree = tree.update(int(upd.integers(0, 1000)),
+                           0.1 + float(upd.random()))
     assert np.array_equal(tree.cdf, np.cumsum(tree.weights))
     assert tree.total == tree.cdf[-1]
     direct = tree.weights.sum()
@@ -159,8 +160,8 @@ def _lockstep(problem, cfg_a, cfg_b, T, seed, refresh=True):
     for t in range(1, T + 1):
         for j, cfg in enumerate((cfg_a, cfg_b)):
             if refresh and _refreshes(cfg, t):
-                O.refresh_probabilities(problem, thetas[j], states[j], cfg,
-                                        trees[j], t)
+                trees[j] = O.refresh_probabilities(problem, thetas[j],
+                                                   states[j], cfg, t)
             batch = O.draw_batch(problem, trees[j], rngs[j], cfg,
                                  cfg.batch_size)
             thetas[j] = O.step_general(problem, thetas[j], states[j], batch,
@@ -208,7 +209,7 @@ def test_criterion_6_vhat_monotone_and_projection():
         prev = np.zeros(5)
         for t in range(1, 10_001):
             if _refreshes(cfg, t):
-                O.refresh_probabilities(prob, theta, state, cfg, tree, t)
+                tree = O.refresh_probabilities(prob, theta, state, cfg, t)
             theta = O.step_general(prob, theta, state,
                                    O.draw_batch(prob, tree, gen, cfg, 2),
                                    cfg, t)

@@ -918,6 +918,18 @@ class TestRunSettingsRejected:
         assert sorted(H.run_experiment(config)) == [("sgd", 0), ("sgd", 1)]
         assert "seeds = 0,1" in (out / "metadata.txt").read_text().split("\n")
 
+    def test_run_settings_are_stored_as_whole_ints(self):
+        config = CF.ExperimentConfig(
+            problem=CF.ProblemSpec(kind=P.CENTROID),
+            optimizers={"sgd": CF.convex_preset("sgd")},
+            T=20.0, seeds=(0.0, 1), metric_tick=5.0)
+        p, seeds = CF._protocol_settings(
+            H.SWEEP_DEFAULTS, {"T": 20.0, "metric_tick": 5.0}, (0.0, 1))
+        for stored in ((config.T, config.metric_tick, *config.seeds),
+                       (p["T"], p["metric_tick"], *seeds)):
+            assert stored == (20, 5, 0, 1)
+            assert all(type(v) is int for v in stored)
+
     def test_cli_run_rejects_lambda_on_a_centroid_problem(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(O, "run", None)

@@ -283,7 +283,8 @@ def tick_problem(kind, storage, rng, n=30, d=6):
     X, y = H._gaussian_rows(rng, n, d, k)
     if storage == "csr":
         X = sparse.csr_matrix(X * (rng.random(X.shape) < 0.5))
-    return P.Problem(X, y, kind, l2_lambda=0.05, num_classes=k)
+    return P.Problem(X, y, kind, l2_lambda=0.0 if kind == P.CENTROID
+                     else 0.05, num_classes=k)
 
 
 def single_tick(problem, theta, eval_set=None):

@@ -132,10 +132,12 @@ class TestConfigValidation:
         CF.OptimizerConfig(method="sgd", beta1=0.99, beta2=0.5)
 
     @pytest.mark.parametrize("counts", [
-        [], [0, 0], [3, -1], [1.5, 2], ["1", "2"]])
+        [], [0, 0], [3, -1], [1.5, 2], ["1", "2"], (True, 2)])
     def test_target_mode_needs_counts(self, counts):
-        with pytest.raises(ValueError, match="target_label_counts"):
+        with pytest.raises(CF.SettingError,
+                           match="target_label_counts") as err:
             CF.OptimizerConfig(method="dasgrad", target_label_counts=counts)
+        assert err.value.fields == ("target_label_counts",)
 
     def test_target_counts_are_a_tuple_of_ints(self):
         counts = np.array([1, 2])
@@ -145,6 +147,10 @@ class TestConfigValidation:
         counts[0] = 99
         assert a.target_label_counts == (1, 2)
         assert type(a.target_label_counts[0]) is int
+        whole = CF.OptimizerConfig(method="dasgrad",
+                                   target_label_counts=(1.0, 2))
+        assert whole.target_label_counts == (1, 2)
+        assert all(type(c) is int for c in whole.target_label_counts)
         assert CF.OptimizerConfig(method="sgd").target_label_counts is None
 
     def test_projection_is_two_floats(self):
@@ -311,17 +317,15 @@ class TestRefresh:
         prob = centroid_problem([[1.0], [3.0]])
         # theta = 2 is equidistant from both examples
         cfg = CF.OptimizerConfig(method="ap_sgd")
-        tree = S.SamplingTree(np.full(2, 0.5))
         state = O.MomentState.zeros(1)
-        O.refresh_probabilities(prob, np.array([2.0]), state, cfg, tree, 1)
+        tree = O.refresh_probabilities(prob, np.array([2.0]), state, cfg, 1)
         np.testing.assert_array_equal(tree.weights, [0.5, 0.5])
 
     def test_dominant_example_gets_proportional_mass(self):
         prob = centroid_problem([[1.0], [10.0]])
         cfg = CF.OptimizerConfig(method="ap_sgd", epsilon_prob=1e-12)
-        tree = S.SamplingTree(np.full(2, 0.5))
         state = O.MomentState.zeros(1)
-        O.refresh_probabilities(prob, np.array([0.0]), state, cfg, tree, 1)
+        tree = O.refresh_probabilities(prob, np.array([0.0]), state, cfg, 1)
         probs = tree.weights
         assert probs[1] / probs[0] == pytest.approx(10.0, rel=1e-9)
 
@@ -329,10 +333,9 @@ class TestRefresh:
         rng = np.random.default_rng(7)
         prob = centroid_problem(rng.standard_normal((50, 3)))
         cfg = CF.OptimizerConfig(method="ap_sgd")
-        tree = S.SamplingTree(np.full(50, 1.0 / 50))
         state = O.MomentState.zeros(3)
-        O.refresh_probabilities(prob, rng.standard_normal(3), state, cfg,
-                                tree, 1)
+        tree = O.refresh_probabilities(prob, rng.standard_normal(3), state,
+                                       cfg, 1)
         probs = tree.weights
         assert abs(tree.total - 1.0) <= 1e-9
         draws = tree.sample_many(np.random.default_rng(8), 100_000)
@@ -347,18 +350,38 @@ class TestRefresh:
         prob = multiclass_problem(rng, n=37)
         cfg = CF.OptimizerConfig(method="dasgrad", batch_size=4,
                                  beta1_decay=0.5)
-        tree = S.SamplingTree(np.full(prob.n, 1.0 / prob.n))
         state = O.MomentState.zeros(prob.param_dim)
         state.m = rng.standard_normal(prob.param_dim)
         state.v_hat = rng.random(prob.param_dim)
         theta = rng.standard_normal(prob.param_dim)
-        O.refresh_probabilities(prob, theta, state, cfg, tree, t)
+        tree = O.refresh_probabilities(prob, theta, state, cfg, t)
         scores = S.scores_dasgrad(prob, theta, state.m, state.v_hat,
                                   cfg.beta1_at(blend_step),
                                   eps_div=cfg.epsilon_div)
         probs = S.normalize_scores(scores, cfg.epsilon_prob)
         assert np.array_equal(tree.weights, probs)
         assert np.array_equal(tree.cdf, S.SamplingTree(probs).cdf)
+
+    def test_refresh_builds_a_new_tree_and_changes_none(self, monkeypatch):
+        # each refresh gives the run a new tree (whose weights the test
+        # above checks), and no tree the run has drawn from changes
+        rng = np.random.default_rng(7)
+        prob = centroid_problem(rng.standard_normal((12, 2)))
+        cfg = CF.OptimizerConfig(method="dasgrad", refresh_period=3,
+                                 batch_size=2)
+        drawn = []
+        draw = O.draw_batch
+
+        def recording(problem, tree, rng, config, size):
+            drawn.append((tree, tree.weights.copy()))
+            return draw(problem, tree, rng, config, size)
+
+        monkeypatch.setattr(O, "draw_batch", recording)
+        O.run(prob, cfg, T=12, seed=0, metric_tick=12)
+        # the uniform start and one tree per refresh, at steps 3, 6, 9, 12
+        assert len({id(tree) for tree, _ in drawn}) == 5
+        for tree, weights in drawn:
+            assert np.array_equal(tree.weights, weights)
 
     def test_schedule(self, monkeypatch):
         # the steps t of every refresh a T = 24 run makes, against the
@@ -368,9 +391,9 @@ class TestRefresh:
         refresh = O.refresh_probabilities
         steps = []
 
-        def recording(problem, theta, state, config, tree, t):
+        def recording(problem, theta, state, config, t):
             steps.append(t)
-            refresh(problem, theta, state, config, tree, t)
+            return refresh(problem, theta, state, config, t)
 
         monkeypatch.setattr(O, "refresh_probabilities", recording)
         for method in ("ap_sgd", "dasgrad", "amsgrad"):
@@ -562,16 +585,14 @@ def _probs_step(problem, theta, state, probs, tree, rng, config, t):
     return theta
 
 
-def _probs_refresh(problem, theta, state, config, tree):
+def _probs_refresh(problem, theta, state, config):
     if config.method == "ap_sgd":
         scores = S.scores_apsgd(problem, theta)
     else:
         scores = S.scores_dasgrad(problem, theta, state.m, state.v_hat,
                                   config.beta1_at(max(state.t, 1)),
                                   eps_div=config.epsilon_div)
-    probs = S.normalize_scores(scores, config.epsilon_prob)
-    tree.set_all(probs)
-    return probs
+    return S.normalize_scores(scores, config.epsilon_prob)
 
 
 def _probs_run(problem, config, T, seed, metric_tick, eval_set=None):
@@ -584,7 +605,8 @@ def _probs_run(problem, config, T, seed, metric_tick, eval_set=None):
     ticks, losses, accs, gvars = [], [], [], []
     for t in range(1, T + 1):
         if _refreshes(config, t):
-            probs = _probs_refresh(problem, theta, state, config, tree)
+            probs = _probs_refresh(problem, theta, state, config)
+            tree = S.SamplingTree(probs)
         theta = _probs_step(problem, theta, state, probs, tree, rng, config, t)
         if t % metric_tick == 0:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -612,7 +634,8 @@ def _bit_check_rows(kind, is_sparse, n, seed, d=4):
 
 def _bit_check_problem(kind, is_sparse, d=4):
     X, y, k = _bit_check_rows(kind, is_sparse, 24, 20, d)
-    return P.Problem(X, y, kind, l2_lambda=0.01, num_classes=k)
+    return P.Problem(X, y, kind, l2_lambda=0.0 if kind == P.CENTROID
+                     else 0.01, num_classes=k)
 
 
 _BIT_CHECK_MODES = [
@@ -836,10 +859,10 @@ def test_a_pending_nonfinite_tick_precedes_a_later_refresh_divergence(
                              refresh_period=10)
     refresh = O.refresh_probabilities
 
-    def failing(problem, theta, state, config, tree, t):
+    def failing(problem, theta, state, config, t):
         if t == 20:
             raise O.DivergenceError(t, "nonfinite scores")
-        refresh(problem, theta, state, config, tree, t)
+        return refresh(problem, theta, state, config, t)
 
     monkeypatch.setattr(O, "refresh_probabilities", failing)
     with pytest.raises(O.DivergenceError,

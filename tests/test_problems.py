@@ -705,6 +705,14 @@ class TestValidation:
             P.Problem(np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
                       P.CENTROID)
 
+    def test_centroid_takes_no_l2_lambda(self):
+        # the centroid loss and gradients have no L2 term to apply it to
+        X = [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError, match="^lambda must be 0 for a "
+                           "centroid problem, whose loss has no L2 term$"):
+            P.Problem(X, [0, 0], P.CENTROID, l2_lambda=0.5)
+        assert P.Problem(X, [0, 0], P.CENTROID, l2_lambda=0.0).l2_lambda == 0
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     def test_l2_lambda_must_be_finite_and_nonnegative(self, lam):
         with pytest.raises(ValueError, match="l2_lambda"):

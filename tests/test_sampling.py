@@ -100,31 +100,31 @@ class TestTreeArrays:
         tree = S.SamplingTree([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="read-only"):
             getattr(tree, name)[0] = 5.0
-        tree.update(1, 4.0)
-        tree.set_all([3.0, 2.0, 1.0])
+        tree = tree.update(1, 4.0)
         with pytest.raises(ValueError, match="read-only"):
             getattr(tree, name)[0] = 5.0
-        assert tree.weights.tolist() == [3.0, 2.0, 1.0]
-        assert tree.cdf.tolist() == [3.0, 5.0, 6.0]
+        assert tree.weights.tolist() == [1.0, 4.0, 3.0]
+        assert tree.cdf.tolist() == [1.0, 5.0, 8.0]
 
 
 class TestTreeUpdate:
     def test_root_after_update(self):
         tree = S.SamplingTree([1.0, 2.0, 3.0, 4.0])
-        tree.update(1, 5.0)
-        assert tree.total == 13.0
+        assert tree.update(1, 5.0).total == 13.0
+        # the tree updated is a value: it keeps its own weights
+        assert tree.total == 10.0
+        assert tree.weights.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_identity_update_keeps_every_running_sum(self):
         tree = S.SamplingTree([1.0, 2.0, 3.0, 4.0])
-        before = tree.cdf.copy()
-        tree.update(2, tree.weights[2])
-        assert np.array_equal(tree.cdf, before)
+        assert np.array_equal(tree.update(2, tree.weights[2]).cdf, tree.cdf)
 
     def test_many_updates_keep_running_sums_exact(self):
         rng = np.random.default_rng(1)
         tree = S.SamplingTree(rng.random(1000))
         for _ in range(10_000):
-            tree.update(int(rng.integers(0, 1000)), float(rng.random()))
+            tree = tree.update(int(rng.integers(0, 1000)),
+                               float(rng.random()))
         _assert_running_sums_exact(tree)
 
     def test_bad_updates(self):
@@ -143,23 +143,21 @@ class TestTreeUpdate:
         assert tree.weights.tolist() == [1e308, 1.0, 3.0]
 
 
-class TestTreeSetAll:
+class TestTreeValue:
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 37, 1000])
-    def test_matches_fresh_build_and_per_leaf_updates(self, n):
+    def test_build_matches_per_leaf_updates(self, n):
         rng = np.random.default_rng(n)
         weights = rng.random(n) + 0.01
-        bulk = S.SamplingTree(rng.random(n) + 0.01)
-        per_leaf = S.SamplingTree(bulk.weights)
-        bulk.set_all(weights)
+        per_leaf = S.SamplingTree(rng.random(n) + 0.01)
         for i, w in enumerate(weights):
-            per_leaf.update(i, w)
-        assert np.array_equal(bulk.cdf, S.SamplingTree(weights).cdf)
-        assert np.array_equal(bulk.cdf, per_leaf.cdf)
-        assert np.array_equal(bulk.weights, weights)
+            per_leaf = per_leaf.update(i, w)
+        built = S.SamplingTree(weights)
+        assert np.array_equal(built.cdf, per_leaf.cdf)
+        assert np.array_equal(built.weights, weights)
 
     @pytest.mark.parametrize("bad", [
-        [1.0, 2.0],
-        [1.0, 2.0, 3.0, 4.0],
+        [],
+        5.0,
         [[1.0, 2.0, 3.0]],
         [1.0, -0.5, 2.0],
         [1.0, np.nan, 2.0],
@@ -167,27 +165,22 @@ class TestTreeSetAll:
         [0.0, 0.0, 0.0],
         [1e308, 1e308, 1.0],
     ])
-    def test_rejects_bad_input_and_leaves_tree_unchanged(self, bad):
-        tree = S.SamplingTree([1.0, 2.0, 3.0])
+    def test_rejects_bad_input(self, bad):
         with pytest.raises(ValueError):
-            tree.set_all(bad)
-        assert tree.weights.tolist() == [1.0, 2.0, 3.0]
-        assert tree.cdf.tolist() == [1.0, 3.0, 6.0]
+            S.SamplingTree(bad)
 
     def test_keeps_its_own_copy_of_the_weights(self):
         weights = np.array([1.0, 2.0, 3.0])
         tree = S.SamplingTree(weights)
         weights[0] = 100.0
-        tree.set_all(weights)
-        weights[1] = 100.0
-        assert tree.weights.tolist() == [100.0, 2.0, 3.0]
+        assert tree.weights.tolist() == [1.0, 2.0, 3.0]
         assert weights.flags.writeable
         _assert_running_sums_exact(tree)
         # the tree's own read-only array is copied too
-        other = S.SamplingTree([5.0, 6.0, 7.0])
-        other.set_all(tree.weights)
-        other.update(0, 1.0)
-        assert tree.weights.tolist() == [100.0, 2.0, 3.0]
+        other = S.SamplingTree(tree.weights)
+        assert other.weights is not tree.weights
+        assert other.update(0, 5.0).weights.tolist() == [5.0, 2.0, 3.0]
+        assert tree.weights.tolist() == [1.0, 2.0, 3.0]
 
 
 _weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
@@ -196,20 +189,24 @@ _weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_mixed_set_all_and_update_keep_running_sums_exact(data):
+def test_mixed_builds_and_updates_keep_running_sums_exact(data):
     n = data.draw(st.integers(min_value=1, max_value=40), label="n")
     positive = st.lists(_weight, min_size=n, max_size=n).filter(
         lambda ws: any(w > 0 for w in ws))
     tree = S.SamplingTree(data.draw(positive, label="initial"))
     ops = data.draw(st.lists(st.one_of(
-        st.tuples(st.just("set_all"), positive),
+        st.tuples(st.just("build"), positive),
         st.tuples(st.just("update"), st.integers(0, n - 1), _weight)),
         max_size=20), label="ops")
     for op in ops:
-        if op[0] == "set_all":
-            tree.set_all(op[1])
+        if op[0] == "build":
+            tree = S.SamplingTree(op[1])
+        elif op[2] > 0 or np.delete(tree.weights, op[1]).any():
+            tree = tree.update(op[1], op[2])
         else:
-            tree.update(op[1], op[2])
+            # the update would leave every weight zero
+            with pytest.raises(ValueError, match="positive"):
+                tree.update(op[1], op[2])
         _assert_running_sums_exact(tree)
 
 
@@ -273,11 +270,13 @@ class TestTreeSample:
         draws = tree.sample_many(np.random.default_rng(0), 0)
         assert draws.shape == (0,)
 
-    def test_zero_tree_rejected_at_sample(self):
+    def test_zero_tree_rejected_when_built(self):
+        with pytest.raises(ValueError, match="positive"):
+            S.SamplingTree([0.0])
         tree = S.SamplingTree([1.0])
-        tree.update(0, 0.0)
-        with pytest.raises(ValueError):
-            tree.sample_many(np.random.default_rng(0), 1)
+        with pytest.raises(ValueError, match="positive"):
+            tree.update(0, 0.0)
+        assert tree.sample_many(np.random.default_rng(0), 1).tolist() == [0]
 
 
 # sizes: one leaf, powers of two, one past a power of two, and any size up
@@ -664,6 +663,11 @@ def test_scores_bit_identical_to_two_pass_route(kind, is_sparse, zero_coords,
     X, y = H._gaussian_rows(rng, 30, 6, k)
     if is_sparse:
         X = sparse.csr_matrix(X * (rng.random(X.shape) < 0.4))
+    if kind == P.CENTROID and lam:
+        # the centroid loss has no L2 term to score
+        with pytest.raises(ValueError, match="lambda must be 0"):
+            P.Problem(X, y, kind, l2_lambda=lam)
+        return
     prob = P.Problem(X, y, kind, l2_lambda=lam)
     # CSR storage is kept for the logistic kinds only
     assert prob.is_sparse == (is_sparse and kind != P.CENTROID)
@@ -741,10 +745,10 @@ class TestExpectedWeightedSecondMoment:
 # one min/max reduce pair: a check that passes them must accept and reject
 # the same inputs, with the same error.
 
-def _per_condition_set_all(n, weights):
+def _per_condition_tree(weights):
     weights = np.array(weights, dtype=np.float64)
-    if weights.shape != (n,):
-        raise ValueError("weights must be a 1-d sequence of length %d" % n)
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValueError("weights must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
     if np.any(weights < 0):
@@ -824,16 +828,12 @@ def _edge_vectors():
 
 @settings(max_examples=300, deadline=None)
 @given(weights=_edge_vectors())
-def test_set_all_check_is_the_per_condition_check(weights):
-    n = max(weights.size, 1)
-    tree = S.SamplingTree(np.ones(n))
-
-    def set_all(w):
-        tree.set_all(w)
+def test_tree_check_is_the_per_condition_check(weights):
+    def build(w):
+        tree = S.SamplingTree(w)
         return np.stack([tree.weights, tree.cdf])
 
-    assert _outcome(set_all, weights) == \
-        _outcome(_per_condition_set_all, n, weights)
+    assert _outcome(build, weights) == _outcome(_per_condition_tree, weights)
 
 
 @settings(max_examples=300, deadline=None)
